@@ -18,9 +18,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,7 +70,7 @@ class RunConfig:
     out: str | None = None
     fmt: str = "csv"
     transcript: str | None = None
-    n_workers: int = field(default_factory=lambda: int(os.environ.get(WORKERS_ENV, "1")))
+    n_workers: int = 1
 
     def echo(self) -> str:
         parts = [f"command={self.command}", f"d={self.d}"]
@@ -136,6 +137,8 @@ def _parse_config(args: argparse.Namespace) -> RunConfig:
             lam = float(args.lam)
         except ValueError:
             raise _usage_error(f"--lambda must be a number or 'max', got {args.lam!r}")
+        if not math.isfinite(lam):
+            raise _usage_error(f"--lambda must be finite, got {args.lam!r}")
     given = [x for x in (coeffs, args.entropy, args.cos_theta_c) if x is not None]
     if len(given) > 1:
         raise _usage_error("give at most one of --coeffs, --entropy, --cos-theta-c")
@@ -154,6 +157,13 @@ def _parse_config(args: argparse.Namespace) -> RunConfig:
         d = 2
     if args.runs < 0:
         raise _usage_error(f"--runs must be nonnegative, got {args.runs}")
+    workers = os.environ.get(WORKERS_ENV, "1")
+    try:
+        n_workers = int(workers)
+    except ValueError:
+        n_workers = 0
+    if n_workers < 1:
+        raise _usage_error(f"{WORKERS_ENV} must be a positive integer, got {workers!r}")
     return RunConfig(
         command=args.command,
         d=d,
@@ -169,6 +179,7 @@ def _parse_config(args: argparse.Namespace) -> RunConfig:
         out=args.out,
         fmt=args.fmt,
         transcript=args.transcript,
+        n_workers=n_workers,
     )
 
 
@@ -333,6 +344,30 @@ def _write_teleport(stream, fmt: str, exact: FidelityReport, mc: FidelityReport 
             stream.write(json.dumps(row) + "\n")
 
 
+def _transcript_sink(stream):
+    """Write each Monte Carlo block as JSONL, one ``json.dumps(record)`` line per run.
+
+    All fields are ints, so formatting them directly gives the same bytes.
+    """
+
+    def write(block: dict) -> None:
+        bits = block["bits_sent"]
+        runs = zip(
+            block["run_index"].tolist(),
+            block["outcome_alpha"].tolist(),
+            block["conclusive_flag"].tolist(),
+        )
+        stream.write(
+            "".join(
+                f'{{"run_index": {i}, "outcome_alpha": {a}, '
+                f'"conclusive_flag": {c}, "bits_sent": {bits}}}\n'
+                for i, a, c in runs
+            )
+        )
+
+    return write
+
+
 def cmd_teleport(cfg: RunConfig) -> int:
     try:
         channel = _resolve_channel(cfg)
@@ -350,7 +385,7 @@ def cmd_teleport(cfg: RunConfig) -> int:
             transcript_stream = None
             if cfg.transcript is not None:
                 transcript_stream = open(cfg.transcript, "w")
-                sink = lambda rec: transcript_stream.write(json.dumps(rec) + "\n")
+                sink = _transcript_sink(transcript_stream)
             try:
                 mc = simulate(
                     refined,

@@ -217,31 +217,49 @@ def transcript_bits(n_outcomes: int) -> int:
     return math.ceil(math.log2(n_outcomes)) + 1
 
 
+# Monte Carlo rounds are drawn in blocks of at most this many outcome
+# amplitudes (rounds * n_outcomes * d).  The block size is part of the
+# reproducibility contract: each block draws its real normals, imaginary
+# normals and uniforms in that order, so a different size gives different
+# runs for the same seed.
+_BLOCK_ENTRIES = 1 << 16
+
+
 def _resolve_rng(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     return np.random.default_rng(rng)
 
 
-def _simulate_chunk(
-    maps: np.ndarray, vb: np.ndarray, rng: np.random.Generator, n: int
+def _draw_outcomes(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Outcome per run: the number of cumulative probabilities (total excluded) <= u.
+
+    Leaving out the last column keeps every index below n_out even when u
+    rounds up to the total.
+    """
+    return (u[:, None] >= cum[:, :-1]).sum(axis=1)
+
+
+def _simulate_block(
+    maps: np.ndarray, vs: np.ndarray, rng: np.random.Generator, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run n protocol rounds; returns (chosen outcome, run fidelity) arrays."""
     n_out, d, _ = maps.shape
     z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
     phi = z / np.linalg.norm(z, axis=1, keepdims=True)
-    out_amps = np.einsum("okj,nj->nok", maps, phi)
-    probs = np.sum(np.abs(out_amps) ** 2, axis=2)
-    totals = probs.sum(axis=1)
-    drift = float(np.max(np.abs(totals - 1.0)))
+    amps = (phi @ maps.reshape(n_out * d, d).T).reshape(n, n_out, d)
+    # |amps|^2 summed over the last axis, as one reduction over (re, im) pairs.
+    pairs = amps.view(np.float64).reshape(n, n_out, 2 * d)
+    probs = np.einsum("noj,noj->no", pairs, pairs)
+    cum = np.cumsum(probs, axis=1)
+    drift = float(np.max(np.abs(cum[:, -1] - 1.0)))
     if drift > 1e-8:
         raise ConsistencyError(f"outcome probabilities sum to 1 +/- {drift:.3e} > 1e-8")
-    cum = np.cumsum(probs, axis=1)
-    u = rng.random(n) * totals
-    alpha = (u[:, None] >= cum).sum(axis=1)
-    overlap = np.einsum("nj,njk,nk->n", phi.conj(), vb[alpha], phi)
-    chosen = probs[np.arange(n), alpha]
-    fid = np.abs(overlap) ** 2 / chosen
+    alpha = _draw_outcomes(cum, rng.random(n) * cum[:, -1])
+    rows = np.arange(n)
+    corrected = np.einsum("nij,nj->ni", vs[alpha], amps[rows, alpha])
+    overlap = np.einsum("ni,ni->n", phi.conj(), corrected)
+    fid = (overlap.real**2 + overlap.imag**2) / probs[rows, alpha]
     return alpha, fid
 
 
@@ -261,83 +279,16 @@ def simulate(
     probability, applies the per-outcome correction and records the run
     fidelity.  Runs are sharded across ``n_workers`` chunks, each owning an
     independent generator spawned from the master seed, so the merged
-    totals are reproducible and order-independent.
+    totals are reproducible for a fixed seed and shard count.  Each shard
+    runs in blocks of ``_BLOCK_ENTRIES`` amplitudes and only per-outcome
+    sums outlive a block.  ``transcript``, if given, is called once per
+    block with the columns ``run_index``, ``outcome_alpha`` and
+    ``conclusive_flag`` (int arrays) and the scalar ``bits_sent``.
     """
-    if n_runs < 1:
-        raise DomainError(f"need at least one run, got {n_runs}")
-    if n_workers < 1:
-        raise DomainError(f"need at least one worker, got {n_workers}")
     maps = channel_maps(p, ch)
     vs = correction_unitaries(p, basis, maps, corrections)
-    vb = np.einsum("oij,ojk->oik", vs, maps)
-    master = _resolve_rng(rng)
-    streams = master.spawn(n_workers)
-    shares = [n_runs // n_workers + (1 if w < n_runs % n_workers else 0) for w in range(n_workers)]
-    n_out = p.n_outcomes
-    bits = transcript_bits(n_out)
-    counts = np.zeros(n_out)
-    term_sums = np.zeros(n_out)
-    term_sq_sums = np.zeros(n_out)
-    fid_sum = fid_sq_sum = 0.0
-    run_index = 0
-    conclusive_mask = np.array([isinstance(t, Conclusive) for t in p.tags])
-    for stream, share in zip(streams, shares):
-        if share == 0:
-            continue
-        alpha, fid = _simulate_chunk(maps, vb, stream, share)
-        counts += np.bincount(alpha, minlength=n_out)
-        term_sums += np.bincount(alpha, weights=fid, minlength=n_out)
-        term_sq_sums += np.bincount(alpha, weights=fid**2, minlength=n_out)
-        fid_sum += float(fid.sum())
-        fid_sq_sum += float(np.sum(fid**2))
-        if transcript is not None:
-            for a in alpha:
-                transcript(
-                    {
-                        "run_index": run_index,
-                        "outcome_alpha": int(a),
-                        "conclusive_flag": int(conclusive_mask[a]),
-                        "bits_sent": bits,
-                    }
-                )
-                run_index += 1
-        else:
-            run_index += share
-    n = float(n_runs)
-    stats = []
-    f_con = f_inc = 0.0
-    for k, tag in enumerate(p.tags):
-        prob = counts[k] / n
-        term = term_sums[k] / n
-        prob_se = math.sqrt(max(prob * (1.0 - prob), 0.0) / n)
-        term_var = term_sq_sums[k] / n - term * term
-        term_se = math.sqrt(max(term_var, 0.0) / n)
-        stats.append(
-            OutcomeStat(
-                index=k,
-                tag=tag,
-                probability=prob,
-                fidelity_term=term,
-                probability_se=prob_se,
-                fidelity_term_se=term_se,
-            )
-        )
-        if isinstance(tag, Conclusive):
-            f_con += term
-        else:
-            f_inc += term
-    mean = fid_sum / n
-    var = fid_sq_sum / n - mean * mean
-    return FidelityReport(
-        lam=p.lam,
-        strategy=strategy_of(p),
-        corrections=corrections,
-        outcomes=tuple(stats),
-        f_conclusive=f_con,
-        f_inconclusive=f_inc,
-        f_total=mean,
-        n_runs=n_runs,
-        f_total_se=math.sqrt(max(var, 0.0) / n),
+    return _monte_carlo(
+        maps, vs, p.tags, p.lam, strategy_of(p), corrections, n_runs, rng, n_workers, transcript
     )
 
 
@@ -352,33 +303,68 @@ def simulate_from_maps(
     rng: int | np.random.Generator | None = 0,
 ) -> FidelityReport:
     """Monte Carlo over explicit amplitude maps (used by the dilated route)."""
-    vb = np.einsum("oij,ojk->oik", vs, maps)
-    stream = _resolve_rng(rng)
-    alpha, fid = _simulate_chunk(maps, vb, stream, n_runs)
-    n_out = maps.shape[0]
-    counts = np.bincount(alpha, minlength=n_out)
-    term_sums = np.bincount(alpha, weights=fid, minlength=n_out)
+    return _monte_carlo(maps, vs, tags, lam, strategy, corrections, n_runs, rng)
+
+
+def _monte_carlo(
+    maps: np.ndarray,
+    vs: np.ndarray,
+    tags: Sequence[Tag],
+    lam: float,
+    strategy: str,
+    corrections: str,
+    n_runs: int,
+    rng: int | np.random.Generator | None,
+    n_workers: int = 1,
+    transcript: Callable[[dict], None] | None = None,
+) -> FidelityReport:
+    """The one Monte Carlo aggregator behind :func:`simulate` and :func:`simulate_from_maps`."""
+    if n_runs < 1:
+        raise DomainError(f"need at least one run, got {n_runs}")
+    if n_workers < 1:
+        raise DomainError(f"need at least one worker, got {n_workers}")
+    n_out, d, _ = maps.shape
+    block = max(1, _BLOCK_ENTRIES // (n_out * d))
+    shares = [n_runs // n_workers + (1 if w < n_runs % n_workers else 0) for w in range(n_workers)]
+    conclusive_flag = np.array([isinstance(t, Conclusive) for t in tags], dtype=np.int64)
+    counts = np.zeros(n_out)
+    term_sums = np.zeros(n_out)
+    term_sq_sums = np.zeros(n_out)
+    run_index = 0
+    for stream, share in zip(_resolve_rng(rng).spawn(n_workers), shares):
+        for start in range(0, share, block):
+            size = min(block, share - start)
+            alpha, fid = _simulate_block(maps, vs, stream, size)
+            counts += np.bincount(alpha, minlength=n_out)
+            term_sums += np.bincount(alpha, weights=fid, minlength=n_out)
+            term_sq_sums += np.bincount(alpha, weights=fid * fid, minlength=n_out)
+            if transcript is not None:
+                transcript(
+                    {
+                        "run_index": np.arange(run_index, run_index + size),
+                        "outcome_alpha": alpha,
+                        "conclusive_flag": conclusive_flag[alpha],
+                        "bits_sent": transcript_bits(n_out),
+                    }
+                )
+            run_index += size
     n = float(n_runs)
-    stats = []
-    f_con = f_inc = 0.0
-    for k, tag in enumerate(tags):
-        term = term_sums[k] / n
-        stats.append(
-            OutcomeStat(index=k, tag=tag, probability=counts[k] / n, fidelity_term=term)
-        )
-        if isinstance(tag, Conclusive):
-            f_con += term
-        else:
-            f_inc += term
-    mean = float(fid.mean())
-    var = float(np.mean(fid**2)) - mean * mean
+    probs = counts / n
+    terms = term_sums / n
+    prob_se = np.sqrt(np.maximum(probs * (1.0 - probs), 0.0) / n)
+    term_se = np.sqrt(np.maximum(term_sq_sums / n - terms * terms, 0.0) / n)
+    stats = tuple(
+        OutcomeStat(k, tag, probs[k], terms[k], prob_se[k], term_se[k]) for k, tag in enumerate(tags)
+    )
+    mean = float(terms.sum())
+    var = float(term_sq_sums.sum()) / n - mean * mean
     return FidelityReport(
         lam=lam,
         strategy=strategy,
         corrections=corrections,
-        outcomes=tuple(stats),
-        f_conclusive=f_con,
-        f_inconclusive=f_inc,
+        outcomes=stats,
+        f_conclusive=float(terms @ conclusive_flag),
+        f_inconclusive=float(terms @ (1 - conclusive_flag)),
         f_total=mean,
         n_runs=n_runs,
         f_total_se=math.sqrt(max(var, 0.0) / n),

@@ -113,7 +113,7 @@ def build_conclusive_povm(ch: SchmidtChannel, basis: UnitaryBasis, lam: float) -
     measurement state exactly.
     """
     d = ch.dim
-    if lam < 0:
+    if not lam >= 0:  # also rejects NaN
         raise PositivityError(f"weight must be nonnegative, got {lam}")
     duals = dual_states(ch, basis)
     weights = _remainder_weights(ch, lam)

@@ -4,8 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from qteleport.channel import qubit_channel_from_cos_theta
 from qteleport.cli import main
+from qteleport.fidelity import simulate
 from qteleport.formulas import relaxed_angle_fidelity
+from qteleport.povm import build_conclusive_povm, lambda_max, refine_inconclusive_product
+from qteleport.weyl import build_weyl_basis
 
 
 def run(capsys, *argv):
@@ -53,6 +57,23 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["teleport", "--lambda", "lots"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_lambda(self, capsys, token):
+        with pytest.raises(SystemExit) as info:
+            main(["teleport", f"--lambda={token}", "--runs", "10"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --lambda must be finite") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+    def test_bad_workers_env(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("QTELEPORT_WORKERS", value)
+        with pytest.raises(SystemExit) as info:
+            main(["teleport", "--runs", "10"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: QTELEPORT_WORKERS") and err.count("\n") == 1
 
     def test_unwritable_path(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -167,6 +188,34 @@ class TestTeleport:
             for r in records
         )
         assert all(r["bits_sent"] == 4 for r in records)
+
+    def test_transcript_lines_are_json_dumps_of_each_record(self, capsys, tmp_path):
+        transcript = tmp_path / "runs.jsonl"
+        argv = ["teleport", "--cos-theta-c", "0.6", "--strategy", "product"]
+        argv += ["--corrections", "paper", "--runs", "10000", "--seed", "3"]
+        code, _, _ = run(capsys, *argv, "--transcript", str(transcript))
+        assert code == 0
+        # Same run in-process: the blocks spell out every record.
+        basis = build_weyl_basis(2)
+        ch = qubit_channel_from_cos_theta(0.6)
+        p = refine_inconclusive_product(build_conclusive_povm(ch, basis, lambda_max(ch)))
+        blocks = []
+        simulate(p, ch, basis, "paper", n_runs=10_000, rng=3, transcript=blocks.append)
+        assert len(blocks) > 1
+        want = "".join(
+            json.dumps(
+                {
+                    "run_index": int(i),
+                    "outcome_alpha": int(a),
+                    "conclusive_flag": int(c),
+                    "bits_sent": b["bits_sent"],
+                }
+            )
+            + "\n"
+            for b in blocks
+            for i, a, c in zip(b["run_index"], b["outcome_alpha"], b["conclusive_flag"])
+        )
+        assert transcript.read_bytes() == want.encode()
 
     def test_jsonl_report(self, capsys, tmp_path):
         out = tmp_path / "report.jsonl"

@@ -1,10 +1,11 @@
-import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qteleport.channel import make_channel, qubit_channel_from_cos_theta
 from qteleport.errors import DecompositionError, DomainError
+from qteleport import fidelity
 from qteleport.fidelity import (
     avg_fidelity_term,
     channel_maps,
@@ -13,6 +14,8 @@ from qteleport.fidelity import (
     outcome_channel,
     report,
     simulate,
+    simulate_from_maps,
+    strategy_of,
     transcript_bits,
 )
 from qteleport.formulas import (
@@ -338,17 +341,19 @@ class TestSimulate:
         basis = build_weyl_basis(2)
         ch = qubit_channel_from_cos_theta(0.6)
         p = refined(ch, basis, 0.4, "product")
-        records = []
-        simulate(p, ch, basis, "paper", n_runs=500, rng=1, transcript=records.append)
-        assert len(records) == 500
-        assert [r["run_index"] for r in records] == list(range(500))
+        blocks = []
+        simulate(p, ch, basis, "paper", n_runs=10_000, rng=1, transcript=blocks.append)
+        # 8 outcomes x d=2 amplitudes per run: 4096 runs per block.
+        assert [len(b["run_index"]) for b in blocks] == [4096, 4096, 1808]
         assert transcript_bits(p.n_outcomes) == 4  # ceil(log2(8)) + 1
-        for r in records:
-            assert set(r) == {"run_index", "outcome_alpha", "conclusive_flag", "bits_sent"}
-            assert 0 <= r["outcome_alpha"] < 8
-            assert r["conclusive_flag"] == int(r["outcome_alpha"] < 4)
-            assert r["bits_sent"] == 4
-            json.dumps(r)
+        for b in blocks:
+            assert set(b) == {"run_index", "outcome_alpha", "conclusive_flag", "bits_sent"}
+            assert b["bits_sent"] == 4
+        cols = {k: np.concatenate([b[k] for b in blocks]) for k in blocks[0] if k != "bits_sent"}
+        assert all(c.dtype.kind == "i" for c in cols.values())
+        assert cols["run_index"].tolist() == list(range(10_000))
+        assert 0 <= cols["outcome_alpha"].min() and cols["outcome_alpha"].max() < 8
+        np.testing.assert_array_equal(cols["conclusive_flag"], cols["outcome_alpha"] < 4)
 
     def test_rejects_nonpositive_runs(self):
         basis = build_weyl_basis(2)
@@ -356,3 +361,94 @@ class TestSimulate:
         p = refined(ch, basis, 0.4, "product")
         with pytest.raises(DomainError):
             simulate(p, ch, basis, "paper", n_runs=0)
+
+
+def einsum_kernel(maps, vs, rng, n):
+    """The pre-GEMM Monte Carlo kernel, kept as an oracle for the blocked one."""
+    n_out, d, _ = maps.shape
+    z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    phi = z / np.linalg.norm(z, axis=1, keepdims=True)
+    probs = np.sum(np.abs(np.einsum("okj,nj->nok", maps, phi)) ** 2, axis=2)
+    u = rng.random(n) * probs.sum(axis=1)
+    alpha = (u[:, None] >= np.cumsum(probs, axis=1)).sum(axis=1)
+    vb = np.einsum("oij,ojk->oik", vs, maps)
+    overlap = np.einsum("nj,njk,nk->n", phi.conj(), vb[alpha], phi)
+    return alpha, np.abs(overlap) ** 2 / probs[np.arange(n), alpha]
+
+
+def maps_and_corrections(d, strategy, corrections, seed):
+    basis = build_weyl_basis(d)
+    ch = random_channel(d, np.random.default_rng(seed))
+    p = refined(ch, basis, 0.8 * lambda_max(ch), strategy)
+    maps = channel_maps(p, ch)
+    return p, ch, basis, maps, correction_unitaries(p, basis, maps, corrections)
+
+
+def block_size(p, d):
+    return max(1, fidelity._BLOCK_ENTRIES // (p.n_outcomes * d))
+
+
+class TestBlockedKernel:
+    @pytest.mark.parametrize(
+        "d, strategy, corrections",
+        [(2, "product", "paper"), (3, "residual", "auto"), (4, "residual", "paper")],
+    )
+    def test_single_block_matches_einsum_oracle(self, d, strategy, corrections):
+        p, _, _, maps, vs = maps_and_corrections(d, strategy, corrections, d)
+        n = block_size(p, d)
+        alpha, fid = fidelity._simulate_block(maps, vs, np.random.default_rng(11), n)
+        want_alpha, want_fid = einsum_kernel(maps, vs, np.random.default_rng(11), n)
+        np.testing.assert_array_equal(alpha, want_alpha)
+        assert np.max(np.abs(fid - want_fid)) <= 1e-12
+
+    def test_blocks_follow_the_documented_draw_order(self):
+        # Each shard stream is consumed block by block, every block drawing
+        # its normals and uniforms in turn; the oracle replays that order.
+        d = 3
+        p, ch, basis, maps, vs = maps_and_corrections(d, "product", "auto", 5)
+        block = block_size(p, d)
+        n_runs = 5 * block + 37
+        blocks = []
+        rep = simulate(p, ch, basis, "auto", n_runs=n_runs, rng=8, n_workers=2, transcript=blocks.append)
+        want_alpha, want_fid = [], []
+        for stream, share in zip(np.random.default_rng(8).spawn(2), (n_runs - n_runs // 2, n_runs // 2)):
+            for start in range(0, share, block):
+                alpha, fid = einsum_kernel(maps, vs, stream, min(block, share - start))
+                want_alpha.append(alpha)
+                want_fid.append(fid)
+        assert len(blocks) == len(want_alpha) == 6
+        np.testing.assert_array_equal(
+            np.concatenate([b["outcome_alpha"] for b in blocks]), np.concatenate(want_alpha)
+        )
+        assert rep.f_total == pytest.approx(np.concatenate(want_fid).mean(), abs=1e-12)
+
+    def test_multi_block_report_is_reproducible(self):
+        d = 4
+        p, ch, basis, maps, vs = maps_and_corrections(d, "residual", "auto", 9)
+        n_runs = 3 * block_size(p, d) + 101
+        a = simulate(p, ch, basis, "auto", n_runs=n_runs, rng=21, n_workers=3)
+        b = simulate(p, ch, basis, "auto", n_runs=n_runs, rng=21, n_workers=3)
+        assert a == b
+        # The explicit-maps entry point is the same aggregator, standard errors included.
+        c = simulate_from_maps(maps, vs, p.tags, p.lam, strategy_of(p), "auto", n_runs, rng=21)
+        assert c == simulate(p, ch, basis, "auto", n_runs=n_runs, rng=21)
+        assert all(o.probability_se is not None for o in c.outcomes)
+
+    def test_memory_is_bounded_by_the_block(self):
+        d = 4
+        p, ch, basis, _, _ = maps_and_corrections(d, "residual", "auto", 4)
+        tracemalloc.start()
+        try:
+            simulate(p, ch, basis, "auto", n_runs=100_000, rng=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_draw_at_the_total_picks_the_last_outcome(self):
+        probs = np.array([[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25]])
+        cum = np.cumsum(probs, axis=1)
+        alpha = fidelity._draw_outcomes(cum, cum[:, -1])
+        np.testing.assert_array_equal(alpha, [3, 3])
+        np.testing.assert_array_equal(fidelity._draw_outcomes(cum, np.zeros(2)), [0, 0])
+        np.testing.assert_array_equal(fidelity._draw_outcomes(cum, cum[:, 1]), [2, 2])

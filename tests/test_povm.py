@@ -91,6 +91,12 @@ class TestConclusivePovm:
         with pytest.raises(PositivityError):
             build_conclusive_povm(qubit_channel_from_cos_theta(0.5), basis, -0.05)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, lam):
+        basis = build_weyl_basis(2)
+        with pytest.raises(PositivityError):
+            build_conclusive_povm(qubit_channel_from_cos_theta(0.5), basis, lam)
+
     def test_error_names_violating_column(self):
         basis = build_weyl_basis(2)
         ch = make_channel(np.sqrt([0.8, 0.2]))
