@@ -30,12 +30,10 @@ from .errors import (
 )
 from .fidelity import (
     FidelityReport,
-    OutcomeChannelMap,
     OutcomeStat,
     avg_fidelity_term,
     channel_maps,
     optimal_correction,
-    outcome_channel,
     report,
     simulate,
 )
@@ -52,8 +50,6 @@ from .linalg import (
     haar_random_ket,
     haar_random_unitary,
     partial_trace,
-    psd_sqrt,
-    tensor,
     von_neumann_entropy,
 )
 from .povm import (
@@ -85,7 +81,6 @@ __all__ = [
     "InconclusiveProduct",
     "InconclusiveResidual",
     "NormalizationError",
-    "OutcomeChannelMap",
     "OutcomeStat",
     "PositivityError",
     "PovmSet",
@@ -117,11 +112,9 @@ __all__ = [
     "maximally_entangled_basis",
     "optimal_average_fidelity",
     "optimal_correction",
-    "outcome_channel",
     "outcome_probabilities",
     "partial_trace",
     "product_strategy_fidelity",
-    "psd_sqrt",
     "qubit_average_fidelity",
     "qubit_channel_from_cos_theta",
     "refine_inconclusive_product",
@@ -130,6 +123,5 @@ __all__ = [
     "report",
     "run_battery",
     "simulate",
-    "tensor",
     "von_neumann_entropy",
 ]

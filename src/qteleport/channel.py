@@ -91,24 +91,23 @@ def qubit_channel_from_cos_theta(cos_theta_c: float) -> SchmidtChannel:
 
 @dataclass(frozen=True)
 class GammaTriple:
-    """Coefficient tensors of the measurement states, all of shape (d^2, d, d).
+    """Coefficient tensors of the measurement states, both of shape (d^2, d, d).
 
-    ``gamma`` expands the measurement states, ``gamma_inv`` is its two-sided
-    inverse, and ``gamma_tilde`` (the elementwise conjugate of the inverse)
-    expands the biorthogonal dual states.
+    ``gamma`` expands the measurement states and ``gamma_inv`` is its
+    two-sided inverse; its elementwise conjugate expands the biorthogonal
+    dual states.
     """
 
     gamma: np.ndarray
     gamma_inv: np.ndarray
-    gamma_tilde: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.gamma, self.gamma_inv, self.gamma_tilde):
+        for arr in (self.gamma, self.gamma_inv):
             arr.setflags(write=False)
 
 
 def gamma_tensors(ch: SchmidtChannel, basis: UnitaryBasis) -> GammaTriple:
-    """Build (gamma, gamma_inv, gamma_tilde) for a full-rank channel."""
+    """Build (gamma, gamma_inv) for a full-rank channel."""
     if ch.dim != basis.dim:
         raise ShapeError(f"channel dim {ch.dim} does not match basis dim {basis.dim}")
     if np.any(ch.coeffs <= 0):
@@ -119,7 +118,7 @@ def gamma_tensors(ch: SchmidtChannel, basis: UnitaryBasis) -> GammaTriple:
     d = ch.dim
     gamma = basis.ops * ch.coeffs[None, None, :]
     gamma_inv = basis.ops.conj() / (d * ch.coeffs[None, None, :])
-    return GammaTriple(gamma=gamma, gamma_inv=gamma_inv, gamma_tilde=gamma_inv.conj())
+    return GammaTriple(gamma=gamma, gamma_inv=gamma_inv)
 
 
 def basis_states(ch: SchmidtChannel, basis: UnitaryBasis) -> np.ndarray:
@@ -140,6 +139,6 @@ def dual_states(ch: SchmidtChannel, basis: UnitaryBasis) -> np.ndarray:
     """The unnormalized duals with <dual_a|state_b> = delta_ab, one per row."""
     triple = gamma_tensors(ch, basis)
     d = ch.dim
-    duals = triple.gamma_tilde.reshape(d * d, d * d).copy()
+    duals = triple.gamma_inv.conj().reshape(d * d, d * d)
     duals.setflags(write=False)
     return duals

@@ -116,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--strategy", choices=("product", "residual"), default="residual")
         p.add_argument("--corrections", choices=("auto", "paper"), default="auto")
         p.add_argument("--runs", type=int, default=0, help="Monte Carlo runs (0 = exact only)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=None, help="random seed (default: 2026 for verify, 0 otherwise)")
         p.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
         p.add_argument("--format", dest="fmt", choices=("csv", "jsonl"), default="csv")
         p.add_argument("--transcript", type=str, default=None, help="classical transcript path (teleport only)")
@@ -175,7 +175,7 @@ def _parse_config(args: argparse.Namespace) -> RunConfig:
         strategy=args.strategy,
         corrections=args.corrections,
         n_runs=args.runs,
-        seed=args.seed,
+        seed=args.seed if args.seed is not None else (2026 if args.command == "verify" else 0),
         out=args.out,
         fmt=args.fmt,
         transcript=args.transcript,
@@ -208,7 +208,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     except QTeleportError as exc:
         raise _usage_error(str(exc))
     results = run_battery(
-        dims=dims, seed=cfg.seed or 2026, configured=(channel.dim, channel, cfg.lam)
+        dims=dims, seed=cfg.seed, configured=(channel.dim, channel, cfg.lam)
     )
     width = max(len(r.name) for r in results)
     failed = 0

@@ -1,6 +1,6 @@
 """Realize a refined POVM as an orthogonal measurement on an extended space.
 
-Stacking the rank-one element vectors w_a (with weights folded in) as
+Stacking the rank-one element vectors w_a (``PovmSet.vectors``) as
 
     W = sum_a |x_a><w_a| ,
 
@@ -20,23 +20,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SchmidtChannel
-from .errors import CapacityError, DecompositionError, ShapeError
+from .errors import CapacityError, DecompositionError
 from .povm import PovmSet
 
 
 @dataclass(frozen=True)
 class DilationResult:
-    """Extended-space unitary plus the outcome -> extended-index bookkeeping.
+    """Extended-space unitary of a refined POVM.
 
-    ``outcome_map[a]`` lists the extended product-basis flat indices whose
-    projectors reconstruct element a (here always a single index);
-    ``residuals[a]`` is the max-abs reconstruction error of that element.
+    Outcome a is the projector on the a-th extended product-basis ket;
+    ``residuals[a]`` is the max-abs reconstruction error of element a.
     """
 
     d: int
     ancilla_dim: int
     u_ext: np.ndarray
-    outcome_map: tuple[tuple[int, ...], ...]
     residuals: np.ndarray
 
     def __post_init__(self):
@@ -51,50 +49,19 @@ class DilationResult:
     def extended_dim(self) -> int:
         return self.joint_dim * self.ancilla_dim
 
-    def embed_index(self, joint_flat: int, ancilla: int) -> int:
-        """Flat extended index of |joint_flat> (x) |ancilla>."""
-        return joint_flat * self.ancilla_dim + ancilla
-
-
-def _element_vectors(p: PovmSet) -> np.ndarray:
-    """Rank-one vectors w_a with element = |w_a><w_a|, shape (n, d^2)."""
-    if not p.is_refined():
-        raise DecompositionError("dilation needs a refined (all rank-one) POVM")
-    vectors = np.empty((p.n_outcomes, p.joint_dim), dtype=complex)
-    for k in range(p.n_outcomes):
-        vals, vecs = np.linalg.eigh(p.elements[k])
-        if vals.size > 1 and vals[-2] > 1e-10:
-            raise DecompositionError(f"element {k} has rank > 1; cannot dilate")
-        vectors[k] = np.sqrt(max(float(vals[-1]), 0.0)) * vecs[:, -1]
-    return vectors
-
 
 def _complete_isometry(w: np.ndarray) -> np.ndarray:
     """Extend isometry columns to a square unitary, deterministically.
 
-    Standard basis vectors are swept in index order; each one is projected
-    against the current span (twice, for numerical orthogonality) and kept
-    when an independent direction remains.
+    Householder QR of [W | I] gives a unitary whose leading columns span
+    W's columns; W is an isometry, so each equals its column of W up to the
+    phase of the matching diagonal entry of R, which is restored.
     """
     dim, cols = w.shape
-    basis = [w[:, k] for k in range(cols)]
-    extra = []
-    for j in range(dim):
-        if len(basis) + len(extra) == dim:
-            break
-        v = np.zeros(dim, dtype=complex)
-        v[j] = 1.0
-        for _ in range(2):
-            for u in basis:
-                v = v - np.vdot(u, v) * u
-            for u in extra:
-                v = v - np.vdot(u, v) * u
-        norm = np.linalg.norm(v)
-        if norm > 1e-7:
-            extra.append(v / norm)
-    if len(basis) + len(extra) != dim:
-        raise ShapeError("failed to complete the isometry to a unitary")
-    return np.column_stack(basis + extra)
+    q, r = np.linalg.qr(np.hstack([w, np.eye(dim)]))
+    phases = np.diag(r)[:cols]
+    q[:, :cols] *= phases / np.abs(phases)
+    return q
 
 
 def dilate(p: PovmSet, ancilla_dim: int | None = None) -> DilationResult:
@@ -115,59 +82,42 @@ def dilate(p: PovmSet, ancilla_dim: int | None = None) -> DilationResult:
         raise CapacityError(
             f"{p.n_outcomes} outcomes exceed the extended dimension {p.joint_dim * d_a}"
         )
-    vectors = _element_vectors(p)
+    if not p.is_refined():
+        raise DecompositionError("dilation needs a refined (all rank-one) POVM")
     joint = p.joint_dim
     ext = joint * d_a
     # Isometry acting on |s> (x) |0>_anc: column s holds W|s>.
     w = np.zeros((ext, joint), dtype=complex)
-    for alpha in range(p.n_outcomes):
-        w[alpha, :] += vectors[alpha].conj()
-    # Columns of the unitary, ordered by extended input index (s, anc):
-    # input (s, 0) must map to W|s>; remaining inputs take the complement.
+    w[: p.n_outcomes] = p.vectors.conj()
+    # Input (s, 0) maps to W|s>; the inputs (s, a > 0), in index order,
+    # take the completing columns.
     completed = _complete_isometry(w)
-    u_ext = np.zeros((ext, ext), dtype=complex)
-    extra_iter = iter(range(joint, ext))
-    for s in range(joint):
-        u_ext[:, s * d_a] = completed[:, s]
-        for a in range(1, d_a):
-            u_ext[:, s * d_a + a] = completed[:, next(extra_iter)]
-    outcome_map = tuple((alpha,) for alpha in range(p.n_outcomes))
-    residuals = np.empty(p.n_outcomes)
-    embed = u_ext[:, np.arange(joint) * d_a]  # equals W up to completion
-    for alpha in range(p.n_outcomes):
-        row = embed[alpha, :]
-        rebuilt = np.outer(row.conj(), row)
-        residuals[alpha] = float(np.max(np.abs(rebuilt - p.elements[alpha])))
-    return DilationResult(
-        d=d, ancilla_dim=d_a, u_ext=u_ext, outcome_map=outcome_map, residuals=residuals
-    )
+    inputs = np.arange(ext).reshape(joint, d_a)
+    u_ext = np.empty((ext, ext), dtype=complex)
+    u_ext[:, inputs[:, 0]] = completed[:, :joint]
+    u_ext[:, inputs[:, 1:].ravel()] = completed[:, joint:]
+    rows = u_ext[: p.n_outcomes, ::d_a]
+    rebuilt = np.einsum("ai,aj->aij", rows.conj(), rows)
+    residuals = np.max(np.abs(rebuilt - p.elements), axis=(1, 2))
+    return DilationResult(d=d, ancilla_dim=d_a, u_ext=u_ext, residuals=residuals)
 
 
 def outcome_probabilities(dil: DilationResult, p: PovmSet, state12: np.ndarray) -> np.ndarray:
     """Per-outcome probabilities measured through the extension.
 
-    ``state12`` is a normalized ket on the d^2-dim joint space; the result
-    lists, per POVM outcome, the total weight of its extended projectors on
+    ``state12`` is a normalized ket on the d^2-dim joint space; outcome a
+    is found with the squared amplitude of extended ket a in
     U (state (x) |0>_anc).
     """
-    ext_in = np.zeros(dil.extended_dim, dtype=complex)
-    ext_in[np.arange(dil.joint_dim) * dil.ancilla_dim] = state12
-    out = dil.u_ext @ ext_in
-    weights = np.abs(out) ** 2
-    return np.array([sum(weights[idx] for idx in indices) for indices in dil.outcome_map])
+    return np.abs(dil.u_ext[: p.n_outcomes, :: dil.ancilla_dim] @ state12) ** 2
 
 
 def dilated_channel_maps(dil: DilationResult, p: PovmSet, ch: SchmidtChannel) -> np.ndarray:
     """Amplitude maps recomputed from the extension, shape (n, d, d).
 
-    T_a[k, i] = a_k * U[x_a, embed(i*d + k, 0)]; agreement with the direct
-    maps certifies the dilation run-for-run, not just on averages.
+    T_a[k, i] = a_k * U[x_a, (i*d + k, 0)]; agreement with the direct maps
+    certifies the dilation run-for-run, not just on averages.
     """
     d = dil.d
-    maps = np.empty((p.n_outcomes, d, d), dtype=complex)
-    for alpha, indices in enumerate(dil.outcome_map):
-        (row,) = indices
-        for k in range(d):
-            for i in range(d):
-                maps[alpha, k, i] = ch.coeffs[k] * dil.u_ext[row, dil.embed_index(i * d + k, 0)]
-    return maps
+    rows = dil.u_ext[: p.n_outcomes, :: dil.ancilla_dim].reshape(-1, d, d)
+    return rows.transpose(0, 2, 1) * ch.coeffs[:, None]

@@ -1,10 +1,10 @@
 """Haar-averaged teleportation fidelity, exact and Monte Carlo.
 
-Every rank-one POVM element mu |v><v| on the joint (1,2) space induces a
-linear map B on the input amplitudes: measuring that outcome on
-|phi>|psi_channel> leaves particle 3 in the unnormalized state B phi, with
+Every POVM element |w><w| (see ``PovmSet.vectors``) induces a linear map B
+on the input amplitudes: measuring that outcome on |phi>|psi_channel> leaves
+particle 3 in the unnormalized state B phi, with
 
-    B[k, i] = sqrt(mu) conj(v[i*d + k]) a_k .
+    B[k, i] = conj(w[i*d + k]) a_k .
 
 The outcome probability is then phi^† B^† B phi and, after a correction
 unitary V, the run fidelity is |phi^† V B phi|^2 / |B phi|^2.  Averaging
@@ -30,40 +30,7 @@ from .channel import SchmidtChannel
 from .errors import ConsistencyError, DecompositionError, DomainError, ShapeError
 from .linalg import dagger
 from .povm import Conclusive, InconclusiveProduct, InconclusiveResidual, PovmSet, Tag
-from .weyl import UnitaryBasis
-
-
-@dataclass(frozen=True)
-class OutcomeChannelMap:
-    """Amplitude map of one outcome: particle 3 ends up in B phi (unnormalized)."""
-
-    alpha: int
-    b: np.ndarray
-
-    def __post_init__(self):
-        self.b.setflags(write=False)
-
-
-def outcome_channel(element: np.ndarray, ch: SchmidtChannel, alpha: int = 0) -> OutcomeChannelMap:
-    """Extract the amplitude map B of a rank-one element.
-
-    The element must be (numerically) rank one; anything with a second
-    eigenvalue above tolerance needs an explicit rank-one decomposition
-    first.
-    """
-    d = ch.dim
-    element = np.asarray(element)
-    if element.shape != (d * d, d * d):
-        raise ShapeError(f"element shape {element.shape} does not match joint dim {d * d}")
-    vals, vecs = np.linalg.eigh(element)
-    if vals.size > 1 and vals[-2] > 1e-10:
-        raise DecompositionError(
-            f"element has rank > 1 (second eigenvalue {vals[-2]:.3e}); decompose it first"
-        )
-    top = max(float(vals[-1]), 0.0)
-    w = np.sqrt(top) * vecs[:, -1]
-    b = w.conj().reshape(d, d).T * ch.coeffs[:, None]
-    return OutcomeChannelMap(alpha=alpha, b=b)
+from .weyl import UnitaryBasis, shift_matrix
 
 
 def avg_fidelity_term(b: np.ndarray, v: np.ndarray) -> tuple[float, float]:
@@ -150,14 +117,11 @@ def channel_maps(p: PovmSet, ch: SchmidtChannel) -> np.ndarray:
         raise DecompositionError(
             "POVM still contains an unrefined remainder; refine it before evaluating"
         )
-    return np.stack([outcome_channel(p.elements[k], ch, alpha=k).b for k in range(p.n_outcomes)])
-
-
-def _shift_unitary(d: int, steps: int) -> np.ndarray:
-    v = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        v[(j + steps) % d, j] = 1.0
-    return v
+    if p.d != ch.dim:
+        raise ShapeError(f"POVM dimension {p.d} does not match channel dimension {ch.dim}")
+    d = p.d
+    maps = p.vectors.conj().reshape(-1, d, d).transpose(0, 2, 1) * ch.coeffs[:, None]
+    return np.ascontiguousarray(maps)
 
 
 def correction_unitaries(
@@ -180,7 +144,7 @@ def correction_unitaries(
         if isinstance(tag, (Conclusive, InconclusiveResidual)):
             vs[k] = basis.ops[tag.alpha]
         elif isinstance(tag, InconclusiveProduct):
-            vs[k] = _shift_unitary(d, tag.i - tag.j)
+            vs[k] = np.linalg.matrix_power(shift_matrix(d), (tag.i - tag.j) % d)
         else:
             raise DecompositionError("fixed corrections need a refined POVM")
     return vs

@@ -13,37 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapacityError, NormalizationError, PositivityError, ShapeError
-
-#: Refuse tensor products whose result would exceed this many entries.
-DEFAULT_MAX_ENTRIES = 1_000_000
+from .errors import NormalizationError, PositivityError, ShapeError
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return a.conj().T
-
-
-def tensor(a: np.ndarray, b: np.ndarray, max_entries: int = DEFAULT_MAX_ENTRIES) -> np.ndarray:
-    """Kronecker product of two kets or two operators.
-
-    The joint index convention is row-major: for kets of dimensions
-    (da, db) the output component at flat index i * db + j equals
-    a[i] * b[j].
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != b.ndim or a.ndim not in (1, 2):
-        raise ShapeError(
-            f"tensor operands must both be kets (1-D) or both operators (2-D), "
-            f"got ndim {a.ndim} and {b.ndim}"
-        )
-    if a.size * b.size > max_entries:
-        raise CapacityError(
-            f"tensor product would have {a.size * b.size} entries, "
-            f"exceeding the cap of {max_entries}"
-        )
-    return np.kron(a, b)
 
 
 def partial_trace(rho: np.ndarray, keep: int, dims: list[int] | tuple[int, ...]) -> np.ndarray:
@@ -68,20 +43,6 @@ def partial_trace(rho: np.ndarray, keep: int, dims: list[int] | tuple[int, ...])
             continue
         reshaped = np.trace(reshaped, axis1=k, axis2=reshaped.ndim // 2 + k)
     return reshaped
-
-
-def psd_sqrt(m: np.ndarray, eig_floor: float = 1e-12, psd_tol: float = 1e-10) -> np.ndarray:
-    """Positive semidefinite square root via Hermitian eigendecomposition.
-
-    Eigenvalues below ``eig_floor`` are clamped to zero; an eigenvalue below
-    ``-psd_tol`` raises PositivityError naming the offender.
-    """
-    m = np.asarray(m)
-    vals, vecs = np.linalg.eigh(m)
-    if vals[0] < -psd_tol:
-        raise PositivityError(f"matrix is not positive semidefinite: eigenvalue {vals[0]:.3e}")
-    vals = np.where(vals < eig_floor, 0.0, vals)
-    return (vecs * np.sqrt(vals)) @ dagger(vecs)
 
 
 def haar_random_ket(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -14,20 +14,23 @@ Two refinements split R into d^2 rank-one pieces:
 * residual: S P_a S with S = sqrt(R) and P_a the maximally entangled
   projectors, which keeps the split aligned with the measurement basis.
 
-The two refinements sum to the same remainder but are inequivalent
-measurements; the fidelity engine treats them as distinct strategies.
+Every element is therefore stored as one vector w with element |w><w|,
+and the unrefined remainder as its diagonal; dense matrices are built only
+on demand, for checks.  The two refinements sum to the same remainder but
+are inequivalent measurements; the fidelity engine treats them as distinct
+strategies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
 
 from .channel import SchmidtChannel, dual_states, qubit_channel_from_cos_theta
 from .errors import DecompositionError, PositivityError, ShapeError
-from .linalg import psd_sqrt
 from .weyl import UnitaryBasis, maximally_entangled_basis
 
 
@@ -57,25 +60,45 @@ Tag = Union[Conclusive, InconclusiveProduct, InconclusiveResidual, Remainder]
 
 @dataclass(frozen=True)
 class PovmSet:
-    """Ordered POVM elements on the d^2-dimensional joint space.
+    """Ordered POVM on the d^2-dimensional joint space.
 
-    ``elements`` has shape (n, d^2, d^2); ``tags`` classifies each element;
+    ``vectors`` has shape (n, d^2): rank-one element k is |w_k><w_k| with
+    w_k = vectors[k].  An unrefined set carries its diagonal remainder as
+    ``remainder`` (shape (d^2,)), which is the last element; it is ``None``
+    once refined.  ``tags`` classifies each element, remainder included;
     ``lam`` is the common conclusive weight.
     """
 
     d: int
-    elements: np.ndarray
+    vectors: np.ndarray
     tags: tuple[Tag, ...]
     lam: float
+    remainder: np.ndarray | None = None
 
     def __post_init__(self):
-        n = len(self.tags)
         joint = self.d * self.d
-        if self.elements.shape != (n, joint, joint):
+        n = len(self.tags) - (self.remainder is not None)
+        if self.vectors.shape != (n, joint):
+            raise ShapeError(f"expected vectors of shape {(n, joint)}, got {self.vectors.shape}")
+        if self.remainder is not None and self.remainder.shape != (joint,):
             raise ShapeError(
-                f"expected elements of shape {(n, joint, joint)}, got {self.elements.shape}"
+                f"expected a remainder diagonal of shape {(joint,)}, got {self.remainder.shape}"
             )
-        self.elements.setflags(write=False)
+        tagged = bool(self.tags) and isinstance(self.tags[-1], Remainder)
+        if (self.remainder is not None) != tagged:
+            raise ShapeError("a remainder diagonal must come with a last tag Remainder(), and only then")
+        for arr in (self.vectors, self.remainder):
+            if arr is not None:
+                arr.setflags(write=False)
+
+    @cached_property
+    def elements(self) -> np.ndarray:
+        """Dense elements, shape (n, d^2, d^2), built on first use (checks only)."""
+        dense = np.einsum("ki,kj->kij", self.vectors, self.vectors.conj())
+        if self.remainder is not None:
+            dense = np.concatenate([dense, np.diag(self.remainder).astype(complex)[None]])
+        dense.setflags(write=False)
+        return dense
 
     @property
     def joint_dim(self) -> int:
@@ -85,14 +108,8 @@ class PovmSet:
     def n_outcomes(self) -> int:
         return len(self.tags)
 
-    def remainder_index(self) -> int | None:
-        for k, tag in enumerate(self.tags):
-            if isinstance(tag, Remainder):
-                return k
-        return None
-
     def is_refined(self) -> bool:
-        return self.remainder_index() is None
+        return self.remainder is None
 
 
 def lambda_max(ch: SchmidtChannel) -> float:
@@ -115,7 +132,6 @@ def build_conclusive_povm(ch: SchmidtChannel, basis: UnitaryBasis, lam: float) -
     d = ch.dim
     if not lam >= 0:  # also rejects NaN
         raise PositivityError(f"weight must be nonnegative, got {lam}")
-    duals = dual_states(ch, basis)
     weights = _remainder_weights(ch, lam)
     bad = np.nonzero(weights < -1e-12)[0]
     if bad.size:
@@ -123,28 +139,18 @@ def build_conclusive_povm(ch: SchmidtChannel, basis: UnitaryBasis, lam: float) -
             f"weight {lam} exceeds the positivity bound {lambda_max(ch)} "
             f"(remainder entry negative for column j={bad.tolist()})"
         )
-    elements = np.empty((d * d + 1, d * d, d * d), dtype=complex)
-    tags: list[Tag] = []
-    for alpha in range(d * d):
-        elements[alpha] = lam * np.outer(duals[alpha], duals[alpha].conj())
-        tags.append(Conclusive(alpha))
-    # Remainder constructed analytically: diagonal over |ij> with the
-    # j-dependent weights (clamp the exact-boundary entries at zero).
-    diag = np.repeat(np.clip(weights, 0.0, None)[None, :], d, axis=0).reshape(d * d)
-    elements[d * d] = np.diag(diag).astype(complex)
-    tags.append(Remainder())
-    return PovmSet(d=d, elements=elements, tags=tuple(tags), lam=float(lam))
+    tags = tuple(Conclusive(alpha) for alpha in range(d * d)) + (Remainder(),)
+    # The remainder depends on the column index j only (clamp the
+    # exact-boundary entries at zero).
+    diag = np.tile(np.clip(weights, 0.0, None), d)
+    vectors = np.sqrt(lam) * dual_states(ch, basis)
+    return PovmSet(d=d, vectors=vectors, tags=tags, lam=float(lam), remainder=diag)
 
 
-def _split_remainder(p: PovmSet) -> tuple[np.ndarray, np.ndarray, int]:
-    idx = p.remainder_index()
-    if idx is None:
+def _split_remainder(p: PovmSet) -> np.ndarray:
+    if p.remainder is None:
         raise DecompositionError("POVM has no remainder element to refine")
-    rem = p.elements[idx]
-    off = rem - np.diag(np.diag(rem))
-    if np.max(np.abs(off)) > 1e-10:
-        raise DecompositionError("remainder is not diagonal in the product basis")
-    return rem, np.diag(rem).real, idx
+    return p.remainder
 
 
 def refine_inconclusive_product(p: PovmSet) -> PovmSet:
@@ -153,37 +159,30 @@ def refine_inconclusive_product(p: PovmSet) -> PovmSet:
     New elements are weight |ij><ij| appended j-major (all i for j=0, then
     j=1, ...), giving a 2 d^2 element set.
     """
-    _, diag, idx = _split_remainder(p)
+    diag = _split_remainder(p)
     d = p.d
-    elements = [p.elements[k] for k in range(p.n_outcomes) if k != idx]
-    tags = [t for t in p.tags if not isinstance(t, Remainder)]
-    for j in range(d):
-        for i in range(d):
-            flat = i * d + j
-            piece = np.zeros((d * d, d * d), dtype=complex)
-            piece[flat, flat] = max(diag[flat], 0.0)
-            elements.append(piece)
-            tags.append(InconclusiveProduct(i, j))
-    return PovmSet(d=d, elements=np.stack(elements), tags=tuple(tags), lam=p.lam)
+    j, i = np.divmod(np.arange(d * d), d)
+    flat = i * d + j
+    pieces = np.zeros((d * d, d * d), dtype=complex)
+    pieces[np.arange(d * d), flat] = np.sqrt(diag[flat])
+    tags = p.tags[:-1] + tuple(InconclusiveProduct(*ij) for ij in zip(i.tolist(), j.tolist()))
+    return PovmSet(d=d, vectors=np.concatenate([p.vectors, pieces]), tags=tags, lam=p.lam)
 
 
 def refine_inconclusive_residual(p: PovmSet, basis: UnitaryBasis) -> PovmSet:
     """Replace the remainder R by the d^2 pieces S P_a S, S = sqrt(R).
 
-    P_a are the maximally entangled projectors, so the pieces are rank-one,
-    positive, and sum back to R exactly.
+    P_a are the maximally entangled projectors, so piece a is |S e_a><S e_a|
+    for the entangled ket e_a: rank-one, positive, and the pieces sum back
+    to R exactly.  R is diagonal, so S e_a is sqrt(diag R) times e_a
+    entrywise; entries of R below 1e-12 count as zero.
     """
-    rem, _, idx = _split_remainder(p)
+    diag = _split_remainder(p)
     d = p.d
-    s = psd_sqrt(rem)
-    kets = maximally_entangled_basis(basis)
-    elements = [p.elements[k] for k in range(p.n_outcomes) if k != idx]
-    tags = [t for t in p.tags if not isinstance(t, Remainder)]
-    for alpha in range(d * d):
-        v = s @ kets[alpha]
-        elements.append(np.outer(v, v.conj()))
-        tags.append(InconclusiveResidual(alpha))
-    return PovmSet(d=d, elements=np.stack(elements), tags=tuple(tags), lam=p.lam)
+    root = np.sqrt(np.where(diag < 1e-12, 0.0, diag))
+    pieces = root * maximally_entangled_basis(basis)
+    tags = p.tags[:-1] + tuple(InconclusiveResidual(alpha) for alpha in range(d * d))
+    return PovmSet(d=d, vectors=np.concatenate([p.vectors, pieces]), tags=tags, lam=p.lam)
 
 
 @dataclass(frozen=True)
@@ -233,13 +232,9 @@ def build_theta_povm(fam: ThetaPovmFamily) -> PovmSet:
     states[1, 0], states[1, 3] = n * hi, -n * lo
     states[2, 2], states[2, 1] = n * hi, n * lo     # |10> , |01>
     states[3, 2], states[3, 1] = n * hi, -n * lo
-    elements = np.empty((5, 4, 4), dtype=complex)
-    tags: list[Tag] = []
-    for alpha in range(4):
-        elements[alpha] = lam * np.outer(states[alpha], states[alpha].conj())
-        tags.append(Conclusive(alpha))
+    tags = tuple(Conclusive(alpha) for alpha in range(4)) + (Remainder(),)
     w0 = max(1.0 - lam / (1.0 - ct), 0.0)
     w1 = max(1.0 - lam / (1.0 + ct), 0.0)
-    elements[4] = np.diag([w0, w1, w0, w1]).astype(complex)
-    tags.append(Remainder())
-    return PovmSet(d=2, elements=elements, tags=tuple(tags), lam=float(lam))
+    return PovmSet(
+        d=2, vectors=np.sqrt(lam) * states, tags=tags, lam=float(lam), remainder=np.array([w0, w1, w0, w1])
+    )

@@ -167,4 +167,3 @@ class TestStructuralIdentities:
         assert np.max(np.abs(left - target)) <= 1e-10
         right = np.einsum("aij,bij->ab", tri.gamma, tri.gamma_inv)
         assert np.max(np.abs(right - np.eye(9))) <= 1e-10
-        np.testing.assert_array_equal(tri.gamma_tilde, tri.gamma_inv.conj())

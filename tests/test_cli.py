@@ -41,6 +41,21 @@ class TestVerifyCommand:
         assert "0.8000000000" in out
         assert "0.8866025404" in out
 
+    def test_seed_zero_is_honoured(self, capsys):
+        _, plain, plain_err = run(capsys, "verify")
+        _, seeded, _ = run(capsys, "verify", "--seed", "2026")
+        code, zero, zero_err = run(capsys, "verify", "--seed", "0")
+        assert code == 0
+        # The default stays 2026; an explicit 0 is a different battery.
+        assert plain == seeded
+        assert zero != seeded
+        assert "seed=2026" in plain_err and "seed=0" in zero_err
+
+    def test_teleport_default_seed_is_zero(self, capsys):
+        _, plain, _ = run(capsys, "teleport", "--runs", "500")
+        _, zero, _ = run(capsys, "teleport", "--runs", "500", "--seed", "0")
+        assert plain == zero
+
 
 class TestUsageErrors:
     def test_unknown_command(self):

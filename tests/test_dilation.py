@@ -74,6 +74,18 @@ def test_qutrit_full_weight():
     assert np.max(np.abs(dagger(u) @ u - np.eye(27))) <= 1e-10
 
 
+@pytest.mark.parametrize("strategy", ["product", "residual"])
+def test_dilation_is_deterministic_and_embeds_the_isometry(strategy):
+    basis = build_weyl_basis(3)
+    ch = make_channel(np.sqrt([0.5, 0.3, 0.2]))
+    p = build(3, ch, 0.4, strategy, basis)
+    first, second = dilate(p), dilate(p)
+    np.testing.assert_array_equal(first.u_ext, second.u_ext)
+    # Input (s, 0) maps to W|s>, whose row a is conj(w_a[s]).
+    embed = first.u_ext[: p.n_outcomes, :: first.ancilla_dim]
+    assert np.max(np.abs(embed - p.vectors.conj())) <= 1e-14
+
+
 def test_rejects_small_ancilla():
     basis = build_weyl_basis(3)
     ch = make_channel(np.sqrt([0.5, 0.3, 0.2]))

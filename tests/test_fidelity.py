@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from qteleport.channel import make_channel, qubit_channel_from_cos_theta
-from qteleport.errors import DecompositionError, DomainError
+from qteleport.errors import DecompositionError, DomainError, ShapeError
 from qteleport import fidelity
 from qteleport.fidelity import (
     avg_fidelity_term,
     channel_maps,
     correction_unitaries,
     optimal_correction,
-    outcome_channel,
     report,
     simulate,
     simulate_from_maps,
@@ -27,6 +26,9 @@ from qteleport.formulas import (
 from qteleport.linalg import dagger, haar_random_ket, haar_random_unitary
 from qteleport.povm import (
     Conclusive,
+    InconclusiveResidual,
+    PovmSet,
+    Remainder,
     build_conclusive_povm,
     lambda_max,
     refine_inconclusive_product,
@@ -47,45 +49,94 @@ def refined(ch, basis, lam, strategy):
     return refine_inconclusive_residual(base, basis)
 
 
+def eigh_map(element, ch):
+    """Test-only oracle: the amplitude map of a dense rank-one element via eigh.
+
+    Fixed only up to a global phase, like any eigenvector.
+    """
+    d = ch.dim
+    vals, vecs = np.linalg.eigh(element)
+    assert vals.size == 1 or vals[-2] <= 1e-10
+    w = np.sqrt(max(float(vals[-1]), 0.0)) * vecs[:, -1]
+    return w.conj().reshape(d, d).T * ch.coeffs[:, None]
+
+
 class TestOutcomeChannel:
+    """``channel_maps`` against the closed forms B_a of every outcome kind."""
+
     def test_conclusive_element_gives_scaled_basis_adjoint(self):
         d = 3
         basis = build_weyl_basis(d)
         ch = make_channel(np.sqrt([0.5, 0.3, 0.2]))
         lam = 0.3
-        p = build_conclusive_povm(ch, basis, lam)
+        maps = channel_maps(refined(ch, basis, lam, "residual"), ch)
         for a in range(d * d):
-            b = outcome_channel(p.elements[a], ch).b
             target = np.sqrt(lam) / d * dagger(basis.ops[a])
-            # Equal up to the eigenvector's global phase.
-            assert abs(abs(np.trace(dagger(target) @ b)) - np.sum(np.abs(target) ** 2)) <= 1e-12
-            prob = np.sum(np.abs(b) ** 2) / d
+            np.testing.assert_allclose(maps[a], target, atol=1e-12)
+            prob = np.sum(np.abs(maps[a]) ** 2) / d
             assert prob == pytest.approx(lam / d**2, abs=1e-12)
 
+    def test_residual_piece_is_weighted_basis_adjoint(self):
+        d = 3
+        basis = build_weyl_basis(d)
+        ch = make_channel(np.sqrt([0.5, 0.3, 0.2]))
+        lam = 0.45
+        maps = channel_maps(refined(ch, basis, lam, "residual"), ch)
+        weights = 1 - lam / (d * ch.probs)
+        scale = np.diag(ch.coeffs * np.sqrt(weights))
+        for a in range(d * d):
+            target = scale @ dagger(basis.ops[a]) / np.sqrt(d)
+            np.testing.assert_allclose(maps[d * d + a], target, atol=1e-12)
+
     def test_product_element_maps_everything_to_one_ket(self):
-        d = 2
-        ch = make_channel(np.sqrt([0.8, 0.2]))
-        i, j = 1, 0
-        flat = i * d + j
-        element = np.zeros((4, 4), dtype=complex)
-        element[flat, flat] = 1.0
-        b = outcome_channel(element, ch).b
-        want = np.zeros((2, 2))
-        want[j, i] = ch.coeffs[j]
-        np.testing.assert_allclose(np.abs(b), want, atol=1e-12)
+        d = 3
+        basis = build_weyl_basis(d)
+        ch = make_channel(np.sqrt([0.5, 0.3, 0.2]))
+        lam = 0.45
+        p = refined(ch, basis, lam, "product")
+        maps = channel_maps(p, ch)
+        for k in range(d * d, 2 * d * d):
+            i, j = p.tags[k].i, p.tags[k].j
+            want = np.zeros((d, d))
+            want[j, i] = ch.coeffs[j] * np.sqrt(1 - lam / (d * ch.probs[j]))
+            np.testing.assert_allclose(maps[k], want, atol=1e-12)
 
     def test_maximal_channel_bell_element_is_scaled_unitary(self):
         d = 2
         basis = build_weyl_basis(d)
         ch = make_channel(np.full(d, 1 / np.sqrt(d)))
-        p = build_conclusive_povm(ch, basis, 1.0)
-        b = outcome_channel(p.elements[2], ch).b
+        b = channel_maps(refined(ch, basis, 1.0, "product"), ch)[2]
         assert np.max(np.abs(dagger(b) @ b - np.eye(d) / d**2)) <= 1e-12
 
     def test_rank_two_rejected(self):
+        # A rank-one set cannot hold a rank-two element, and the diagonal
+        # remainder (rank two here) must be refined before mapping.
         ch = make_channel(np.sqrt([0.8, 0.2]))
+        with pytest.raises(ShapeError):
+            PovmSet(
+                d=2, vectors=np.diag([0.5, 0.5, 0.0, 0.0])[None], tags=(InconclusiveResidual(0),), lam=0.0
+            )
+        rem = PovmSet(
+            d=2, vectors=np.zeros((0, 4)), tags=(Remainder(),), lam=0.0,
+            remainder=np.array([0.5, 0.5, 0.0, 0.0]),
+        )
         with pytest.raises(DecompositionError):
-            outcome_channel(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex), ch)
+            channel_maps(rem, ch)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    @pytest.mark.parametrize("strategy", ["product", "residual"])
+    def test_matches_eigh_oracle_up_to_phase(self, d, strategy):
+        rng = np.random.default_rng(40 + d)
+        basis = build_weyl_basis(d)
+        ch = random_channel(d, rng)
+        p = refined(ch, basis, 0.7 * lambda_max(ch), strategy)
+        maps = channel_maps(p, ch)
+        for k in range(p.n_outcomes):
+            want = eigh_map(p.elements[k], ch)
+            # Equal up to one phase: |<want, B>| = |want| |B| and equal norms.
+            norm = np.sum(np.abs(want) ** 2)
+            assert abs(np.sum(np.abs(maps[k]) ** 2) - norm) <= 1e-12
+            assert abs(abs(np.vdot(want, maps[k])) - norm) <= 1e-12
 
 
 class TestAvgFidelityTerm:
@@ -271,6 +322,35 @@ class TestExactReport:
             t_auto = abs(np.trace(auto[k] @ maps[k]))
             t_fixed = abs(np.trace(fixed[k] @ maps[k]))
             assert t_fixed == pytest.approx(t_auto, abs=1e-10)
+
+
+class TestRankOneEngine:
+    """The report and Monte Carlo paths work on element vectors only."""
+
+    @pytest.mark.parametrize("strategy", ["product", "residual"])
+    def test_report_and_simulate_leave_dense_elements_unbuilt(self, strategy):
+        basis = build_weyl_basis(3)
+        ch = make_channel(np.sqrt([0.5, 0.3, 0.2]))
+        p = refined(ch, basis, 0.4, strategy)
+        report(p, ch, basis, "auto")
+        simulate(p, ch, basis, "paper", n_runs=500, rng=1)
+        assert "elements" not in vars(p)
+
+    def test_exact_report_at_d16_is_small(self):
+        d = 16
+        ch = random_channel(d, np.random.default_rng(16))
+        basis = build_weyl_basis(d)
+        lam = 0.8 * lambda_max(ch)
+        tracemalloc.start()
+        try:
+            p = refined(ch, basis, lam, "residual")
+            rep = report(p, ch, basis, "auto")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(rep.f_total - optimal_average_fidelity(d, ch.probs, lam)) <= 1e-9
+        assert peak < 64 * 2**20
+        assert "elements" not in vars(p)
 
 
 class TestSimulate:

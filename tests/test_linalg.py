@@ -3,65 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qteleport.errors import CapacityError, NormalizationError, PositivityError, ShapeError
+from qteleport.errors import NormalizationError, ShapeError
 from qteleport.linalg import (
     haar_random_ket,
     partial_trace,
-    psd_sqrt,
-    tensor,
     von_neumann_entropy,
 )
-
-X2 = np.array([[0, 1], [1, 0]], dtype=complex)
-Z2 = np.diag([1.0, -1.0]).astype(complex)
-
 
 def random_psd(d, rng):
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return a @ a.conj().T
-
-
-class TestTensor:
-    def test_basis_bookkeeping(self):
-        ket0 = np.array([1, 0], dtype=complex)
-        ket1 = np.array([0, 1], dtype=complex)
-        np.testing.assert_array_equal(tensor(ket0, ket1), [0, 1, 0, 0])
-
-    def test_identity(self):
-        np.testing.assert_array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_matches_indexwise_oracle(self):
-        got = tensor(X2, Z2)
-        want = np.zeros((4, 4), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    for l in range(2):
-                        want[i * 2 + k, j * 2 + l] = X2[i, j] * Z2[k, l]
-        np.testing.assert_allclose(got, want, atol=0)
-
-    def test_capacity_cap(self):
-        big = np.ones(2000)
-        with pytest.raises(CapacityError):
-            tensor(big, big)
-
-    def test_mixed_kinds_rejected(self):
-        with pytest.raises(ShapeError):
-            tensor(np.ones(2), np.eye(2))
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        st.integers(2, 4), st.integers(2, 4), st.integers(2, 4), st.integers(0, 10_000)
-    )
-    def test_associative_up_to_flattening(self, da, db, dc, seed):
-        rng = np.random.default_rng(seed)
-        a, b, c = (
-            rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            for d in (da, db, dc)
-        )
-        left = tensor(tensor(a, b), c)
-        right = tensor(a, tensor(b, c))
-        assert np.max(np.abs(left - right)) <= 1e-14 * np.max(np.abs(left))
 
 
 class TestPartialTrace:
@@ -110,28 +61,6 @@ class TestPartialTrace:
         rho = random_psd(int(np.prod(dims)), rng)
         reduced = partial_trace(rho, keep, dims)
         assert abs(np.trace(reduced) - np.trace(rho)) <= 1e-12 * abs(np.trace(rho))
-
-
-class TestPsdSqrt:
-    def test_identity(self):
-        np.testing.assert_allclose(psd_sqrt(np.eye(3)), np.eye(3), atol=1e-12)
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-12)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_square_roundtrip_and_commutation(self, seed):
-        rng = np.random.default_rng(seed)
-        m = random_psd(4, rng)
-        s = psd_sqrt(m)
-        scale = max(np.max(np.abs(m)), 1.0)
-        assert np.max(np.abs(s @ s - m)) <= 1e-10 * scale
-        assert np.max(np.abs(s @ m - m @ s)) <= 1e-10 * scale
-
-    def test_rejects_non_psd_and_reports_eigenvalue(self):
-        with pytest.raises(PositivityError, match="-1"):
-            psd_sqrt(np.diag([1.0, -1.0]))
 
 
 class TestHaarSampling:

@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qteleport.channel import make_channel, qubit_channel_from_cos_theta
-from qteleport.errors import PositivityError
+from qteleport.errors import PositivityError, ShapeError
 from qteleport.povm import (
     Conclusive,
     InconclusiveProduct,
     InconclusiveResidual,
+    PovmSet,
     Remainder,
     ThetaPovmFamily,
     build_conclusive_povm,
@@ -115,6 +116,56 @@ class TestConclusivePovm:
         p = build_conclusive_povm(ch, basis, frac * lambda_max(ch))
         assert completeness_residual(p) <= 1e-10
         assert min_eigenvalue(p) >= -1e-10
+
+
+class TestRankOneStorage:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_elements_match_dense_construction(self, d):
+        rng = np.random.default_rng(d + 30)
+        basis = build_weyl_basis(d)
+        ch = random_channel(d, rng)
+        lam = 0.6 * lambda_max(ch)
+        base = build_conclusive_povm(ch, basis, lam)
+        # Dense elements straight from the definitions, no element vectors.
+        duals = np.array([(u / (d * ch.coeffs[None, :])).ravel() for u in basis.ops])
+        conclusive = [lam * np.outer(v, v.conj()) for v in duals]
+        rem = np.tile(1 - lam / (d * ch.probs), d)
+        s = np.diag(np.sqrt(rem))
+        kets = [(u / np.sqrt(d)).ravel() for u in basis.ops]
+        residual = [s @ np.outer(k, k.conj()) @ s for k in kets]
+        product = []
+        for j in range(d):
+            for i in range(d):
+                piece = np.zeros((d * d, d * d))
+                piece[i * d + j, i * d + j] = rem[i * d + j]
+                product.append(piece)
+        for p, want in (
+            (base, conclusive + [np.diag(rem)]),
+            (refine_inconclusive_product(base), conclusive + product),
+            (refine_inconclusive_residual(base, basis), conclusive + residual),
+        ):
+            assert np.max(np.abs(p.elements - np.array(want))) <= 1e-15
+
+    def test_fields_and_cached_read_only_view(self):
+        d = 3
+        basis = build_weyl_basis(d)
+        ch = make_channel(np.sqrt([0.5, 0.3, 0.2]))
+        base = build_conclusive_povm(ch, basis, 0.3)
+        assert base.vectors.shape == (d * d, d * d)
+        assert base.remainder.shape == (d * d,)
+        assert not base.is_refined()
+        refined = refine_inconclusive_residual(base, basis)
+        assert refined.vectors.shape == (2 * d * d, d * d)
+        assert refined.remainder is None
+        assert refined.elements is refined.elements
+        for arr in (base.vectors, base.remainder, refined.elements):
+            assert not arr.flags.writeable
+        # The remainder diagonal and a last Remainder tag come together.
+        with pytest.raises(ShapeError):
+            PovmSet(d=d, vectors=base.vectors, tags=base.tags[:-1] + (Conclusive(9),), lam=0.3,
+                    remainder=base.remainder)
+        with pytest.raises(ShapeError):
+            PovmSet(d=d, vectors=np.zeros((d * d + 1, d * d)), tags=base.tags, lam=0.3)
 
 
 class TestProductRefinement:
