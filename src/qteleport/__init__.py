@@ -16,7 +16,7 @@ from .channel import (
     make_channel,
     qubit_channel_from_cos_theta,
 )
-from .dilation import DilationResult, dilate, dilated_channel_maps, outcome_probabilities
+from .dilation import DilationResult, dilate, dilated_channel_maps, outcome_probabilities, realized_povm
 from .errors import (
     CapacityError,
     ConsistencyError,
@@ -117,6 +117,7 @@ __all__ = [
     "product_strategy_fidelity",
     "qubit_average_fidelity",
     "qubit_channel_from_cos_theta",
+    "realized_povm",
     "refine_inconclusive_product",
     "refine_inconclusive_residual",
     "relaxed_angle_fidelity",

@@ -110,9 +110,10 @@ def gamma_tensors(ch: SchmidtChannel, basis: UnitaryBasis) -> GammaTriple:
     """Build (gamma, gamma_inv) for a full-rank channel."""
     if ch.dim != basis.dim:
         raise ShapeError(f"channel dim {ch.dim} does not match basis dim {basis.dim}")
-    if np.any(ch.coeffs <= 0):
+    # A coefficient whose square underflows to 0 is singular in floating point.
+    if np.any(ch.coeffs <= 0) or np.any(ch.probs == 0):
         raise SingularChannelError(
-            "dual construction needs every Schmidt coefficient positive; "
+            "dual construction needs every Schmidt coefficient positive, with a nonzero square; "
             f"got {ch.coeffs}"
         )
     d = ch.dim

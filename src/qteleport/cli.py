@@ -144,6 +144,8 @@ def _parse_config(args: argparse.Namespace) -> RunConfig:
         raise _usage_error("give at most one of --coeffs, --entropy, --cos-theta-c")
     d = args.d
     d_explicit = d is not None
+    if d_explicit and d < 2:
+        raise _usage_error(f"--d must be at least 2, got {d}")
     if coeffs is not None:
         if d is not None and d != len(coeffs):
             raise _usage_error(f"--d {d} conflicts with {len(coeffs)} coefficients")

@@ -15,12 +15,13 @@ extended space must hold one basis ket per outcome).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import SchmidtChannel
 from .errors import CapacityError, DecompositionError
+from .fidelity import channel_maps
 from .povm import PovmSet
 
 
@@ -96,10 +97,20 @@ def dilate(p: PovmSet, ancilla_dim: int | None = None) -> DilationResult:
     u_ext = np.empty((ext, ext), dtype=complex)
     u_ext[:, inputs[:, 0]] = completed[:, :joint]
     u_ext[:, inputs[:, 1:].ravel()] = completed[:, joint:]
-    rows = u_ext[: p.n_outcomes, ::d_a]
-    rebuilt = np.einsum("ai,aj->aij", rows.conj(), rows)
-    residuals = np.max(np.abs(rebuilt - p.elements), axis=(1, 2))
-    return DilationResult(d=d, ancilla_dim=d_a, u_ext=u_ext, residuals=residuals)
+    dil = DilationResult(d=d, ancilla_dim=d_a, u_ext=u_ext, residuals=np.empty(0))
+    rebuilt = realized_povm(dil, p).elements
+    return replace(dil, residuals=np.max(np.abs(rebuilt - p.elements), axis=(1, 2)))
+
+
+def realized_povm(dil: DilationResult, p: PovmSet) -> PovmSet:
+    """The POVM the extension actually measures, with ``p``'s tags.
+
+    Outcome a is found with amplitude U[x_a, (s, 0)] = conj(w_a[s]), so the
+    realized element vectors are the conjugated rows of U on the inputs
+    (s, 0); they equal ``p.vectors`` up to rounding.
+    """
+    vectors = dil.u_ext[: p.n_outcomes, :: dil.ancilla_dim].conj()
+    return PovmSet(d=dil.d, vectors=vectors, tags=p.tags, lam=p.lam)
 
 
 def outcome_probabilities(dil: DilationResult, p: PovmSet, state12: np.ndarray) -> np.ndarray:
@@ -109,7 +120,7 @@ def outcome_probabilities(dil: DilationResult, p: PovmSet, state12: np.ndarray) 
     is found with the squared amplitude of extended ket a in
     U (state (x) |0>_anc).
     """
-    return np.abs(dil.u_ext[: p.n_outcomes, :: dil.ancilla_dim] @ state12) ** 2
+    return np.abs(realized_povm(dil, p).vectors.conj() @ state12) ** 2
 
 
 def dilated_channel_maps(dil: DilationResult, p: PovmSet, ch: SchmidtChannel) -> np.ndarray:
@@ -118,6 +129,4 @@ def dilated_channel_maps(dil: DilationResult, p: PovmSet, ch: SchmidtChannel) ->
     T_a[k, i] = a_k * U[x_a, (i*d + k, 0)]; agreement with the direct maps
     certifies the dilation run-for-run, not just on averages.
     """
-    d = dil.d
-    rows = dil.u_ext[: p.n_outcomes, :: dil.ancilla_dim].reshape(-1, d, d)
-    return rows.transpose(0, 2, 1) * ch.coeffs[:, None]
+    return channel_maps(realized_povm(dil, p), ch)

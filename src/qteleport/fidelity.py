@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -33,18 +33,21 @@ from .povm import Conclusive, InconclusiveProduct, InconclusiveResidual, PovmSet
 from .weyl import UnitaryBasis, shift_matrix
 
 
-def avg_fidelity_term(b: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    """Haar-exact (probability, fidelity term) of one outcome with correction v."""
-    b = np.asarray(b)
-    v = np.asarray(v)
-    d = b.shape[0]
-    if v.shape != (d, d):
+def avg_fidelity_term(b: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Haar-exact (probability, fidelity term) of every outcome with its correction.
+
+    ``b`` and ``v`` are one (d, d) map and correction or equal-shaped stacks
+    (..., d, d); the results have shape ``b.shape[:-2]``.
+    """
+    b, v = np.asarray(b), np.asarray(v)
+    d = b.shape[-1]
+    if b.shape[-2:] != (d, d) or v.shape != b.shape:
         raise ShapeError(f"correction shape {v.shape} does not match {b.shape}")
     if np.max(np.abs(dagger(v) @ v - np.eye(d))) > 1e-10:
         raise DomainError("correction operator is not unitary")
-    gram = float(np.sum(np.abs(b) ** 2))
+    gram = np.sum(np.abs(b) ** 2, axis=(-2, -1))
     prob = gram / d
-    term = (abs(np.trace(v @ b)) ** 2 + gram) / (d * (d + 1))
+    term = (np.abs(np.trace(v @ b, axis1=-2, axis2=-1)) ** 2 + gram) / (d * (d + 1))
     return prob, term
 
 
@@ -54,18 +57,17 @@ def optimal_correction(b: np.ndarray) -> np.ndarray:
     With B = U S W^h the maximizer is V = (U W^h)^†, for which |Tr(V B)|
     equals the sum of singular values.  A fixed SVD phase convention (the
     largest-magnitude entry of each left singular vector made real
-    positive) keeps the result reproducible for degenerate inputs.
+    positive) keeps the result reproducible for degenerate inputs.  ``b``
+    may be a stack (..., d, d); each map gets its own correction.
     """
-    b = np.asarray(b)
-    u, _, wh = np.linalg.svd(b)
-    for k in range(u.shape[1]):
-        col = u[:, k]
-        pivot = col[np.argmax(np.abs(col))]
-        if abs(pivot) > 0:
-            phase = pivot / abs(pivot)
-            u[:, k] = col / phase
-            wh[k, :] = wh[k, :] * phase
-    return dagger(u @ wh)
+    u, _, wh = np.linalg.svd(np.asarray(b))
+    # Columns of u are unit vectors, so every pivot is nonzero.  np.hypot
+    # rounds like the scalar abs() of a per-column loop; np.abs on a complex
+    # array may differ in the last place.
+    rows = np.argmax(np.abs(u), axis=-2)[..., None, :]
+    pivot = np.take_along_axis(u, rows, axis=-2)
+    phase = pivot / np.hypot(pivot.real, pivot.imag)
+    return dagger((u / phase) @ (wh * np.swapaxes(phase, -1, -2)))
 
 
 @dataclass(frozen=True)
@@ -129,14 +131,14 @@ def correction_unitaries(
 ) -> np.ndarray:
     """Per-outcome correction unitaries, shape (n, d, d).
 
-    ``auto`` optimizes each outcome through :func:`optimal_correction`;
+    ``auto`` optimizes every outcome at once through :func:`optimal_correction`;
     ``paper`` uses the protocol's fixed rules: the basis unitary itself for
     outcomes aligned with the measurement basis, and the cyclic shift
     |j> -> |i> for the diagonal product outcomes.
     """
     d = p.d
     if mode == "auto":
-        return np.stack([optimal_correction(maps[k]) for k in range(p.n_outcomes)])
+        return optimal_correction(maps)
     if mode != "paper":
         raise DomainError(f"unknown corrections mode {mode!r}; use 'auto' or 'paper'")
     vs = np.empty((p.n_outcomes, d, d), dtype=complex)
@@ -155,24 +157,42 @@ def report(
 ) -> FidelityReport:
     """Exact Haar-average fidelity report for a refined POVM."""
     maps = channel_maps(p, ch)
-    vs = correction_unitaries(p, basis, maps, corrections)
-    stats = []
-    f_con = f_inc = 0.0
-    for k, tag in enumerate(p.tags):
-        prob, term = avg_fidelity_term(maps[k], vs[k])
-        stats.append(OutcomeStat(index=k, tag=tag, probability=prob, fidelity_term=term))
-        if isinstance(tag, Conclusive):
-            f_con += term
-        else:
-            f_inc += term
+    probs, terms = avg_fidelity_term(maps, correction_unitaries(p, basis, maps, corrections))
+    return _build_report(p, corrections, probs, terms)
+
+
+def _build_report(
+    p: PovmSet,
+    corrections: str,
+    probs: np.ndarray,
+    terms: np.ndarray,
+    *,
+    prob_se: np.ndarray | None = None,
+    term_se: np.ndarray | None = None,
+    n_runs: int | None = None,
+    f_total_se: float | None = None,
+) -> FidelityReport:
+    """The one assembly of a report from per-outcome arrays, exact or Monte Carlo."""
+    unknown = [None] * p.n_outcomes
+    prob_se = unknown if prob_se is None else prob_se.tolist()
+    term_se = unknown if term_se is None else term_se.tolist()
+    stats = tuple(
+        OutcomeStat(k, *row)
+        for k, row in enumerate(zip(p.tags, probs.tolist(), terms.tolist(), prob_se, term_se))
+    )
+    conclusive = np.array([isinstance(t, Conclusive) for t in p.tags])
+    f_con = float(terms[conclusive].sum())
+    f_inc = float(terms[~conclusive].sum())
     return FidelityReport(
         lam=p.lam,
         strategy=strategy_of(p),
         corrections=corrections,
-        outcomes=tuple(stats),
+        outcomes=stats,
         f_conclusive=f_con,
         f_inconclusive=f_inc,
         f_total=f_con + f_inc,
+        n_runs=n_runs,
+        f_total_se=f_total_se,
     )
 
 
@@ -247,50 +267,20 @@ def simulate(
     runs in blocks of ``_BLOCK_ENTRIES`` amplitudes and only per-outcome
     sums outlive a block.  ``transcript``, if given, is called once per
     block with the columns ``run_index``, ``outcome_alpha`` and
-    ``conclusive_flag`` (int arrays) and the scalar ``bits_sent``.
+    ``conclusive_flag`` (int arrays) and the scalar ``bits_sent``.  Any
+    refined POVM works, e.g. ``dilation.realized_povm`` for the run-by-run
+    check of a Neumark extension.
     """
-    maps = channel_maps(p, ch)
-    vs = correction_unitaries(p, basis, maps, corrections)
-    return _monte_carlo(
-        maps, vs, p.tags, p.lam, strategy_of(p), corrections, n_runs, rng, n_workers, transcript
-    )
-
-
-def simulate_from_maps(
-    maps: np.ndarray,
-    vs: np.ndarray,
-    tags: Sequence[Tag],
-    lam: float,
-    strategy: str,
-    corrections: str,
-    n_runs: int,
-    rng: int | np.random.Generator | None = 0,
-) -> FidelityReport:
-    """Monte Carlo over explicit amplitude maps (used by the dilated route)."""
-    return _monte_carlo(maps, vs, tags, lam, strategy, corrections, n_runs, rng)
-
-
-def _monte_carlo(
-    maps: np.ndarray,
-    vs: np.ndarray,
-    tags: Sequence[Tag],
-    lam: float,
-    strategy: str,
-    corrections: str,
-    n_runs: int,
-    rng: int | np.random.Generator | None,
-    n_workers: int = 1,
-    transcript: Callable[[dict], None] | None = None,
-) -> FidelityReport:
-    """The one Monte Carlo aggregator behind :func:`simulate` and :func:`simulate_from_maps`."""
     if n_runs < 1:
         raise DomainError(f"need at least one run, got {n_runs}")
     if n_workers < 1:
         raise DomainError(f"need at least one worker, got {n_workers}")
+    maps = channel_maps(p, ch)
+    vs = correction_unitaries(p, basis, maps, corrections)
     n_out, d, _ = maps.shape
     block = max(1, _BLOCK_ENTRIES // (n_out * d))
     shares = [n_runs // n_workers + (1 if w < n_runs % n_workers else 0) for w in range(n_workers)]
-    conclusive_flag = np.array([isinstance(t, Conclusive) for t in tags], dtype=np.int64)
+    conclusive_flag = np.array([isinstance(t, Conclusive) for t in p.tags], dtype=np.int64)
     counts = np.zeros(n_out)
     term_sums = np.zeros(n_out)
     term_sq_sums = np.zeros(n_out)
@@ -315,21 +305,15 @@ def _monte_carlo(
     n = float(n_runs)
     probs = counts / n
     terms = term_sums / n
-    prob_se = np.sqrt(np.maximum(probs * (1.0 - probs), 0.0) / n)
-    term_se = np.sqrt(np.maximum(term_sq_sums / n - terms * terms, 0.0) / n)
-    stats = tuple(
-        OutcomeStat(k, tag, probs[k], terms[k], prob_se[k], term_se[k]) for k, tag in enumerate(tags)
-    )
     mean = float(terms.sum())
     var = float(term_sq_sums.sum()) / n - mean * mean
-    return FidelityReport(
-        lam=lam,
-        strategy=strategy,
-        corrections=corrections,
-        outcomes=stats,
-        f_conclusive=float(terms @ conclusive_flag),
-        f_inconclusive=float(terms @ (1 - conclusive_flag)),
-        f_total=mean,
+    return _build_report(
+        p,
+        corrections,
+        probs,
+        terms,
+        prob_se=np.sqrt(np.maximum(probs * (1.0 - probs), 0.0) / n),
+        term_se=np.sqrt(np.maximum(term_sq_sums / n - terms * terms, 0.0) / n),
         n_runs=n_runs,
         f_total_se=math.sqrt(max(var, 0.0) / n),
     )

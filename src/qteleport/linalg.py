@@ -17,8 +17,8 @@ from .errors import NormalizationError, PositivityError, ShapeError
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose of the last two axes (of every matrix in a stack)."""
+    return np.swapaxes(a, -1, -2).conj()
 
 
 def partial_trace(rho: np.ndarray, keep: int, dims: list[int] | tuple[int, ...]) -> np.ndarray:

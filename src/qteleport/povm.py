@@ -132,6 +132,8 @@ def build_conclusive_povm(ch: SchmidtChannel, basis: UnitaryBasis, lam: float) -
     d = ch.dim
     if not lam >= 0:  # also rejects NaN
         raise PositivityError(f"weight must be nonnegative, got {lam}")
+    # The duals reject a singular channel before the weights divide by a_j^2.
+    duals = dual_states(ch, basis)
     weights = _remainder_weights(ch, lam)
     bad = np.nonzero(weights < -1e-12)[0]
     if bad.size:
@@ -143,8 +145,7 @@ def build_conclusive_povm(ch: SchmidtChannel, basis: UnitaryBasis, lam: float) -
     # The remainder depends on the column index j only (clamp the
     # exact-boundary entries at zero).
     diag = np.tile(np.clip(weights, 0.0, None), d)
-    vectors = np.sqrt(lam) * dual_states(ch, basis)
-    return PovmSet(d=d, vectors=vectors, tags=tags, lam=float(lam), remainder=diag)
+    return PovmSet(d=d, vectors=np.sqrt(lam) * duals, tags=tags, lam=float(lam), remainder=diag)
 
 
 def _split_remainder(p: PovmSet) -> np.ndarray:

@@ -10,16 +10,9 @@ import numpy as np
 import pytest
 
 from qteleport.channel import basis_states, make_channel, qubit_channel_from_cos_theta
-from qteleport.dilation import dilate, dilated_channel_maps, outcome_probabilities
+from qteleport.dilation import dilate, outcome_probabilities, realized_povm
 from qteleport.errors import PositivityError
-from qteleport.fidelity import (
-    channel_maps,
-    correction_unitaries,
-    report,
-    simulate,
-    simulate_from_maps,
-    strategy_of,
-)
+from qteleport.fidelity import channel_maps, correction_unitaries, report, simulate
 from qteleport.formulas import (
     best_orthogonal_fidelity,
     binary_entropy,
@@ -209,7 +202,7 @@ def test_criterion_6_figure_regression(tmp_path):
     assert main(["figure1", "--out", str(out)]) == 0
     import csv
 
-    rows = list(csv.DictReader(open(out)))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     # Endpoints.
     assert any(
         r["entropy_bits"] == "1"
@@ -265,11 +258,8 @@ def test_criterion_7_neumark_dilation():
                     "i,nij,j->n", state.conj(), refined.elements, state
                 ).real
                 assert np.max(np.abs(via_ext - direct)) <= 1e-10
-            maps_ext = dilated_channel_maps(dil, refined, ch)
-            vs = correction_unitaries(refined, basis, maps_ext, "auto")
-            mc_ext = simulate_from_maps(
-                maps_ext, vs, refined.tags, refined.lam, strategy_of(refined),
-                "auto", n_runs=30_000, rng=d,
+            mc_ext = simulate(
+                realized_povm(dil, refined), ch, basis, "auto", n_runs=30_000, rng=d
             )
             mc_direct = simulate(refined, ch, basis, "auto", n_runs=30_000, rng=d + 50)
             sigma = float(np.hypot(mc_ext.f_total_se, mc_direct.f_total_se))

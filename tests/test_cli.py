@@ -1,8 +1,13 @@
+import contextlib
 import csv
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qteleport.channel import qubit_channel_from_cos_theta
 from qteleport.cli import main
@@ -90,6 +95,25 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage error: QTELEPORT_WORKERS") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv", [["teleport", "--d", "-3"], ["teleport", "--d", "0"], ["verify", "--d", "1"], ["verify", "--d", "-2"]]
+    )
+    def test_dimension_below_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err == f"usage error: --d must be at least 2, got {argv[-1]}\n"
+
+    @pytest.mark.parametrize("coeffs", ["1,0", "0.6,0.8,-0.0", "1e-170,1"])
+    def test_singular_channel_is_one_usage_line(self, capsys, coeffs):
+        with pytest.raises(SystemExit) as info:
+            main(["teleport", "--coeffs", coeffs])
+        assert info.value.code == 2
+        echo, usage = capsys.readouterr().err.splitlines()
+        assert echo.startswith("# command=teleport")
+        assert usage.startswith("usage error: dual construction needs every Schmidt coefficient positive")
+
     def test_unwritable_path(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["figure1", "--out", "/nonexistent-dir/fig.csv"])
@@ -102,7 +126,7 @@ class TestFigure1:
         code, _, _ = run(capsys, "figure1", "--out", str(out))
         assert code == 0
         rows = read_rows(out)
-        header = open(out).readline().strip()
+        header = out.read_text().splitlines()[0]
         assert header == "entropy_bits,cos_theta,fidelity_opt,is_arrow_point"
         assert len(rows) == 4 * 100 + 4
         # Flat classical line for the unentangled channel.
@@ -140,7 +164,7 @@ class TestFigure1:
     def test_jsonl_mirrors_rows(self, capsys, tmp_path):
         out = tmp_path / "fig.jsonl"
         run(capsys, "figure1", "--out", str(out), "--format", "jsonl")
-        records = [json.loads(line) for line in open(out)]
+        records = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(records) == 404
         assert set(records[0]) == {"entropy_bits", "cos_theta", "fidelity_opt", "is_arrow_point"}
 
@@ -196,7 +220,7 @@ class TestTeleport:
         total = next(r for r in rows if r["kind"] == "total")
         assert total["mc_fidelity_term"] != ""
         assert float(total["mc_fidelity_term_se"]) > 0
-        records = [json.loads(line) for line in open(transcript)]
+        records = [json.loads(line) for line in transcript.read_text().splitlines()]
         assert len(records) == 2000
         assert all(
             set(r) == {"run_index", "outcome_alpha", "conclusive_flag", "bits_sent"}
@@ -235,7 +259,7 @@ class TestTeleport:
     def test_jsonl_report(self, capsys, tmp_path):
         out = tmp_path / "report.jsonl"
         run(capsys, "teleport", "--d", "3", "--out", str(out), "--format", "jsonl")
-        records = [json.loads(line) for line in open(out)]
+        records = [json.loads(line) for line in out.read_text().splitlines()]
         # Maximally entangled default channel: perfect teleportation.
         total = next(r for r in records if r["kind"] == "total")
         assert abs(total["fidelity_term"] - 1.0) <= 1e-10
@@ -262,3 +286,41 @@ class TestTeleport:
             "--out", str(out),
         )
         assert err1 == err2
+
+
+COEFF = st.sampled_from([0.0, -0.0, -0.5]) | st.floats(-1.5, 1.5)
+LAMBDA_TOKEN = st.floats(-0.5, 1.5).map(repr) | st.sampled_from(["max", "nan", "inf", "-1", "lots", ""])
+
+
+@st.composite
+def teleport_argv(draw):
+    """Small ``teleport`` command lines: nothing drawn here allocates much."""
+    argv = ["teleport"]
+    d = draw(st.none() | st.integers(-3, 6))
+    if d is not None:
+        argv += ["--d", str(d)]
+    coeffs = draw(st.none() | st.lists(COEFF, max_size=6))
+    if coeffs is not None:
+        norm = math.sqrt(sum(c * c for c in coeffs))
+        if norm > 0 and draw(st.booleans()):
+            coeffs = [c / norm for c in coeffs]
+        argv.append("--coeffs=" + ",".join(repr(c) for c in coeffs))
+    argv.append("--lambda=" + draw(LAMBDA_TOKEN))
+    argv += ["--strategy", draw(st.sampled_from(["product", "residual"]))]
+    argv += ["--corrections", draw(st.sampled_from(["auto", "paper"]))]
+    argv += ["--runs", str(draw(st.integers(-2, 300)))]
+    return argv
+
+
+class TestArgvProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(argv=teleport_argv())
+    def test_exit_code_is_0_1_or_2(self, argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()

@@ -2,16 +2,9 @@ import numpy as np
 import pytest
 
 from qteleport.channel import make_channel, qubit_channel_from_cos_theta
-from qteleport.dilation import dilate, dilated_channel_maps, outcome_probabilities
+from qteleport.dilation import dilate, dilated_channel_maps, outcome_probabilities, realized_povm
 from qteleport.errors import CapacityError, DecompositionError
-from qteleport.fidelity import (
-    channel_maps,
-    correction_unitaries,
-    report,
-    simulate,
-    simulate_from_maps,
-    strategy_of,
-)
+from qteleport.fidelity import channel_maps, report, simulate
 from qteleport.linalg import dagger, haar_random_ket
 from qteleport.povm import (
     build_conclusive_povm,
@@ -134,14 +127,25 @@ def test_dilated_monte_carlo_agrees_with_direct():
     basis = build_weyl_basis(2)
     ch = qubit_channel_from_cos_theta(0.6)
     p = build(2, ch, 0.4, "product", basis)
-    dil = dilate(p)
-    maps_ext = dilated_channel_maps(dil, p, ch)
-    vs = correction_unitaries(p, basis, maps_ext, "paper")
-    mc_ext = simulate_from_maps(
-        maps_ext, vs, p.tags, p.lam, strategy_of(p), "paper", n_runs=40_000, rng=4
-    )
+    mc_ext = simulate(realized_povm(dilate(p), p), ch, basis, "paper", n_runs=40_000, rng=4)
     mc_direct = simulate(p, ch, basis, "paper", n_runs=40_000, rng=5)
     exact = report(p, ch, basis, "paper")
     sigma = np.hypot(mc_ext.f_total_se, mc_direct.f_total_se)
     assert abs(mc_ext.f_total - mc_direct.f_total) <= 4 * sigma
     assert abs(mc_ext.f_total - exact.f_total) <= 4 * mc_ext.f_total_se
+
+
+@pytest.mark.parametrize("strategy", ["product", "residual"])
+def test_realized_povm_is_the_measured_povm(strategy):
+    basis = build_weyl_basis(3)
+    ch = make_channel(np.sqrt([0.5, 0.3, 0.2]))
+    p = build(3, ch, 0.4, strategy, basis)
+    dil = dilate(p)
+    realized = realized_povm(dil, p)
+    assert realized.tags == p.tags and realized.lam == p.lam and realized.is_refined()
+    assert np.max(np.abs(realized.vectors - p.vectors)) <= 1e-14
+    # The residuals and the dilated maps are read through it.
+    np.testing.assert_array_equal(
+        dil.residuals, np.max(np.abs(realized.elements - p.elements), axis=(1, 2))
+    )
+    np.testing.assert_array_equal(dilated_channel_maps(dil, p, ch), channel_maps(realized, ch))

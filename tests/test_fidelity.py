@@ -13,10 +13,9 @@ from qteleport.fidelity import (
     optimal_correction,
     report,
     simulate,
-    simulate_from_maps,
-    strategy_of,
     transcript_bits,
 )
+from qteleport.dilation import dilate, realized_povm
 from qteleport.formulas import (
     best_orthogonal_fidelity,
     optimal_average_fidelity,
@@ -324,6 +323,94 @@ class TestExactReport:
             assert t_fixed == pytest.approx(t_auto, abs=1e-10)
 
 
+def loop_optimal_correction(b):
+    """The per-matrix correction with a column loop, kept as an oracle for the stacked one."""
+    u, _, wh = np.linalg.svd(b)
+    for k in range(u.shape[1]):
+        col = u[:, k]
+        pivot = col[np.argmax(np.abs(col))]
+        if abs(pivot) > 0:
+            phase = pivot / abs(pivot)
+            u[:, k] = col / phase
+            wh[k, :] = wh[k, :] * phase
+    return (u @ wh).conj().T
+
+
+def loop_fidelity_term(b, v):
+    """The per-outcome (probability, fidelity term), kept as an oracle for the stacked one."""
+    d = b.shape[0]
+    gram = float(np.sum(np.abs(b) ** 2))
+    return gram / d, (abs(np.trace(v @ b)) ** 2 + gram) / (d * (d + 1))
+
+
+def random_stack(d, n, rng):
+    maps = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    maps[0] = 0.0  # degenerate: every unitary is optimal, the phase rule picks one
+    maps[1] = np.diag(rng.random(d))  # real PSD: the identity is optimal
+    return maps
+
+
+class TestStackedEngine:
+    """The stacked paths against the per-outcome loops they replace."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_optimal_correction_stack_equals_per_matrix(self, d):
+        maps = random_stack(d, 12, np.random.default_rng(d))
+        stacked = optimal_correction(maps)
+        assert stacked.shape == maps.shape
+        for k, b in enumerate(maps):
+            np.testing.assert_array_equal(stacked[k], optimal_correction(b))
+            assert np.max(np.abs(stacked[k] - loop_optimal_correction(b))) <= 1e-15
+        np.testing.assert_allclose(stacked[1], np.eye(d), atol=1e-15)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_avg_fidelity_term_stack_equals_loop(self, d):
+        rng = np.random.default_rng(d + 7)
+        maps = random_stack(d, 10, rng) / (2 * d)
+        vs = np.stack([haar_random_unitary(d, rng) for _ in maps])
+        probs, terms = avg_fidelity_term(maps, vs)
+        assert probs.shape == terms.shape == (10,)
+        want = np.array([loop_fidelity_term(b, v) for b, v in zip(maps, vs)])
+        assert np.max(np.abs(probs - want[:, 0])) <= 1e-15
+        assert np.max(np.abs(terms - want[:, 1])) <= 1e-15
+
+    def test_stack_checks_shape_and_every_unitary(self):
+        vs = np.stack([np.eye(2)] * 3)
+        with pytest.raises(ShapeError):
+            avg_fidelity_term(np.zeros((3, 2, 2)), vs[:2])
+        vs[2] = np.diag([1.0, 0.5])
+        with pytest.raises(DomainError):
+            avg_fidelity_term(np.zeros((3, 2, 2)), vs)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    @pytest.mark.parametrize("strategy", ["product", "residual"])
+    @pytest.mark.parametrize("corrections", ["auto", "paper"])
+    def test_report_equals_per_outcome_loop(self, d, strategy, corrections):
+        basis = build_weyl_basis(d)
+        ch = random_channel(d, np.random.default_rng(60 + d))
+        p = refined(ch, basis, 0.6 * lambda_max(ch), strategy)
+        rep = report(p, ch, basis, corrections)
+        maps = channel_maps(p, ch)
+        if corrections == "auto":
+            vs = [loop_optimal_correction(b) for b in maps]
+        else:
+            vs = correction_unitaries(p, basis, maps, "paper")
+        f_con = f_inc = 0.0
+        for stat, tag, b, v in zip(rep.outcomes, p.tags, maps, vs):
+            prob, term = loop_fidelity_term(b, v)
+            assert stat.tag == tag and stat.probability_se is None
+            assert abs(stat.probability - prob) <= 1e-15
+            assert abs(stat.fidelity_term - term) <= 1e-15
+            if isinstance(tag, Conclusive):
+                f_con += term
+            else:
+                f_inc += term
+        assert rep.f_conclusive == pytest.approx(f_con, abs=1e-14)
+        assert rep.f_inconclusive == pytest.approx(f_inc, abs=1e-14)
+        assert rep.f_total == pytest.approx(f_con + f_inc, abs=1e-14)
+        assert rep.n_runs is None and rep.f_total_se is None
+
+
 class TestRankOneEngine:
     """The report and Monte Carlo paths work on element vectors only."""
 
@@ -509,10 +596,19 @@ class TestBlockedKernel:
         a = simulate(p, ch, basis, "auto", n_runs=n_runs, rng=21, n_workers=3)
         b = simulate(p, ch, basis, "auto", n_runs=n_runs, rng=21, n_workers=3)
         assert a == b
-        # The explicit-maps entry point is the same aggregator, standard errors included.
-        c = simulate_from_maps(maps, vs, p.tags, p.lam, strategy_of(p), "auto", n_runs, rng=21)
-        assert c == simulate(p, ch, basis, "auto", n_runs=n_runs, rng=21)
+        # The POVM a Neumark extension realizes goes through the same
+        # aggregator: its maps equal the direct ones to rounding, so the
+        # draws agree, standard errors included.
+        c = simulate(realized_povm(dilate(p), p), ch, basis, "auto", n_runs=n_runs, rng=21)
+        direct = simulate(p, ch, basis, "auto", n_runs=n_runs, rng=21)
+        assert c.n_runs == direct.n_runs and c.strategy == direct.strategy == "residual"
+        assert [o.tag for o in c.outcomes] == list(p.tags)
         assert all(o.probability_se is not None for o in c.outcomes)
+        assert c.f_total == pytest.approx(direct.f_total, abs=1e-12)
+        assert c.f_total_se == pytest.approx(direct.f_total_se, abs=1e-12)
+        for got, want in zip(c.outcomes, direct.outcomes):
+            assert got.probability == pytest.approx(want.probability, abs=1e-12)
+            assert got.fidelity_term == pytest.approx(want.fidelity_term, abs=1e-12)
 
     def test_memory_is_bounded_by_the_block(self):
         d = 4

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qteleport.channel import make_channel, qubit_channel_from_cos_theta
-from qteleport.errors import PositivityError, ShapeError
+from qteleport.errors import PositivityError, ShapeError, SingularChannelError
 from qteleport.povm import (
     Conclusive,
     InconclusiveProduct,
@@ -97,6 +99,17 @@ class TestConclusivePovm:
         basis = build_weyl_basis(2)
         with pytest.raises(PositivityError):
             build_conclusive_povm(qubit_channel_from_cos_theta(0.5), basis, lam)
+
+    @pytest.mark.parametrize(
+        "coeffs, lam", [([1.0, 0.0], 0.0), ([0.6, 0.8, -0.0], 0.0), ([1e-170, 1.0], 0.5)]
+    )
+    def test_singular_channel_rejected_before_dividing(self, coeffs, lam):
+        # A zero (or underflowing) a_j^2 would divide by zero in the remainder weights.
+        ch = make_channel(coeffs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularChannelError):
+                build_conclusive_povm(ch, build_weyl_basis(ch.dim), lam)
 
     def test_error_names_violating_column(self):
         basis = build_weyl_basis(2)
