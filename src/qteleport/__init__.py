@@ -8,11 +8,9 @@ orthogonal measurement on an ancilla-extended space.
 """
 
 from .channel import (
-    GammaTriple,
     SchmidtChannel,
     basis_states,
     dual_states,
-    gamma_tensors,
     make_channel,
     qubit_channel_from_cos_theta,
 )
@@ -77,7 +75,6 @@ __all__ = [
     "DilationResult",
     "DomainError",
     "FidelityReport",
-    "GammaTriple",
     "InconclusiveProduct",
     "InconclusiveResidual",
     "NormalizationError",
@@ -104,7 +101,6 @@ __all__ = [
     "dilate",
     "dilated_channel_maps",
     "dual_states",
-    "gamma_tensors",
     "haar_random_ket",
     "haar_random_unitary",
     "lambda_max",

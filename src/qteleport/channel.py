@@ -89,25 +89,7 @@ def qubit_channel_from_cos_theta(cos_theta_c: float) -> SchmidtChannel:
     )
 
 
-@dataclass(frozen=True)
-class GammaTriple:
-    """Coefficient tensors of the measurement states, both of shape (d^2, d, d).
-
-    ``gamma`` expands the measurement states and ``gamma_inv`` is its
-    two-sided inverse; its elementwise conjugate expands the biorthogonal
-    dual states.
-    """
-
-    gamma: np.ndarray
-    gamma_inv: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.gamma, self.gamma_inv):
-            arr.setflags(write=False)
-
-
-def gamma_tensors(ch: SchmidtChannel, basis: UnitaryBasis) -> GammaTriple:
-    """Build (gamma, gamma_inv) for a full-rank channel."""
+def _check_full_rank(ch: SchmidtChannel, basis: UnitaryBasis) -> None:
     if ch.dim != basis.dim:
         raise ShapeError(f"channel dim {ch.dim} does not match basis dim {basis.dim}")
     # A coefficient whose square underflows to 0 is singular in floating point.
@@ -116,10 +98,6 @@ def gamma_tensors(ch: SchmidtChannel, basis: UnitaryBasis) -> GammaTriple:
             "dual construction needs every Schmidt coefficient positive, with a nonzero square; "
             f"got {ch.coeffs}"
         )
-    d = ch.dim
-    gamma = basis.ops * ch.coeffs[None, None, :]
-    gamma_inv = basis.ops.conj() / (d * ch.coeffs[None, None, :])
-    return GammaTriple(gamma=gamma, gamma_inv=gamma_inv)
 
 
 def basis_states(ch: SchmidtChannel, basis: UnitaryBasis) -> np.ndarray:
@@ -129,17 +107,17 @@ def basis_states(ch: SchmidtChannel, basis: UnitaryBasis) -> np.ndarray:
     singular channel is rejected because the conclusive protocol is
     undefined for it.
     """
-    triple = gamma_tensors(ch, basis)
+    _check_full_rank(ch, basis)
     d = ch.dim
-    states = triple.gamma.reshape(d * d, d * d).copy()
+    states = (basis.ops * ch.coeffs).reshape(d * d, d * d)
     states.setflags(write=False)
     return states
 
 
 def dual_states(ch: SchmidtChannel, basis: UnitaryBasis) -> np.ndarray:
     """The unnormalized duals with <dual_a|state_b> = delta_ab, one per row."""
-    triple = gamma_tensors(ch, basis)
+    _check_full_rank(ch, basis)
     d = ch.dim
-    duals = triple.gamma_inv.conj().reshape(d * d, d * d)
+    duals = (basis.ops / (d * ch.coeffs)).reshape(d * d, d * d)
     duals.setflags(write=False)
     return duals

@@ -1,13 +1,19 @@
 """Command-line front end: invariant suite, fidelity reports, figure data.
 
-Subcommands:
+Subcommands, each taking only the flags it reads:
 
 * ``verify``   -- run the invariant battery, one row per check, exit 1 on
-                  any failure.
+                  any failure.  Flags: ``--d``, ``--coeffs``, ``--entropy``,
+                  ``--cos-theta-c``, ``--lambda``, ``--seed``.
 * ``figure1``  -- emit the optimal-fidelity-vs-overlap curves as CSV (or
                   JSON lines), one curve per channel entanglement level.
+                  Flags: ``--out``, ``--format``.
 * ``teleport`` -- exact fidelity report for one configuration, optionally
                   with a Monte Carlo estimate and a classical transcript.
+                  Flags: those of ``verify``, plus ``--strategy``,
+                  ``--corrections``, ``--runs``, ``--out``, ``--format`` and
+                  ``--transcript``.  Only this command reads
+                  ``QTELEPORT_WORKERS``.
 
 Exit codes: 0 ok, 1 check failure, 2 usage/config error.  Numbers in CSV
 output carry 12 significant digits so regression diffs stay meaningful.
@@ -16,12 +22,12 @@ output carry 12 significant digits so regression diffs stay meaningful.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +51,18 @@ WORKERS_ENV = "QTELEPORT_WORKERS"
 
 FIGURE_ENTROPIES = (0.0, 0.19, 0.55, 1.0)
 FIGURE_GRID = tuple(k / 100 for k in range(100))  # cos_theta in [0, 0.99]
+FIGURE_HEADER = ("entropy_bits", "cos_theta", "fidelity_opt", "is_arrow_point")
+TELEPORT_HEADER = (
+    "outcome",
+    "kind",
+    "detail",
+    "probability",
+    "fidelity_term",
+    "mc_probability",
+    "mc_probability_se",
+    "mc_fidelity_term",
+    "mc_fidelity_term_se",
+)
 
 
 def _usage_error(message: str) -> SystemExit:
@@ -52,48 +70,22 @@ def _usage_error(message: str) -> SystemExit:
     return SystemExit(2)
 
 
-@dataclass
-class RunConfig:
-    """Validated knobs of one CLI invocation."""
-
-    command: str
-    d: int = 2
-    d_explicit: bool = False
-    coeffs: list[float] | None = None
-    entropy: float | None = None
-    cos_theta_c: float | None = None
-    lam: float | None = None  # None means the positivity maximum
-    strategy: str = "residual"
-    corrections: str = "auto"
-    n_runs: int = 0
-    seed: int = 0
-    out: str | None = None
-    fmt: str = "csv"
-    transcript: str | None = None
-    n_workers: int = 1
-
-    def echo(self) -> str:
-        parts = [f"command={self.command}", f"d={self.d}"]
-        if self.coeffs is not None:
-            parts.append("coeffs=" + ",".join(repr(c) for c in self.coeffs))
-        if self.entropy is not None:
-            parts.append(f"entropy={self.entropy!r}")
-        if self.cos_theta_c is not None:
-            parts.append(f"cos_theta_c={self.cos_theta_c!r}")
-        parts.append("lambda=max" if self.lam is None else f"lambda={self.lam!r}")
-        parts += [
-            f"strategy={self.strategy}",
-            f"corrections={self.corrections}",
-            f"runs={self.n_runs}",
-            f"seed={self.seed}",
-            f"format={self.fmt}",
-            f"workers={self.n_workers}",
-        ]
-        return " ".join(parts)
+def _echo(*parts: str) -> None:
+    """Print the settings the command reads as one stderr line."""
+    print("# " + " ".join(parts), file=sys.stderr)
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+def _add_channel_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--d", type=int, default=None, help="qudit dimension")
+    p.add_argument("--coeffs", type=str, default=None, help="Schmidt coefficients a1,a2,...")
+    p.add_argument("--entropy", type=float, default=None, help="channel entanglement entropy in bits (d=2)")
+    p.add_argument("--cos-theta-c", type=float, default=None, help="channel overlap parameter (d=2)")
+    p.add_argument("--lambda", dest="lam", type=str, default="max", help="conclusive weight, number or 'max'")
+
+
+def _add_output_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
+    p.add_argument("--format", dest="fmt", choices=("csv", "jsonl"), default="csv")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -102,115 +94,132 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Conclusive teleportation of d-dimensional states via joint POVMs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("verify", "run the invariant battery"),
-        ("figure1", "emit fidelity-vs-overlap curves"),
-        ("teleport", "fidelity report for one configuration"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--d", type=int, default=None, help="qudit dimension")
-        p.add_argument("--coeffs", type=str, default=None, help="Schmidt coefficients a1,a2,...")
-        p.add_argument("--entropy", type=float, default=None, help="channel entanglement entropy in bits (d=2)")
-        p.add_argument("--cos-theta-c", type=float, default=None, help="channel overlap parameter (d=2)")
-        p.add_argument("--lambda", dest="lam", type=str, default="max", help="conclusive weight, number or 'max'")
-        p.add_argument("--strategy", choices=("product", "residual"), default="residual")
-        p.add_argument("--corrections", choices=("auto", "paper"), default="auto")
-        p.add_argument("--runs", type=int, default=0, help="Monte Carlo runs (0 = exact only)")
-        p.add_argument("--seed", type=int, default=None, help="random seed (default: 2026 for verify, 0 otherwise)")
-        p.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
-        p.add_argument("--format", dest="fmt", choices=("csv", "jsonl"), default="csv")
-        p.add_argument("--transcript", type=str, default=None, help="classical transcript path (teleport only)")
+
+    verify = sub.add_parser("verify", help="run the invariant battery")
+    _add_channel_flags(verify)
+    verify.add_argument("--seed", type=int, default=2026, help="random seed (default: %(default)s)")
+    verify.set_defaults(run=cmd_verify)
+
+    figure = sub.add_parser("figure1", help="emit fidelity-vs-overlap curves")
+    _add_output_flags(figure)
+    figure.set_defaults(run=cmd_figure1)
+
+    teleport = sub.add_parser("teleport", help="fidelity report for one configuration")
+    _add_channel_flags(teleport)
+    teleport.add_argument("--strategy", choices=("product", "residual"), default="residual")
+    teleport.add_argument("--corrections", choices=("auto", "paper"), default="auto")
+    teleport.add_argument("--runs", type=int, default=0, help="Monte Carlo runs (0 = exact only)")
+    teleport.add_argument("--seed", type=int, default=0, help="random seed (default: %(default)s)")
+    _add_output_flags(teleport)
+    teleport.add_argument("--transcript", type=str, default=None, help="classical transcript path")
+    teleport.set_defaults(run=cmd_teleport)
     return parser
 
 
-def _parse_config(args: argparse.Namespace) -> RunConfig:
-    coeffs = None
+def _check_channel_flags(args: argparse.Namespace) -> None:
+    """Validate the channel flags; parse ``coeffs`` and ``lam`` and resolve ``d`` in place.
+
+    ``lam`` becomes None for the positivity maximum.
+    """
     if args.coeffs is not None:
         try:
-            coeffs = [float(tok) for tok in args.coeffs.split(",") if tok != ""]
+            args.coeffs = [float(tok) for tok in args.coeffs.split(",") if tok != ""]
         except ValueError as exc:
             raise _usage_error(f"bad --coeffs: {exc}")
     if args.lam == "max":
-        lam = None
+        args.lam = None
     else:
+        token = args.lam
         try:
-            lam = float(args.lam)
+            args.lam = float(token)
         except ValueError:
-            raise _usage_error(f"--lambda must be a number or 'max', got {args.lam!r}")
-        if not math.isfinite(lam):
-            raise _usage_error(f"--lambda must be finite, got {args.lam!r}")
-    given = [x for x in (coeffs, args.entropy, args.cos_theta_c) if x is not None]
+            raise _usage_error(f"--lambda must be a number or 'max', got {token!r}")
+        if not math.isfinite(args.lam):
+            raise _usage_error(f"--lambda must be finite, got {token!r}")
+    given = [x for x in (args.coeffs, args.entropy, args.cos_theta_c) if x is not None]
     if len(given) > 1:
         raise _usage_error("give at most one of --coeffs, --entropy, --cos-theta-c")
-    d = args.d
-    d_explicit = d is not None
-    if d_explicit and d < 2:
-        raise _usage_error(f"--d must be at least 2, got {d}")
-    if coeffs is not None:
-        if d is not None and d != len(coeffs):
-            raise _usage_error(f"--d {d} conflicts with {len(coeffs)} coefficients")
-        d = len(coeffs)
-        d_explicit = True
+    if args.d is not None and args.d < 2:
+        raise _usage_error(f"--d must be at least 2, got {args.d}")
+    if args.coeffs is not None:
+        if args.d is not None and args.d != len(args.coeffs):
+            raise _usage_error(f"--d {args.d} conflicts with {len(args.coeffs)} coefficients")
+        args.d = len(args.coeffs)
     elif args.entropy is not None or args.cos_theta_c is not None:
-        if d is not None and d != 2:
+        if args.d is not None and args.d != 2:
             raise _usage_error("--entropy/--cos-theta-c define a d=2 channel")
-        d = 2
-    elif d is None:
-        d = 2
-    if args.runs < 0:
-        raise _usage_error(f"--runs must be nonnegative, got {args.runs}")
-    workers = os.environ.get(WORKERS_ENV, "1")
+        args.d = 2
+    elif args.d is None:
+        args.d = 2
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise _usage_error(f"--seed must be nonnegative, got {seed}")
+
+
+def _channel_echo(args: argparse.Namespace) -> list[str]:
+    parts = [f"d={args.d}"]
+    if args.coeffs is not None:
+        parts.append("coeffs=" + ",".join(repr(c) for c in args.coeffs))
+    if args.entropy is not None:
+        parts.append(f"entropy={args.entropy!r}")
+    if args.cos_theta_c is not None:
+        parts.append(f"cos_theta_c={args.cos_theta_c!r}")
+    parts.append("lambda=max" if args.lam is None else f"lambda={args.lam!r}")
+    return parts
+
+
+def _resolve_channel(args: argparse.Namespace) -> SchmidtChannel:
+    if args.coeffs is not None:
+        return make_channel(args.coeffs)
+    if args.entropy is not None:
+        return channel_from_entropy(args.entropy)[0]
+    if args.cos_theta_c is not None:
+        return qubit_channel_from_cos_theta(args.cos_theta_c)
+    return make_channel(np.full(args.d, 1.0 / np.sqrt(args.d)))
+
+
+def _cell(value):
+    if value is None:
+        return ""
+    return f"{value:.12g}" if isinstance(value, float) else value
+
+
+def _write_rows(path: str | None, fmt: str, header: tuple[str, ...], rows: list[tuple]) -> None:
+    """Write ``rows`` (tuples in ``header`` order) to ``path``, or to stdout if None.
+
+    CSV has a header line, floats at 12 significant digits and None as an
+    empty cell; JSON lines have one object per row with full-precision
+    floats and null.
+    """
+    with (
+        open(path, "w", newline="") if path is not None else contextlib.nullcontext(sys.stdout)
+    ) as stream:
+        if fmt == "csv":
+            writer = csv.writer(stream, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([_cell(v) for v in row] for row in rows)
+        else:
+            stream.writelines(json.dumps(dict(zip(header, row))) + "\n" for row in rows)
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    # A given --d or --coeffs limits the battery to that one dimension.
+    d_explicit = args.d is not None or args.coeffs is not None
+    _check_channel_flags(args)
+    _check_seed(args.seed)
+    _echo("command=verify", *_channel_echo(args), f"seed={args.seed}")
     try:
-        n_workers = int(workers)
-    except ValueError:
-        n_workers = 0
-    if n_workers < 1:
-        raise _usage_error(f"{WORKERS_ENV} must be a positive integer, got {workers!r}")
-    return RunConfig(
-        command=args.command,
-        d=d,
-        d_explicit=d_explicit,
-        coeffs=coeffs,
-        entropy=args.entropy,
-        cos_theta_c=args.cos_theta_c,
-        lam=lam,
-        strategy=args.strategy,
-        corrections=args.corrections,
-        n_runs=args.runs,
-        seed=args.seed if args.seed is not None else (2026 if args.command == "verify" else 0),
-        out=args.out,
-        fmt=args.fmt,
-        transcript=args.transcript,
-        n_workers=n_workers,
-    )
-
-
-def _resolve_channel(cfg: RunConfig) -> SchmidtChannel:
-    if cfg.coeffs is not None:
-        return make_channel(cfg.coeffs)
-    if cfg.entropy is not None:
-        return channel_from_entropy(cfg.entropy)[0]
-    if cfg.cos_theta_c is not None:
-        return qubit_channel_from_cos_theta(cfg.cos_theta_c)
-    return make_channel(np.full(cfg.d, 1.0 / np.sqrt(cfg.d)))
-
-
-def _open_out(path: str | None):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
-
-
-def cmd_verify(cfg: RunConfig) -> int:
-    dims = (cfg.d,) if cfg.d_explicit else (2, 3)
-    try:
-        channel = _resolve_channel(cfg) if any(
-            x is not None for x in (cfg.coeffs, cfg.entropy, cfg.cos_theta_c)
+        channel = _resolve_channel(args) if any(
+            x is not None for x in (args.coeffs, args.entropy, args.cos_theta_c)
         ) else qubit_channel_from_cos_theta(0.6)
     except QTeleportError as exc:
         raise _usage_error(str(exc))
     results = run_battery(
-        dims=dims, seed=cfg.seed, configured=(channel.dim, channel, cfg.lam)
+        dims=(args.d,) if d_explicit else (2, 3),
+        seed=args.seed,
+        configured=(channel.dim, channel, args.lam),
     )
     width = max(len(r.name) for r in results)
     failed = 0
@@ -225,52 +234,19 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 1 if failed else 0
 
 
-def _figure_rows() -> list[dict]:
+def _figure_rows() -> list[tuple]:
     rows = []
     for s in FIGURE_ENTROPIES:
         channel, cos_theta_c = channel_from_entropy(s)
         for ct in FIGURE_GRID:
-            rows.append(
-                {
-                    "entropy_bits": s,
-                    "cos_theta": ct,
-                    "fidelity_opt": relaxed_angle_fidelity(cos_theta_c, ct, 1.0 - ct),
-                    "is_arrow_point": 0,
-                }
-            )
-        rows.append(
-            {
-                "entropy_bits": s,
-                "cos_theta": cos_theta_c,
-                "fidelity_opt": qubit_average_fidelity(lambda_max(channel)),
-                "is_arrow_point": 1,
-            }
-        )
+            rows.append((s, ct, relaxed_angle_fidelity(cos_theta_c, ct, 1.0 - ct), 0))
+        rows.append((s, cos_theta_c, qubit_average_fidelity(lambda_max(channel)), 1))
     return rows
 
 
-def cmd_figure1(cfg: RunConfig) -> int:
-    rows = _figure_rows()
-    stream, close = _open_out(cfg.out)
-    try:
-        if cfg.fmt == "csv":
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(["entropy_bits", "cos_theta", "fidelity_opt", "is_arrow_point"])
-            for row in rows:
-                writer.writerow(
-                    [
-                        _fmt(row["entropy_bits"]),
-                        _fmt(row["cos_theta"]),
-                        _fmt(row["fidelity_opt"]),
-                        row["is_arrow_point"],
-                    ]
-                )
-        else:
-            for row in rows:
-                stream.write(json.dumps(row) + "\n")
-    finally:
-        if close:
-            stream.close()
+def cmd_figure1(args: argparse.Namespace) -> int:
+    _echo("command=figure1", f"format={args.fmt}")
+    _write_rows(args.out, args.fmt, FIGURE_HEADER, _figure_rows())
     return 0
 
 
@@ -284,66 +260,27 @@ def _tag_fields(tag) -> tuple[str, str]:
     return "remainder", ""
 
 
-def _write_teleport(stream, fmt: str, exact: FidelityReport, mc: FidelityReport | None):
-    header = [
-        "outcome",
-        "kind",
-        "detail",
-        "probability",
-        "fidelity_term",
-        "mc_probability",
-        "mc_probability_se",
-        "mc_fidelity_term",
-        "mc_fidelity_term_se",
-    ]
+def _teleport_rows(exact: FidelityReport, mc: FidelityReport | None) -> list[tuple]:
+    """One row per outcome, then the conclusive, inconclusive and overall totals."""
     rows = []
     for k, stat in enumerate(exact.outcomes):
-        kind, detail = _tag_fields(stat.tag)
-        mc_stat = mc.outcomes[k] if mc is not None else None
-        rows.append(
-            {
-                "outcome": k,
-                "kind": kind,
-                "detail": detail,
-                "probability": stat.probability,
-                "fidelity_term": stat.fidelity_term,
-                "mc_probability": mc_stat.probability if mc_stat else None,
-                "mc_probability_se": mc_stat.probability_se if mc_stat else None,
-                "mc_fidelity_term": mc_stat.fidelity_term if mc_stat else None,
-                "mc_fidelity_term_se": mc_stat.fidelity_term_se if mc_stat else None,
-            }
-        )
+        if mc is None:
+            mc_cols = (None, None, None, None)
+        else:
+            m = mc.outcomes[k]
+            mc_cols = (m.probability, m.probability_se, m.fidelity_term, m.fidelity_term_se)
+        rows.append((k, *_tag_fields(stat.tag), stat.probability, stat.fidelity_term, *mc_cols))
     totals = [
         ("total_conclusive", exact.conclusive_probability, exact.f_conclusive,
-         mc.conclusive_probability if mc else None, mc.f_conclusive if mc else None),
+         mc.conclusive_probability if mc else None, mc.f_conclusive if mc else None, None),
         ("total_inconclusive", exact.inconclusive_probability, exact.f_inconclusive,
-         mc.inconclusive_probability if mc else None, mc.f_inconclusive if mc else None),
-        ("total", 1.0, exact.f_total, 1.0 if mc else None, mc.f_total if mc else None),
+         mc.inconclusive_probability if mc else None, mc.f_inconclusive if mc else None, None),
+        ("total", 1.0, exact.f_total,
+         1.0 if mc else None, mc.f_total if mc else None, mc.f_total_se if mc else None),
     ]
-    for kind, prob, fid, mc_prob, mc_fid in totals:
-        rows.append(
-            {
-                "outcome": "",
-                "kind": kind,
-                "detail": "",
-                "probability": prob,
-                "fidelity_term": fid,
-                "mc_probability": mc_prob,
-                "mc_probability_se": None,
-                "mc_fidelity_term": mc_fid,
-                "mc_fidelity_term_se": mc.f_total_se if (mc and kind == "total") else None,
-            }
-        )
-    if fmt == "csv":
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                ["" if row[h] is None else (_fmt(row[h]) if isinstance(row[h], float) else row[h]) for h in header]
-            )
-    else:
-        for row in rows:
-            stream.write(json.dumps(row) + "\n")
+    for kind, prob, fid, mc_prob, mc_fid, mc_fid_se in totals:
+        rows.append(("", kind, "", prob, fid, mc_prob, None, mc_fid, mc_fid_se))
+    return rows
 
 
 def _transcript_sink(stream):
@@ -370,64 +307,74 @@ def _transcript_sink(stream):
     return write
 
 
-def cmd_teleport(cfg: RunConfig) -> int:
+def _workers() -> int:
+    workers = os.environ.get(WORKERS_ENV, "1")
     try:
-        channel = _resolve_channel(cfg)
+        n_workers = int(workers)
+    except ValueError:
+        n_workers = 0
+    if n_workers < 1:
+        raise _usage_error(f"{WORKERS_ENV} must be a positive integer, got {workers!r}")
+    return n_workers
+
+
+def cmd_teleport(args: argparse.Namespace) -> int:
+    _check_channel_flags(args)
+    if args.runs < 0:
+        raise _usage_error(f"--runs must be nonnegative, got {args.runs}")
+    _check_seed(args.seed)
+    n_workers = _workers()
+    _echo(
+        "command=teleport",
+        *_channel_echo(args),
+        f"strategy={args.strategy}",
+        f"corrections={args.corrections}",
+        f"runs={args.runs}",
+        f"seed={args.seed}",
+        f"format={args.fmt}",
+        f"workers={n_workers}",
+    )
+    try:
+        channel = _resolve_channel(args)
         basis = build_weyl_basis(channel.dim)
-        lam = lambda_max(channel) if cfg.lam is None else cfg.lam
+        lam = lambda_max(channel) if args.lam is None else args.lam
         base = build_conclusive_povm(channel, basis, lam)
-        if cfg.strategy == "product":
+        if args.strategy == "product":
             refined = refine_inconclusive_product(base)
         else:
             refined = refine_inconclusive_residual(base, basis)
-        exact = report(refined, channel, basis, cfg.corrections)
+        exact = report(refined, channel, basis, args.corrections)
         mc = None
-        if cfg.n_runs > 0:
-            sink = None
-            transcript_stream = None
-            if cfg.transcript is not None:
-                transcript_stream = open(cfg.transcript, "w")
-                sink = _transcript_sink(transcript_stream)
-            try:
+        if args.runs > 0:
+            with (
+                open(args.transcript, "w") if args.transcript is not None else contextlib.nullcontext()
+            ) as stream:
                 mc = simulate(
                     refined,
                     channel,
                     basis,
-                    cfg.corrections,
-                    n_runs=cfg.n_runs,
-                    rng=cfg.seed,
-                    n_workers=cfg.n_workers,
-                    transcript=sink,
+                    args.corrections,
+                    n_runs=args.runs,
+                    rng=args.seed,
+                    n_workers=n_workers,
+                    transcript=None if stream is None else _transcript_sink(stream),
                 )
-            finally:
-                if transcript_stream is not None:
-                    transcript_stream.close()
     except QTeleportError as exc:
         raise _usage_error(str(exc))
-    stream, close = _open_out(cfg.out)
-    try:
-        _write_teleport(stream, cfg.fmt, exact, mc)
-    finally:
-        if close:
-            stream.close()
+    _write_rows(args.out, args.fmt, TELEPORT_HEADER, _teleport_rows(exact, mc))
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = _parse_config(args)
-    print(f"# {cfg.echo()}", file=sys.stderr)
     try:
-        if cfg.command == "verify":
-            code = cmd_verify(cfg)
-        elif cfg.command == "figure1":
-            code = cmd_figure1(cfg)
-        else:
-            code = cmd_teleport(cfg)
+        return args.run(args)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         raise SystemExit(2)
-    return code
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 if __name__ == "__main__":

@@ -42,14 +42,6 @@ class DilationResult:
         self.u_ext.setflags(write=False)
         self.residuals.setflags(write=False)
 
-    @property
-    def joint_dim(self) -> int:
-        return self.d * self.d
-
-    @property
-    def extended_dim(self) -> int:
-        return self.joint_dim * self.ancilla_dim
-
 
 def _complete_isometry(w: np.ndarray) -> np.ndarray:
     """Extend isometry columns to a square unitary, deterministically.

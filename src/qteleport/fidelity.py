@@ -261,11 +261,11 @@ def simulate(
 
     Each run samples a Haar input, draws an outcome with its Born
     probability, applies the per-outcome correction and records the run
-    fidelity.  Runs are sharded across ``n_workers`` chunks, each owning an
-    independent generator spawned from the master seed, so the merged
-    totals are reproducible for a fixed seed and shard count.  Each shard
-    runs in blocks of ``_BLOCK_ENTRIES`` amplitudes and only per-outcome
-    sums outlive a block.  ``transcript``, if given, is called once per
+    fidelity.  Runs are sharded across ``min(n_workers, n_runs)`` chunks,
+    each owning an independent generator spawned from the master seed, so
+    the merged totals are reproducible for a fixed seed and shard count.
+    Each shard runs in blocks of ``_BLOCK_ENTRIES`` amplitudes and only
+    per-outcome sums outlive a block.  ``transcript``, if given, is called once per
     block with the columns ``run_index``, ``outcome_alpha`` and
     ``conclusive_flag`` (int arrays) and the scalar ``bits_sent``.  Any
     refined POVM works, e.g. ``dilation.realized_povm`` for the run-by-run
@@ -279,13 +279,16 @@ def simulate(
     vs = correction_unitaries(p, basis, maps, corrections)
     n_out, d, _ = maps.shape
     block = max(1, _BLOCK_ENTRIES // (n_out * d))
-    shares = [n_runs // n_workers + (1 if w < n_runs % n_workers else 0) for w in range(n_workers)]
+    # The first k children of spawn(n) equal spawn(k), so dropping the shards
+    # that would get no runs changes no result.
+    n_shards = min(n_workers, n_runs)
+    shares = [n_runs // n_shards + (1 if w < n_runs % n_shards else 0) for w in range(n_shards)]
     conclusive_flag = np.array([isinstance(t, Conclusive) for t in p.tags], dtype=np.int64)
     counts = np.zeros(n_out)
     term_sums = np.zeros(n_out)
     term_sq_sums = np.zeros(n_out)
     run_index = 0
-    for stream, share in zip(_resolve_rng(rng).spawn(n_workers), shares):
+    for stream, share in zip(_resolve_rng(rng).spawn(n_shards), shares):
         for start in range(0, share, block):
             size = min(block, share - start)
             alpha, fid = _simulate_block(maps, vs, stream, size)

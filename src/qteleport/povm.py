@@ -29,7 +29,7 @@ from typing import Union
 
 import numpy as np
 
-from .channel import SchmidtChannel, dual_states, qubit_channel_from_cos_theta
+from .channel import SchmidtChannel, dual_states
 from .errors import DecompositionError, PositivityError, ShapeError
 from .weyl import UnitaryBasis, maximally_entangled_basis
 
@@ -210,9 +210,6 @@ class ThetaPovmFamily:
             raise PositivityError(
                 f"weight {self.lam} outside [0, 1 - |cos_theta|] = [0, {bound}]"
             )
-
-    def channel(self) -> SchmidtChannel:
-        return qubit_channel_from_cos_theta(self.cos_theta_c)
 
 
 def build_theta_povm(fam: ThetaPovmFamily) -> PovmSet:

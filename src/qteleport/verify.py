@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SchmidtChannel, basis_states, dual_states, gamma_tensors, make_channel, qubit_channel_from_cos_theta
+from .channel import SchmidtChannel, basis_states, dual_states, make_channel, qubit_channel_from_cos_theta
 from .errors import QTeleportError
 from .fidelity import channel_maps, report, simulate
 from .formulas import (
@@ -75,8 +75,8 @@ def _channel_checks(d: int, basis: UnitaryBasis, rng: np.random.Generator) -> li
     states = basis_states(ch, basis)
     duals = dual_states(ch, basis)
     cross = np.max(np.abs(duals.conj() @ states.T - np.eye(d * d)))
-    tri = gamma_tensors(ch, basis)
-    modified = np.einsum("aij,ak->kij", tri.gamma_inv, states).reshape(d * d, d * d)
+    gamma_inv = duals.conj().reshape(d * d, d, d)
+    modified = np.einsum("aij,ak->kij", gamma_inv, states).reshape(d * d, d * d)
     mod_res = np.max(np.abs(modified - np.eye(d * d)))
     worst = 0.0
     for _ in range(20):

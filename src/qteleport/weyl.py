@@ -41,10 +41,6 @@ class UnitaryBasis:
             )
         self.ops.setflags(write=False)
 
-    def index_pair(self, alpha: int) -> tuple[int, int]:
-        """Map flat label alpha to the (m, n) exponent pair, alpha = m*d + n."""
-        return divmod(alpha, self.dim)
-
 
 def shift_matrix(d: int) -> np.ndarray:
     """X with X|j> = |j+1 mod d>."""

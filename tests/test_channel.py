@@ -4,7 +4,6 @@ import pytest
 from qteleport.channel import (
     basis_states,
     dual_states,
-    gamma_tensors,
     make_channel,
     qubit_channel_from_cos_theta,
 )
@@ -131,9 +130,9 @@ class TestStructuralIdentities:
         probs = rng.random(d) + 0.2
         ch = make_channel(np.sqrt(probs / probs.sum()))
         basis = build_weyl_basis(d)
-        tri = gamma_tensors(ch, basis)
         states = basis_states(ch, basis)
-        ident = np.einsum("aij,ak->kij", tri.gamma_inv, states).reshape(d * d, d * d)
+        gamma_inv = dual_states(ch, basis).conj().reshape(d * d, d, d)
+        ident = np.einsum("aij,ak->kij", gamma_inv, states).reshape(d * d, d * d)
         assert np.max(np.abs(ident - np.eye(d * d))) <= 1e-10
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -161,9 +160,10 @@ class TestStructuralIdentities:
     def test_gamma_inverse_relations(self):
         basis = build_weyl_basis(3)
         ch = make_channel(np.sqrt([0.4, 0.35, 0.25]))
-        tri = gamma_tensors(ch, basis)
-        left = np.einsum("aij,akl->ijkl", tri.gamma_inv, tri.gamma)
+        gamma = basis_states(ch, basis).reshape(9, 3, 3)
+        gamma_inv = dual_states(ch, basis).conj().reshape(9, 3, 3)
+        left = np.einsum("aij,akl->ijkl", gamma_inv, gamma)
         target = np.einsum("ik,jl->ijkl", np.eye(3), np.eye(3))
         assert np.max(np.abs(left - target)) <= 1e-10
-        right = np.einsum("aij,bij->ab", tri.gamma, tri.gamma_inv)
+        right = np.einsum("aij,bij->ab", gamma, gamma_inv)
         assert np.max(np.abs(right - np.eye(9))) <= 1e-10

@@ -3,6 +3,9 @@ import csv
 import io
 import json
 import math
+import os
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -55,6 +58,8 @@ class TestVerifyCommand:
         assert plain == seeded
         assert zero != seeded
         assert "seed=2026" in plain_err and "seed=0" in zero_err
+        # The echo lists only the settings verify reads.
+        assert plain_err == "# command=verify d=2 lambda=max seed=2026\n"
 
     def test_teleport_default_seed_is_zero(self, capsys):
         _, plain, _ = run(capsys, "teleport", "--runs", "500")
@@ -114,10 +119,59 @@ class TestUsageErrors:
         assert echo.startswith("# command=teleport")
         assert usage.startswith("usage error: dual construction needs every Schmidt coefficient positive")
 
+    @pytest.mark.parametrize("argv", [["teleport", "--seed", "-1", "--runs", "10"], ["verify", "--seed", "-1"]])
+    def test_negative_seed(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().err == "usage error: --seed must be nonnegative, got -1\n"
+
+    def test_allocation_failure_is_one_line(self, capsys):
+        # The first d x d matrix would take about 1.4 PiB, so it fails at once.
+        with pytest.raises(SystemExit) as info:
+            main(["teleport", "--d", "10000000"])
+        assert info.value.code == 2
+        echo, message = capsys.readouterr().err.splitlines()
+        assert echo.startswith("# command=teleport d=10000000 ")
+        assert message.startswith("out of memory: ")
+
     def test_unwritable_path(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["figure1", "--out", "/nonexistent-dir/fig.csv"])
         assert info.value.code == 2
+
+
+class TestSubcommandFlags:
+    CHANNEL = ["--d", "--coeffs", "--entropy", "--cos-theta-c", "--lambda"]
+    FLAGS = {
+        "verify": [*CHANNEL, "--seed"],
+        "figure1": ["--out", "--format"],
+        "teleport": [*CHANNEL, "--strategy", "--corrections", "--runs", "--seed", "--out", "--format", "--transcript"],
+    }
+
+    @pytest.mark.parametrize("command", FLAGS)
+    def test_help_lists_exactly_the_commands_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", capsys.readouterr().out))
+        assert listed == {"-h", "--help", *self.FLAGS[command]}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["figure1", "--seed", "3"], ["figure1", "--d", "3"], ["verify", "--transcript", "x"], ["verify", "--runs", "5"]],
+    )
+    def test_flag_of_another_command_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_only_teleport_reads_workers_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("QTELEPORT_WORKERS", "abc")
+        code, _, err = run(capsys, "figure1", "--format", "jsonl")
+        assert code == 0
+        assert err == "# command=figure1 format=jsonl\n"
 
 
 class TestFigure1:
@@ -290,6 +344,8 @@ class TestTeleport:
 
 COEFF = st.sampled_from([0.0, -0.0, -0.5]) | st.floats(-1.5, 1.5)
 LAMBDA_TOKEN = st.floats(-0.5, 1.5).map(repr) | st.sampled_from(["max", "nan", "inf", "-1", "lots", ""])
+WORKERS = st.sampled_from(["1", "2", "7", "0", "abc", ""])
+MISSING_DIR = "/nonexistent-dir"
 
 
 @st.composite
@@ -309,18 +365,45 @@ def teleport_argv(draw):
     argv += ["--strategy", draw(st.sampled_from(["product", "residual"]))]
     argv += ["--corrections", draw(st.sampled_from(["auto", "paper"]))]
     argv += ["--runs", str(draw(st.integers(-2, 300)))]
+    argv += ["--seed", str(draw(st.integers(-3, 2**40)))]
+    for flag in ("--out", "--transcript"):
+        if draw(st.booleans()):
+            argv += [flag, f"{MISSING_DIR}/file"]
     return argv
+
+
+@st.composite
+def figure1_argv(draw):
+    """``figure1`` command lines, at times with a flag only other commands take."""
+    argv = ["figure1", "--format", draw(st.sampled_from(["csv", "jsonl"]))]
+    if draw(st.booleans()):
+        argv += ["--out", f"{MISSING_DIR}/fig.csv"]
+    stray = draw(st.none() | st.sampled_from([["--seed", "3"], ["--d", "2"], ["--runs", "5"], ["--transcript", "t"]]))
+    return argv + (stray or [])
+
+
+def exit_code_and_stderr(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
 
 
 class TestArgvProperty:
     @settings(max_examples=80, deadline=None)
-    @given(argv=teleport_argv())
-    def test_exit_code_is_0_1_or_2(self, argv):
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
+    @given(argv=teleport_argv(), workers=WORKERS)
+    def test_exit_code_is_0_1_or_2(self, argv, workers):
+        with mock.patch.dict(os.environ, {"QTELEPORT_WORKERS": workers}):
+            code, err = exit_code_and_stderr(argv)
         assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
+        assert "Traceback" not in err
+
+    @settings(max_examples=80, deadline=None)
+    @given(argv=figure1_argv())
+    def test_figure1_exit_code_is_0_or_2(self, argv):
+        code, err = exit_code_and_stderr(argv)
+        assert code in (0, 2)
+        assert "Traceback" not in err

@@ -48,7 +48,7 @@ def test_qubit_partial_channel_exactly_fills_capacity():
     p = refine_inconclusive_product(build_conclusive_povm(ch, basis, 0.4))
     assert p.n_outcomes == 8
     dil = dilate(p, ancilla_dim=2)
-    assert dil.extended_dim == 8
+    assert dil.u_ext.shape == (8, 8)
     assert np.max(dil.residuals) <= 1e-10
     u = dil.u_ext
     assert np.max(np.abs(dagger(u) @ u - np.eye(8))) <= 1e-10
@@ -61,7 +61,7 @@ def test_qutrit_full_weight():
     assert p.n_outcomes == 18
     dil = dilate(p)
     assert dil.ancilla_dim == 3
-    assert dil.extended_dim == 27
+    assert dil.u_ext.shape == (27, 27)
     assert np.max(dil.residuals) <= 1e-10
     u = dil.u_ext
     assert np.max(np.abs(dagger(u) @ u - np.eye(27))) <= 1e-10

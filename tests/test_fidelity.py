@@ -485,6 +485,20 @@ class TestSimulate:
         assert a.f_total == b.f_total
         assert [o.probability for o in a.outcomes] == [o.probability for o in b.outcomes]
 
+    def test_surplus_workers_spawn_no_empty_shards(self):
+        basis = build_weyl_basis(2)
+        ch = qubit_channel_from_cos_theta(0.5)
+        p = refined(ch, basis, 0.2, "residual")
+        want = simulate(p, ch, basis, "auto", n_runs=3, rng=42, n_workers=3)
+        tracemalloc.start()
+        try:
+            got = simulate(p, ch, basis, "auto", n_runs=3, rng=42, n_workers=10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 2**20
+
     def test_exact_agreement_random_configs(self):
         rng = np.random.default_rng(13)
         for trial in range(10):

@@ -58,10 +58,9 @@ def test_orthogonality_invariants(d):
     assert comp_res <= 1e-10
 
 
-def test_index_pair_roundtrip():
+def test_flat_label_is_shift_then_clock_exponent():
     basis = build_weyl_basis(3)
-    assert basis.index_pair(0) == (0, 0)
-    assert basis.index_pair(5) == (1, 2)
+    # alpha = m*d + n labels X^m Z^n: 5 = 1*3 + 2.
     x, z = shift_matrix(3), clock_matrix(3)
     np.testing.assert_allclose(basis.ops[5], x @ z @ z, atol=1e-15)
 
