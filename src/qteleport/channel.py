@@ -25,14 +25,9 @@ from .weyl import UnitaryBasis
 
 @dataclass(frozen=True)
 class SchmidtChannel:
-    """Real nonnegative Schmidt coefficients of the pure channel.
-
-    ``k_min`` is the index of the smallest coefficient (lowest index on
-    ties); it controls the largest admissible conclusive weight.
-    """
+    """Real nonnegative Schmidt coefficients of the pure channel."""
 
     coeffs: np.ndarray
-    k_min: int
 
     def __post_init__(self):
         self.coeffs.setflags(write=False)
@@ -73,7 +68,7 @@ def make_channel(coeffs) -> SchmidtChannel:
             f"sum of squared coefficients is {norm_sq!r}; pass normalized coefficients"
         )
     arr = arr / np.sqrt(norm_sq)
-    return SchmidtChannel(coeffs=arr, k_min=int(np.argmin(arr)))
+    return SchmidtChannel(coeffs=arr)
 
 
 def qubit_channel_from_cos_theta(cos_theta_c: float) -> SchmidtChannel:

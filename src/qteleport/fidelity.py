@@ -13,9 +13,13 @@ over Haar-random inputs is exact through the second-moment identity
     E |<phi| X |phi>|^2 = (|Tr X|^2 + Tr(X^† X)) / (d (d + 1)),
 
 so each outcome contributes probability Tr(B^† B)/d and fidelity term
-(|Tr(V B)|^2 + Tr(B^† B)) / (d (d + 1)).  The Monte Carlo path samples the
-protocol run by run and is kept as an independent check of the same
-quantities.
+(|Tr(V B)|^2 + Tr(B^† B)) / (d (d + 1)).  The Monte Carlo path checks that
+split run by run, outcome first.  With M = B^† B = E diag(m) E^†, the first
+moment E[phi phi^†] = I/d gives the outcome marginal Tr(M)/d, and given the
+outcome phi = E c has density proportional to phi^† M phi: an eigen-index k
+drawn with weight m_k, then |c|^2 ~ Dirichlet(1, ..., 2 at k, ..., 1) with
+uniform phases.  The run fidelity |c^† G c|^2 / sum_k m_k |c_k|^2, with
+G = E^† V B E, costs O(d^2).
 """
 
 from __future__ import annotations
@@ -201,50 +205,56 @@ def transcript_bits(n_outcomes: int) -> int:
     return math.ceil(math.log2(n_outcomes)) + 1
 
 
-# Monte Carlo rounds are drawn in blocks of at most this many outcome
-# amplitudes (rounds * n_outcomes * d).  The block size is part of the
-# reproducibility contract: each block draws its real normals, imaginary
-# normals and uniforms in that order, so a different size gives different
-# runs for the same seed.
+# Monte Carlo rounds are drawn in blocks of max(1, _BLOCK_ENTRIES //
+# (n_outcomes * d)) runs.  The block size is part of the reproducibility
+# contract: each block draws one uniform per run for the outcome, one per run
+# for the eigen-index, then (runs, d + 1) standard exponentials and (runs, d)
+# phase uniforms, so a different size gives different runs for the same seed.
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _resolve_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def _draw_outcomes(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Outcome per run: the number of cumulative probabilities (total excluded) <= u.
+    """Index per run: the number of cumulative weights (total excluded) <= u.
 
-    Leaving out the last column keeps every index below n_out even when u
-    rounds up to the total.
+    ``cum`` has one row per run, shape (n, m), or one for all, shape (1, m).
+    For u = r * total with 0 <= r < 1, u stays below the total, so no zero
+    weight is ever drawn: leading ones are <= u, trailing ones equal the total.
     """
-    return (u[:, None] >= cum[:, :-1]).sum(axis=1)
+    return (u >= cum[:, :-1].T).sum(axis=0)
 
 
-def _simulate_block(
-    maps: np.ndarray, vs: np.ndarray, rng: np.random.Generator, n: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _sampling_tables(maps: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Set-up of the outcome-first draw, after checking sum_a M_a = I for M_a = B_a^† B_a.
+
+    Returns cumulative Tr(M_a), shape (1, n_out), the eigenvalues m of each M_a = E diag(m) E^†
+    (zero at rounding level) with their cumulative rows, and G_a = E^† V_a B_a E.
+    """
+    d = maps.shape[-1]
+    gram = dagger(maps) @ maps
+    residual = float(np.max(np.abs(gram.sum(axis=0) - np.eye(d))))
+    if residual > 1e-10:
+        raise ConsistencyError(f"sum of B^† B differs from the identity by {residual:.3e} > 1e-10")
+    m, e = np.linalg.eigh(gram)
+    m = np.where(m > d * np.finfo(float).eps * m[:, -1:], m, 0.0)
+    cum_w = np.cumsum(np.sum(np.abs(maps) ** 2, axis=(1, 2)))[None]
+    return cum_w, m, np.cumsum(m, axis=1), dagger(e) @ vs @ maps @ e
+
+
+def _simulate_block(tables: tuple, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Run n protocol rounds; returns (chosen outcome, run fidelity) arrays."""
-    n_out, d, _ = maps.shape
-    z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-    phi = z / np.linalg.norm(z, axis=1, keepdims=True)
-    amps = (phi @ maps.reshape(n_out * d, d).T).reshape(n, n_out, d)
-    # |amps|^2 summed over the last axis, as one reduction over (re, im) pairs.
-    pairs = amps.view(np.float64).reshape(n, n_out, 2 * d)
-    probs = np.einsum("noj,noj->no", pairs, pairs)
-    cum = np.cumsum(probs, axis=1)
-    drift = float(np.max(np.abs(cum[:, -1] - 1.0)))
-    if drift > 1e-8:
-        raise ConsistencyError(f"outcome probabilities sum to 1 +/- {drift:.3e} > 1e-8")
-    alpha = _draw_outcomes(cum, rng.random(n) * cum[:, -1])
-    rows = np.arange(n)
-    corrected = np.einsum("nij,nj->ni", vs[alpha], amps[rows, alpha])
-    overlap = np.einsum("ni,ni->n", phi.conj(), corrected)
-    fid = (overlap.real**2 + overlap.imag**2) / probs[rows, alpha]
-    return alpha, fid
+    cum_w, m, cum_m, g = tables
+    d = m.shape[1]
+    u = rng.random((2, n))
+    alpha = _draw_outcomes(cum_w, u[0] * cum_w[0, -1])
+    k = _draw_outcomes(cum_m[alpha], u[1] * cum_m[alpha, -1])
+    # Unnormalized Dirichlet(1, ..., 2 at k, ..., 1): |c|^2 = x / sum(x).
+    x = rng.standard_exponential((n, d + 1))
+    x[np.arange(n), k] += x[:, d]
+    x = x[:, :d]
+    c = np.sqrt(x) * np.exp(2j * np.pi * rng.random((n, d)))
+    overlap = np.einsum("ni,nij,nj->n", c.conj(), g[alpha], c)
+    norm = np.einsum("nk,nk->n", m[alpha], x) * x.sum(axis=1)
+    return alpha, (overlap.real**2 + overlap.imag**2) / norm
 
 
 def simulate(
@@ -259,24 +269,26 @@ def simulate(
 ) -> FidelityReport:
     """Monte Carlo protocol simulation with standard errors.
 
-    Each run samples a Haar input, draws an outcome with its Born
-    probability, applies the per-outcome correction and records the run
-    fidelity.  Runs are sharded across ``min(n_workers, n_runs)`` chunks,
-    each owning an independent generator spawned from the master seed, so
-    the merged totals are reproducible for a fixed seed and shard count.
-    Each shard runs in blocks of ``_BLOCK_ENTRIES`` amplitudes and only
-    per-outcome sums outlive a block.  ``transcript``, if given, is called once per
-    block with the columns ``run_index``, ``outcome_alpha`` and
-    ``conclusive_flag`` (int arrays) and the scalar ``bits_sent``.  Any
-    refined POVM works, e.g. ``dilation.realized_povm`` for the run-by-run
-    check of a Neumark extension.
+    Each run draws an outcome, then an input given that outcome (see the
+    module docstring), applies the per-outcome correction and records the
+    run fidelity; sum_a B_a^† B_a = I is checked to 1e-10 before any draw
+    (``ConsistencyError``).  Runs are sharded across ``min(n_workers,
+    n_runs)`` chunks, each owning an independent generator spawned from the
+    master seed, so the merged totals are reproducible for a fixed seed and
+    shard count.  Each shard runs in blocks of ``max(1, _BLOCK_ENTRIES //
+    (n_outcomes * d))`` runs and only per-outcome sums outlive a block.
+    ``transcript``, if given, is called once per block with the columns
+    ``run_index``, ``outcome_alpha`` and ``conclusive_flag`` (int arrays)
+    and the scalar ``bits_sent``.  Any refined POVM works, e.g.
+    ``dilation.realized_povm`` for the run-by-run check of a Neumark
+    extension.
     """
     if n_runs < 1:
         raise DomainError(f"need at least one run, got {n_runs}")
     if n_workers < 1:
         raise DomainError(f"need at least one worker, got {n_workers}")
     maps = channel_maps(p, ch)
-    vs = correction_unitaries(p, basis, maps, corrections)
+    tables = _sampling_tables(maps, correction_unitaries(p, basis, maps, corrections))
     n_out, d, _ = maps.shape
     block = max(1, _BLOCK_ENTRIES // (n_out * d))
     # The first k children of spawn(n) equal spawn(k), so dropping the shards
@@ -284,17 +296,13 @@ def simulate(
     n_shards = min(n_workers, n_runs)
     shares = [n_runs // n_shards + (1 if w < n_runs % n_shards else 0) for w in range(n_shards)]
     conclusive_flag = np.array([isinstance(t, Conclusive) for t in p.tags], dtype=np.int64)
-    counts = np.zeros(n_out)
-    term_sums = np.zeros(n_out)
-    term_sq_sums = np.zeros(n_out)
+    sums = np.zeros((3, n_out))  # per outcome: runs, fidelity sum, squared-fidelity sum
     run_index = 0
-    for stream, share in zip(_resolve_rng(rng).spawn(n_shards), shares):
+    for stream, share in zip(np.random.default_rng(rng).spawn(n_shards), shares):
         for start in range(0, share, block):
             size = min(block, share - start)
-            alpha, fid = _simulate_block(maps, vs, stream, size)
-            counts += np.bincount(alpha, minlength=n_out)
-            term_sums += np.bincount(alpha, weights=fid, minlength=n_out)
-            term_sq_sums += np.bincount(alpha, weights=fid * fid, minlength=n_out)
+            alpha, fid = _simulate_block(tables, stream, size)
+            sums += [np.bincount(alpha, weights=w, minlength=n_out) for w in (None, fid, fid * fid)]
             if transcript is not None:
                 transcript(
                     {
@@ -305,18 +313,15 @@ def simulate(
                     }
                 )
             run_index += size
-    n = float(n_runs)
-    probs = counts / n
-    terms = term_sums / n
-    mean = float(terms.sum())
-    var = float(term_sq_sums.sum()) / n - mean * mean
+    probs, terms, squares = sums / n_runs
+    var = float(squares.sum()) - float(terms.sum()) ** 2
     return _build_report(
         p,
         corrections,
         probs,
         terms,
-        prob_se=np.sqrt(np.maximum(probs * (1.0 - probs), 0.0) / n),
-        term_se=np.sqrt(np.maximum(term_sq_sums / n - terms * terms, 0.0) / n),
+        prob_se=np.sqrt(np.maximum(probs * (1.0 - probs), 0.0) / n_runs),
+        term_se=np.sqrt(np.maximum(squares - terms * terms, 0.0) / n_runs),
         n_runs=n_runs,
-        f_total_se=math.sqrt(max(var, 0.0) / n),
+        f_total_se=math.sqrt(max(var, 0.0) / n_runs),
     )

@@ -28,9 +28,3 @@ def test_sweep_script(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("channel cos_theta_c=0.6")
     assert len(lines) == 2 + 3
-
-
-def test_figure_script(monkeypatch, tmp_path, capsys):
-    out = tmp_path / "fig" / "figure1.csv"
-    assert run_script(monkeypatch, "make_figure1.py", str(out)) == 0
-    assert out.read_text().startswith("entropy_bits,cos_theta,fidelity_opt,is_arrow_point\n")

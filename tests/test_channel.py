@@ -19,19 +19,19 @@ def maximal(d):
 class TestMakeChannel:
     def test_maximally_entangled_qubit(self):
         ch = make_channel([1 / np.sqrt(2), 1 / np.sqrt(2)])
-        assert ch.k_min == 0  # lowest index wins the tie
+        assert np.argmin(ch.coeffs) == 0  # lowest index wins the tie
         assert np.sum(ch.probs) == pytest.approx(1.0, abs=1e-15)
 
     def test_k_min_tracks_smallest(self):
         ch = make_channel(np.sqrt([0.8, 0.2]))
-        assert ch.k_min == 1
+        assert np.argmin(ch.coeffs) == 1
 
     def test_cos_theta_parameterization(self):
         ch = qubit_channel_from_cos_theta(0.6)
         # Direct evaluation of sqrt((1 -/+ 0.6)/2).
         np.testing.assert_allclose(ch.coeffs, [np.sqrt(0.2), np.sqrt(0.8)], atol=1e-12)
         np.testing.assert_allclose(ch.coeffs, [0.4472135955, 0.8944271910], atol=1e-9)
-        assert ch.k_min == 0
+        assert np.argmin(ch.coeffs) == 0
 
     def test_rejects_negative(self):
         with pytest.raises(NormalizationError):

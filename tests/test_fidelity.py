@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qteleport.channel import make_channel, qubit_channel_from_cos_theta
-from qteleport.errors import DecompositionError, DomainError, ShapeError
+from qteleport.errors import ConsistencyError, DecompositionError, DomainError, ShapeError
 from qteleport import fidelity
 from qteleport.fidelity import (
     avg_fidelity_term,
@@ -545,7 +545,7 @@ class TestSimulate:
 
 
 def einsum_kernel(maps, vs, rng, n):
-    """The pre-GEMM Monte Carlo kernel, kept as an oracle for the blocked one."""
+    """The pre-GEMM Born-rule kernel, kept as an oracle for the GEMM one."""
     n_out, d, _ = maps.shape
     z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
     phi = z / np.linalg.norm(z, axis=1, keepdims=True)
@@ -557,10 +557,85 @@ def einsum_kernel(maps, vs, rng, n):
     return alpha, np.abs(overlap) ** 2 / probs[np.arange(n), alpha]
 
 
-def maps_and_corrections(d, strategy, corrections, seed):
+def born_rule_kernel(maps, vs, rng, n):
+    """The blocked GEMM Born-rule kernel: a Haar input first, then its outcome.
+
+    It was the library's Monte Carlo kernel before the outcome-first one and
+    stays here as the statistical oracle that checks it.
+    """
+    n_out, d, _ = maps.shape
+    z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    phi = z / np.linalg.norm(z, axis=1, keepdims=True)
+    amps = (phi @ maps.reshape(n_out * d, d).T).reshape(n, n_out, d)
+    # |amps|^2 summed over the last axis, as one reduction over (re, im) pairs.
+    pairs = amps.view(np.float64).reshape(n, n_out, 2 * d)
+    probs = np.einsum("noj,noj->no", pairs, pairs)
+    cum = np.cumsum(probs, axis=1)
+    assert np.max(np.abs(cum[:, -1] - 1.0)) <= 1e-8
+    u = rng.random(n) * cum[:, -1]
+    alpha = (u[:, None] >= cum[:, :-1]).sum(axis=1)
+    rows = np.arange(n)
+    corrected = np.einsum("nij,nj->ni", vs[alpha], amps[rows, alpha])
+    overlap = np.einsum("ni,ni->n", phi.conj(), corrected)
+    return alpha, (overlap.real**2 + overlap.imag**2) / probs[rows, alpha]
+
+
+def born_rule_estimates(maps, vs, n_runs, seed):
+    """The oracle's per-outcome probabilities and terms and its total, each with its standard error."""
+    n_out, d, _ = maps.shape
+    rng = np.random.default_rng(seed)
+    sums = np.zeros((3, n_out))
+    block = max(1, fidelity._BLOCK_ENTRIES // (n_out * d))
+    for start in range(0, n_runs, block):
+        alpha, fid = born_rule_kernel(maps, vs, rng, min(block, n_runs - start))
+        for row, weights in enumerate((None, fid, fid * fid)):
+            sums[row] += np.bincount(alpha, weights=weights, minlength=n_out)
+    probs, terms, squares = sums / n_runs
+    f_total = terms.sum()
+    return (
+        probs,
+        terms,
+        np.sqrt(probs * (1 - probs) / n_runs),
+        np.sqrt(np.maximum(squares - terms**2, 0.0) / n_runs),
+        f_total,
+        np.sqrt(max(squares.sum() - f_total**2, 0.0) / n_runs),
+    )
+
+
+def outcome_first_reference(maps, vs, rng, n):
+    """One block of the outcome-first kernel, replayed from the documented draw order.
+
+    The stream yields n outcome uniforms, n eigen-index uniforms, (n, d + 1)
+    standard exponentials and (n, d) phase uniforms.  Each run rebuilds its
+    input phi = E c and evaluates |<phi|V B phi>|^2 / |B phi|^2 with einsum
+    on the maps themselves.  Returns the outcomes, eigen-indices and run
+    fidelities.
+    """
+    n_out, d, _ = maps.shape
+    u_outcome, u_index = rng.random(n), rng.random(n)
+    expo = rng.standard_exponential((n, d + 1))
+    phases = rng.random((n, d))
+    grams = np.einsum("oki,okj->oij", maps.conj(), maps)
+    cum = np.cumsum(np.trace(grams, axis1=1, axis2=2).real)
+    alpha = np.searchsorted(cum, u_outcome * cum[-1], side="right")
+    vals, vecs = zip(*map(np.linalg.eigh, grams))
+    cum_vals = np.cumsum(np.maximum(vals, 0.0), axis=1)
+    k = np.array(
+        [np.searchsorted(cum_vals[a], u * cum_vals[a, -1], side="right") for a, u in zip(alpha, u_index)]
+    )
+    x = expo[:, :d].copy()
+    x[np.arange(n), k] += expo[:, d]
+    c = np.sqrt(x / x.sum(axis=1, keepdims=True)) * np.exp(2j * np.pi * phases)
+    phi = np.einsum("nij,nj->ni", np.array(vecs)[alpha], c)
+    out = np.einsum("nij,nj->ni", maps[alpha], phi)
+    overlap = np.einsum("ni,nij,nj->n", phi.conj(), vs[alpha], out)
+    return alpha, k, np.abs(overlap) ** 2 / np.einsum("ni,ni->n", out.conj(), out).real
+
+
+def maps_and_corrections(d, strategy, corrections, seed, share=0.8):
     basis = build_weyl_basis(d)
     ch = random_channel(d, np.random.default_rng(seed))
-    p = refined(ch, basis, 0.8 * lambda_max(ch), strategy)
+    p = refined(ch, basis, share * lambda_max(ch), strategy)
     maps = channel_maps(p, ch)
     return p, ch, basis, maps, correction_unitaries(p, basis, maps, corrections)
 
@@ -569,22 +644,56 @@ def block_size(p, d):
     return max(1, fidelity._BLOCK_ENTRIES // (p.n_outcomes * d))
 
 
+def kernel_block(maps, vs, rng, n):
+    return fidelity._simulate_block(fidelity._sampling_tables(maps, vs), rng, n)
+
+
+class TestBornRuleOracle:
+    """The outcome-first kernel against the Born-rule kernel it replaced."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_gemm_and_einsum_oracles_agree_run_by_run(self, d):
+        p, _, _, maps, vs = maps_and_corrections(d, "residual", "auto", d)
+        n = block_size(p, d)
+        alpha, fid = born_rule_kernel(maps, vs, np.random.default_rng(11), n)
+        want_alpha, want_fid = einsum_kernel(maps, vs, np.random.default_rng(11), n)
+        np.testing.assert_array_equal(alpha, want_alpha)
+        assert np.max(np.abs(fid - want_fid)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    @pytest.mark.parametrize("strategy", ["product", "residual"])
+    @pytest.mark.parametrize("corrections", ["auto", "paper"])
+    @pytest.mark.parametrize("share", [0.5, 1.0])
+    def test_kernels_agree_within_sigma(self, d, strategy, corrections, share):
+        p, ch, basis, maps, vs = maps_and_corrections(d, strategy, corrections, 80 + d, share)
+        n = 10_000
+        mc = simulate(p, ch, basis, corrections, n_runs=n, rng=d)
+        probs, terms, prob_se, term_se, f_total, f_total_se = born_rule_estimates(maps, vs, n, 90 + d)
+        assert abs(mc.f_total - f_total) <= 4 * np.hypot(mc.f_total_se, f_total_se)
+        for k, got in enumerate(mc.outcomes):
+            assert abs(got.probability - probs[k]) <= 5 * np.hypot(got.probability_se, prob_se[k])
+            assert abs(got.fidelity_term - terms[k]) <= 5 * np.hypot(got.fidelity_term_se, term_se[k])
+
+
 class TestBlockedKernel:
     @pytest.mark.parametrize(
         "d, strategy, corrections",
         [(2, "product", "paper"), (3, "residual", "auto"), (4, "residual", "paper")],
     )
     def test_single_block_matches_einsum_oracle(self, d, strategy, corrections):
+        # The oracle replays the documented draw order and evaluates every
+        # run on the maps themselves, not on the kernel's tables.
         p, _, _, maps, vs = maps_and_corrections(d, strategy, corrections, d)
         n = block_size(p, d)
-        alpha, fid = fidelity._simulate_block(maps, vs, np.random.default_rng(11), n)
-        want_alpha, want_fid = einsum_kernel(maps, vs, np.random.default_rng(11), n)
+        alpha, fid = kernel_block(maps, vs, np.random.default_rng(11), n)
+        want_alpha, _, want_fid = outcome_first_reference(maps, vs, np.random.default_rng(11), n)
         np.testing.assert_array_equal(alpha, want_alpha)
         assert np.max(np.abs(fid - want_fid)) <= 1e-12
 
     def test_blocks_follow_the_documented_draw_order(self):
         # Each shard stream is consumed block by block, every block drawing
-        # its normals and uniforms in turn; the oracle replays that order.
+        # its uniforms, exponentials and phases in turn; the oracle replays
+        # that order.
         d = 3
         p, ch, basis, maps, vs = maps_and_corrections(d, "product", "auto", 5)
         block = block_size(p, d)
@@ -594,14 +703,18 @@ class TestBlockedKernel:
         want_alpha, want_fid = [], []
         for stream, share in zip(np.random.default_rng(8).spawn(2), (n_runs - n_runs // 2, n_runs // 2)):
             for start in range(0, share, block):
-                alpha, fid = einsum_kernel(maps, vs, stream, min(block, share - start))
+                size = min(block, share - start)
+                alpha, _, fid = outcome_first_reference(maps, vs, stream, size)
                 want_alpha.append(alpha)
                 want_fid.append(fid)
         assert len(blocks) == len(want_alpha) == 6
-        np.testing.assert_array_equal(
-            np.concatenate([b["outcome_alpha"] for b in blocks]), np.concatenate(want_alpha)
-        )
-        assert rep.f_total == pytest.approx(np.concatenate(want_fid).mean(), abs=1e-12)
+        alpha = np.concatenate([b["outcome_alpha"] for b in blocks])
+        np.testing.assert_array_equal(alpha, np.concatenate(want_alpha))
+        fid = np.concatenate(want_fid)
+        assert rep.f_total == pytest.approx(fid.mean(), abs=1e-12)
+        terms = np.bincount(alpha, weights=fid, minlength=p.n_outcomes) / n_runs
+        got = np.array([o.fidelity_term for o in rep.outcomes])
+        assert np.max(np.abs(got - terms)) <= 1e-12
 
     def test_multi_block_report_is_reproducible(self):
         d = 4
@@ -634,6 +747,65 @@ class TestBlockedKernel:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_incomplete_povm_is_refused_before_any_draw(self):
+        basis = build_weyl_basis(3)
+        ch = make_channel(np.sqrt([0.5, 0.3, 0.2]))
+        p = refined(ch, basis, 0.4, "residual")
+        vectors = p.vectors.copy()
+        vectors[4] *= 1.001
+        bad = PovmSet(d=3, vectors=vectors, tags=p.tags, lam=p.lam)
+        calls = []
+        with pytest.raises(ConsistencyError, match="identity"):
+            simulate(bad, ch, basis, "auto", n_runs=100, rng=0, transcript=calls.append)
+        assert calls == []
+
+    @pytest.mark.parametrize("strategy", ["product", "residual"])
+    def test_lambda_max_draws_no_zero_outcome_or_eigen_index(self, strategy):
+        # At lambda_max the product pieces of the smallest column vanish and
+        # every residual piece loses one rank.  The coefficients fall with
+        # the index, so the vanishing product pieces are the last outcomes.
+        d = 3
+        basis = build_weyl_basis(d)
+        ch = make_channel(np.sqrt([0.5, 0.3, 0.2]))
+        p = refined(ch, basis, lambda_max(ch), strategy)
+        maps = channel_maps(p, ch)
+        vs = correction_unitaries(p, basis, maps, "auto")
+        weights = np.sum(np.abs(maps) ** 2, axis=(1, 2))
+        dead = np.flatnonzero(weights == 0)
+        cum_w, m, cum_m, _ = fidelity._sampling_tables(maps, vs)
+        if strategy == "product":
+            np.testing.assert_array_equal(dead, np.arange(2 * d * d - d, 2 * d * d))
+        else:
+            assert dead.size == 0 and np.all(m[d * d :, 0] == 0) and np.all(m[d * d :, 1] > 0)
+        # The extreme draws: r = 0 and the largest double below 1.
+        r = np.array([0.0, np.nextafter(1.0, 0.0)])
+        alpha = fidelity._draw_outcomes(cum_w, r * cum_w[0, -1])
+        assert np.all(weights[alpha] > 0) and alpha[1] == 2 * d * d - 1 - dead.size
+        for a in np.flatnonzero(weights):
+            k = fidelity._draw_outcomes(np.tile(cum_m[a], (2, 1)), r * cum_m[a, -1])
+            assert np.all(m[a, k] > 0) and k[1] == d - 1
+        # Whole runs: the kernel's eigen-indices are the reference's.
+        n = block_size(p, d)
+        alpha, fid = kernel_block(maps, vs, np.random.default_rng(3), n)
+        want_alpha, k, want_fid = outcome_first_reference(maps, vs, np.random.default_rng(3), n)
+        np.testing.assert_array_equal(alpha, want_alpha)
+        assert np.max(np.abs(fid - want_fid)) <= 1e-12
+        assert np.min(m[alpha, k]) > 1e-12 and not np.isin(alpha, dead).any()
+        blocks = []
+        mc = simulate(p, ch, basis, "auto", n_runs=20_000, rng=6, transcript=blocks.append)
+        assert not np.isin(np.concatenate([b["outcome_alpha"] for b in blocks]), dead).any()
+        assert all(np.isfinite(o.fidelity_term) for o in mc.outcomes)
+        assert abs(mc.f_total - report(p, ch, basis, "auto").f_total) <= 4 * mc.f_total_se
+
+    @pytest.mark.parametrize("strategy", ["product", "residual"])
+    @pytest.mark.parametrize("share", [0.5, 1.0])
+    def test_near_singular_channel(self, strategy, share):
+        basis = build_weyl_basis(3)
+        ch = make_channel(np.sqrt([0.6, 0.4 - 1e-8, 1e-8]))
+        p = refined(ch, basis, share * lambda_max(ch), strategy)
+        mc = simulate(p, ch, basis, "auto", n_runs=20_000, rng=12)
+        assert abs(mc.f_total - report(p, ch, basis, "auto").f_total) <= 4 * mc.f_total_se
 
     def test_draw_at_the_total_picks_the_last_outcome(self):
         probs = np.array([[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25]])

@@ -219,7 +219,7 @@ class TestProductRefinement:
             if isinstance(t, InconclusiveProduct) and np.max(np.abs(el)) <= 1e-14
         ]
         assert len(zero_weights) == 3
-        assert all(t.j == ch.k_min for t in zero_weights)
+        assert all(t.j == np.argmin(ch.coeffs) for t in zero_weights)
 
     def test_completeness_preserved(self):
         basis = build_weyl_basis(2)
