@@ -207,19 +207,19 @@ def _write_rows(path: str | None, fmt: str, header: tuple[str, ...], rows: list[
 def cmd_verify(args: argparse.Namespace) -> int:
     # A given --d or --coeffs limits the battery to that one dimension.
     d_explicit = args.d is not None or args.coeffs is not None
+    # Any channel flag picks teleport's channel; none, the cos_theta_c = 0.6 qubit.
+    channel_given = d_explicit or args.entropy is not None or args.cos_theta_c is not None
     _check_channel_flags(args)
     _check_seed(args.seed)
     _echo("command=verify", *_channel_echo(args), f"seed={args.seed}")
     try:
-        channel = _resolve_channel(args) if any(
-            x is not None for x in (args.coeffs, args.entropy, args.cos_theta_c)
-        ) else qubit_channel_from_cos_theta(0.6)
+        channel = _resolve_channel(args) if channel_given else qubit_channel_from_cos_theta(0.6)
     except QTeleportError as exc:
         raise _usage_error(str(exc))
     results = run_battery(
         dims=(args.d,) if d_explicit else (2, 3),
         seed=args.seed,
-        configured=(channel.dim, channel, args.lam),
+        configured=(channel, args.lam),
     )
     width = max(len(r.name) for r in results)
     failed = 0

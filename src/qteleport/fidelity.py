@@ -34,7 +34,7 @@ from .channel import SchmidtChannel
 from .errors import ConsistencyError, DecompositionError, DomainError, ShapeError
 from .linalg import dagger
 from .povm import Conclusive, InconclusiveProduct, InconclusiveResidual, PovmSet, Tag
-from .weyl import UnitaryBasis, shift_matrix
+from .weyl import UnitaryBasis
 
 
 def avg_fidelity_term(b: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +150,8 @@ def correction_unitaries(
         if isinstance(tag, (Conclusive, InconclusiveResidual)):
             vs[k] = basis.ops[tag.alpha]
         elif isinstance(tag, InconclusiveProduct):
-            vs[k] = np.linalg.matrix_power(shift_matrix(d), (tag.i - tag.j) % d)
+            # X^m, the identity rolled down by m rows (see weyl.shift_matrix).
+            vs[k] = np.roll(np.eye(d, dtype=complex), (tag.i - tag.j) % d, axis=0)
         else:
             raise DecompositionError("fixed corrections need a refined POVM")
     return vs
@@ -205,11 +206,10 @@ def transcript_bits(n_outcomes: int) -> int:
     return math.ceil(math.log2(n_outcomes)) + 1
 
 
-# Monte Carlo rounds are drawn in blocks of max(1, _BLOCK_ENTRIES //
-# (n_outcomes * d)) runs.  The block size is part of the reproducibility
-# contract: each block draws one uniform per run for the outcome, one per run
-# for the eigen-index, then (runs, d + 1) standard exponentials and (runs, d)
-# phase uniforms, so a different size gives different runs for the same seed.
+# Monte Carlo rounds run in blocks of max(1, _BLOCK_ENTRIES // (n_outcomes *
+# d)) runs.  The size bounds memory and transcript calls, nothing else: run r
+# of a shard reads row r of its (runs, 2d + 3) uniforms, numpy fills them in
+# C order, and the sums add runs in order, so any size gives the same report.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -241,17 +241,17 @@ def _sampling_tables(maps: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, ...]
 
 
 def _simulate_block(tables: tuple, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Run n protocol rounds; returns (chosen outcome, run fidelity) arrays."""
+    """Run n protocol rounds, one row of 2d + 3 uniforms each; returns (outcome, fidelity) arrays."""
     cum_w, m, cum_m, g = tables
     d = m.shape[1]
-    u = rng.random((2, n))
-    alpha = _draw_outcomes(cum_w, u[0] * cum_w[0, -1])
-    k = _draw_outcomes(cum_m[alpha], u[1] * cum_m[alpha, -1])
-    # Unnormalized Dirichlet(1, ..., 2 at k, ..., 1): |c|^2 = x / sum(x).
-    x = rng.standard_exponential((n, d + 1))
+    u = rng.random((n, 2 * d + 3))
+    alpha = _draw_outcomes(cum_w, u[:, 0] * cum_w[0, -1])
+    k = _draw_outcomes(cum_m[alpha], u[:, 1] * cum_m[alpha, -1])
+    # Unnormalized Dirichlet(1, ..., 2 at k, ..., 1) from d + 1 exponentials: |c|^2 = x / sum(x).
+    x = -np.log1p(-u[:, 2 : d + 3])
     x[np.arange(n), k] += x[:, d]
     x = x[:, :d]
-    c = np.sqrt(x) * np.exp(2j * np.pi * rng.random((n, d)))
+    c = np.sqrt(x) * np.exp(2j * np.pi * u[:, d + 3 :])
     overlap = np.einsum("ni,nij,nj->n", c.conj(), g[alpha], c)
     norm = np.einsum("nk,nk->n", m[alpha], x) * x.sum(axis=1)
     return alpha, (overlap.real**2 + overlap.imag**2) / norm
@@ -275,8 +275,9 @@ def simulate(
     (``ConsistencyError``).  Runs are sharded across ``min(n_workers,
     n_runs)`` chunks, each owning an independent generator spawned from the
     master seed, so the merged totals are reproducible for a fixed seed and
-    shard count.  Each shard runs in blocks of ``max(1, _BLOCK_ENTRIES //
-    (n_outcomes * d))`` runs and only per-outcome sums outlive a block.
+    shard count.  Each shard runs in blocks that bound memory (see
+    ``_BLOCK_ENTRIES``); only per-outcome sums, added in run order, outlive
+    a block, so the block size changes no result.
     ``transcript``, if given, is called once per block with the columns
     ``run_index``, ``outcome_alpha`` and ``conclusive_flag`` (int arrays)
     and the scalar ``bits_sent``.  Any refined POVM works, e.g.
@@ -302,7 +303,9 @@ def simulate(
         for start in range(0, share, block):
             size = min(block, share - start)
             alpha, fid = _simulate_block(tables, stream, size)
-            sums += [np.bincount(alpha, weights=w, minlength=n_out) for w in (None, fid, fid * fid)]
+            sums[0] += np.bincount(alpha, minlength=n_out)
+            np.add.at(sums[1], alpha, fid)
+            np.add.at(sums[2], alpha, fid * fid)
             if transcript is not None:
                 transcript(
                     {

@@ -330,9 +330,8 @@ def _strategy_discrepancy() -> list[CheckResult]:
     ]
 
 
-def _configured_checks(
-    d: int, channel: SchmidtChannel, lam: float | None
-) -> list[CheckResult]:
+def _configured_checks(channel: SchmidtChannel, lam: float | None) -> list[CheckResult]:
+    d = channel.dim
     basis = build_weyl_basis(d)
     value = lambda_max(channel) if lam is None else lam
     name = f"configured channel d={d} lam={value:g} positivity"
@@ -344,7 +343,8 @@ def _configured_checks(
     comp = float(np.max(np.abs(p.elements.sum(axis=0) - eye)))
     psd = -min(float(np.linalg.eigvalsh(el)[0]) for el in p.elements)
     return [
-        _check(name, max(psd, 0.0), 1e-10),
+        # 0.0 first: max keeps the first of equal values, so -0.0 never prints.
+        _check(name, max(0.0, psd), 1e-10),
         _check(f"configured channel d={d} completeness", comp, 1e-10),
     ]
 
@@ -353,7 +353,7 @@ def run_battery(
     dims: tuple[int, ...] = (2, 3),
     n_channels: int = 5,
     seed: int = 2026,
-    configured: tuple[int, SchmidtChannel, float | None] | None = None,
+    configured: tuple[SchmidtChannel, float | None] | None = None,
 ) -> list[CheckResult]:
     """Run the full invariant battery and return one result row per check."""
     rng = np.random.default_rng(seed)

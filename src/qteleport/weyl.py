@@ -43,11 +43,8 @@ class UnitaryBasis:
 
 
 def shift_matrix(d: int) -> np.ndarray:
-    """X with X|j> = |j+1 mod d>."""
-    x = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        x[(j + 1) % d, j] = 1.0
-    return x
+    """X with X|j> = |j+1 mod d>: the identity with its rows rolled down by one."""
+    return np.roll(np.eye(d, dtype=complex), 1, axis=0)
 
 
 def clock_matrix(d: int) -> np.ndarray:

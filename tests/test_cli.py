@@ -61,6 +61,19 @@ class TestVerifyCommand:
         # The echo lists only the settings verify reads.
         assert plain_err == "# command=verify d=2 lambda=max seed=2026\n"
 
+    def test_d_flag_checks_a_channel_of_that_dimension(self, capsys):
+        # The maximally entangled qutrit channel, as teleport --d 3 uses.
+        code, out, _ = run(capsys, "verify", "--d", "3")
+        assert code == 0
+        assert "configured channel d=3 lam=1 positivity" in out
+        assert "configured channel d=2" not in out
+
+    @pytest.mark.parametrize("argv", [[], ["--coeffs", "0.6,0.8"], ["--d", "3"]])
+    def test_no_negative_zero_residual(self, capsys, argv):
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 0
+        assert "-0.000e+00" not in out
+
     def test_teleport_default_seed_is_zero(self, capsys):
         _, plain, _ = run(capsys, "teleport", "--runs", "500")
         _, zero, _ = run(capsys, "teleport", "--runs", "500", "--seed", "0")

@@ -25,6 +25,7 @@ from qteleport.formulas import (
 from qteleport.linalg import dagger, haar_random_ket, haar_random_unitary
 from qteleport.povm import (
     Conclusive,
+    InconclusiveProduct,
     InconclusiveResidual,
     PovmSet,
     Remainder,
@@ -33,7 +34,7 @@ from qteleport.povm import (
     refine_inconclusive_product,
     refine_inconclusive_residual,
 )
-from qteleport.weyl import build_weyl_basis, conjugated_basis
+from qteleport.weyl import build_weyl_basis, conjugated_basis, shift_matrix
 
 
 def random_channel(d, rng):
@@ -322,6 +323,19 @@ class TestExactReport:
             t_fixed = abs(np.trace(fixed[k] @ maps[k]))
             assert t_fixed == pytest.approx(t_auto, abs=1e-10)
 
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_paper_shift_corrections_equal_matrix_power_oracle(self, d):
+        # Bit for bit, signed zeros included: X^(i - j) for product outcome (i, j).
+        basis = build_weyl_basis(d)
+        ch = random_channel(d, np.random.default_rng(d))
+        p = refined(ch, basis, 0.5 * lambda_max(ch), "product")
+        vs = correction_unitaries(p, basis, channel_maps(p, ch), "paper")
+        shifts = [(k, t) for k, t in enumerate(p.tags) if isinstance(t, InconclusiveProduct)]
+        assert len(shifts) == d * d
+        for k, tag in shifts:
+            want = np.linalg.matrix_power(shift_matrix(d), (tag.i - tag.j) % d)
+            assert vs[k].tobytes() == want.tobytes()
+
 
 def loop_optimal_correction(b):
     """The per-matrix correction with a column loop, kept as an oracle for the stacked one."""
@@ -580,12 +594,17 @@ def born_rule_kernel(maps, vs, rng, n):
     return alpha, (overlap.real**2 + overlap.imag**2) / probs[rows, alpha]
 
 
+def oracle_block(n_out, d):
+    """Runs per block of the Born-rule oracle: 2**16 of its n_out * d amplitudes per run."""
+    return max(1, (1 << 16) // (n_out * d))
+
+
 def born_rule_estimates(maps, vs, n_runs, seed):
     """The oracle's per-outcome probabilities and terms and its total, each with its standard error."""
     n_out, d, _ = maps.shape
     rng = np.random.default_rng(seed)
     sums = np.zeros((3, n_out))
-    block = max(1, fidelity._BLOCK_ENTRIES // (n_out * d))
+    block = oracle_block(n_out, d)
     for start in range(0, n_runs, block):
         alpha, fid = born_rule_kernel(maps, vs, rng, min(block, n_runs - start))
         for row, weights in enumerate((None, fid, fid * fid)):
@@ -603,18 +622,19 @@ def born_rule_estimates(maps, vs, n_runs, seed):
 
 
 def outcome_first_reference(maps, vs, rng, n):
-    """One block of the outcome-first kernel, replayed from the documented draw order.
+    """n runs of the outcome-first kernel, replayed from the documented rows.
 
-    The stream yields n outcome uniforms, n eigen-index uniforms, (n, d + 1)
-    standard exponentials and (n, d) phase uniforms.  Each run rebuilds its
-    input phi = E c and evaluates |<phi|V B phi>|^2 / |B phi|^2 with einsum
-    on the maps themselves.  Returns the outcomes, eigen-indices and run
-    fidelities.
+    Run r reads row r of the stream's next (n, 2d + 3) uniforms: the outcome,
+    the eigen-index, d + 1 exponentials -log(1 - u) for the squared moduli
+    and d phases.  Each run rebuilds its input phi = E c and evaluates
+    |<phi|V B phi>|^2 / |B phi|^2 with einsum on the maps themselves.
+    Returns the outcomes, eigen-indices and run fidelities.
     """
     n_out, d, _ = maps.shape
-    u_outcome, u_index = rng.random(n), rng.random(n)
-    expo = rng.standard_exponential((n, d + 1))
-    phases = rng.random((n, d))
+    rows = rng.random((n, 2 * d + 3))
+    u_outcome, u_index = rows[:, 0], rows[:, 1]
+    expo = -np.log1p(-rows[:, 2 : d + 3])
+    phases = rows[:, d + 3 :]
     grams = np.einsum("oki,okj->oij", maps.conj(), maps)
     cum = np.cumsum(np.trace(grams, axis1=1, axis2=2).real)
     alpha = np.searchsorted(cum, u_outcome * cum[-1], side="right")
@@ -640,10 +660,6 @@ def maps_and_corrections(d, strategy, corrections, seed, share=0.8):
     return p, ch, basis, maps, correction_unitaries(p, basis, maps, corrections)
 
 
-def block_size(p, d):
-    return max(1, fidelity._BLOCK_ENTRIES // (p.n_outcomes * d))
-
-
 def kernel_block(maps, vs, rng, n):
     return fidelity._simulate_block(fidelity._sampling_tables(maps, vs), rng, n)
 
@@ -654,7 +670,7 @@ class TestBornRuleOracle:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_gemm_and_einsum_oracles_agree_run_by_run(self, d):
         p, _, _, maps, vs = maps_and_corrections(d, "residual", "auto", d)
-        n = block_size(p, d)
+        n = oracle_block(p.n_outcomes, d)
         alpha, fid = born_rule_kernel(maps, vs, np.random.default_rng(11), n)
         want_alpha, want_fid = einsum_kernel(maps, vs, np.random.default_rng(11), n)
         np.testing.assert_array_equal(alpha, want_alpha)
@@ -683,31 +699,28 @@ class TestBlockedKernel:
     def test_single_block_matches_einsum_oracle(self, d, strategy, corrections):
         # The oracle replays the documented draw order and evaluates every
         # run on the maps themselves, not on the kernel's tables.
-        p, _, _, maps, vs = maps_and_corrections(d, strategy, corrections, d)
-        n = block_size(p, d)
+        _, _, _, maps, vs = maps_and_corrections(d, strategy, corrections, d)
+        n = 2_000
         alpha, fid = kernel_block(maps, vs, np.random.default_rng(11), n)
         want_alpha, _, want_fid = outcome_first_reference(maps, vs, np.random.default_rng(11), n)
         np.testing.assert_array_equal(alpha, want_alpha)
         assert np.max(np.abs(fid - want_fid)) <= 1e-12
 
-    def test_blocks_follow_the_documented_draw_order(self):
-        # Each shard stream is consumed block by block, every block drawing
-        # its uniforms, exponentials and phases in turn; the oracle replays
-        # that order.
+    def test_blocks_follow_the_documented_draw_order(self, monkeypatch):
+        # Run r of a shard reads row r of the shard stream's uniforms, so a
+        # shard cut into several blocks replays as one draw of all its rows.
         d = 3
         p, ch, basis, maps, vs = maps_and_corrections(d, "product", "auto", 5)
-        block = block_size(p, d)
-        n_runs = 5 * block + 37
+        monkeypatch.setattr(fidelity, "_BLOCK_ENTRIES", 1 << 12)
+        n_runs = 487
         blocks = []
         rep = simulate(p, ch, basis, "auto", n_runs=n_runs, rng=8, n_workers=2, transcript=blocks.append)
         want_alpha, want_fid = [], []
         for stream, share in zip(np.random.default_rng(8).spawn(2), (n_runs - n_runs // 2, n_runs // 2)):
-            for start in range(0, share, block):
-                size = min(block, share - start)
-                alpha, _, fid = outcome_first_reference(maps, vs, stream, size)
-                want_alpha.append(alpha)
-                want_fid.append(fid)
-        assert len(blocks) == len(want_alpha) == 6
+            alpha, _, fid = outcome_first_reference(maps, vs, stream, share)
+            want_alpha.append(alpha)
+            want_fid.append(fid)
+        assert len(blocks) >= 6
         alpha = np.concatenate([b["outcome_alpha"] for b in blocks])
         np.testing.assert_array_equal(alpha, np.concatenate(want_alpha))
         fid = np.concatenate(want_fid)
@@ -719,7 +732,7 @@ class TestBlockedKernel:
     def test_multi_block_report_is_reproducible(self):
         d = 4
         p, ch, basis, maps, vs = maps_and_corrections(d, "residual", "auto", 9)
-        n_runs = 3 * block_size(p, d) + 101
+        n_runs = 1637
         a = simulate(p, ch, basis, "auto", n_runs=n_runs, rng=21, n_workers=3)
         b = simulate(p, ch, basis, "auto", n_runs=n_runs, rng=21, n_workers=3)
         assert a == b
@@ -786,7 +799,7 @@ class TestBlockedKernel:
             k = fidelity._draw_outcomes(np.tile(cum_m[a], (2, 1)), r * cum_m[a, -1])
             assert np.all(m[a, k] > 0) and k[1] == d - 1
         # Whole runs: the kernel's eigen-indices are the reference's.
-        n = block_size(p, d)
+        n = 2_000
         alpha, fid = kernel_block(maps, vs, np.random.default_rng(3), n)
         want_alpha, k, want_fid = outcome_first_reference(maps, vs, np.random.default_rng(3), n)
         np.testing.assert_array_equal(alpha, want_alpha)
@@ -806,6 +819,31 @@ class TestBlockedKernel:
         p = refined(ch, basis, share * lambda_max(ch), strategy)
         mc = simulate(p, ch, basis, "auto", n_runs=20_000, rng=12)
         assert abs(mc.f_total - report(p, ch, basis, "auto").f_total) <= 4 * mc.f_total_se
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    @pytest.mark.parametrize("strategy", ["product", "residual"])
+    @pytest.mark.parametrize("corrections", ["auto", "paper"])
+    @pytest.mark.parametrize("share", [0.5, 1.0])
+    @pytest.mark.parametrize("n_workers", [1, 3])
+    def test_results_do_not_depend_on_block_size(
+        self, monkeypatch, d, strategy, corrections, share, n_workers
+    ):
+        # From one run per block to a whole shard per block: the same runs,
+        # the same transcript columns and a bit-identical report.
+        p, ch, basis, _, _ = maps_and_corrections(d, strategy, corrections, 30 + d, share)
+        results = []
+        for entries in (1, 1 << 9, fidelity._BLOCK_ENTRIES, 1 << 30):
+            monkeypatch.setattr(fidelity, "_BLOCK_ENTRIES", entries)
+            blocks = []
+            rep = simulate(p, ch, basis, corrections, 300, 17, n_workers, blocks.append)
+            keys = ("run_index", "outcome_alpha", "conclusive_flag")
+            cols = [np.concatenate([b[k] for b in blocks]) for k in keys]
+            results.append((len(blocks), rep, cols))
+        assert results[0][0] == 300 and results[-1][0] == n_workers
+        for _, rep, cols in results[1:]:
+            assert rep == results[0][1]
+            for got, want in zip(cols, results[0][2]):
+                np.testing.assert_array_equal(got, want)
 
     def test_draw_at_the_total_picks_the_last_outcome(self):
         probs = np.array([[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25]])

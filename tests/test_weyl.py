@@ -65,6 +65,14 @@ def test_flat_label_is_shift_then_clock_exponent():
     np.testing.assert_allclose(basis.ops[5], x @ z @ z, atol=1e-15)
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+def test_shift_matrix_is_bit_identical_to_loop_oracle(d):
+    want = np.zeros((d, d), dtype=complex)
+    for j in range(d):
+        want[(j + 1) % d, j] = 1.0
+    assert shift_matrix(d).tobytes() == want.tobytes()
+
+
 def test_rebuild_is_bit_identical():
     a = build_weyl_basis(4)
     b = build_weyl_basis(4)
