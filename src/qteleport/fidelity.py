@@ -18,8 +18,12 @@ split run by run, outcome first.  With M = B^† B = E diag(m) E^†, the first
 moment E[phi phi^†] = I/d gives the outcome marginal Tr(M)/d, and given the
 outcome phi = E c has density proportional to phi^† M phi: an eigen-index k
 drawn with weight m_k, then |c|^2 ~ Dirichlet(1, ..., 2 at k, ..., 1) with
-uniform phases.  The run fidelity |c^† G c|^2 / sum_k m_k |c_k|^2, with
-G = E^† V B E, costs O(d^2).
+uniform phases.  The run fidelity is |c^† G c|^2 / sum_k m_k |c_k|^2, with
+G = E^† V B E.  The optimal V is the adjoint polar factor of B, so V B =
+(B^† B)^{1/2} = E diag(sqrt m) E^† and G is diagonal, as it is for the
+paper's fixed corrections on both refinements.  Since c^† G c = sum_k G_kk
+|c_k|^2 + c^† K c, the phases enter only through the off-diagonal part K: a
+run costs O(d), plus O(L^2) on the L indices that a nonzero K touches.
 """
 
 from __future__ import annotations
@@ -206,11 +210,13 @@ def transcript_bits(n_outcomes: int) -> int:
     return math.ceil(math.log2(n_outcomes)) + 1
 
 
-# Monte Carlo rounds run in blocks of max(1, _BLOCK_ENTRIES // (n_outcomes *
-# d)) runs.  The size bounds memory and transcript calls, nothing else: run r
-# of a shard reads row r of its (runs, 2d + 3) uniforms, numpy fills them in
-# C order, and the sums add runs in order, so any size gives the same report.
-_BLOCK_ENTRIES = 1 << 16
+# Monte Carlo rounds run in blocks of max(1, _BLOCK_ENTRIES // d**2) runs,
+# room for each run's copy of K (see the module docstring), which is empty
+# when G is diagonal.  The size bounds memory and transcript calls, nothing
+# else: run r of a shard reads row r of its (runs, 2d + 3) uniforms, numpy
+# fills them in C order and the sums add runs in order, so any size gives the
+# same report.
+_BLOCK_ENTRIES = 1 << 14
 
 
 def _draw_outcomes(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -220,14 +226,16 @@ def _draw_outcomes(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     For u = r * total with 0 <= r < 1, u stays below the total, so no zero
     weight is ever drawn: leading ones are <= u, trailing ones equal the total.
     """
-    return (u >= cum[:, :-1].T).sum(axis=0)
+    return (u[:, None] >= cum[:, :-1]).sum(axis=1)
 
 
 def _sampling_tables(maps: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, ...]:
     """Set-up of the outcome-first draw, after checking sum_a M_a = I for M_a = B_a^† B_a.
 
-    Returns cumulative Tr(M_a), shape (1, n_out), the eigenvalues m of each M_a = E diag(m) E^†
-    (zero at rounding level) with their cumulative rows, and G_a = E^† V_a B_a E.
+    Returns cumulative Tr(M_a), the eigenvalues m of each M_a = E diag(m) E^†
+    (zero at rounding level) with their cumulative rows, diag(G_a) for
+    G_a = E^† V_a B_a E, the indices ``live`` that any nonzero entry of the
+    off-diagonal parts K_a touches, and K_a restricted to ``live``.
     """
     d = maps.shape[-1]
     gram = dagger(maps) @ maps
@@ -235,24 +243,35 @@ def _sampling_tables(maps: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, ...]
     if residual > 1e-10:
         raise ConsistencyError(f"sum of B^† B differs from the identity by {residual:.3e} > 1e-10")
     m, e = np.linalg.eigh(gram)
-    m = np.where(m > d * np.finfo(float).eps * m[:, -1:], m, 0.0)
-    cum_w = np.cumsum(np.sum(np.abs(maps) ** 2, axis=(1, 2)))[None]
-    return cum_w, m, np.cumsum(m, axis=1), dagger(e) @ vs @ maps @ e
+    floor = d * np.finfo(float).eps
+    m = np.where(m > floor * m[:, -1:], m, 0.0)
+    k = dagger(e) @ vs @ maps @ e
+    g_diag = np.diagonal(k, axis1=1, axis2=2).copy()
+    # K_a = G_a - diag(G_a) is zero in exact arithmetic for the CLI's POVMs;
+    # what the products leave is rounding, floored as m is.
+    scale = floor * np.abs(k).max(axis=(1, 2), keepdims=True)
+    k[:, np.arange(d), np.arange(d)] = 0.0
+    k[np.abs(k) <= scale] = 0.0
+    live = np.flatnonzero((k != 0).any(axis=(0, 1)) | (k != 0).any(axis=(0, 2)))
+    cum_w = np.cumsum(np.sum(np.abs(maps) ** 2, axis=(1, 2)))
+    return cum_w, m, np.cumsum(m, axis=1), g_diag, live, k[:, live[:, None], live]
 
 
 def _simulate_block(tables: tuple, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Run n protocol rounds, one row of 2d + 3 uniforms each; returns (outcome, fidelity) arrays."""
-    cum_w, m, cum_m, g = tables
+    cum_w, m, cum_m, g_diag, live, k_live = tables
     d = m.shape[1]
     u = rng.random((n, 2 * d + 3))
-    alpha = _draw_outcomes(cum_w, u[:, 0] * cum_w[0, -1])
+    alpha = np.searchsorted(cum_w[:-1], u[:, 0] * cum_w[-1], side="right")
     k = _draw_outcomes(cum_m[alpha], u[:, 1] * cum_m[alpha, -1])
     # Unnormalized Dirichlet(1, ..., 2 at k, ..., 1) from d + 1 exponentials: |c|^2 = x / sum(x).
     x = -np.log1p(-u[:, 2 : d + 3])
     x[np.arange(n), k] += x[:, d]
     x = x[:, :d]
-    c = np.sqrt(x) * np.exp(2j * np.pi * u[:, d + 3 :])
-    overlap = np.einsum("ni,nij,nj->n", c.conj(), g[alpha], c)
+    overlap = np.einsum("nk,nk->n", g_diag[alpha], x)
+    if live.size:
+        c = np.sqrt(x[:, live]) * np.exp(2j * np.pi * u[:, d + 3 + live])
+        overlap += np.einsum("ni,nij,nj->n", c.conj(), k_live[alpha], c)
     norm = np.einsum("nk,nk->n", m[alpha], x) * x.sum(axis=1)
     return alpha, (overlap.real**2 + overlap.imag**2) / norm
 
@@ -291,7 +310,7 @@ def simulate(
     maps = channel_maps(p, ch)
     tables = _sampling_tables(maps, correction_unitaries(p, basis, maps, corrections))
     n_out, d, _ = maps.shape
-    block = max(1, _BLOCK_ENTRIES // (n_out * d))
+    block = max(1, _BLOCK_ENTRIES // (d * d))
     # The first k children of spawn(n) equal spawn(k), so dropping the shards
     # that would get no runs changes no result.
     n_shards = min(n_workers, n_runs)

@@ -538,7 +538,7 @@ class TestSimulate:
         p = refined(ch, basis, 0.4, "product")
         blocks = []
         simulate(p, ch, basis, "paper", n_runs=10_000, rng=1, transcript=blocks.append)
-        # 8 outcomes x d=2 amplitudes per run: 4096 runs per block.
+        # 2**14 entries over d**2 = 4 per run: 4096 runs per block.
         assert [len(b["run_index"]) for b in blocks] == [4096, 4096, 1808]
         assert transcript_bits(p.n_outcomes) == 4  # ceil(log2(8)) + 1
         for b in blocks:
@@ -627,7 +627,10 @@ def outcome_first_reference(maps, vs, rng, n):
     Run r reads row r of the stream's next (n, 2d + 3) uniforms: the outcome,
     the eigen-index, d + 1 exponentials -log(1 - u) for the squared moduli
     and d phases.  Each run rebuilds its input phi = E c and evaluates
-    |<phi|V B phi>|^2 / |B phi|^2 with einsum on the maps themselves.
+    |<phi|V B phi>|^2 / |B phi|^2 with einsum on the maps themselves.  E
+    comes from the kernel's batched eigh of B^† B: where M has a degenerate
+    eigenspace (conclusive elements have M proportional to I), another eigh
+    call may return other eigenvectors and so another input phi.
     Returns the outcomes, eigen-indices and run fidelities.
     """
     n_out, d, _ = maps.shape
@@ -638,7 +641,7 @@ def outcome_first_reference(maps, vs, rng, n):
     grams = np.einsum("oki,okj->oij", maps.conj(), maps)
     cum = np.cumsum(np.trace(grams, axis1=1, axis2=2).real)
     alpha = np.searchsorted(cum, u_outcome * cum[-1], side="right")
-    vals, vecs = zip(*map(np.linalg.eigh, grams))
+    vals, vecs = np.linalg.eigh(dagger(maps) @ maps)
     cum_vals = np.cumsum(np.maximum(vals, 0.0), axis=1)
     k = np.array(
         [np.searchsorted(cum_vals[a], u * cum_vals[a, -1], side="right") for a, u in zip(alpha, u_index)]
@@ -646,18 +649,40 @@ def outcome_first_reference(maps, vs, rng, n):
     x = expo[:, :d].copy()
     x[np.arange(n), k] += expo[:, d]
     c = np.sqrt(x / x.sum(axis=1, keepdims=True)) * np.exp(2j * np.pi * phases)
-    phi = np.einsum("nij,nj->ni", np.array(vecs)[alpha], c)
+    phi = np.einsum("nij,nj->ni", vecs[alpha], c)
     out = np.einsum("nij,nj->ni", maps[alpha], phi)
     overlap = np.einsum("ni,nij,nj->n", phi.conj(), vs[alpha], out)
     return alpha, k, np.abs(overlap) ** 2 / np.einsum("ni,ni->n", out.conj(), out).real
 
 
 def maps_and_corrections(d, strategy, corrections, seed, share=0.8):
+    """Maps and corrections of a refined POVM on a seeded random channel.
+
+    Strategy "rotated" is the residual refinement with every vector
+    multiplied by kron(Q, I), Q a seeded Haar unitary: still a complete
+    rank-one POVM, but one whose G_a = E^† V_a B_a E is not diagonal, so
+    runs take the kernel's off-diagonal path.
+    """
     basis = build_weyl_basis(d)
-    ch = random_channel(d, np.random.default_rng(seed))
-    p = refined(ch, basis, share * lambda_max(ch), strategy)
+    rng = np.random.default_rng(seed)
+    ch = random_channel(d, rng)
+    p = refined(ch, basis, share * lambda_max(ch), "residual" if strategy == "rotated" else strategy)
+    if strategy == "rotated":
+        rotation = np.kron(haar_random_unitary(d, rng), np.eye(d))
+        p = PovmSet(d=d, vectors=p.vectors @ rotation.T, tags=p.tags, lam=p.lam)
     maps = channel_maps(p, ch)
     return p, ch, basis, maps, correction_unitaries(p, basis, maps, corrections)
+
+
+class FixedRows:
+    """Stand-in generator whose ``random`` hands out preset rows of uniforms."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def random(self, shape):
+        assert shape == self.rows.shape
+        return self.rows
 
 
 def kernel_block(maps, vs, rng, n):
@@ -677,7 +702,7 @@ class TestBornRuleOracle:
         assert np.max(np.abs(fid - want_fid)) <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8])
-    @pytest.mark.parametrize("strategy", ["product", "residual"])
+    @pytest.mark.parametrize("strategy", ["product", "residual", "rotated"])
     @pytest.mark.parametrize("corrections", ["auto", "paper"])
     @pytest.mark.parametrize("share", [0.5, 1.0])
     def test_kernels_agree_within_sigma(self, d, strategy, corrections, share):
@@ -694,12 +719,21 @@ class TestBornRuleOracle:
 class TestBlockedKernel:
     @pytest.mark.parametrize(
         "d, strategy, corrections",
-        [(2, "product", "paper"), (3, "residual", "auto"), (4, "residual", "paper")],
+        [
+            (2, "product", "paper"),
+            (3, "residual", "auto"),
+            (4, "residual", "paper"),
+            (2, "rotated", "paper"),
+            (3, "rotated", "paper"),
+            (4, "rotated", "paper"),
+        ],
     )
     def test_single_block_matches_einsum_oracle(self, d, strategy, corrections):
         # The oracle replays the documented draw order and evaluates every
         # run on the maps themselves, not on the kernel's tables.
         _, _, _, maps, vs = maps_and_corrections(d, strategy, corrections, d)
+        live = fidelity._sampling_tables(maps, vs)[4]
+        assert (live.size > 0) == (strategy == "rotated")
         n = 2_000
         alpha, fid = kernel_block(maps, vs, np.random.default_rng(11), n)
         want_alpha, _, want_fid = outcome_first_reference(maps, vs, np.random.default_rng(11), n)
@@ -711,7 +745,7 @@ class TestBlockedKernel:
         # shard cut into several blocks replays as one draw of all its rows.
         d = 3
         p, ch, basis, maps, vs = maps_and_corrections(d, "product", "auto", 5)
-        monkeypatch.setattr(fidelity, "_BLOCK_ENTRIES", 1 << 12)
+        monkeypatch.setattr(fidelity, "_BLOCK_ENTRIES", 1 << 10)
         n_runs = 487
         blocks = []
         rep = simulate(p, ch, basis, "auto", n_runs=n_runs, rng=8, n_workers=2, transcript=blocks.append)
@@ -786,15 +820,20 @@ class TestBlockedKernel:
         vs = correction_unitaries(p, basis, maps, "auto")
         weights = np.sum(np.abs(maps) ** 2, axis=(1, 2))
         dead = np.flatnonzero(weights == 0)
-        cum_w, m, cum_m, _ = fidelity._sampling_tables(maps, vs)
+        tables = fidelity._sampling_tables(maps, vs)
+        _, m, cum_m = tables[:3]
         if strategy == "product":
             np.testing.assert_array_equal(dead, np.arange(2 * d * d - d, 2 * d * d))
         else:
             assert dead.size == 0 and np.all(m[d * d :, 0] == 0) and np.all(m[d * d :, 1] > 0)
-        # The extreme draws: r = 0 and the largest double below 1.
+        # The extreme draws: r = 0 and the largest double below 1, fed to
+        # the kernel as the outcome and eigen-index uniforms of two runs.
         r = np.array([0.0, np.nextafter(1.0, 0.0)])
-        alpha = fidelity._draw_outcomes(cum_w, r * cum_w[0, -1])
+        rows = np.full((2, 2 * d + 3), 0.5)
+        rows[:, 0] = rows[:, 1] = r
+        alpha, fid = fidelity._simulate_block(tables, FixedRows(rows), 2)
         assert np.all(weights[alpha] > 0) and alpha[1] == 2 * d * d - 1 - dead.size
+        assert np.all(np.isfinite(fid))
         for a in np.flatnonzero(weights):
             k = fidelity._draw_outcomes(np.tile(cum_m[a], (2, 1)), r * cum_m[a, -1])
             assert np.all(m[a, k] > 0) and k[1] == d - 1
@@ -844,6 +883,32 @@ class TestBlockedKernel:
             assert rep == results[0][1]
             for got, want in zip(cols, results[0][2]):
                 np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    @pytest.mark.parametrize("strategy", ["product", "residual"])
+    def test_cli_povms_take_the_diagonal_path(self, d, strategy):
+        # For every correction mode, lambda from 0 to lambda_max and a
+        # near-singular channel, G_a is diagonal to rounding, so no run
+        # reads a phase.
+        basis = build_weyl_basis(d)
+        probs = np.random.default_rng(d).random(d) + 0.1
+        probs[-1] = 1e-8 * probs[:-1].sum()
+        for ch in (random_channel(d, np.random.default_rng(d)), make_channel(np.sqrt(probs / probs.sum()))):
+            for share in (0.0, 0.5, 1.0):
+                p = refined(ch, basis, share * lambda_max(ch), strategy)
+                maps = channel_maps(p, ch)
+                for corrections in ("auto", "paper"):
+                    vs = correction_unitaries(p, basis, maps, corrections)
+                    live = fidelity._sampling_tables(maps, vs)[4]
+                    assert live.size == 0, (ch.coeffs, share, corrections)
+
+    def test_large_d_matches_the_exact_report(self):
+        d = 16
+        basis = build_weyl_basis(d)
+        ch = random_channel(d, np.random.default_rng(d))
+        p = refined(ch, basis, lambda_max(ch), "residual")
+        mc = simulate(p, ch, basis, "auto", n_runs=10_000, rng=d)
+        assert abs(mc.f_total - report(p, ch, basis, "auto").f_total) <= 4 * mc.f_total_se
 
     def test_draw_at_the_total_picks_the_last_outcome(self):
         probs = np.array([[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25]])
