@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -33,7 +34,7 @@ import numpy as np
 
 from .channel import SchmidtChannel, make_channel, qubit_channel_from_cos_theta
 from .errors import QTeleportError
-from .fidelity import FidelityReport, report, simulate
+from .fidelity import FidelityReport, report, simulate, transcript_bits
 from .formulas import channel_from_entropy, qubit_average_fidelity, relaxed_angle_fidelity
 from .povm import (
     Conclusive,
@@ -88,7 +89,9 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", dest="fmt", choices=("csv", "jsonl"), default="csv")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing leaves it unchanged, so calls share it."""
     parser = argparse.ArgumentParser(
         prog="qteleport",
         description="Conclusive teleportation of d-dimensional states via joint POVMs",
@@ -283,26 +286,22 @@ def _teleport_rows(exact: FidelityReport, mc: FidelityReport | None) -> list[tup
     return rows
 
 
-def _transcript_sink(stream):
+def _transcript_sink(stream, tags):
     """Write each Monte Carlo block as JSONL, one ``json.dumps(record)`` line per run.
 
-    All fields are ints, so formatting them directly gives the same bytes.
+    All fields are ints, so each outcome's line is a template that only
+    lacks the run index; ``tags`` are the POVM's, as ``simulate`` flags them.
     """
+    bits = transcript_bits(len(tags))
+    templates = [
+        f'{{"run_index": %d, "outcome_alpha": {a}, '
+        f'"conclusive_flag": {int(isinstance(t, Conclusive))}, "bits_sent": {bits}}}\n'
+        for a, t in enumerate(tags)
+    ]
 
     def write(block: dict) -> None:
-        bits = block["bits_sent"]
-        runs = zip(
-            block["run_index"].tolist(),
-            block["outcome_alpha"].tolist(),
-            block["conclusive_flag"].tolist(),
-        )
-        stream.write(
-            "".join(
-                f'{{"run_index": {i}, "outcome_alpha": {a}, '
-                f'"conclusive_flag": {c}, "bits_sent": {bits}}}\n'
-                for i, a, c in runs
-            )
-        )
+        lines = "".join(map(templates.__getitem__, block["outcome_alpha"].tolist()))
+        stream.write(lines % tuple(block["run_index"].tolist()))
 
     return write
 
@@ -357,7 +356,7 @@ def cmd_teleport(args: argparse.Namespace) -> int:
                     n_runs=args.runs,
                     rng=args.seed,
                     n_workers=n_workers,
-                    transcript=None if stream is None else _transcript_sink(stream),
+                    transcript=None if stream is None else _transcript_sink(stream, refined.tags),
                 )
     except QTeleportError as exc:
         raise _usage_error(str(exc))

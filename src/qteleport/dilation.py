@@ -46,13 +46,16 @@ class DilationResult:
 def _complete_isometry(w: np.ndarray) -> np.ndarray:
     """Extend isometry columns to a square unitary, deterministically.
 
-    Householder QR of [W | I] gives a unitary whose leading columns span
-    W's columns; W is an isometry, so each equals its column of W up to the
-    phase of the matching diagonal entry of R, which is restored.
+    The complete Householder QR of W gives Q = H_1 ... H_k for W's k
+    columns.  Column j < k of Q is H_1 ... H_{j+1} e_j, since the later
+    reflectors leave e_j alone, so these columns are those the QR of
+    [W | I] gives and span W's columns.  W is an isometry, so each equals
+    its column of W up to the phase of R's diagonal entry, which is
+    restored; the other columns of Q complete the basis.
     """
-    dim, cols = w.shape
-    q, r = np.linalg.qr(np.hstack([w, np.eye(dim)]))
-    phases = np.diag(r)[:cols]
+    cols = w.shape[1]
+    q, r = np.linalg.qr(w, mode="complete")
+    phases = np.diag(r)
     q[:, :cols] *= phases / np.abs(phases)
     return q
 

@@ -24,6 +24,15 @@ G = E^† V B E.  The optimal V is the adjoint polar factor of B, so V B =
 paper's fixed corrections on both refinements.  Since c^† G c = sum_k G_kk
 |c_k|^2 + c^† K c, the phases enter only through the off-diagonal part K: a
 run costs O(d), plus O(L^2) on the L indices that a nonzero K touches.
+
+Every map the CLI builds has at most one nonzero per row and per column (a
+pattern, see ``_pattern``): X^m Z^n is a generalized permutation matrix,
+and the conclusive block, both refinements and the theta family inherit
+that.  Column j of such a B holds one value b_j in its own row, so no two
+columns share a row, M = B^† B = diag(|b|^2) is exactly diagonal, the
+singular values are |b_j| and max |Tr(V B)| is the trace norm sum_j |b_j|.
+On the pattern the exact report and the Monte Carlo set-up read these
+moduli and run no SVD or eigh; any other map stack takes the dense path.
 """
 
 from __future__ import annotations
@@ -54,9 +63,21 @@ def avg_fidelity_term(b: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndar
     if np.max(np.abs(dagger(v) @ v - np.eye(d))) > 1e-10:
         raise DomainError("correction operator is not unitary")
     gram = np.sum(np.abs(b) ** 2, axis=(-2, -1))
-    prob = gram / d
-    term = (np.abs(np.trace(v @ b, axis1=-2, axis2=-1)) ** 2 + gram) / (d * (d + 1))
-    return prob, term
+    trace = np.einsum("...ij,...ji->...", v, b)
+    return gram / d, (np.abs(trace) ** 2 + gram) / (d * (d + 1))
+
+
+def _pattern(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each column's nonzero row and value, both (n, d), or None.
+
+    None unless every map has at most one nonzero per row and per column,
+    judged on exact zeros; an all-zero column reports row 0 and value 0.
+    """
+    nz = maps != 0
+    if np.count_nonzero(nz, axis=1).max() > 1 or np.count_nonzero(nz, axis=2).max() > 1:
+        return None
+    rows = nz.argmax(axis=1)
+    return rows, np.take_along_axis(maps, rows[:, None, :], axis=1)[:, 0]
 
 
 def optimal_correction(b: np.ndarray) -> np.ndarray:
@@ -149,24 +170,36 @@ def correction_unitaries(
         return optimal_correction(maps)
     if mode != "paper":
         raise DomainError(f"unknown corrections mode {mode!r}; use 'auto' or 'paper'")
-    vs = np.empty((p.n_outcomes, d, d), dtype=complex)
-    for k, tag in enumerate(p.tags):
+    index = []
+    for tag in p.tags:
         if isinstance(tag, (Conclusive, InconclusiveResidual)):
-            vs[k] = basis.ops[tag.alpha]
+            index.append(tag.alpha)
         elif isinstance(tag, InconclusiveProduct):
-            # X^m, the identity rolled down by m rows (see weyl.shift_matrix).
-            vs[k] = np.roll(np.eye(d, dtype=complex), (tag.i - tag.j) % d, axis=0)
+            index.append(d * d + (tag.i - tag.j) % d)
         else:
             raise DecompositionError("fixed corrections need a refined POVM")
-    return vs
+    # X^m is the identity with its rows rolled down by m (see weyl.shift_matrix).
+    shifts = np.eye(d, dtype=complex)[(np.arange(d) - np.arange(d)[:, None]) % d]
+    return np.concatenate([basis.ops, shifts])[index]
 
 
 def report(
     p: PovmSet, ch: SchmidtChannel, basis: UnitaryBasis, corrections: str = "auto"
 ) -> FidelityReport:
-    """Exact Haar-average fidelity report for a refined POVM."""
+    """Exact Haar-average fidelity report for a refined POVM.
+
+    ``auto`` on a map stack with a pattern (see the module docstring) takes
+    |Tr(V B)| as the trace norm sum_j |b_j|, without forming V.
+    """
     maps = channel_maps(p, ch)
-    probs, terms = avg_fidelity_term(maps, correction_unitaries(p, basis, maps, corrections))
+    pattern = _pattern(maps) if corrections == "auto" else None
+    if pattern is None:
+        probs, terms = avg_fidelity_term(maps, correction_unitaries(p, basis, maps, corrections))
+    else:
+        d = p.d
+        mod = np.abs(pattern[1])
+        gram = np.sum(mod**2, axis=1)
+        probs, terms = gram / d, (np.sum(mod, axis=1) ** 2 + gram) / (d * (d + 1))
     return _build_report(p, corrections, probs, terms)
 
 
@@ -229,23 +262,50 @@ def _draw_outcomes(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (u[:, None] >= cum[:, :-1]).sum(axis=1)
 
 
-def _sampling_tables(maps: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, ...]:
+def _sampling_tables(maps: np.ndarray, vs: np.ndarray | None) -> tuple[np.ndarray, ...]:
     """Set-up of the outcome-first draw, after checking sum_a M_a = I for M_a = B_a^† B_a.
 
-    Returns cumulative Tr(M_a), the eigenvalues m of each M_a = E diag(m) E^†
-    (zero at rounding level) with their cumulative rows, diag(G_a) for
-    G_a = E^† V_a B_a E, the indices ``live`` that any nonzero entry of the
-    off-diagonal parts K_a touches, and K_a restricted to ``live``.
+    ``vs`` None stands for the optimal corrections.  Returns cumulative
+    Tr(M_a), the eigenvalues m of each M_a = E diag(m) E^† (zero at
+    rounding level) with their cumulative rows, diag(G_a) for G_a =
+    E^† V_a B_a E, the indices ``live`` that any nonzero entry of the
+    off-diagonal parts K_a touches, and K_a restricted to ``live``.  On a
+    pattern (see ``_pattern``) m is |b|^2 sorted ascending, E the stable
+    sorting permutation, and the optimal G_a is diag(|b|) in that order.
     """
-    d = maps.shape[-1]
-    gram = dagger(maps) @ maps
-    residual = float(np.max(np.abs(gram.sum(axis=0) - np.eye(d))))
+    n, d, _ = maps.shape
+    pattern = _pattern(maps)
+    if pattern is None:
+        gram = dagger(maps) @ maps
+        weights = np.sum(np.abs(maps) ** 2, axis=(1, 2))
+        excess = gram.sum(axis=0) - np.eye(d)
+    else:
+        rows, vals = pattern
+        mod = np.abs(vals)
+        weights = np.sum(mod**2, axis=1)
+        # M_a = diag(|b|^2): only the diagonal of sum_a M_a can differ from I.
+        excess = np.sum(mod**2, axis=0) - 1.0
+    residual = float(np.max(np.abs(excess)))
     if residual > 1e-10:
         raise ConsistencyError(f"sum of B^† B differs from the identity by {residual:.3e} > 1e-10")
-    m, e = np.linalg.eigh(gram)
+    k = None
+    if pattern is None:
+        m, e = np.linalg.eigh(gram)
+        k = dagger(e) @ (optimal_correction(maps) if vs is None else vs) @ maps @ e
+    else:
+        order = np.argsort(mod**2, axis=1, kind="stable")
+        g_diag = np.take_along_axis(mod, order, axis=1)
+        m = g_diag**2
+        if vs is not None:
+            # (V B)[i, j] = V[i, rows_j] b_j, rows and columns permuted by order.
+            src = np.take_along_axis(rows, order, axis=1)
+            k = vs[np.arange(n)[:, None, None], order[:, :, None], src[:, None]]
+            k *= np.take_along_axis(vals, order, axis=1)[:, None]
     floor = d * np.finfo(float).eps
     m = np.where(m > floor * m[:, -1:], m, 0.0)
-    k = dagger(e) @ vs @ maps @ e
+    cum = np.cumsum(weights), m, np.cumsum(m, axis=1)
+    if k is None:
+        return *cum, g_diag, np.empty(0, dtype=np.intp), np.empty((n, 0, 0), dtype=complex)
     g_diag = np.diagonal(k, axis1=1, axis2=2).copy()
     # K_a = G_a - diag(G_a) is zero in exact arithmetic for the CLI's POVMs;
     # what the products leave is rounding, floored as m is.
@@ -253,8 +313,7 @@ def _sampling_tables(maps: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, ...]
     k[:, np.arange(d), np.arange(d)] = 0.0
     k[np.abs(k) <= scale] = 0.0
     live = np.flatnonzero((k != 0).any(axis=(0, 1)) | (k != 0).any(axis=(0, 2)))
-    cum_w = np.cumsum(np.sum(np.abs(maps) ** 2, axis=(1, 2)))
-    return cum_w, m, np.cumsum(m, axis=1), g_diag, live, k[:, live[:, None], live]
+    return *cum, g_diag, live, k[:, live[:, None], live]
 
 
 def _simulate_block(tables: tuple, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -308,7 +367,8 @@ def simulate(
     if n_workers < 1:
         raise DomainError(f"need at least one worker, got {n_workers}")
     maps = channel_maps(p, ch)
-    tables = _sampling_tables(maps, correction_unitaries(p, basis, maps, corrections))
+    vs = None if corrections == "auto" else correction_unitaries(p, basis, maps, corrections)
+    tables = _sampling_tables(maps, vs)
     n_out, d, _ = maps.shape
     block = max(1, _BLOCK_ENTRIES // (d * d))
     # The first k children of spawn(n) equal spawn(k), so dropping the shards

@@ -78,14 +78,12 @@ def _channel_checks(d: int, basis: UnitaryBasis, rng: np.random.Generator) -> li
     gamma_inv = duals.conj().reshape(d * d, d, d)
     modified = np.einsum("aij,ak->kij", gamma_inv, states).reshape(d * d, d * d)
     mod_res = np.max(np.abs(modified - np.eye(d * d)))
-    worst = 0.0
-    for _ in range(20):
-        phi = haar_random_ket(d, rng)
-        joint = np.kron(phi, ch.ket())
-        expansion = np.zeros(d**3, dtype=complex)
-        for a in range(d * d):
-            expansion += np.kron(states[a], basis.ops[a].conj().T @ phi) / d
-        worst = max(worst, float(np.max(np.abs(joint - expansion))))
+    phis = np.array([haar_random_ket(d, rng) for _ in range(20)])
+    joint = np.einsum("si,j->sij", phis, ch.ket()).reshape(20, d**3)
+    # sum_a |state_a> (x) U_a^† |phi> / d, for every sample at once.
+    moved = np.einsum("akj,sk->saj", basis.ops.conj(), phis)
+    expansion = np.einsum("ai,saj->sij", states, moved).reshape(20, d**3) / d
+    worst = float(np.max(np.abs(joint - expansion)))
     rho = np.outer(ch.ket(), ch.ket().conj())
     reduced = partial_trace(rho, 0, [d, d])
     want = float(-np.sum(ch.probs * np.log2(ch.probs)))
@@ -110,7 +108,7 @@ def _povm_checks(
         for lam in (0.0, lmax / 2, lmax):
             p = build_conclusive_povm(ch, basis, lam)
             comp = max(comp, float(np.max(np.abs(p.elements.sum(axis=0) - eye))))
-            psd = max(psd, -min(float(np.linalg.eigvalsh(el)[0]) for el in p.elements), 0.0)
+            psd = max(psd, -float(np.linalg.eigvalsh(p.elements)[:, 0].min()), 0.0)
             born = np.einsum("ai,nij,aj->na", states.conj(), p.elements[: d * d], states).real
             diag = np.diag(born).copy()
             off = born - np.diag(diag)
@@ -122,22 +120,17 @@ def _povm_checks(
             rem_res = max(
                 rem_res, float(np.max(np.abs(p.elements[-1] - analytic)))
             )
-            for refined in (
-                refine_inconclusive_product(p),
-                refine_inconclusive_residual(p, basis),
-            ):
+            res = refine_inconclusive_residual(p, basis)
+            for refined in (refine_inconclusive_product(p), res):
                 comp = max(
                     comp, float(np.max(np.abs(refined.elements.sum(axis=0) - eye)))
                 )
-                psd = max(
-                    psd, -min(float(np.linalg.eigvalsh(el)[0]) for el in refined.elements)
-                )
+                psd = max(psd, -float(np.linalg.eigvalsh(refined.elements)[:, 0].min()))
                 rep = report(refined, ch, basis, "auto")
                 for stat in rep.outcomes:
                     if isinstance(stat.tag, Conclusive):
                         prob_res = max(prob_res, abs(stat.probability - lam / d**2))
                 inc_res = max(inc_res, abs(rep.inconclusive_probability - (1.0 - lam)))
-            res = refine_inconclusive_residual(p, basis)
             pieces = res.elements[d * d :].sum(axis=0)
             split_res = max(split_res, float(np.max(np.abs(pieces - p.elements[-1]))))
     return [
@@ -341,7 +334,7 @@ def _configured_checks(channel: SchmidtChannel, lam: float | None) -> list[Check
         return [CheckResult(name, float("inf"), 1e-10, False, str(exc))]
     eye = np.eye(d * d)
     comp = float(np.max(np.abs(p.elements.sum(axis=0) - eye)))
-    psd = -min(float(np.linalg.eigvalsh(el)[0]) for el in p.elements)
+    psd = -float(np.linalg.eigvalsh(p.elements)[:, 0].min())
     return [
         # 0.0 first: max keeps the first of equal values, so -0.0 never prints.
         _check(name, max(0.0, psd), 1e-10),

@@ -63,14 +63,14 @@ def build_weyl_basis(d: int) -> UnitaryBasis:
         raise ShapeError(f"dimension must be at least 2, got {d}")
     x = shift_matrix(d)
     z = clock_matrix(d)
-    ops = np.empty((d * d, d, d), dtype=complex)
-    xm = np.eye(d, dtype=complex)
-    for m in range(d):
-        zn = np.eye(d, dtype=complex)
-        for n in range(d):
-            ops[m * d + n] = xm @ zn
-            zn = zn @ z
-        xm = xm @ x
+    # Power tables xs[m] = X^m and zs[n] = Z^n by repeated products.
+    xs = np.empty((d, d, d), dtype=complex)
+    zs = np.empty((d, d, d), dtype=complex)
+    xs[0] = zs[0] = np.eye(d)
+    for k in range(1, d):
+        xs[k] = xs[k - 1] @ x
+        zs[k] = zs[k - 1] @ z
+    ops = (xs[:, None] @ zs[None, :]).reshape(d * d, d, d)
     return UnitaryBasis(dim=d, ops=ops)
 
 

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qteleport.channel import qubit_channel_from_cos_theta
+from qteleport import cli
+from qteleport.channel import make_channel, qubit_channel_from_cos_theta
 from qteleport.cli import main
 from qteleport.fidelity import simulate
 from qteleport.formulas import relaxed_angle_fidelity
@@ -180,6 +181,41 @@ class TestSubcommandFlags:
         assert info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_one_parser_serves_a_mix_of_calls(self, capsys):
+        # The process builds its parser once; a sequence of calls through it
+        # gives what each call gives from a freshly built parser.
+        calls = [
+            ["teleport", "--d", "3", "--strategy", "product", "--corrections", "paper", "--runs", "300"],
+            ["teleport", "--cos-theta-c", "0.6", "--lambda", "0.2", "--runs", "200", "--seed", "4"],
+            ["teleport", "--d", "1"],
+            ["teleport", "--runs", "5", "--bogus"],
+            ["teleport"],
+            ["verify", "--d", "2", "--seed", "3"],
+            ["figure1", "--format", "jsonl"],
+            ["teleport", "--help"],
+            ["verify", "--help"],
+            ["--help"],
+            ["teleport", "--coeffs", "0.8,0.6", "--format", "jsonl"],
+        ]
+
+        def outcome(argv):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        alone = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            alone.append(outcome(argv))
+        cli._build_parser.cache_clear()
+        shared = [outcome(argv) for argv in calls]
+        assert cli._build_parser.cache_info().misses == 1
+        assert [code for code, _, _ in alone] == [0, 0, 2, 2, 0, 0, 0, 0, 0, 0, 0]
+        assert shared == alone
+
     def test_only_teleport_reads_workers_env(self, capsys, monkeypatch):
         monkeypatch.setenv("QTELEPORT_WORKERS", "abc")
         code, _, err = run(capsys, "figure1", "--format", "jsonl")
@@ -322,6 +358,36 @@ class TestTeleport:
             for i, a, c in zip(b["run_index"], b["outcome_alpha"], b["conclusive_flag"])
         )
         assert transcript.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("d, first_run", [(2, 99_000), (3, 0)])
+    def test_sink_writes_the_bytes_of_json_dumps(self, d, first_run):
+        # A block that starts at run 99,000, and an 18-outcome POVM whose
+        # labels take two digits and whose messages take 6 bits.
+        basis = build_weyl_basis(d)
+        ch = make_channel(np.sqrt(np.arange(1.0, d + 1) / np.sum(np.arange(1.0, d + 1))))
+        p = refine_inconclusive_product(build_conclusive_povm(ch, basis, 0.5 * lambda_max(ch)))
+        blocks = []
+        simulate(p, ch, basis, "paper", n_runs=5_000, rng=2, transcript=blocks.append)
+        stream = io.StringIO()
+        write = cli._transcript_sink(stream, p.tags)
+        for b in blocks:
+            b["run_index"] = b["run_index"] + first_run
+            write(b)
+        want = "".join(
+            json.dumps(
+                {
+                    "run_index": int(i),
+                    "outcome_alpha": int(a),
+                    "conclusive_flag": int(c),
+                    "bits_sent": b["bits_sent"],
+                }
+            )
+            + "\n"
+            for b in blocks
+            for i, a, c in zip(b["run_index"], b["outcome_alpha"], b["conclusive_flag"])
+        )
+        assert len(set(np.concatenate([b["outcome_alpha"] for b in blocks]).tolist())) == 2 * d * d
+        assert stream.getvalue() == want
 
     def test_jsonl_report(self, capsys, tmp_path):
         out = tmp_path / "report.jsonl"

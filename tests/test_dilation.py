@@ -149,3 +149,22 @@ def test_realized_povm_is_the_measured_povm(strategy):
         dil.residuals, np.max(np.abs(realized.elements - p.elements), axis=(1, 2))
     )
     np.testing.assert_array_equal(dilated_channel_maps(dil, p, ch), channel_maps(realized, ch))
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+@pytest.mark.parametrize("strategy", ["product", "residual"])
+def test_completion_from_the_isometrys_own_reflectors(d, strategy):
+    # The complete QR of W alone: unitary, and its embedded columns are those
+    # of the Householder QR of [W | I], whose later reflectors leave them alone.
+    basis = build_weyl_basis(d)
+    ch = random_channel(d, np.random.default_rng(70 + d))
+    p = build(d, ch, 0.5 * lambda_max(ch), strategy, basis)
+    dil = dilate(p)
+    u = dil.u_ext
+    assert np.max(np.abs(dagger(u) @ u - np.eye(u.shape[0]))) <= 1e-13
+    assert np.max(dil.residuals) <= 1e-10
+    w = np.zeros((u.shape[0], d * d), dtype=complex)
+    w[: p.n_outcomes] = p.vectors.conj()
+    q, r = np.linalg.qr(np.hstack([w, np.eye(u.shape[0])]))
+    phases = np.diag(r)[: d * d]
+    assert np.max(np.abs(u[:, :: dil.ancilla_dim] - q[:, : d * d] * phases / np.abs(phases))) <= 1e-15

@@ -29,7 +29,9 @@ from qteleport.povm import (
     InconclusiveResidual,
     PovmSet,
     Remainder,
+    ThetaPovmFamily,
     build_conclusive_povm,
+    build_theta_povm,
     lambda_max,
     refine_inconclusive_product,
     refine_inconclusive_residual,
@@ -335,6 +337,35 @@ class TestExactReport:
         for k, tag in shifts:
             want = np.linalg.matrix_power(shift_matrix(d), (tag.i - tag.j) % d)
             assert vs[k].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    @pytest.mark.parametrize("strategy", ["product", "residual"])
+    def test_paper_corrections_are_optimal_on_both_refinements(self, d, strategy):
+        # The paper's fixed corrections reach the trace norm on every outcome,
+        # so both correction modes give one report.
+        basis = build_weyl_basis(d)
+        ch = random_channel(d, np.random.default_rng(200 + d))
+        for share in (0.0, 0.5, 1.0):
+            p = refined(ch, basis, share * lambda_max(ch), strategy)
+            auto, paper = report(p, ch, basis, "auto"), report(p, ch, basis, "paper")
+            for a, b in zip(auto.outcomes, paper.outcomes):
+                assert abs(a.probability - b.probability) <= 1e-12
+                assert abs(a.fidelity_term - b.fidelity_term) <= 1e-12
+            assert abs(auto.f_total - paper.f_total) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    @pytest.mark.parametrize("strategy", ["product", "residual"])
+    def test_pattern_report_equals_the_svd_oracle(self, d, strategy):
+        basis = build_weyl_basis(d)
+        ch = random_channel(d, np.random.default_rng(300 + d))
+        for share in (0.0, 0.5, 1.0):
+            p = refined(ch, basis, share * lambda_max(ch), strategy)
+            maps = channel_maps(p, ch)
+            assert fidelity._pattern(maps) is not None
+            probs, terms = avg_fidelity_term(maps, optimal_correction(maps))
+            rep = report(p, ch, basis, "auto")
+            assert np.max(np.abs([o.probability for o in rep.outcomes] - probs)) <= 1e-15
+            assert np.max(np.abs([o.fidelity_term for o in rep.outcomes] - terms)) <= 1e-15
 
 
 def loop_optimal_correction(b):
@@ -740,6 +771,22 @@ class TestBlockedKernel:
         np.testing.assert_array_equal(alpha, want_alpha)
         assert np.max(np.abs(fid - want_fid)) <= 1e-12
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    @pytest.mark.parametrize("strategy", ["product", "residual"])
+    @pytest.mark.parametrize("corrections", ["auto", "paper"])
+    @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
+    def test_pattern_tables_match_the_eigh_reference(self, d, strategy, corrections, share):
+        # Pattern tables (no eigh, no SVD; for auto no V at all) replay the
+        # reference's runs, whose eigenbasis comes from a batched eigh.
+        _, _, _, maps, vs = maps_and_corrections(d, strategy, corrections, 40 + d, share)
+        assert fidelity._pattern(maps) is not None
+        tables = fidelity._sampling_tables(maps, None if corrections == "auto" else vs)
+        n = 2_000
+        alpha, fid = fidelity._simulate_block(tables, np.random.default_rng(d), n)
+        want_alpha, _, want_fid = outcome_first_reference(maps, vs, np.random.default_rng(d), n)
+        np.testing.assert_array_equal(alpha, want_alpha)
+        assert np.max(np.abs(fid - want_fid)) <= 1e-12
+
     def test_blocks_follow_the_documented_draw_order(self, monkeypatch):
         # Run r of a shard reads row r of the shard stream's uniforms, so a
         # shard cut into several blocks replays as one draw of all its rows.
@@ -888,8 +935,10 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("strategy", ["product", "residual"])
     def test_cli_povms_take_the_diagonal_path(self, d, strategy):
         # For every correction mode, lambda from 0 to lambda_max and a
-        # near-singular channel, G_a is diagonal to rounding, so no run
-        # reads a phase.
+        # near-singular channel, the maps have a pattern and G_a is
+        # diagonal to rounding, so no run reads a phase.  The theta family
+        # has the pattern too; realized, conjugated and rotated POVMs do
+        # not, and take the dense path.
         basis = build_weyl_basis(d)
         probs = np.random.default_rng(d).random(d) + 0.1
         probs[-1] = 1e-8 * probs[:-1].sum()
@@ -897,10 +946,28 @@ class TestBlockedKernel:
             for share in (0.0, 0.5, 1.0):
                 p = refined(ch, basis, share * lambda_max(ch), strategy)
                 maps = channel_maps(p, ch)
+                assert fidelity._pattern(maps) is not None, (ch.coeffs, share)
                 for corrections in ("auto", "paper"):
                     vs = correction_unitaries(p, basis, maps, corrections)
                     live = fidelity._sampling_tables(maps, vs)[4]
                     assert live.size == 0, (ch.coeffs, share, corrections)
+                assert fidelity._sampling_tables(maps, None)[4].size == 0
+        if d == 2:
+            for cc, ct in ((0.6, 0.6), (0.6, 0.0), (0.3, -0.5), (0.9, 0.2)):
+                ch2 = qubit_channel_from_cos_theta(cc)
+                theta = build_theta_povm(ThetaPovmFamily(cc, ct, 0.5 * (1.0 - abs(ct))))
+                assert fidelity._pattern(channel_maps(refine_inconclusive_product(theta), ch2)) is not None
+        if d <= 4:
+            ch = random_channel(d, np.random.default_rng(d))
+            p = refined(ch, basis, 0.5 * lambda_max(ch), strategy)
+            rng = np.random.default_rng(50 + d)
+            moved = conjugated_basis(basis, haar_random_unitary(d, rng), haar_random_unitary(d, rng))
+            for maps in (
+                channel_maps(realized_povm(dilate(p), p), ch),
+                channel_maps(refined(ch, moved, 0.5 * lambda_max(ch), strategy), ch),
+                maps_and_corrections(d, "rotated", "auto", d)[3],
+            ):
+                assert fidelity._pattern(maps) is None
 
     def test_large_d_matches_the_exact_report(self):
         d = 16

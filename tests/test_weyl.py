@@ -73,6 +73,25 @@ def test_shift_matrix_is_bit_identical_to_loop_oracle(d):
     assert shift_matrix(d).tobytes() == want.tobytes()
 
 
+def loop_weyl_ops(d):
+    """The double loop of products X^m Z^n, kept as an oracle for the broadcast build."""
+    x, z = shift_matrix(d), clock_matrix(d)
+    ops = np.empty((d * d, d, d), dtype=complex)
+    xm = np.eye(d, dtype=complex)
+    for m in range(d):
+        zn = np.eye(d, dtype=complex)
+        for n in range(d):
+            ops[m * d + n] = xm @ zn
+            zn = zn @ z
+        xm = xm @ x
+    return ops
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_basis_is_bit_identical_to_loop_oracle(d):
+    assert build_weyl_basis(d).ops.tobytes() == loop_weyl_ops(d).tobytes()
+
+
 def test_rebuild_is_bit_identical():
     a = build_weyl_basis(4)
     b = build_weyl_basis(4)
