@@ -31,7 +31,6 @@ from .fidelity import (
     OutcomeStat,
     avg_fidelity_term,
     channel_maps,
-    optimal_correction,
     report,
     simulate,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "make_channel",
     "maximally_entangled_basis",
     "optimal_average_fidelity",
-    "optimal_correction",
     "outcome_probabilities",
     "partial_trace",
     "product_strategy_fidelity",

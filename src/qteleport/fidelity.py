@@ -19,20 +19,23 @@ moment E[phi phi^†] = I/d gives the outcome marginal Tr(M)/d, and given the
 outcome phi = E c has density proportional to phi^† M phi: an eigen-index k
 drawn with weight m_k, then |c|^2 ~ Dirichlet(1, ..., 2 at k, ..., 1) with
 uniform phases.  The run fidelity is |c^† G c|^2 / sum_k m_k |c_k|^2, with
-G = E^† V B E.  The optimal V is the adjoint polar factor of B, so V B =
-(B^† B)^{1/2} = E diag(sqrt m) E^† and G is diagonal, as it is for the
-paper's fixed corrections on both refinements.  Since c^† G c = sum_k G_kk
-|c_k|^2 + c^† K c, the phases enter only through the off-diagonal part K: a
-run costs O(d), plus O(L^2) on the L indices that a nonzero K touches.
+G = E^† V B E.  Since c^† G c = sum_k G_kk |c_k|^2 + c^† K c, the phases
+enter only through the off-diagonal part K: a run costs O(d), plus O(L^2)
+on the L indices that a nonzero K touches.
+
+The optimal V is the adjoint polar factor of B, so V B = (B^† B)^{1/2} = E
+diag(sqrt m) E^†: G is diagonal, |Tr(V B)| is the sum of B's singular
+values sigma and Tr(B^† B) = sum sigma^2.  ``auto`` reads only sigma and
+never forms V.  The paper's fixed corrections also give a diagonal G on
+both refinements.
 
 Every map the CLI builds has at most one nonzero per row and per column (a
 pattern, see ``_pattern``): X^m Z^n is a generalized permutation matrix,
 and the conclusive block, both refinements and the theta family inherit
-that.  Column j of such a B holds one value b_j in its own row, so no two
-columns share a row, M = B^† B = diag(|b|^2) is exactly diagonal, the
-singular values are |b_j| and max |Tr(V B)| is the trace norm sum_j |b_j|.
-On the pattern the exact report and the Monte Carlo set-up read these
-moduli and run no SVD or eigh; any other map stack takes the dense path.
+that.  Column j of such a B holds one value b_j in its own row, so M =
+diag(|b|^2) and sigma_j = |b_j|, with no SVD or eigh.  Other map stacks
+take sigma from an SVD without vectors; only explicit corrections on them
+need E, from eigh.
 """
 
 from __future__ import annotations
@@ -80,23 +83,16 @@ def _pattern(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return rows, np.take_along_axis(maps, rows[:, None, :], axis=1)[:, 0]
 
 
-def optimal_correction(b: np.ndarray) -> np.ndarray:
-    """Unitary maximizing |Tr(V B)|, i.e. the adjoint polar factor of B.
+def _singular_values(maps: np.ndarray, pattern: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+    """Each map's singular values, shape (n, d): |b_j| in column order on a pattern, else the SVD's."""
+    if pattern is None:
+        return np.linalg.svd(maps, compute_uv=False)
+    return np.abs(pattern[1])
 
-    With B = U S W^h the maximizer is V = (U W^h)^†, for which |Tr(V B)|
-    equals the sum of singular values.  A fixed SVD phase convention (the
-    largest-magnitude entry of each left singular vector made real
-    positive) keeps the result reproducible for degenerate inputs.  ``b``
-    may be a stack (..., d, d); each map gets its own correction.
-    """
-    u, _, wh = np.linalg.svd(np.asarray(b))
-    # Columns of u are unit vectors, so every pivot is nonzero.  np.hypot
-    # rounds like the scalar abs() of a per-column loop; np.abs on a complex
-    # array may differ in the last place.
-    rows = np.argmax(np.abs(u), axis=-2)[..., None, :]
-    pivot = np.take_along_axis(u, rows, axis=-2)
-    phase = pivot / np.hypot(pivot.real, pivot.imag)
-    return dagger((u / phase) @ (wh * np.swapaxes(phase, -1, -2)))
+
+def _check_corrections(corrections: str) -> None:
+    if corrections not in ("auto", "paper"):
+        raise DomainError(f"unknown corrections mode {corrections!r}; use 'auto' or 'paper'")
 
 
 @dataclass(frozen=True)
@@ -151,25 +147,19 @@ def channel_maps(p: PovmSet, ch: SchmidtChannel) -> np.ndarray:
     if p.d != ch.dim:
         raise ShapeError(f"POVM dimension {p.d} does not match channel dimension {ch.dim}")
     d = p.d
-    maps = p.vectors.conj().reshape(-1, d, d).transpose(0, 2, 1) * ch.coeffs[:, None]
-    return np.ascontiguousarray(maps)
+    maps = np.conj(p.vectors.reshape(-1, d, d).transpose(0, 2, 1), order="C")
+    maps *= ch.coeffs[:, None]
+    return maps
 
 
-def correction_unitaries(
-    p: PovmSet, basis: UnitaryBasis, maps: np.ndarray, mode: str
-) -> np.ndarray:
-    """Per-outcome correction unitaries, shape (n, d, d).
+def correction_unitaries(p: PovmSet, basis: UnitaryBasis) -> np.ndarray:
+    """The paper's fixed correction unitaries, one per outcome, shape (n, d, d).
 
-    ``auto`` optimizes every outcome at once through :func:`optimal_correction`;
-    ``paper`` uses the protocol's fixed rules: the basis unitary itself for
-    outcomes aligned with the measurement basis, and the cyclic shift
-    |j> -> |i> for the diagonal product outcomes.
+    Outcomes aligned with the measurement basis get the basis unitary
+    itself, the diagonal product outcomes the cyclic shift |j> -> |i>.  The
+    optimal corrections are never formed (see the module docstring).
     """
     d = p.d
-    if mode == "auto":
-        return optimal_correction(maps)
-    if mode != "paper":
-        raise DomainError(f"unknown corrections mode {mode!r}; use 'auto' or 'paper'")
     index = []
     for tag in p.tags:
         if isinstance(tag, (Conclusive, InconclusiveResidual)):
@@ -188,18 +178,18 @@ def report(
 ) -> FidelityReport:
     """Exact Haar-average fidelity report for a refined POVM.
 
-    ``auto`` on a map stack with a pattern (see the module docstring) takes
-    |Tr(V B)| as the trace norm sum_j |b_j|, without forming V.
+    ``auto`` reads only each map's singular values (see the module
+    docstring); ``paper`` evaluates the fixed corrections.
     """
     maps = channel_maps(p, ch)
-    pattern = _pattern(maps) if corrections == "auto" else None
-    if pattern is None:
-        probs, terms = avg_fidelity_term(maps, correction_unitaries(p, basis, maps, corrections))
+    _check_corrections(corrections)
+    if corrections == "paper":
+        probs, terms = avg_fidelity_term(maps, correction_unitaries(p, basis))
     else:
         d = p.d
-        mod = np.abs(pattern[1])
-        gram = np.sum(mod**2, axis=1)
-        probs, terms = gram / d, (np.sum(mod, axis=1) ** 2 + gram) / (d * (d + 1))
+        sigma = _singular_values(maps, _pattern(maps))
+        gram = np.sum(sigma**2, axis=1)
+        probs, terms = gram / d, (np.sum(sigma, axis=1) ** 2 + gram) / (d * (d + 1))
     return _build_report(p, corrections, probs, terms)
 
 
@@ -265,13 +255,14 @@ def _draw_outcomes(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _sampling_tables(maps: np.ndarray, vs: np.ndarray | None) -> tuple[np.ndarray, ...]:
     """Set-up of the outcome-first draw, after checking sum_a M_a = I for M_a = B_a^† B_a.
 
-    ``vs`` None stands for the optimal corrections.  Returns cumulative
-    Tr(M_a), the eigenvalues m of each M_a = E diag(m) E^† (zero at
-    rounding level) with their cumulative rows, diag(G_a) for G_a =
-    E^† V_a B_a E, the indices ``live`` that any nonzero entry of the
-    off-diagonal parts K_a touches, and K_a restricted to ``live``.  On a
-    pattern (see ``_pattern``) m is |b|^2 sorted ascending, E the stable
-    sorting permutation, and the optimal G_a is diag(|b|) in that order.
+    Returns cumulative Tr(M_a), the eigenvalues m of each M_a = E diag(m)
+    E^† (zero at rounding level) with their cumulative rows, diag(G_a) for
+    G_a = E^† V_a B_a E, the indices ``live`` that any nonzero entry of the
+    off-diagonal parts K_a touches, and K_a restricted to ``live``.  m is
+    sigma^2 in stable ascending order (on a pattern E is that sorting
+    permutation); explicit corrections ``vs`` on any other stack take m and
+    E from eigh instead.  ``vs`` None stands for the optimal corrections:
+    G_a = diag(sigma) in the order of m, and ``live`` is empty.
     """
     n, d, _ = maps.shape
     pattern = _pattern(maps)
@@ -289,12 +280,13 @@ def _sampling_tables(maps: np.ndarray, vs: np.ndarray | None) -> tuple[np.ndarra
     if residual > 1e-10:
         raise ConsistencyError(f"sum of B^† B differs from the identity by {residual:.3e} > 1e-10")
     k = None
-    if pattern is None:
+    if pattern is None and vs is not None:
         m, e = np.linalg.eigh(gram)
-        k = dagger(e) @ (optimal_correction(maps) if vs is None else vs) @ maps @ e
+        k = dagger(e) @ vs @ maps @ e
     else:
-        order = np.argsort(mod**2, axis=1, kind="stable")
-        g_diag = np.take_along_axis(mod, order, axis=1)
+        sigma = _singular_values(maps, pattern)
+        order = np.argsort(sigma**2, axis=1, kind="stable")
+        g_diag = np.take_along_axis(sigma, order, axis=1)
         m = g_diag**2
         if vs is not None:
             # (V B)[i, j] = V[i, rows_j] b_j, rows and columns permuted by order.
@@ -367,7 +359,8 @@ def simulate(
     if n_workers < 1:
         raise DomainError(f"need at least one worker, got {n_workers}")
     maps = channel_maps(p, ch)
-    vs = None if corrections == "auto" else correction_unitaries(p, basis, maps, corrections)
+    _check_corrections(corrections)
+    vs = None if corrections == "auto" else correction_unitaries(p, basis)
     tables = _sampling_tables(maps, vs)
     n_out, d, _ = maps.shape
     block = max(1, _BLOCK_ENTRIES // (d * d))
@@ -376,7 +369,8 @@ def simulate(
     n_shards = min(n_workers, n_runs)
     shares = [n_runs // n_shards + (1 if w < n_runs % n_shards else 0) for w in range(n_shards)]
     conclusive_flag = np.array([isinstance(t, Conclusive) for t in p.tags], dtype=np.int64)
-    sums = np.zeros((3, n_out))  # per outcome: runs, fidelity sum, squared-fidelity sum
+    # Per outcome: runs, then the sums of f, f^2, 1 - f and (1 - f)^2.
+    sums = np.zeros((5, n_out))
     run_index = 0
     for stream, share in zip(np.random.default_rng(rng).spawn(n_shards), shares):
         for start in range(0, share, block):
@@ -385,6 +379,9 @@ def simulate(
             sums[0] += np.bincount(alpha, minlength=n_out)
             np.add.at(sums[1], alpha, fid)
             np.add.at(sums[2], alpha, fid * fid)
+            loss = 1.0 - fid
+            np.add.at(sums[3], alpha, loss)
+            np.add.at(sums[4], alpha, loss * loss)
             if transcript is not None:
                 transcript(
                     {
@@ -395,8 +392,10 @@ def simulate(
                     }
                 )
             run_index += size
-    probs, terms, squares = sums / n_runs
-    var = float(squares.sum()) - float(terms.sum()) ** 2
+    probs, terms, squares, losses, loss_squares = sums / n_runs
+    # Var(f) = Var(1 - f), and the moments of 1 - f do not cancel when the
+    # run fidelities crowd near 1.
+    var = float(loss_squares.sum()) - float(losses.sum()) ** 2
     return _build_report(
         p,
         corrections,

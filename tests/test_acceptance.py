@@ -18,6 +18,7 @@ from qteleport.formulas import (
     binary_entropy,
     channel_from_entropy,
     optimal_average_fidelity,
+    product_strategy_fidelity,
     relaxed_angle_fidelity,
 )
 from qteleport.linalg import haar_random_ket
@@ -108,6 +109,27 @@ def test_criterion_2_optimal_fidelity_reproduction():
                     mc_worst = max(
                         mc_worst, abs(mc.f_total - exact.f_total) / mc.f_total_se
                     )
+    # The edges, exact only: d = 16 and 32, a channel with min a^2 = 1e-8,
+    # both strategies (the product split against its own closed form) and
+    # lambda at 0, half and the positivity bound; fixed corrections at
+    # d = 16, where they cost little.
+    for d in (16, 32):
+        basis = build_weyl_basis(d)
+        probs = np.random.default_rng(d).random(d) + 0.1
+        probs[-1] = 1e-8
+        probs[:-1] *= (1.0 - 1e-8) / probs[:-1].sum()
+        channels = [make_channel(np.sqrt(probs))]
+        if d == 16:
+            channels.append(grid_channels(d, n=1)[0])
+        for ch in channels:
+            for lam in lam_grid(ch):
+                base = build_conclusive_povm(ch, basis, lam)
+                for p, want in (
+                    (refine_inconclusive_residual(base, basis), optimal_average_fidelity(d, ch.probs, lam)),
+                    (refine_inconclusive_product(base), product_strategy_fidelity(d, lam)),
+                ):
+                    for corrections in ("auto", "paper") if d == 16 else ("auto",):
+                        worst = max(worst, abs(report(p, ch, basis, corrections).f_total - want))
     assert worst <= 1e-9
     assert mc_worst <= 4.0
     elapsed = time.perf_counter() - t0
@@ -159,7 +181,7 @@ def test_criterion_4_standard_teleportation_limit():
         assert exact.inconclusive_probability <= 1e-10
         # Per-run conclusive fidelity, through the protocol primitives.
         maps = channel_maps(p, ch)
-        vs = correction_unitaries(p, basis, maps, "paper")
+        vs = correction_unitaries(p, basis)
         rng = np.random.default_rng(d)
         for _ in range(500):
             phi = haar_random_ket(d, rng)

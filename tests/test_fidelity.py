@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,6 @@ from qteleport.fidelity import (
     avg_fidelity_term,
     channel_maps,
     correction_unitaries,
-    optimal_correction,
     report,
     simulate,
     transcript_bits,
@@ -124,6 +124,16 @@ class TestOutcomeChannel:
         )
         with pytest.raises(DecompositionError):
             channel_maps(rem, ch)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    @pytest.mark.parametrize("strategy", ["product", "residual", "rotated"])
+    def test_maps_equal_the_conjugate_transpose_oracle(self, d, strategy):
+        # One C-ordered allocation, scaled in place, holds the bytes of the
+        # conj, transpose, scale and contiguous-copy chain.
+        p, ch, _, maps, _ = maps_and_corrections(d, strategy, "paper", 20 + d)
+        want = np.ascontiguousarray(p.vectors.conj().reshape(-1, d, d).transpose(0, 2, 1) * ch.coeffs[:, None])
+        assert maps.flags.c_contiguous and maps.dtype == want.dtype
+        assert maps.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8])
     @pytest.mark.parametrize("strategy", ["product", "residual"])
@@ -318,8 +328,8 @@ class TestExactReport:
         lam = 0.7 * lambda_max(ch)
         p = refined(ch, basis, lam, "residual")
         maps = channel_maps(p, ch)
-        auto = correction_unitaries(p, basis, maps, "auto")
-        fixed = correction_unitaries(p, basis, maps, "paper")
+        auto = optimal_correction(maps)
+        fixed = correction_unitaries(p, basis)
         for k in range(p.n_outcomes):
             t_auto = abs(np.trace(auto[k] @ maps[k]))
             t_fixed = abs(np.trace(fixed[k] @ maps[k]))
@@ -331,7 +341,7 @@ class TestExactReport:
         basis = build_weyl_basis(d)
         ch = random_channel(d, np.random.default_rng(d))
         p = refined(ch, basis, 0.5 * lambda_max(ch), "product")
-        vs = correction_unitaries(p, basis, channel_maps(p, ch), "paper")
+        vs = correction_unitaries(p, basis)
         shifts = [(k, t) for k, t in enumerate(p.tags) if isinstance(t, InconclusiveProduct)]
         assert len(shifts) == d * d
         for k, tag in shifts:
@@ -356,16 +366,53 @@ class TestExactReport:
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
     @pytest.mark.parametrize("strategy", ["product", "residual"])
     def test_pattern_report_equals_the_svd_oracle(self, d, strategy):
+        # The singular-value report against the SVD oracle's corrections:
+        # pattern stacks at every d and, for d <= 4, the realized,
+        # conjugated and rotated stacks, which have no pattern.
         basis = build_weyl_basis(d)
         ch = random_channel(d, np.random.default_rng(300 + d))
-        for share in (0.0, 0.5, 1.0):
-            p = refined(ch, basis, share * lambda_max(ch), strategy)
+        cases = [(refined(ch, basis, share * lambda_max(ch), strategy), ch, basis) for share in (0.0, 0.5, 1.0)]
+        if d <= 4:
+            rng = np.random.default_rng(350 + d)
+            moved = conjugated_basis(basis, haar_random_unitary(d, rng), haar_random_unitary(d, rng))
+            p = cases[1][0]
+            cases += [
+                (realized_povm(dilate(p), p), ch, basis),
+                (refined(ch, moved, 0.5 * lambda_max(ch), strategy), ch, moved),
+                maps_and_corrections(d, "rotated", "auto", 350 + d)[:3],
+            ]
+        for k, (p, ch, basis) in enumerate(cases):
             maps = channel_maps(p, ch)
-            assert fidelity._pattern(maps) is not None
+            assert (fidelity._pattern(maps) is not None) == (k < 3)
             probs, terms = avg_fidelity_term(maps, optimal_correction(maps))
             rep = report(p, ch, basis, "auto")
             assert np.max(np.abs([o.probability for o in rep.outcomes] - probs)) <= 1e-15
             assert np.max(np.abs([o.fidelity_term for o in rep.outcomes] - terms)) <= 1e-15
+
+
+def optimal_correction(b):
+    """Unitary maximizing |Tr(V B)|, i.e. the adjoint polar factor of B.
+
+    The oracle for the singular-value path: with B = U S W^h the maximizer
+    is V = (U W^h)^†, for which |Tr(V B)| equals the sum of singular values.
+    A fixed SVD phase convention (the largest-magnitude entry of each left
+    singular vector made real positive) keeps the result reproducible for
+    degenerate inputs.  ``b`` may be a stack (..., d, d); each map gets its
+    own correction.
+    """
+    u, _, wh = np.linalg.svd(np.asarray(b))
+    # Columns of u are unit vectors, so every pivot is nonzero.  np.hypot
+    # rounds like the scalar abs() of a per-column loop; np.abs on a complex
+    # array may differ in the last place.
+    rows = np.argmax(np.abs(u), axis=-2)[..., None, :]
+    pivot = np.take_along_axis(u, rows, axis=-2)
+    phase = pivot / np.hypot(pivot.real, pivot.imag)
+    return dagger((u / phase) @ (wh * np.swapaxes(phase, -1, -2)))
+
+
+def corrections_of(p, basis, maps, corrections):
+    """Explicit corrections per outcome: the SVD oracle for auto, the library's fixed ones for paper."""
+    return optimal_correction(maps) if corrections == "auto" else correction_unitaries(p, basis)
 
 
 def loop_optimal_correction(b):
@@ -439,7 +486,7 @@ class TestStackedEngine:
         if corrections == "auto":
             vs = [loop_optimal_correction(b) for b in maps]
         else:
-            vs = correction_unitaries(p, basis, maps, "paper")
+            vs = correction_unitaries(p, basis)
         f_con = f_inc = 0.0
         for stat, tag, b, v in zip(rep.outcomes, p.tags, maps, vs):
             prob, term = loop_fidelity_term(b, v)
@@ -500,7 +547,7 @@ class TestSimulate:
         lam = 0.6 * lambda_max(ch)
         p = refined(ch, basis, lam, "product")
         maps = channel_maps(p, ch)
-        vs = correction_unitaries(p, basis, maps, "paper")
+        vs = correction_unitaries(p, basis)
         rng = np.random.default_rng(0)
         for _ in range(200):
             phi = haar_random_ket(d, rng)
@@ -702,7 +749,7 @@ def maps_and_corrections(d, strategy, corrections, seed, share=0.8):
         rotation = np.kron(haar_random_unitary(d, rng), np.eye(d))
         p = PovmSet(d=d, vectors=p.vectors @ rotation.T, tags=p.tags, lam=p.lam)
     maps = channel_maps(p, ch)
-    return p, ch, basis, maps, correction_unitaries(p, basis, maps, corrections)
+    return p, ch, basis, maps, corrections_of(p, basis, maps, corrections)
 
 
 class FixedRows:
@@ -772,14 +819,17 @@ class TestBlockedKernel:
         assert np.max(np.abs(fid - want_fid)) <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8])
-    @pytest.mark.parametrize("strategy", ["product", "residual"])
+    @pytest.mark.parametrize("strategy", ["product", "residual", "rotated"])
     @pytest.mark.parametrize("corrections", ["auto", "paper"])
     @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
     def test_pattern_tables_match_the_eigh_reference(self, d, strategy, corrections, share):
-        # Pattern tables (no eigh, no SVD; for auto no V at all) replay the
-        # reference's runs, whose eigenbasis comes from a batched eigh.
+        # Pattern tables (no eigh, no SVD; for auto no V at all) and the
+        # tables of the rotated stack, which has no pattern (for auto only
+        # its singular values), replay the reference's runs, whose
+        # eigenbasis comes from a batched eigh and whose auto corrections
+        # come from the SVD oracle.
         _, _, _, maps, vs = maps_and_corrections(d, strategy, corrections, 40 + d, share)
-        assert fidelity._pattern(maps) is not None
+        assert (fidelity._pattern(maps) is None) == (strategy == "rotated")
         tables = fidelity._sampling_tables(maps, None if corrections == "auto" else vs)
         n = 2_000
         alpha, fid = fidelity._simulate_block(tables, np.random.default_rng(d), n)
@@ -864,7 +914,7 @@ class TestBlockedKernel:
         ch = make_channel(np.sqrt([0.5, 0.3, 0.2]))
         p = refined(ch, basis, lambda_max(ch), strategy)
         maps = channel_maps(p, ch)
-        vs = correction_unitaries(p, basis, maps, "auto")
+        vs = optimal_correction(maps)
         weights = np.sum(np.abs(maps) ** 2, axis=(1, 2))
         dead = np.flatnonzero(weights == 0)
         tables = fidelity._sampling_tables(maps, vs)
@@ -948,7 +998,7 @@ class TestBlockedKernel:
                 maps = channel_maps(p, ch)
                 assert fidelity._pattern(maps) is not None, (ch.coeffs, share)
                 for corrections in ("auto", "paper"):
-                    vs = correction_unitaries(p, basis, maps, corrections)
+                    vs = corrections_of(p, basis, maps, corrections)
                     live = fidelity._sampling_tables(maps, vs)[4]
                     assert live.size == 0, (ch.coeffs, share, corrections)
                 assert fidelity._sampling_tables(maps, None)[4].size == 0
@@ -968,6 +1018,63 @@ class TestBlockedKernel:
                 maps_and_corrections(d, "rotated", "auto", d)[3],
             ):
                 assert fidelity._pattern(maps) is None
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_auto_runs_no_eigh_on_a_dense_stack(self, monkeypatch, d):
+        # The rotated POVM has no pattern; auto still needs only singular values.
+        p, ch, basis, _, _ = maps_and_corrections(d, "rotated", "auto", 60 + d)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        exact = report(p, ch, basis, "auto")
+        mc = simulate(p, ch, basis, "auto", n_runs=20_000, rng=d)
+        assert abs(mc.f_total - exact.f_total) <= 4 * mc.f_total_se
+        with pytest.raises(AssertionError, match="eigh called"):
+            simulate(p, ch, basis, "paper", n_runs=10, rng=d)
+
+    def test_unknown_corrections_mode_is_refused(self):
+        basis = build_weyl_basis(2)
+        ch = qubit_channel_from_cos_theta(0.6)
+        p = refined(ch, basis, 0.4, "product")
+        with pytest.raises(DomainError, match="corrections mode"):
+            report(p, ch, basis, "optimal")
+        with pytest.raises(DomainError, match="corrections mode"):
+            simulate(p, ch, basis, "optimal", n_runs=10)
+
+    @pytest.mark.parametrize(
+        "d, strategy, corrections, share, n_runs, rel",
+        [
+            (16, "maximal", "auto", 1.0, 5000, 1e-3),
+            *[
+                (d, strategy, corrections, share, 3000, 1e-12)
+                for d in (2, 3, 8)
+                for strategy in ("product", "residual", "rotated")
+                for corrections in ("auto", "paper")
+                for share in (0.0, 1.0)
+            ],
+        ],
+    )
+    def test_total_standard_error_matches_a_two_pass_reference(self, d, strategy, corrections, share, n_runs, rel):
+        # The run fidelities are replayed from the kernel on the shard's
+        # stream, then centred on their math.fsum mean before squaring.  On
+        # the maximally entangled channel every run has fidelity 1 to
+        # rounding, where a one-pass sum(f^2) - sum(f)^2 cancels to 0.
+        if strategy == "maximal":
+            basis = build_weyl_basis(d)
+            ch = make_channel(np.full(d, 1 / np.sqrt(d)))
+            p = refined(ch, basis, share * lambda_max(ch), "residual")
+            maps, vs = channel_maps(p, ch), None
+        else:
+            p, ch, basis, maps, vs = maps_and_corrections(d, strategy, corrections, 70 + d, share)
+        rep = simulate(p, ch, basis, corrections, n_runs=n_runs, rng=2)
+        tables = fidelity._sampling_tables(maps, None if corrections == "auto" else vs)
+        _, fid = fidelity._simulate_block(tables, np.random.default_rng(2).spawn(1)[0], n_runs)
+        mean = math.fsum(fid) / n_runs
+        want = math.sqrt(math.fsum((fid - mean) ** 2) / n_runs / n_runs)
+        assert want > 0
+        assert abs(rep.f_total_se - want) <= rel * want
 
     def test_large_d_matches_the_exact_report(self):
         d = 16
