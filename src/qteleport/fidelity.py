@@ -33,9 +33,11 @@ Every map the CLI builds has at most one nonzero per row and per column (a
 pattern, see ``_pattern``): X^m Z^n is a generalized permutation matrix,
 and the conclusive block, both refinements and the theta family inherit
 that.  Column j of such a B holds one value b_j in its own row, so M =
-diag(|b|^2) and sigma_j = |b_j|, with no SVD or eigh.  Other map stacks
-take sigma from an SVD without vectors; only explicit corrections on them
-need E, from eigh.
+diag(|b|^2) and sigma_j = |b_j|, with no SVD or eigh.  The paper's
+corrections there need only Tr(V B) = sum_j V[j, r_j] b_j, d entries of
+each V, so the exact ``paper`` report forms no correction stack.  Other
+map stacks take sigma from an SVD without vectors; only explicit
+corrections on them need E, from eigh.
 """
 
 from __future__ import annotations
@@ -63,11 +65,30 @@ def avg_fidelity_term(b: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndar
     d = b.shape[-1]
     if b.shape[-2:] != (d, d) or v.shape != b.shape:
         raise ShapeError(f"correction shape {v.shape} does not match {b.shape}")
-    if np.max(np.abs(dagger(v) @ v - np.eye(d))) > 1e-10:
-        raise DomainError("correction operator is not unitary")
+    _check_unitary(v.reshape(-1, d, d))
     gram = np.sum(np.abs(b) ** 2, axis=(-2, -1))
     trace = np.einsum("...ij,...ji->...", v, b)
     return gram / d, (np.abs(trace) ** 2 + gram) / (d * (d + 1))
+
+
+# Operators per unitarity-check chunk: room for about this many entries.
+_CHECK_ENTRIES = 1 << 13
+
+
+def _check_unitary(ops: np.ndarray, used: np.ndarray | None = None) -> None:
+    """Raise ``DomainError`` if an op is off unitary by more than 1e-10.
+
+    Only the ops flagged in ``used`` are checked, if it is given.  The stack
+    is read in chunks of about ``_CHECK_ENTRIES`` entries.
+    """
+    d = ops.shape[-1]
+    step = max(1, _CHECK_ENTRIES // (d * d))
+    for start in range(0, len(ops), step):
+        v = ops[start : start + step]
+        if used is not None:
+            v = v[used[start : start + step]]
+        if v.size and np.max(np.abs(dagger(v) @ v - np.eye(d))) > 1e-10:
+            raise DomainError("correction operator is not unitary")
 
 
 def _pattern(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -160,6 +181,14 @@ def correction_unitaries(p: PovmSet, basis: UnitaryBasis) -> np.ndarray:
     optimal corrections are never formed (see the module docstring).
     """
     d = p.d
+    # X^m is the identity with its rows rolled down by m (see weyl.shift_matrix).
+    shifts = np.eye(d, dtype=complex)[(np.arange(d) - np.arange(d)[:, None]) % d]
+    return np.concatenate([basis.ops, shifts])[_correction_index(p)]
+
+
+def _correction_index(p: PovmSet) -> np.ndarray:
+    """Each outcome's paper correction: alpha for ``basis.ops[alpha]``, d^2 + m for X^m."""
+    d = p.d
     index = []
     for tag in p.tags:
         if isinstance(tag, (Conclusive, InconclusiveResidual)):
@@ -168,9 +197,25 @@ def correction_unitaries(p: PovmSet, basis: UnitaryBasis) -> np.ndarray:
             index.append(d * d + (tag.i - tag.j) % d)
         else:
             raise DecompositionError("fixed corrections need a refined POVM")
-    # X^m is the identity with its rows rolled down by m (see weyl.shift_matrix).
-    shifts = np.eye(d, dtype=complex)[(np.arange(d) - np.arange(d)[:, None]) % d]
-    return np.concatenate([basis.ops, shifts])[index]
+    return np.array(index, dtype=np.intp)
+
+
+def _paper_traces(p: PovmSet, basis: UnitaryBasis, pattern: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Tr(V_a B_a) for the paper's corrections on a pattern stack, reading d entries of each V_a.
+
+    Column j of B_a holds b_j in row r_j, so Tr(V B) = sum_j V[j, r_j] b_j;
+    X^m has entry [j == (r_j + m) mod d] there.  Each basis operator that
+    an outcome reads is checked for unitarity once.
+    """
+    rows, vals = pattern
+    d = p.d
+    index = _correction_index(p)[:, None]
+    is_op = index < d * d
+    cols = np.arange(d)
+    # X^m has index d^2 + m, which is m mod d.
+    entries = np.where(is_op, basis.ops[np.where(is_op, index, 0), cols, rows], cols == (rows + index) % d)
+    _check_unitary(basis.ops, np.bincount(index[is_op], minlength=d * d) > 0)
+    return (entries * vals).sum(axis=1)
 
 
 def report(
@@ -179,17 +224,24 @@ def report(
     """Exact Haar-average fidelity report for a refined POVM.
 
     ``auto`` reads only each map's singular values (see the module
-    docstring); ``paper`` evaluates the fixed corrections.
+    docstring).  ``paper`` on a pattern stack reads d entries of each fixed
+    correction (``_paper_traces``); on any other stack it forms the
+    corrections and runs ``avg_fidelity_term``.
     """
     maps = channel_maps(p, ch)
     _check_corrections(corrections)
-    if corrections == "paper":
+    pattern = _pattern(maps)
+    if corrections == "paper" and pattern is None:
         probs, terms = avg_fidelity_term(maps, correction_unitaries(p, basis))
     else:
         d = p.d
-        sigma = _singular_values(maps, _pattern(maps))
+        sigma = _singular_values(maps, pattern)
         gram = np.sum(sigma**2, axis=1)
-        probs, terms = gram / d, (np.sum(sigma, axis=1) ** 2 + gram) / (d * (d + 1))
+        if corrections == "auto":
+            overlap = np.sum(sigma, axis=1)
+        else:
+            overlap = np.abs(_paper_traces(p, basis, pattern))
+        probs, terms = gram / d, (overlap**2 + gram) / (d * (d + 1))
     return _build_report(p, corrections, probs, terms)
 
 

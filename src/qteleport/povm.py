@@ -148,10 +148,14 @@ def build_conclusive_povm(ch: SchmidtChannel, basis: UnitaryBasis, lam: float) -
     return PovmSet(d=d, vectors=np.sqrt(lam) * duals, tags=tags, lam=float(lam), remainder=diag)
 
 
-def _split_remainder(p: PovmSet) -> np.ndarray:
+def _split_remainder(p: PovmSet) -> tuple[np.ndarray, np.ndarray]:
+    """The remainder diagonal and a (n + d^2, d^2) vector array holding ``p.vectors`` in its first n rows."""
     if p.remainder is None:
         raise DecompositionError("POVM has no remainder element to refine")
-    return p.remainder
+    n, joint = p.vectors.shape
+    vectors = np.zeros((n + joint, joint), dtype=complex)
+    vectors[:n] = p.vectors
+    return p.remainder, vectors
 
 
 def refine_inconclusive_product(p: PovmSet) -> PovmSet:
@@ -160,14 +164,13 @@ def refine_inconclusive_product(p: PovmSet) -> PovmSet:
     New elements are weight |ij><ij| appended j-major (all i for j=0, then
     j=1, ...), giving a 2 d^2 element set.
     """
-    diag = _split_remainder(p)
+    diag, vectors = _split_remainder(p)
     d = p.d
     j, i = np.divmod(np.arange(d * d), d)
     flat = i * d + j
-    pieces = np.zeros((d * d, d * d), dtype=complex)
-    pieces[np.arange(d * d), flat] = np.sqrt(diag[flat])
+    vectors[len(p.vectors) + np.arange(d * d), flat] = np.sqrt(diag[flat])
     tags = p.tags[:-1] + tuple(InconclusiveProduct(*ij) for ij in zip(i.tolist(), j.tolist()))
-    return PovmSet(d=d, vectors=np.concatenate([p.vectors, pieces]), tags=tags, lam=p.lam)
+    return PovmSet(d=d, vectors=vectors, tags=tags, lam=p.lam)
 
 
 def refine_inconclusive_residual(p: PovmSet, basis: UnitaryBasis) -> PovmSet:
@@ -178,12 +181,12 @@ def refine_inconclusive_residual(p: PovmSet, basis: UnitaryBasis) -> PovmSet:
     to R exactly.  R is diagonal, so S e_a is sqrt(diag R) times e_a
     entrywise; entries of R below 1e-12 count as zero.
     """
-    diag = _split_remainder(p)
+    diag, vectors = _split_remainder(p)
     d = p.d
     root = np.sqrt(np.where(diag < 1e-12, 0.0, diag))
-    pieces = root * maximally_entangled_basis(basis)
+    np.multiply(root, maximally_entangled_basis(basis), out=vectors[len(p.vectors) :])
     tags = p.tags[:-1] + tuple(InconclusiveResidual(alpha) for alpha in range(d * d))
-    return PovmSet(d=d, vectors=np.concatenate([p.vectors, pieces]), tags=tags, lam=p.lam)
+    return PovmSet(d=d, vectors=vectors, tags=tags, lam=p.lam)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -168,3 +174,63 @@ def test_completion_from_the_isometrys_own_reflectors(d, strategy):
     q, r = np.linalg.qr(np.hstack([w, np.eye(u.shape[0])]))
     phases = np.diag(r)[: d * d]
     assert np.max(np.abs(u[:, :: dil.ancilla_dim] - q[:, : d * d] * phases / np.abs(phases))) <= 1e-15
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+@pytest.mark.parametrize("strategy", ["product", "residual"])
+def test_residuals_equal_the_dense_oracle_without_dense_elements(d, strategy):
+    # The residuals come from the vectors in chunks; the dense stacks are
+    # built here only, after dilate, as the oracle.
+    basis = build_weyl_basis(d)
+    ch = random_channel(d, np.random.default_rng(90 + d))
+    for share in (0.0, 0.5, 1.0):
+        p = build(d, ch, share * lambda_max(ch), strategy, basis)
+        dil = dilate(p)
+        assert "elements" not in p.__dict__
+        oracle = np.max(np.abs(realized_povm(dil, p).elements - p.elements), axis=(1, 2))
+        np.testing.assert_array_equal(dil.residuals, oracle)
+
+
+@pytest.mark.parametrize("d", [6, 8])
+@pytest.mark.parametrize("strategy", ["product", "residual"])
+def test_dilate_peak_memory_is_a_few_unitaries(d, strategy):
+    basis = build_weyl_basis(d)
+    ch = random_channel(d, np.random.default_rng(d))
+    p = build(d, ch, 0.5 * lambda_max(ch), strategy, basis)
+    tracemalloc.start()
+    try:
+        dil = dilate(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(dil.residuals) <= 1e-10
+    assert peak <= 3 * dil.u_ext.nbytes
+
+
+def test_paper_report_and_dilation_leave_numpy_ma_unimported():
+    # numpy.ma costs about 1.4 MB resident on first import (np.unique pulls it in).
+    code = """
+import sys
+import numpy as np
+from qteleport.channel import make_channel
+from qteleport.cli import main
+from qteleport.dilation import dilate
+from qteleport.povm import build_conclusive_povm, lambda_max, refine_inconclusive_residual
+from qteleport.weyl import build_weyl_basis
+
+main(["teleport", "--d", "8", "--strategy", "product", "--corrections", "paper"])
+basis = build_weyl_basis(4)
+ch = make_channel(np.sqrt([0.4, 0.3, 0.2, 0.1]))
+dilate(refine_inconclusive_residual(build_conclusive_povm(ch, basis, 0.5 * lambda_max(ch)), basis))
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == ",total,,1,1,,,,"

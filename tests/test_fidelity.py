@@ -36,7 +36,7 @@ from qteleport.povm import (
     refine_inconclusive_product,
     refine_inconclusive_residual,
 )
-from qteleport.weyl import build_weyl_basis, conjugated_basis, shift_matrix
+from qteleport.weyl import UnitaryBasis, build_weyl_basis, conjugated_basis, shift_matrix
 
 
 def random_channel(d, rng):
@@ -530,6 +530,98 @@ class TestRankOneEngine:
         assert abs(rep.f_total - optimal_average_fidelity(d, ch.probs, lam)) <= 1e-9
         assert peak < 64 * 2**20
         assert "elements" not in vars(p)
+
+
+def scaled_basis(basis, alpha, factor):
+    ops = basis.ops.copy()
+    ops[alpha] *= factor
+    return UnitaryBasis(dim=basis.dim, ops=ops)
+
+
+class TestPatternPaperReport:
+    """``paper`` on a pattern stack reads d entries per correction, never the stack."""
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    @pytest.mark.parametrize("strategy", ["product", "residual"])
+    def test_per_outcome_numbers_match_the_dense_oracle(self, d, strategy):
+        basis = build_weyl_basis(d)
+        ch = random_channel(d, np.random.default_rng(400 + d))
+        for share in (0.0, 0.5, 1.0):
+            p = refined(ch, basis, share * lambda_max(ch), strategy)
+            maps = channel_maps(p, ch)
+            assert fidelity._pattern(maps) is not None
+            probs, terms = avg_fidelity_term(maps, correction_unitaries(p, basis))
+            rep = report(p, ch, basis, "paper")
+            assert np.max(np.abs([o.probability for o in rep.outcomes] - probs)) <= 1e-15
+            assert np.max(np.abs([o.fidelity_term for o in rep.outcomes] - terms)) <= 1e-15
+
+    @pytest.mark.parametrize("strategy", ["product", "residual"])
+    def test_correction_stack_is_never_built(self, monkeypatch, strategy):
+        basis = build_weyl_basis(4)
+        ch = random_channel(4, np.random.default_rng(4))
+        p = refined(ch, basis, 0.5 * lambda_max(ch), strategy)
+        want = report(p, ch, basis, "auto").f_total
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("correction_unitaries called on a pattern stack")
+
+        monkeypatch.setattr(fidelity, "correction_unitaries", refuse)
+        assert report(p, ch, basis, "paper").f_total == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("strategy", ["product", "residual"])
+    def test_non_unitary_basis_operator_is_refused_on_both_paths(self, d, strategy):
+        basis = build_weyl_basis(d)
+        ch = random_channel(d, np.random.default_rng(500 + d))
+        p = refined(ch, basis, 0.5 * lambda_max(ch), strategy)
+        realized = realized_povm(dilate(p), p)
+        assert fidelity._pattern(channel_maps(p, ch)) is not None
+        assert fidelity._pattern(channel_maps(realized, ch)) is None
+        bad = scaled_basis(basis, d + 1, 0.5)
+        for q in (p, realized):
+            report(q, ch, basis, "paper")
+            with pytest.raises(DomainError, match="not unitary"):
+                report(q, ch, bad, "paper")
+
+    @pytest.mark.parametrize("alpha", [0, 100, 255])
+    def test_every_chunk_of_the_check_is_read(self, alpha):
+        # At d = 16 the check runs in several chunks; a bad operator in any
+        # of them is refused, on the pattern path and by avg_fidelity_term.
+        d = 16
+        basis = build_weyl_basis(d)
+        ch = random_channel(d, np.random.default_rng(d))
+        p = refined(ch, basis, 0.5 * lambda_max(ch), "residual")
+        assert len(basis.ops) > fidelity._CHECK_ENTRIES // (d * d)
+        bad = scaled_basis(basis, alpha, 0.5)
+        with pytest.raises(DomainError):
+            report(p, ch, bad, "paper")
+        with pytest.raises(DomainError):
+            avg_fidelity_term(channel_maps(p, ch), correction_unitaries(p, bad))
+
+    def test_bound_is_unchanged(self):
+        # Off by 1e-9 is refused, off by 1e-12 passes, as for the dense check.
+        d = 3
+        basis = build_weyl_basis(d)
+        ch = random_channel(d, np.random.default_rng(7))
+        p = refined(ch, basis, 0.5 * lambda_max(ch), "residual")
+        report(p, ch, scaled_basis(basis, 4, 1 + 1e-12), "paper")
+        with pytest.raises(DomainError):
+            report(p, ch, scaled_basis(basis, 4, 1 + 1e-9), "paper")
+
+    @pytest.mark.parametrize("d", [12, 16])
+    @pytest.mark.parametrize("strategy", ["product", "residual"])
+    def test_peak_memory_is_near_the_map_stack(self, d, strategy):
+        basis = build_weyl_basis(d)
+        ch = random_channel(d, np.random.default_rng(d))
+        p = refined(ch, basis, 0.5 * lambda_max(ch), strategy)
+        maps_bytes = channel_maps(p, ch).nbytes
+        tracemalloc.start()
+        try:
+            report(p, ch, basis, "paper")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * maps_bytes
 
 
 class TestSimulate:

@@ -159,6 +159,29 @@ class TestRankOneStorage:
         ):
             assert np.max(np.abs(p.elements - np.array(want))) <= 1e-15
 
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_refined_vectors_equal_the_concatenated_construction(self, d):
+        # Both refinements fill one preallocated array; its bytes are those of
+        # stacking the conclusive vectors on a separately built piece block.
+        basis = build_weyl_basis(d)
+        ch = random_channel(d, np.random.default_rng(d + 40))
+        j, i = np.divmod(np.arange(d * d), d)
+        flat = i * d + j
+        for share in (0.0, 0.5, 1.0):
+            base = build_conclusive_povm(ch, basis, share * lambda_max(ch))
+            diag = base.remainder
+            product = np.zeros((d * d, d * d), dtype=complex)
+            product[np.arange(d * d), flat] = np.sqrt(diag[flat])
+            root = np.sqrt(np.where(diag < 1e-12, 0.0, diag))
+            residual = root * maximally_entangled_basis(basis)
+            for refined, pieces in (
+                (refine_inconclusive_product(base), product),
+                (refine_inconclusive_residual(base, basis), residual),
+            ):
+                want = np.concatenate([base.vectors, pieces])
+                np.testing.assert_array_equal(refined.vectors, want)
+                assert refined.vectors.tobytes() == want.tobytes()
+
     def test_fields_and_cached_read_only_view(self):
         d = 3
         basis = build_weyl_basis(d)
