@@ -26,6 +26,7 @@ import numpy as np
 from .channel import SchmidtChannel
 from .errors import CapacityError, DecompositionError
 from .fidelity import channel_maps
+from .linalg import chunks
 from .povm import PovmSet
 
 
@@ -100,10 +101,6 @@ def dilate(p: PovmSet, ancilla_dim: int | None = None) -> DilationResult:
     return replace(dil, residuals=_residuals(realized_povm(dil, p).vectors, p.vectors))
 
 
-# Outcomes per residual chunk: room for about this many dense element entries.
-_RESIDUAL_ENTRIES = 1 << 13
-
-
 def _residuals(realized: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     """max|v_a v_a^† - w_a w_a^†| per outcome, from the vectors in bounded chunks.
 
@@ -111,13 +108,12 @@ def _residuals(realized: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     equals the dense comparison bit for bit without holding either stack.
     """
     n, joint = wanted.shape
-    step = max(1, _RESIDUAL_ENTRIES // (joint * joint))
     out = np.empty(n)
-    for start in range(0, n, step):
-        v, w = realized[start : start + step], wanted[start : start + step]
+    for part in chunks(n, joint * joint):
+        v, w = realized[part], wanted[part]
         diff = np.einsum("ki,kj->kij", v, v.conj())
         diff -= np.einsum("ki,kj->kij", w, w.conj())
-        out[start : start + step] = np.max(np.abs(diff), axis=(1, 2))
+        out[part] = np.max(np.abs(diff), axis=(1, 2))
     return out
 
 

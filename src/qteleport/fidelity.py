@@ -50,7 +50,7 @@ import numpy as np
 
 from .channel import SchmidtChannel
 from .errors import ConsistencyError, DecompositionError, DomainError, ShapeError
-from .linalg import dagger
+from .linalg import chunks, dagger
 from .povm import Conclusive, InconclusiveProduct, InconclusiveResidual, PovmSet, Tag
 from .weyl import UnitaryBasis
 
@@ -71,23 +71,12 @@ def avg_fidelity_term(b: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndar
     return gram / d, (np.abs(trace) ** 2 + gram) / (d * (d + 1))
 
 
-# Operators per unitarity-check chunk: room for about this many entries.
-_CHECK_ENTRIES = 1 << 13
-
-
-def _check_unitary(ops: np.ndarray, used: np.ndarray | None = None) -> None:
-    """Raise ``DomainError`` if an op is off unitary by more than 1e-10.
-
-    Only the ops flagged in ``used`` are checked, if it is given.  The stack
-    is read in chunks of about ``_CHECK_ENTRIES`` entries.
-    """
+def _check_unitary(ops: np.ndarray) -> None:
+    """Raise ``DomainError`` if an op is off unitary by more than 1e-10, reading bounded chunks."""
     d = ops.shape[-1]
-    step = max(1, _CHECK_ENTRIES // (d * d))
-    for start in range(0, len(ops), step):
-        v = ops[start : start + step]
-        if used is not None:
-            v = v[used[start : start + step]]
-        if v.size and np.max(np.abs(dagger(v) @ v - np.eye(d))) > 1e-10:
+    for part in chunks(len(ops), d * d):
+        v = ops[part]
+        if np.max(np.abs(dagger(v) @ v - np.eye(d))) > 1e-10:
             raise DomainError("correction operator is not unitary")
 
 
@@ -181,14 +170,17 @@ def correction_unitaries(p: PovmSet, basis: UnitaryBasis) -> np.ndarray:
     optimal corrections are never formed (see the module docstring).
     """
     d = p.d
+    index = _correction_index(p, basis)
     # X^m is the identity with its rows rolled down by m (see weyl.shift_matrix).
     shifts = np.eye(d, dtype=complex)[(np.arange(d) - np.arange(d)[:, None]) % d]
-    return np.concatenate([basis.ops, shifts])[_correction_index(p)]
+    return np.concatenate([basis.ops, shifts])[index]
 
 
-def _correction_index(p: PovmSet) -> np.ndarray:
+def _correction_index(p: PovmSet, basis: UnitaryBasis) -> np.ndarray:
     """Each outcome's paper correction: alpha for ``basis.ops[alpha]``, d^2 + m for X^m."""
     d = p.d
+    if basis.dim != d:
+        raise ShapeError(f"basis dimension {basis.dim} does not match POVM dimension {d}")
     index = []
     for tag in p.tags:
         if isinstance(tag, (Conclusive, InconclusiveResidual)):
@@ -204,17 +196,17 @@ def _paper_traces(p: PovmSet, basis: UnitaryBasis, pattern: tuple[np.ndarray, np
     """Tr(V_a B_a) for the paper's corrections on a pattern stack, reading d entries of each V_a.
 
     Column j of B_a holds b_j in row r_j, so Tr(V B) = sum_j V[j, r_j] b_j;
-    X^m has entry [j == (r_j + m) mod d] there.  Each basis operator that
-    an outcome reads is checked for unitarity once.
+    X^m has entry [j == (r_j + m) mod d] there.  Every basis operator is
+    checked for unitarity once.
     """
     rows, vals = pattern
     d = p.d
-    index = _correction_index(p)[:, None]
+    index = _correction_index(p, basis)[:, None]
     is_op = index < d * d
     cols = np.arange(d)
     # X^m has index d^2 + m, which is m mod d.
     entries = np.where(is_op, basis.ops[np.where(is_op, index, 0), cols, rows], cols == (rows + index) % d)
-    _check_unitary(basis.ops, np.bincount(index[is_op], minlength=d * d) > 0)
+    _check_unitary(basis.ops)
     return (entries * vals).sum(axis=1)
 
 

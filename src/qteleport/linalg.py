@@ -11,6 +11,8 @@ generator state is owned by the caller.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from .errors import NormalizationError, PositivityError, ShapeError
@@ -19,6 +21,17 @@ from .errors import NormalizationError, PositivityError, ShapeError
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of the last two axes (of every matrix in a stack)."""
     return np.swapaxes(a, -1, -2).conj()
+
+
+# Entries per chunk when a stack is read piecewise to bound its temporaries.
+CHUNK_ENTRIES = 1 << 13
+
+
+def chunks(n: int, entries_each: int) -> Iterator[slice]:
+    """Slices covering n items, about ``CHUNK_ENTRIES`` entries each (at least one item)."""
+    step = max(1, CHUNK_ENTRIES // entries_each)
+    for start in range(0, n, step):
+        yield slice(start, start + step)
 
 
 def partial_trace(rho: np.ndarray, keep: int, dims: list[int] | tuple[int, ...]) -> np.ndarray:

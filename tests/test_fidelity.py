@@ -22,7 +22,7 @@ from qteleport.formulas import (
     product_strategy_fidelity,
     qubit_average_fidelity,
 )
-from qteleport.linalg import dagger, haar_random_ket, haar_random_unitary
+from qteleport.linalg import CHUNK_ENTRIES, dagger, haar_random_ket, haar_random_unitary
 from qteleport.povm import (
     Conclusive,
     InconclusiveProduct,
@@ -591,12 +591,28 @@ class TestPatternPaperReport:
         basis = build_weyl_basis(d)
         ch = random_channel(d, np.random.default_rng(d))
         p = refined(ch, basis, 0.5 * lambda_max(ch), "residual")
-        assert len(basis.ops) > fidelity._CHECK_ENTRIES // (d * d)
+        assert len(basis.ops) > CHUNK_ENTRIES // (d * d)
         bad = scaled_basis(basis, alpha, 0.5)
         with pytest.raises(DomainError):
             report(p, ch, bad, "paper")
         with pytest.raises(DomainError):
             avg_fidelity_term(channel_maps(p, ch), correction_unitaries(p, bad))
+
+    @pytest.mark.parametrize("strategy", ["product", "residual"])
+    def test_basis_of_another_dimension_is_refused(self, strategy):
+        # A larger basis would gather in range but read the wrong entries.
+        d = 2
+        basis = build_weyl_basis(d)
+        ch = random_channel(d, np.random.default_rng(9))
+        p = refined(ch, basis, 0.5 * lambda_max(ch), strategy)
+        realized = realized_povm(dilate(p), p)
+        assert fidelity._pattern(channel_maps(p, ch)) is not None
+        assert fidelity._pattern(channel_maps(realized, ch)) is None
+        for q in (p, realized):
+            with pytest.raises(ShapeError, match="basis dimension 3"):
+                report(q, ch, build_weyl_basis(d + 1), "paper")
+        with pytest.raises(ShapeError, match="basis dimension 3"):
+            simulate(p, ch, build_weyl_basis(d + 1), "paper", n_runs=10, rng=0)
 
     def test_bound_is_unchanged(self):
         # Off by 1e-9 is refused, off by 1e-12 passes, as for the dense check.
