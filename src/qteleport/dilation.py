@@ -91,12 +91,12 @@ def dilate(p: PovmSet, ancilla_dim: int | None = None) -> DilationResult:
     w = np.zeros((ext, joint), dtype=complex)
     w[: p.n_outcomes] = p.vectors.conj()
     # Input (s, 0) maps to W|s>; the inputs (s, a > 0), in index order,
-    # take the completing columns.
-    completed = _complete_isometry(w)
+    # take the completing columns, moved in place a few rows at a time.
+    u_ext = _complete_isometry(w)
     inputs = np.arange(ext).reshape(joint, d_a)
-    u_ext = np.empty((ext, ext), dtype=complex)
-    u_ext[:, inputs[:, 0]] = completed[:, :joint]
-    u_ext[:, inputs[:, 1:].ravel()] = completed[:, joint:]
+    src = np.argsort(np.concatenate([inputs[:, 0], inputs[:, 1:].ravel()]))
+    for part in chunks(ext, ext):
+        u_ext[part] = u_ext[part, src]
     dil = DilationResult(d=d, ancilla_dim=d_a, u_ext=u_ext, residuals=np.empty(0))
     return replace(dil, residuals=_residuals(realized_povm(dil, p).vectors, p.vectors))
 

@@ -34,16 +34,20 @@ pattern, see ``_pattern``): X^m Z^n is a generalized permutation matrix,
 and the conclusive block, both refinements and the theta family inherit
 that.  Column j of such a B holds one value b_j in its own row, so M =
 diag(|b|^2) and sigma_j = |b_j|, with no SVD or eigh.  The paper's
-corrections there need only Tr(V B) = sum_j V[j, r_j] b_j, d entries of
-each V, so the exact ``paper`` report forms no correction stack.  Other
-map stacks take sigma from an SVD without vectors; only explicit
-corrections on them need E, from eigh.
+corrections have one reader, ``_correction_entries``, which first checks
+every basis operator for unitarity (``DomainError``); the exact report,
+the Monte Carlo and ``correction_unitaries`` all use it.  On a pattern the
+exact report reads d entries of each V, for Tr(V B) = sum_j V[j, r_j] b_j,
+and the Monte Carlo d^2, so neither forms a correction stack.  Other map
+stacks take sigma from an SVD without vectors; only explicit corrections
+on them need E, from eigh.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -169,15 +173,18 @@ def correction_unitaries(p: PovmSet, basis: UnitaryBasis) -> np.ndarray:
     itself, the diagonal product outcomes the cyclic shift |j> -> |i>.  The
     optimal corrections are never formed (see the module docstring).
     """
-    d = p.d
-    index = _correction_index(p, basis)
-    # X^m is the identity with its rows rolled down by m (see weyl.shift_matrix).
-    shifts = np.eye(d, dtype=complex)[(np.arange(d) - np.arange(d)[:, None]) % d]
-    return np.concatenate([basis.ops, shifts])[index]
+    return _correction_entries(p, basis, *np.indices((1, p.d, p.d))[1:])
 
 
-def _correction_index(p: PovmSet, basis: UnitaryBasis) -> np.ndarray:
-    """Each outcome's paper correction: alpha for ``basis.ops[alpha]``, d^2 + m for X^m."""
+def _correction_entries(p: PovmSet, basis: UnitaryBasis, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Entries V_a[i, j] of each outcome's paper correction, after checking every basis operator.
+
+    ``i`` and ``j`` broadcast against the outcome axis (first axis n or 1).
+    V_a is ``basis.ops[alpha]`` for ``Conclusive(alpha)`` and
+    ``InconclusiveResidual(alpha)``, and for an ``InconclusiveProduct`` tag
+    the shift X^m with m = (tag.i - tag.j) mod d, whose [i, j] entry is
+    [i == (j + m) mod d] (see ``weyl.shift_matrix``).
+    """
     d = p.d
     if basis.dim != d:
         raise ShapeError(f"basis dimension {basis.dim} does not match POVM dimension {d}")
@@ -189,25 +196,13 @@ def _correction_index(p: PovmSet, basis: UnitaryBasis) -> np.ndarray:
             index.append(d * d + (tag.i - tag.j) % d)
         else:
             raise DecompositionError("fixed corrections need a refined POVM")
-    return np.array(index, dtype=np.intp)
-
-
-def _paper_traces(p: PovmSet, basis: UnitaryBasis, pattern: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Tr(V_a B_a) for the paper's corrections on a pattern stack, reading d entries of each V_a.
-
-    Column j of B_a holds b_j in row r_j, so Tr(V B) = sum_j V[j, r_j] b_j;
-    X^m has entry [j == (r_j + m) mod d] there.  Every basis operator is
-    checked for unitarity once.
-    """
-    rows, vals = pattern
-    d = p.d
-    index = _correction_index(p, basis)[:, None]
-    is_op = index < d * d
-    cols = np.arange(d)
-    # X^m has index d^2 + m, which is m mod d.
-    entries = np.where(is_op, basis.ops[np.where(is_op, index, 0), cols, rows], cols == (rows + index) % d)
     _check_unitary(basis.ops)
-    return (entries * vals).sum(axis=1)
+    index = np.array(index, dtype=np.intp).reshape((-1,) + (1,) * (max(np.ndim(i), np.ndim(j)) - 1))
+    is_op = index < d * d
+    entries = np.asarray(basis.ops[np.where(is_op, index, 0), i, j], dtype=complex)
+    # X^m has index d^2 + m, which is m mod d.
+    np.copyto(entries, (i - j) % d == index % d, where=~is_op)
+    return entries
 
 
 def report(
@@ -217,7 +212,7 @@ def report(
 
     ``auto`` reads only each map's singular values (see the module
     docstring).  ``paper`` on a pattern stack reads d entries of each fixed
-    correction (``_paper_traces``); on any other stack it forms the
+    correction (``_correction_entries``); on any other stack it forms the
     corrections and runs ``avg_fidelity_term``.
     """
     maps = channel_maps(p, ch)
@@ -232,7 +227,8 @@ def report(
         if corrections == "auto":
             overlap = np.sum(sigma, axis=1)
         else:
-            overlap = np.abs(_paper_traces(p, basis, pattern))
+            entries = _correction_entries(p, basis, np.arange(d)[None], pattern[0])
+            overlap = np.abs((entries * pattern[1]).sum(axis=1))
         probs, terms = gram / d, (overlap**2 + gram) / (d * (d + 1))
     return _build_report(p, corrections, probs, terms)
 
@@ -296,7 +292,7 @@ def _draw_outcomes(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (u[:, None] >= cum[:, :-1]).sum(axis=1)
 
 
-def _sampling_tables(maps: np.ndarray, vs: np.ndarray | None) -> tuple[np.ndarray, ...]:
+def _sampling_tables(maps: np.ndarray, read: Callable | None) -> tuple[np.ndarray, ...]:
     """Set-up of the outcome-first draw, after checking sum_a M_a = I for M_a = B_a^† B_a.
 
     Returns cumulative Tr(M_a), the eigenvalues m of each M_a = E diag(m)
@@ -304,8 +300,9 @@ def _sampling_tables(maps: np.ndarray, vs: np.ndarray | None) -> tuple[np.ndarra
     G_a = E^† V_a B_a E, the indices ``live`` that any nonzero entry of the
     off-diagonal parts K_a touches, and K_a restricted to ``live``.  m is
     sigma^2 in stable ascending order (on a pattern E is that sorting
-    permutation); explicit corrections ``vs`` on any other stack take m and
-    E from eigh instead.  ``vs`` None stands for the optimal corrections:
+    permutation); explicit corrections on any other stack take m and E from
+    eigh instead.  ``read(i, j)`` gives every outcome's V_a[i, j], as
+    ``_correction_entries`` does; None stands for the optimal corrections:
     G_a = diag(sigma) in the order of m, and ``live`` is empty.
     """
     n, d, _ = maps.shape
@@ -324,18 +321,18 @@ def _sampling_tables(maps: np.ndarray, vs: np.ndarray | None) -> tuple[np.ndarra
     if residual > 1e-10:
         raise ConsistencyError(f"sum of B^† B differs from the identity by {residual:.3e} > 1e-10")
     k = None
-    if pattern is None and vs is not None:
+    if pattern is None and read is not None:
         m, e = np.linalg.eigh(gram)
-        k = dagger(e) @ vs @ maps @ e
+        k = dagger(e) @ read(*np.indices((1, d, d))[1:]) @ maps @ e
     else:
         sigma = _singular_values(maps, pattern)
         order = np.argsort(sigma**2, axis=1, kind="stable")
         g_diag = np.take_along_axis(sigma, order, axis=1)
         m = g_diag**2
-        if vs is not None:
+        if read is not None:
             # (V B)[i, j] = V[i, rows_j] b_j, rows and columns permuted by order.
             src = np.take_along_axis(rows, order, axis=1)
-            k = vs[np.arange(n)[:, None, None], order[:, :, None], src[:, None]]
+            k = read(order[:, :, None], src[:, None])
             k *= np.take_along_axis(vals, order, axis=1)[:, None]
     floor = d * np.finfo(float).eps
     m = np.where(m > floor * m[:, -1:], m, 0.0)
@@ -386,17 +383,18 @@ def simulate(
     Each run draws an outcome, then an input given that outcome (see the
     module docstring), applies the per-outcome correction and records the
     run fidelity; sum_a B_a^† B_a = I is checked to 1e-10 before any draw
-    (``ConsistencyError``).  Runs are sharded across ``min(n_workers,
-    n_runs)`` chunks, each owning an independent generator spawned from the
-    master seed, so the merged totals are reproducible for a fixed seed and
-    shard count.  Each shard runs in blocks that bound memory (see
-    ``_BLOCK_ENTRIES``); only per-outcome sums, added in run order, outlive
-    a block, so the block size changes no result.
-    ``transcript``, if given, is called once per block with the columns
-    ``run_index``, ``outcome_alpha`` and ``conclusive_flag`` (int arrays)
-    and the scalar ``bits_sent``.  Any refined POVM works, e.g.
-    ``dilation.realized_povm`` for the run-by-run check of a Neumark
-    extension.
+    (``ConsistencyError``), and so, for ``paper``, is every basis operator's
+    unitarity, by the reader the exact report uses (``DomainError``).
+    Runs are sharded across ``min(n_workers, n_runs)`` chunks, each owning
+    an independent generator spawned from the master seed, so the merged
+    totals are reproducible for a fixed seed and shard count.  Each shard
+    runs in blocks that bound memory (see ``_BLOCK_ENTRIES``); only
+    per-outcome sums, added in run order, outlive a block, so the block
+    size changes no result.  ``transcript``, if given, is called once per
+    block with the columns ``run_index``, ``outcome_alpha`` and
+    ``conclusive_flag`` (int arrays) and the scalar ``bits_sent``.  Any
+    refined POVM works, e.g. ``dilation.realized_povm`` for the run-by-run
+    check of a Neumark extension.
     """
     if n_runs < 1:
         raise DomainError(f"need at least one run, got {n_runs}")
@@ -404,8 +402,8 @@ def simulate(
         raise DomainError(f"need at least one worker, got {n_workers}")
     maps = channel_maps(p, ch)
     _check_corrections(corrections)
-    vs = None if corrections == "auto" else correction_unitaries(p, basis)
-    tables = _sampling_tables(maps, vs)
+    read = None if corrections == "auto" else partial(_correction_entries, p, basis)
+    tables = _sampling_tables(maps, read)
     n_out, d, _ = maps.shape
     block = max(1, _BLOCK_ENTRIES // (d * d))
     # The first k children of spawn(n) equal spawn(k), so dropping the shards

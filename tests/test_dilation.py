@@ -204,7 +204,7 @@ def test_dilate_peak_memory_is_a_few_unitaries(d, strategy):
     finally:
         tracemalloc.stop()
     assert np.max(dil.residuals) <= 1e-10
-    assert peak <= 3 * dil.u_ext.nbytes
+    assert peak <= 2 * dil.u_ext.nbytes
 
 
 def test_paper_report_and_dilation_leave_numpy_ma_unimported():

@@ -567,6 +567,8 @@ class TestPatternPaperReport:
 
         monkeypatch.setattr(fidelity, "correction_unitaries", refuse)
         assert report(p, ch, basis, "paper").f_total == pytest.approx(want, abs=1e-12)
+        mc = simulate(p, ch, basis, "paper", n_runs=2000, rng=1)
+        assert abs(mc.f_total - want) <= 4 * mc.f_total_se
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     @pytest.mark.parametrize("strategy", ["product", "residual"])
@@ -582,11 +584,14 @@ class TestPatternPaperReport:
             report(q, ch, basis, "paper")
             with pytest.raises(DomainError, match="not unitary"):
                 report(q, ch, bad, "paper")
+            with pytest.raises(DomainError, match="not unitary"):
+                simulate(q, ch, bad, "paper", n_runs=10, rng=0)
 
     @pytest.mark.parametrize("alpha", [0, 100, 255])
     def test_every_chunk_of_the_check_is_read(self, alpha):
         # At d = 16 the check runs in several chunks; a bad operator in any
-        # of them is refused, on the pattern path and by avg_fidelity_term.
+        # of them is refused, on the pattern path, by the Monte Carlo, by
+        # correction_unitaries and by avg_fidelity_term.
         d = 16
         basis = build_weyl_basis(d)
         ch = random_channel(d, np.random.default_rng(d))
@@ -596,7 +601,29 @@ class TestPatternPaperReport:
         with pytest.raises(DomainError):
             report(p, ch, bad, "paper")
         with pytest.raises(DomainError):
-            avg_fidelity_term(channel_maps(p, ch), correction_unitaries(p, bad))
+            simulate(p, ch, bad, "paper", n_runs=10, rng=0)
+        with pytest.raises(DomainError):
+            correction_unitaries(p, bad)
+        # correction_unitaries refuses the bad basis itself, so the stack
+        # check gets a bad stack built from the good one.
+        vs = correction_unitaries(p, basis)
+        vs[alpha] *= 0.5
+        with pytest.raises(DomainError):
+            avg_fidelity_term(channel_maps(p, ch), vs)
+
+    @pytest.mark.parametrize("strategy", ["product", "residual"])
+    def test_real_valued_basis_gives_complex_corrections(self, strategy):
+        # The d = 2 Weyl operators are real; stored as real arrays, their
+        # corrections still come out complex, as the Monte Carlo scales them
+        # by complex map entries in place.
+        d = 2
+        basis = UnitaryBasis(dim=d, ops=build_weyl_basis(d).ops.real.copy())
+        ch = random_channel(d, np.random.default_rng(12))
+        p = refined(ch, basis, 0.5 * lambda_max(ch), strategy)
+        assert correction_unitaries(p, basis).dtype == complex
+        exact = report(p, ch, basis, "paper")
+        mc = simulate(p, ch, basis, "paper", n_runs=4000, rng=3)
+        assert abs(mc.f_total - exact.f_total) <= 4 * mc.f_total_se
 
     @pytest.mark.parametrize("strategy", ["product", "residual"])
     def test_basis_of_another_dimension_is_refused(self, strategy):
@@ -871,8 +898,12 @@ class FixedRows:
         return self.rows
 
 
+def stack_reader(vs):
+    return lambda i, j: vs[np.arange(len(vs)).reshape((-1,) + (1,) * (max(np.ndim(i), np.ndim(j)) - 1)), i, j]
+
+
 def kernel_block(maps, vs, rng, n):
-    return fidelity._simulate_block(fidelity._sampling_tables(maps, vs), rng, n)
+    return fidelity._simulate_block(fidelity._sampling_tables(maps, stack_reader(vs)), rng, n)
 
 
 class TestBornRuleOracle:
@@ -918,7 +949,7 @@ class TestBlockedKernel:
         # The oracle replays the documented draw order and evaluates every
         # run on the maps themselves, not on the kernel's tables.
         _, _, _, maps, vs = maps_and_corrections(d, strategy, corrections, d)
-        live = fidelity._sampling_tables(maps, vs)[4]
+        live = fidelity._sampling_tables(maps, stack_reader(vs))[4]
         assert (live.size > 0) == (strategy == "rotated")
         n = 2_000
         alpha, fid = kernel_block(maps, vs, np.random.default_rng(11), n)
@@ -938,7 +969,7 @@ class TestBlockedKernel:
         # come from the SVD oracle.
         _, _, _, maps, vs = maps_and_corrections(d, strategy, corrections, 40 + d, share)
         assert (fidelity._pattern(maps) is None) == (strategy == "rotated")
-        tables = fidelity._sampling_tables(maps, None if corrections == "auto" else vs)
+        tables = fidelity._sampling_tables(maps, None if corrections == "auto" else stack_reader(vs))
         n = 2_000
         alpha, fid = fidelity._simulate_block(tables, np.random.default_rng(d), n)
         want_alpha, _, want_fid = outcome_first_reference(maps, vs, np.random.default_rng(d), n)
@@ -1025,7 +1056,7 @@ class TestBlockedKernel:
         vs = optimal_correction(maps)
         weights = np.sum(np.abs(maps) ** 2, axis=(1, 2))
         dead = np.flatnonzero(weights == 0)
-        tables = fidelity._sampling_tables(maps, vs)
+        tables = fidelity._sampling_tables(maps, stack_reader(vs))
         _, m, cum_m = tables[:3]
         if strategy == "product":
             np.testing.assert_array_equal(dead, np.arange(2 * d * d - d, 2 * d * d))
@@ -1107,7 +1138,7 @@ class TestBlockedKernel:
                 assert fidelity._pattern(maps) is not None, (ch.coeffs, share)
                 for corrections in ("auto", "paper"):
                     vs = corrections_of(p, basis, maps, corrections)
-                    live = fidelity._sampling_tables(maps, vs)[4]
+                    live = fidelity._sampling_tables(maps, stack_reader(vs))[4]
                     assert live.size == 0, (ch.coeffs, share, corrections)
                 assert fidelity._sampling_tables(maps, None)[4].size == 0
         if d == 2:
@@ -1177,20 +1208,21 @@ class TestBlockedKernel:
         else:
             p, ch, basis, maps, vs = maps_and_corrections(d, strategy, corrections, 70 + d, share)
         rep = simulate(p, ch, basis, corrections, n_runs=n_runs, rng=2)
-        tables = fidelity._sampling_tables(maps, None if corrections == "auto" else vs)
+        tables = fidelity._sampling_tables(maps, None if corrections == "auto" else stack_reader(vs))
         _, fid = fidelity._simulate_block(tables, np.random.default_rng(2).spawn(1)[0], n_runs)
         mean = math.fsum(fid) / n_runs
         want = math.sqrt(math.fsum((fid - mean) ** 2) / n_runs / n_runs)
         assert want > 0
         assert abs(rep.f_total_se - want) <= rel * want
 
-    def test_large_d_matches_the_exact_report(self):
+    @pytest.mark.parametrize("corrections", ["auto", "paper"])
+    def test_large_d_matches_the_exact_report(self, corrections):
         d = 16
         basis = build_weyl_basis(d)
         ch = random_channel(d, np.random.default_rng(d))
         p = refined(ch, basis, lambda_max(ch), "residual")
-        mc = simulate(p, ch, basis, "auto", n_runs=10_000, rng=d)
-        assert abs(mc.f_total - report(p, ch, basis, "auto").f_total) <= 4 * mc.f_total_se
+        mc = simulate(p, ch, basis, corrections, n_runs=10_000, rng=d)
+        assert abs(mc.f_total - report(p, ch, basis, corrections).f_total) <= 4 * mc.f_total_se
 
     def test_draw_at_the_total_picks_the_last_outcome(self):
         probs = np.array([[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25]])
