@@ -25,9 +25,11 @@ import argparse
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -189,11 +191,24 @@ def _cell(value):
     return f"{value:.12g}" if isinstance(value, float) else value
 
 
-def _write_rows(path: str | None, fmt: str, header: tuple[str, ...], rows: list[tuple]) -> None:
+_CSV_QUOTED = re.compile(r'[,"\n]')
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV cell: quoted, as ``csv.writer`` does, if it holds a comma, quote or newline."""
+    if _CSV_QUOTED.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _write_rows(
+    path: str | None, fmt: str, header: tuple[str, ...], rows: list[tuple], csv_lines: str = ""
+) -> None:
     """Write ``rows`` (tuples in ``header`` order) to ``path``, or to stdout if None.
 
     CSV has a header line, floats at 12 significant digits and None as an
-    empty cell; JSON lines have one object per row with full-precision
+    empty cell; ``csv_lines``, rows already in that form, go right after
+    the header.  JSON lines have one object per row with full-precision
     floats and null.
     """
     with (
@@ -202,6 +217,7 @@ def _write_rows(path: str | None, fmt: str, header: tuple[str, ...], rows: list[
         if fmt == "csv":
             writer = csv.writer(stream, lineterminator="\n")
             writer.writerow(header)
+            stream.write(csv_lines)
             writer.writerows([_cell(v) for v in row] for row in rows)
         else:
             stream.writelines(json.dumps(dict(zip(header, row))) + "\n" for row in rows)
@@ -263,16 +279,36 @@ def _tag_fields(tag) -> tuple[str, str]:
     return "remainder", ""
 
 
-def _teleport_rows(exact: FidelityReport, mc: FidelityReport | None) -> list[tuple]:
-    """One row per outcome, then the conclusive, inconclusive and overall totals."""
-    rows = []
-    for k, stat in enumerate(exact.outcomes):
-        if mc is None:
-            mc_cols = (None, None, None, None)
-        else:
-            m = mc.outcomes[k]
-            mc_cols = (m.probability, m.probability_se, m.fidelity_term, m.fidelity_term_se)
-        rows.append((k, *_tag_fields(stat.tag), stat.probability, stat.fidelity_term, *mc_cols))
+def _float_columns(exact: FidelityReport, mc: FidelityReport | None) -> list[tuple[float, ...]]:
+    """The per-outcome float columns in header order; the Monte Carlo four only with ``mc``."""
+    columns = [exact.probabilities, exact.fidelity_terms]
+    if mc is not None:
+        columns += [mc.probabilities, mc.probability_se, mc.fidelity_terms, mc.fidelity_term_se]
+    return columns
+
+
+def _outcome_rows(exact: FidelityReport, mc: FidelityReport | None) -> list[tuple]:
+    """One row per outcome, read from the reports' columns."""
+    kinds, details = zip(*map(_tag_fields, exact.tags))
+    columns = [range(len(kinds)), kinds, details, *_float_columns(exact, mc)]
+    columns += [itertools.repeat(None)] * (len(TELEPORT_HEADER) - len(columns))
+    return list(zip(*columns))
+
+
+def _outcome_csv(exact: FidelityReport, mc: FidelityReport | None) -> str:
+    """The outcome rows as CSV lines, formatted a column at a time.
+
+    The bytes are those ``_cell`` and ``csv.writer`` give for ``_outcome_rows``.
+    """
+    kinds, details = zip(*map(_tag_fields, exact.tags))
+    columns = [map(str, range(len(kinds))), kinds, map(_csv_field, details)]
+    columns += [map("{:.12g}".format, col) for col in _float_columns(exact, mc)]
+    columns += [itertools.repeat("")] * (len(TELEPORT_HEADER) - len(columns))
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
+
+
+def _total_rows(exact: FidelityReport, mc: FidelityReport | None) -> list[tuple]:
+    """The conclusive, inconclusive and overall totals."""
     totals = [
         ("total_conclusive", exact.conclusive_probability, exact.f_conclusive,
          mc.conclusive_probability if mc else None, mc.f_conclusive if mc else None, None),
@@ -281,9 +317,10 @@ def _teleport_rows(exact: FidelityReport, mc: FidelityReport | None) -> list[tup
         ("total", 1.0, exact.f_total,
          1.0 if mc else None, mc.f_total if mc else None, mc.f_total_se if mc else None),
     ]
-    for kind, prob, fid, mc_prob, mc_fid, mc_fid_se in totals:
-        rows.append(("", kind, "", prob, fid, mc_prob, None, mc_fid, mc_fid_se))
-    return rows
+    return [
+        ("", kind, "", prob, fid, mc_prob, None, mc_fid, mc_fid_se)
+        for kind, prob, fid, mc_prob, mc_fid, mc_fid_se in totals
+    ]
 
 
 def _transcript_sink(stream, tags):
@@ -360,7 +397,10 @@ def cmd_teleport(args: argparse.Namespace) -> int:
                 )
     except QTeleportError as exc:
         raise _usage_error(str(exc))
-    _write_rows(args.out, args.fmt, TELEPORT_HEADER, _teleport_rows(exact, mc))
+    if args.fmt == "csv":
+        _write_rows(args.out, "csv", TELEPORT_HEADER, _total_rows(exact, mc), _outcome_csv(exact, mc))
+    else:
+        _write_rows(args.out, "jsonl", TELEPORT_HEADER, _outcome_rows(exact, mc) + _total_rows(exact, mc))
     return 0
 
 

@@ -87,16 +87,18 @@ def dilate(p: PovmSet, ancilla_dim: int | None = None) -> DilationResult:
         raise DecompositionError("dilation needs a refined (all rank-one) POVM")
     joint = p.joint_dim
     ext = joint * d_a
-    # Isometry acting on |s> (x) |0>_anc: column s holds W|s>.
-    w = np.zeros((ext, joint), dtype=complex)
-    w[: p.n_outcomes] = p.vectors.conj()
-    # Input (s, 0) maps to W|s>; the inputs (s, a > 0), in index order,
-    # take the completing columns, moved in place a few rows at a time.
-    u_ext = _complete_isometry(w)
+    n = p.n_outcomes
+    # The isometry on |s> (x) |0>_anc has column s = W|s>, nonzero in its
+    # first n rows only.  Its Householder reflectors vanish on the other
+    # rows, so its complete Q is q (+) I, with q that of the n nonzero rows.
+    q = _complete_isometry(p.vectors.conj())
+    # Input (s, 0) takes column s; the inputs (s, a > 0), in index order,
+    # take the completing columns: q's, then the unit columns.
     inputs = np.arange(ext).reshape(joint, d_a)
-    src = np.argsort(np.concatenate([inputs[:, 0], inputs[:, 1:].ravel()]))
-    for part in chunks(ext, ext):
-        u_ext[part] = u_ext[part, src]
+    dest = np.concatenate([inputs[:, 0], inputs[:, 1:].ravel()])
+    u_ext = np.zeros((ext, ext), dtype=complex)
+    u_ext[:n, dest[:n]] = q
+    u_ext[np.arange(n, ext), dest[n:]] = 1.0
     dil = DilationResult(d=d, ancilla_dim=d_a, u_ext=u_ext, residuals=np.empty(0))
     return replace(dil, residuals=_residuals(realized_povm(dil, p).vectors, p.vectors))
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -70,6 +70,12 @@ def avg_fidelity_term(b: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndar
     if b.shape[-2:] != (d, d) or v.shape != b.shape:
         raise ShapeError(f"correction shape {v.shape} does not match {b.shape}")
     _check_unitary(v.reshape(-1, d, d))
+    return _haar_terms(b, v)
+
+
+def _haar_terms(b: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``avg_fidelity_term`` on corrections already checked for unitarity."""
+    d = b.shape[-1]
     gram = np.sum(np.abs(b) ** 2, axis=(-2, -1))
     trace = np.einsum("...ij,...ji->...", v, b)
     return gram / d, (np.abs(trace) ** 2 + gram) / (d * (d + 1))
@@ -123,25 +129,51 @@ class OutcomeStat:
 
 @dataclass(frozen=True)
 class FidelityReport:
-    """Haar-average fidelity split into conclusive and inconclusive parts."""
+    """Haar-average fidelity split into conclusive and inconclusive parts.
+
+    Per-outcome numbers are columns in outcome order, tuples of floats so
+    that reports compare with ``==``; the standard-error columns are None
+    for an exact report.  ``outcomes`` views the same numbers as rows.
+    """
 
     lam: float
     strategy: str
     corrections: str
-    outcomes: tuple[OutcomeStat, ...]
+    tags: tuple[Tag, ...]
+    probabilities: tuple[float, ...]
+    fidelity_terms: tuple[float, ...]
     f_conclusive: float
     f_inconclusive: float
     f_total: float
+    probability_se: tuple[float, ...] | None = None
+    fidelity_term_se: tuple[float, ...] | None = None
     n_runs: int | None = None
     f_total_se: float | None = None
 
+    @cached_property
+    def outcomes(self) -> tuple[OutcomeStat, ...]:
+        """One ``OutcomeStat`` per outcome, built from the columns on first read."""
+        unknown = (None,) * len(self.tags)
+        return tuple(
+            OutcomeStat(k, *row)
+            for k, row in enumerate(
+                zip(
+                    self.tags,
+                    self.probabilities,
+                    self.fidelity_terms,
+                    self.probability_se or unknown,
+                    self.fidelity_term_se or unknown,
+                )
+            )
+        )
+
     @property
     def conclusive_probability(self) -> float:
-        return sum(o.probability for o in self.outcomes if isinstance(o.tag, Conclusive))
+        return sum(q for q, t in zip(self.probabilities, self.tags) if isinstance(t, Conclusive))
 
     @property
     def inconclusive_probability(self) -> float:
-        return sum(o.probability for o in self.outcomes if not isinstance(o.tag, Conclusive))
+        return sum(q for q, t in zip(self.probabilities, self.tags) if not isinstance(t, Conclusive))
 
 
 def strategy_of(p: PovmSet) -> str:
@@ -213,13 +245,15 @@ def report(
     ``auto`` reads only each map's singular values (see the module
     docstring).  ``paper`` on a pattern stack reads d entries of each fixed
     correction (``_correction_entries``); on any other stack it forms the
-    corrections and runs ``avg_fidelity_term``.
+    corrections and takes ``avg_fidelity_term``'s numbers without checking
+    them a second time.
     """
     maps = channel_maps(p, ch)
     _check_corrections(corrections)
     pattern = _pattern(maps)
     if corrections == "paper" and pattern is None:
-        probs, terms = avg_fidelity_term(maps, correction_unitaries(p, basis))
+        # The reader has checked every basis operator; the shifts are permutations.
+        probs, terms = _haar_terms(maps, correction_unitaries(p, basis))
     else:
         d = p.d
         sigma = _singular_values(maps, pattern)
@@ -245,13 +279,6 @@ def _build_report(
     f_total_se: float | None = None,
 ) -> FidelityReport:
     """The one assembly of a report from per-outcome arrays, exact or Monte Carlo."""
-    unknown = [None] * p.n_outcomes
-    prob_se = unknown if prob_se is None else prob_se.tolist()
-    term_se = unknown if term_se is None else term_se.tolist()
-    stats = tuple(
-        OutcomeStat(k, *row)
-        for k, row in enumerate(zip(p.tags, probs.tolist(), terms.tolist(), prob_se, term_se))
-    )
     conclusive = np.array([isinstance(t, Conclusive) for t in p.tags])
     f_con = float(terms[conclusive].sum())
     f_inc = float(terms[~conclusive].sum())
@@ -259,10 +286,14 @@ def _build_report(
         lam=p.lam,
         strategy=strategy_of(p),
         corrections=corrections,
-        outcomes=stats,
+        tags=p.tags,
+        probabilities=tuple(probs.tolist()),
+        fidelity_terms=tuple(terms.tolist()),
         f_conclusive=f_con,
         f_inconclusive=f_inc,
         f_total=f_con + f_inc,
+        probability_se=None if prob_se is None else tuple(prob_se.tolist()),
+        fidelity_term_se=None if term_se is None else tuple(term_se.tolist()),
         n_runs=n_runs,
         f_total_se=f_total_se,
     )

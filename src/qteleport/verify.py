@@ -127,9 +127,9 @@ def _povm_checks(
                 )
                 psd = max(psd, -float(np.linalg.eigvalsh(refined.elements)[:, 0].min()))
                 rep = report(refined, ch, basis, "auto")
-                for stat in rep.outcomes:
-                    if isinstance(stat.tag, Conclusive):
-                        prob_res = max(prob_res, abs(stat.probability - lam / d**2))
+                for prob, tag in zip(rep.probabilities, rep.tags):
+                    if isinstance(tag, Conclusive):
+                        prob_res = max(prob_res, abs(prob - lam / d**2))
                 inc_res = max(inc_res, abs(rep.inconclusive_probability - (1.0 - lam)))
             pieces = res.elements[d * d :].sum(axis=0)
             split_res = max(split_res, float(np.max(np.abs(pieces - p.elements[-1]))))

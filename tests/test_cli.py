@@ -12,12 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qteleport import cli
+from qteleport import cli, fidelity
 from qteleport.channel import make_channel, qubit_channel_from_cos_theta
 from qteleport.cli import main
 from qteleport.fidelity import simulate
 from qteleport.formulas import relaxed_angle_fidelity
-from qteleport.povm import build_conclusive_povm, lambda_max, refine_inconclusive_product
+from qteleport.povm import (
+    Conclusive,
+    InconclusiveProduct,
+    build_conclusive_povm,
+    lambda_max,
+    refine_inconclusive_product,
+)
 from qteleport.weyl import build_weyl_basis
 
 
@@ -30,6 +36,53 @@ def run(capsys, *argv):
 def read_rows(path):
     with open(path, newline="") as f:
         return list(csv.DictReader(f))
+
+
+def per_cell_teleport_text(exact, mc, fmt):
+    """Oracle: the teleport table row by row from ``outcomes``, written cell by cell.
+
+    CSV goes through ``csv.writer`` with floats at 12 significant digits
+    and None as an empty cell; JSONL is one ``json.dumps`` per row.
+    """
+
+    def cell(value):
+        if value is None:
+            return ""
+        return f"{value:.12g}" if isinstance(value, float) else value
+
+    def tag_fields(tag):
+        if isinstance(tag, Conclusive):
+            return "conclusive", str(tag.alpha)
+        if isinstance(tag, InconclusiveProduct):
+            return "inconclusive_product", f"{tag.i},{tag.j}"
+        return "inconclusive_residual", str(tag.alpha)
+
+    rows = []
+    for k, stat in enumerate(exact.outcomes):
+        if mc is None:
+            mc_cols = (None, None, None, None)
+        else:
+            m = mc.outcomes[k]
+            mc_cols = (m.probability, m.probability_se, m.fidelity_term, m.fidelity_term_se)
+        rows.append((k, *tag_fields(stat.tag), stat.probability, stat.fidelity_term, *mc_cols))
+    totals = [
+        ("total_conclusive", exact.conclusive_probability, exact.f_conclusive,
+         mc.conclusive_probability if mc else None, mc.f_conclusive if mc else None, None),
+        ("total_inconclusive", exact.inconclusive_probability, exact.f_inconclusive,
+         mc.inconclusive_probability if mc else None, mc.f_inconclusive if mc else None, None),
+        ("total", 1.0, exact.f_total,
+         1.0 if mc else None, mc.f_total if mc else None, mc.f_total_se if mc else None),
+    ]
+    for kind, prob, fid, mc_prob, mc_fid, mc_fid_se in totals:
+        rows.append(("", kind, "", prob, fid, mc_prob, None, mc_fid, mc_fid_se))
+    stream = io.StringIO()
+    if fmt == "csv":
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(cli.TELEPORT_HEADER)
+        writer.writerows([cell(v) for v in row] for row in rows)
+    else:
+        stream.writelines(json.dumps(dict(zip(cli.TELEPORT_HEADER, row))) + "\n" for row in rows)
+    return stream.getvalue()
 
 
 class TestVerifyCommand:
@@ -388,6 +441,47 @@ class TestTeleport:
         )
         assert len(set(np.concatenate([b["outcome_alpha"] for b in blocks]).tolist())) == 2 * d * d
         assert stream.getvalue() == want
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    @pytest.mark.parametrize("strategy", ["product", "residual"])
+    @pytest.mark.parametrize("corrections", ["auto", "paper"])
+    @pytest.mark.parametrize("runs", [0, 500])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_columns_write_the_bytes_of_the_per_cell_writer(
+        self, capsys, monkeypatch, d, strategy, corrections, runs, fmt
+    ):
+        # The reports the command computes are kept and written again by the oracle.
+        seen = {}
+        monkeypatch.setattr(cli, "report", lambda *a: seen.setdefault("exact", fidelity.report(*a)))
+        monkeypatch.setattr(cli, "simulate", lambda *a, **k: seen.setdefault("mc", fidelity.simulate(*a, **k)))
+        coeffs = np.sqrt(np.arange(1.0, d + 1) / np.sum(np.arange(1.0, d + 1)))
+        code, out, _ = run(
+            capsys,
+            "teleport",
+            "--coeffs", ",".join(map(repr, coeffs.tolist())),
+            "--lambda", repr(0.5 * lambda_max(make_channel(coeffs))),
+            "--strategy", strategy,
+            "--corrections", corrections,
+            "--runs", str(runs),
+            "--seed", "4",
+            "--format", fmt,
+        )
+        assert code == 0
+        assert ("mc" in seen) == (runs > 0)
+        assert out == per_cell_teleport_text(seen["exact"], seen.get("mc"), fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_no_outcome_objects_are_built(self, capsys, monkeypatch, fmt):
+        # teleport writes from the report columns, and verify reads them.
+        def refuse(*args, **kwargs):
+            raise AssertionError("OutcomeStat built")
+
+        monkeypatch.setattr(fidelity, "OutcomeStat", refuse)
+        code, out, _ = run(capsys, "teleport", "--d", "6", "--runs", "2000", "--format", fmt)
+        assert code == 0
+        assert len(out.splitlines()) == (fmt == "csv") + 2 * 36 + 3
+        code, out, _ = run(capsys, "verify")
+        assert code == 0 and out.endswith(" checks passed\n")
 
     def test_jsonl_report(self, capsys, tmp_path):
         out = tmp_path / "report.jsonl"

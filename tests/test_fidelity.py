@@ -267,6 +267,28 @@ class TestExactReport:
         assert sum(o.probability for o in rep.outcomes) == pytest.approx(1.0, abs=1e-10)
         assert rep.f_total == pytest.approx(rep.f_conclusive + rep.f_inconclusive, abs=1e-14)
 
+    def test_columns_and_the_outcomes_view(self):
+        basis = build_weyl_basis(3)
+        ch = random_channel(3, np.random.default_rng(31))
+        p = refined(ch, basis, 0.5 * lambda_max(ch), "product")
+        rep = report(p, ch, basis, "paper")
+        assert rep.tags == p.tags
+        assert rep.probability_se is None and rep.fidelity_term_se is None
+        for col in (rep.probabilities, rep.fidelity_terms):
+            assert type(col) is tuple and len(col) == p.n_outcomes
+            assert all(type(x) is float for x in col)
+        assert rep.conclusive_probability == sum(rep.probabilities[:9])
+        assert rep == report(p, ch, basis, "paper")
+        rows = rep.outcomes
+        assert rows is rep.outcomes
+        assert rows == tuple(
+            fidelity.OutcomeStat(k, t, q, f)
+            for k, (t, q, f) in enumerate(zip(p.tags, rep.probabilities, rep.fidelity_terms))
+        )
+        mc = simulate(p, ch, basis, "paper", n_runs=500, rng=2)
+        assert [o.probability_se for o in mc.outcomes] == list(mc.probability_se)
+        assert [o.fidelity_term_se for o in mc.outcomes] == list(mc.fidelity_term_se)
+
     def test_amplitude_map_completeness(self):
         basis = build_weyl_basis(3)
         ch = make_channel(np.sqrt([0.5, 0.3, 0.2]))
@@ -610,6 +632,32 @@ class TestPatternPaperReport:
         vs[alpha] *= 0.5
         with pytest.raises(DomainError):
             avg_fidelity_term(channel_maps(p, ch), vs)
+
+    @pytest.mark.parametrize("stack", ["rotated", "realized"])
+    def test_dense_paper_report_checks_the_basis_once(self, monkeypatch, stack):
+        # Without the pattern, report forms the corrections through the
+        # reader, which checks the basis; the stack is not checked again,
+        # and the terms are avg_fidelity_term's bit for bit.
+        d = 4
+        p, ch, basis, maps, _ = maps_and_corrections(d, "rotated", "paper", 80)
+        if stack == "realized":
+            q = refined(ch, basis, 0.5 * lambda_max(ch), "product")
+            p = realized_povm(dilate(q), q)
+            maps = channel_maps(p, ch)
+        assert fidelity._pattern(maps) is None
+        probs, terms = avg_fidelity_term(maps, correction_unitaries(p, basis))
+        checked = []
+        check = fidelity._check_unitary
+
+        def counted(ops):
+            checked.append(ops.shape)
+            return check(ops)
+
+        monkeypatch.setattr(fidelity, "_check_unitary", counted)
+        rep = report(p, ch, basis, "paper")
+        assert checked == [basis.ops.shape]
+        assert np.array(rep.probabilities).tobytes() == probs.tobytes()
+        assert np.array(rep.fidelity_terms).tobytes() == terms.tobytes()
 
     @pytest.mark.parametrize("strategy", ["product", "residual"])
     def test_real_valued_basis_gives_complex_corrections(self, strategy):
