@@ -52,12 +52,15 @@ class SchmidtChannel:
 def make_channel(coeffs) -> SchmidtChannel:
     """Validate and wrap Schmidt coefficients.
 
-    Coefficients must be real, nonnegative and already normalized to
+    Coefficients must be real, finite, nonnegative and already normalized to
     sum(a_i^2) = 1 within 1e-9 (the copy stored is renormalized exactly).
     """
     arr = np.asarray(coeffs, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ShapeError(f"need a 1-D array of at least 2 coefficients, got shape {arr.shape}")
+    # Every comparison with NaN is false, so the checks below would pass it.
+    if not np.all(np.isfinite(arr)):
+        raise NormalizationError(f"coefficients must be finite, got {arr}")
     if np.any(arr < 0):
         raise NormalizationError(f"coefficients must be nonnegative, got {arr}")
     if not np.any(arr > 0):

@@ -23,6 +23,13 @@ G = E^† V B E.  Since c^† G c = sum_k G_kk |c_k|^2 + c^† K c, the phases
 enter only through the off-diagonal part K: a run costs O(d), plus O(L^2)
 on the L indices that a nonzero K touches.
 
+The Monte Carlo works column-major: ``_sampling_tables`` writes every
+per-outcome number into the columns of one (rows, n_out) table, a block of
+runs gathers its drawn outcomes' columns with one ``take``, and each sum
+over an eigen-index k is a chain of vector adds over (k, run) rows in the
+order of k.  A run's arithmetic is then fixed whatever the block length,
+and the per-row overhead of short reductions over k is gone.
+
 The optimal V is the adjoint polar factor of B, so V B = (B^† B)^{1/2} = E
 diag(sqrt m) E^†: G is diagonal, |Tr(V B)| is the sum of B's singular
 values sigma and Tr(B^† B) = sum sigma^2.  ``auto`` reads only sigma and
@@ -304,35 +311,43 @@ def transcript_bits(n_outcomes: int) -> int:
     return math.ceil(math.log2(n_outcomes)) + 1
 
 
-# Monte Carlo rounds run in blocks of max(1, _BLOCK_ENTRIES // d**2) runs,
-# room for each run's copy of K (see the module docstring), which is empty
-# when G is diagonal.  The size bounds memory and transcript calls, nothing
-# else: run r of a shard reads row r of its (runs, 2d + 3) uniforms, numpy
-# fills them in C order and the sums add runs in order, so any size gives the
-# same report.
-_BLOCK_ENTRIES = 1 << 14
+# Monte Carlo rounds run in blocks of max(1, _BLOCK_ENTRIES // s) runs, where
+# s = 2d + 3 + 5d + 2L^2 is what one run holds: its row of uniforms and its
+# gathered table column (see ``_sampling_tables``; L is the live count, 0 for
+# every POVM the CLI builds).  That is about 256 KiB of per-run state; larger
+# blocks save little per-call overhead, and on glibc they make the allocator
+# return and re-fault the block's arrays on every block.  The size bounds
+# memory and transcript calls, nothing else: run r of a shard reads row r of
+# its (runs, 2d + 3) uniforms, numpy fills them in C order, each run's sums
+# are added in a fixed order and the report adds runs in order, so any size
+# gives the same report.
+_BLOCK_ENTRIES = 1 << 15
 
 
 def _draw_outcomes(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Index per run: the number of cumulative weights (total excluded) <= u.
 
-    ``cum`` has one row per run, shape (n, m), or one for all, shape (1, m).
-    For u = r * total with 0 <= r < 1, u stays below the total, so no zero
-    weight is ever drawn: leading ones are <= u, trailing ones equal the total.
+    ``cum`` has one column per run, shape (m, n).  For u = r * total with
+    0 <= r < 1, u stays below the total, so no zero weight is ever drawn:
+    leading ones are <= u, trailing ones equal the total.  The count is an
+    integer, exact in any order of addition.
     """
-    return (u[:, None] >= cum[:, :-1]).sum(axis=1)
+    return np.count_nonzero(u >= cum[:-1], axis=0)
 
 
 def _sampling_tables(maps: np.ndarray, read: Callable | None) -> tuple[np.ndarray, ...]:
     """Set-up of the outcome-first draw, after checking sum_a M_a = I for M_a = B_a^† B_a.
 
     Returns cumulative Tr(M_a), the eigenvalues m of each M_a = E diag(m)
-    E^† (zero at rounding level) with their cumulative rows, diag(G_a) for
-    G_a = E^† V_a B_a E, the indices ``live`` that any nonzero entry of the
-    off-diagonal parts K_a touches, and K_a restricted to ``live``.  m is
-    sigma^2 in stable ascending order (on a pattern E is that sorting
-    permutation); explicit corrections on any other stack take m and E from
-    eigh instead.  ``read(i, j)`` gives every outcome's V_a[i, j], as
+    E^† (zero at rounding level), shape (n, d), with their cumulative rows,
+    the kernel's table and the indices ``live`` that any nonzero entry of
+    the off-diagonal parts K_a of G_a = E^† V_a B_a E touches.  The table
+    has one column per outcome and 5d + 2L^2 rows (L = ``live.size``): the
+    d cumulative eigenweights; per index j the four rows Re G_jj, Im G_jj,
+    m_j and 1; then Re and Im of K_a on ``live``, row-major.  m is sigma^2
+    in stable ascending order (on a pattern E is that sorting permutation);
+    explicit corrections on any other stack take m and E from eigh instead.
+    ``read(i, j)`` gives every outcome's V_a[i, j], as
     ``_correction_entries`` does; None stands for the optimal corrections:
     G_a = diag(sigma) in the order of m, and ``live`` is empty.
     """
@@ -367,36 +382,64 @@ def _sampling_tables(maps: np.ndarray, read: Callable | None) -> tuple[np.ndarra
             k *= np.take_along_axis(vals, order, axis=1)[:, None]
     floor = d * np.finfo(float).eps
     m = np.where(m > floor * m[:, -1:], m, 0.0)
-    cum = np.cumsum(weights), m, np.cumsum(m, axis=1)
+    cum_m = np.cumsum(m, axis=1)
     if k is None:
-        return *cum, g_diag, np.empty(0, dtype=np.intp), np.empty((n, 0, 0), dtype=complex)
-    g_diag = np.diagonal(k, axis1=1, axis2=2).copy()
-    # K_a = G_a - diag(G_a) is zero in exact arithmetic for the CLI's POVMs;
-    # what the products leave is rounding, floored as m is.
-    scale = floor * np.abs(k).max(axis=(1, 2), keepdims=True)
-    k[:, np.arange(d), np.arange(d)] = 0.0
-    k[np.abs(k) <= scale] = 0.0
-    live = np.flatnonzero((k != 0).any(axis=(0, 1)) | (k != 0).any(axis=(0, 2)))
-    return *cum, g_diag, live, k[:, live[:, None], live]
+        live, k_live = np.empty(0, dtype=np.intp), np.empty((n, 0), dtype=complex)
+    else:
+        g_diag = np.diagonal(k, axis1=1, axis2=2).copy()
+        # K_a = G_a - diag(G_a) is zero in exact arithmetic for the CLI's POVMs;
+        # what the products leave is rounding, floored as m is.
+        scale = floor * np.abs(k).max(axis=(1, 2), keepdims=True)
+        k[:, np.arange(d), np.arange(d)] = 0.0
+        k[np.abs(k) <= scale] = 0.0
+        live = np.flatnonzero((k != 0).any(axis=(0, 1)) | (k != 0).any(axis=(0, 2)))
+        k_live = k[:, live[:, None], live].reshape(n, -1)
+    per_index = np.stack([g_diag.real, g_diag.imag, m, np.ones_like(m)], axis=2).reshape(n, 4 * d)
+    table = np.concatenate([part.T for part in (cum_m, per_index, k_live.real, k_live.imag)])
+    return np.cumsum(weights), m, cum_m, table, live
 
 
 def _simulate_block(tables: tuple, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Run n protocol rounds, one row of 2d + 3 uniforms each; returns (outcome, fidelity) arrays."""
-    cum_w, m, cum_m, g_diag, live, k_live = tables
+    """Run n protocol rounds, one row of 2d + 3 uniforms each; returns (outcome, fidelity) arrays.
+
+    No step reduces over an index axis in floating point (see the module
+    docstring), so a run gets the same bits whatever n is.
+    """
+    cum_w, m, _, table, live = tables
     d = m.shape[1]
     u = rng.random((n, 2 * d + 3))
     alpha = np.searchsorted(cum_w[:-1], u[:, 0] * cum_w[-1], side="right")
-    k = _draw_outcomes(cum_m[alpha], u[:, 1] * cum_m[alpha, -1])
-    # Unnormalized Dirichlet(1, ..., 2 at k, ..., 1) from d + 1 exponentials: |c|^2 = x / sum(x).
-    x = -np.log1p(-u[:, 2 : d + 3])
-    x[np.arange(n), k] += x[:, d]
-    x = x[:, :d]
-    overlap = np.einsum("nk,nk->n", g_diag[alpha], x)
+    cols = table.take(alpha, axis=1)
+    k = _draw_outcomes(cols[:d], u[:, 1] * cols[d - 1])
+    # Unnormalized Dirichlet(1, ..., 2 at k, ..., 1) from d + 1 exponentials
+    # -log(1 - u), one row per index: |c|^2 = x / sum(x).  Row k of run r
+    # is entry k * n + r of the flat x.
+    x = np.negative(u[:, 2 : d + 3].T, order="C")
+    np.negative(np.log1p(x, out=x), out=x)
+    x.reshape(-1)[k * n + np.arange(n)] += x[d]
+    # Scaled by x_j, index j's rows (Re G_jj, Im G_jj, m_j, 1) become the
+    # terms of Re and Im of c^† G c, of sum_j m_j |c_j|^2 and of sum(x).
+    terms = cols[d : 5 * d].reshape(d, 4, n)
+    terms *= x[:d, None]
+    acc = np.zeros((4, n))
+    for row in terms:
+        acc += row
     if live.size:
-        c = np.sqrt(x[:, live]) * np.exp(2j * np.pi * u[:, d + 3 + live])
-        overlap += np.einsum("ni,nij,nj->n", c.conj(), k_live[alpha], c)
-    norm = np.einsum("nk,nk->n", m[alpha], x) * x.sum(axis=1)
-    return alpha, (overlap.real**2 + overlap.imag**2) / norm
+        # Add c^† K c on the live indices: (K c)_i = sum_j K_ij c_j, then
+        # sum_i conj(c_i) (K c)_i, real and imaginary parts apart.
+        size = live.size
+        c = np.sqrt(x[live]) * np.exp(2j * np.pi * u[:, d + 3 + live].T)
+        cr, ci = c.real, c.imag
+        kr, ki = cols[5 * d :].reshape(2, size, size, n)
+        prod = np.stack([kr * cr - ki * ci, kr * ci + ki * cr])
+        kc = np.zeros((2, size, n))
+        for j in range(size):
+            kc += prod[:, :, j]
+        q = np.stack([cr * kc[0] + ci * kc[1], cr * kc[1] - ci * kc[0]])
+        for i in range(size):
+            acc[:2] += q[:, i]
+    re, im, mx, total = acc
+    return alpha, (re**2 + im**2) / (mx * total)
 
 
 def simulate(
@@ -436,7 +479,7 @@ def simulate(
     read = None if corrections == "auto" else partial(_correction_entries, p, basis)
     tables = _sampling_tables(maps, read)
     n_out, d, _ = maps.shape
-    block = max(1, _BLOCK_ENTRIES // (d * d))
+    block = max(1, _BLOCK_ENTRIES // (2 * d + 3 + len(tables[3])))
     # The first k children of spawn(n) equal spawn(k), so dropping the shards
     # that would get no runs changes no result.
     n_shards = min(n_workers, n_runs)

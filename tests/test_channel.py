@@ -41,6 +41,14 @@ class TestMakeChannel:
         with pytest.raises(NormalizationError):
             make_channel([0.9, 0.2])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        # No comparison with NaN is true, so each range check alone passes it.
+        with pytest.raises(NormalizationError, match="finite"):
+            make_channel([bad, 1.0])
+        with pytest.raises(NormalizationError, match="finite"):
+            make_channel([0.6, 0.8, bad])
+
     def test_ket_layout(self):
         ch = make_channel(np.sqrt([0.5, 0.3, 0.2]))
         psi = ch.ket()

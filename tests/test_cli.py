@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -186,6 +187,17 @@ class TestUsageErrors:
         assert echo.startswith("# command=teleport")
         assert usage.startswith("usage error: dual construction needs every Schmidt coefficient positive")
 
+    @pytest.mark.parametrize("command", ["teleport", "verify"])
+    @pytest.mark.parametrize("coeffs", ["nan,1", "inf,1", "0.6,-inf"])
+    @pytest.mark.parametrize("lam", ["0.1", "max"])
+    def test_non_finite_coefficient_is_one_usage_line(self, capsys, command, coeffs, lam):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--coeffs", coeffs, "--lambda", lam])
+        assert info.value.code == 2
+        echo, usage = capsys.readouterr().err.splitlines()
+        assert echo.startswith(f"# command={command}")
+        assert usage.startswith("usage error: coefficients must be finite")
+
     @pytest.mark.parametrize("argv", [["teleport", "--seed", "-1", "--runs", "10"], ["verify", "--seed", "-1"]])
     def test_negative_seed(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
@@ -325,6 +337,25 @@ class TestFigure1:
         assert set(records[0]) == {"entropy_bits", "cos_theta", "fidelity_opt", "is_arrow_point"}
 
 
+# sha256 prefixes of the JSONL transcripts of 5000 ``teleport`` runs at seed 31,
+# keyed by channel, strategy and shard count; the outcome draws, and so the
+# transcripts, do not depend on the correction mode.
+TRANSCRIPT_DIGESTS = {
+    ("0.6", "product", "1"): "9e5b6d28e3f184d8",
+    ("0.6", "product", "2"): "954639a96ebb24b2",
+    ("0.6", "residual", "1"): "9868abe0549d3544",
+    ("0.6", "residual", "2"): "0373b613613a79c4",
+    ("0.6,0.64,0.48", "product", "1"): "93c1c6910278ba87",
+    ("0.6,0.64,0.48", "product", "2"): "91b2e754432bc630",
+    ("0.6,0.64,0.48", "residual", "1"): "2c3fbe883539dc73",
+    ("0.6,0.64,0.48", "residual", "2"): "eaae59a2c75e01ab",
+    ("0.5,0.5,0.4,0.4,0.3,0.3", "product", "1"): "1147772c5af71f28",
+    ("0.5,0.5,0.4,0.4,0.3,0.3", "product", "2"): "ea7e64a46092ffbf",
+    ("0.5,0.5,0.4,0.4,0.3,0.3", "residual", "1"): "959443189eb147a3",
+    ("0.5,0.5,0.4,0.4,0.3,0.3", "residual", "2"): "1cd5d16b599d66b1",
+}
+
+
 class TestTeleport:
     def test_product_strategy_total(self, capsys, tmp_path):
         out = tmp_path / "report.csv"
@@ -411,6 +442,31 @@ class TestTeleport:
             for i, a, c in zip(b["run_index"], b["outcome_alpha"], b["conclusive_flag"])
         )
         assert transcript.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            ["--cos-theta-c", "0.6", "--lambda", "max"],
+            ["--coeffs", "0.6,0.64,0.48", "--lambda", "0.3"],
+            ["--coeffs", "0.5,0.5,0.4,0.4,0.3,0.3", "--lambda", "max"],
+        ],
+        ids=["d2", "d3", "d6"],
+    )
+    @pytest.mark.parametrize("strategy", ["product", "residual"])
+    @pytest.mark.parametrize("corrections", ["auto", "paper"])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_transcripts_keep_their_recorded_digests(
+        self, capsys, monkeypatch, tmp_path, channel, strategy, corrections, workers
+    ):
+        # The draw contract: a seed and a shard count fix every run's outcome,
+        # so these transcripts stay byte-identical however the kernel computes.
+        transcript = tmp_path / "runs.jsonl"
+        monkeypatch.setenv("QTELEPORT_WORKERS", workers)
+        argv = ["teleport", *channel, "--strategy", strategy, "--corrections", corrections]
+        code, _, _ = run(capsys, *argv, "--runs", "5000", "--seed", "31", "--transcript", str(transcript))
+        assert code == 0
+        digest = hashlib.sha256(transcript.read_bytes()).hexdigest()[:16]
+        assert digest == TRANSCRIPT_DIGESTS[channel[1], strategy, workers]
 
     @pytest.mark.parametrize("d, first_run", [(2, 99_000), (3, 0)])
     def test_sink_writes_the_bytes_of_json_dumps(self, d, first_run):
@@ -515,7 +571,7 @@ class TestTeleport:
         assert err1 == err2
 
 
-COEFF = st.sampled_from([0.0, -0.0, -0.5]) | st.floats(-1.5, 1.5)
+COEFF = st.sampled_from([0.0, -0.0, -0.5, math.nan, math.inf, -math.inf]) | st.floats(-1.5, 1.5)
 LAMBDA_TOKEN = st.floats(-0.5, 1.5).map(repr) | st.sampled_from(["max", "nan", "inf", "-1", "lots", ""])
 WORKERS = st.sampled_from(["1", "2", "7", "0", "abc", ""])
 MISSING_DIR = "/nonexistent-dir"

@@ -799,8 +799,8 @@ class TestSimulate:
         p = refined(ch, basis, 0.4, "product")
         blocks = []
         simulate(p, ch, basis, "paper", n_runs=10_000, rng=1, transcript=blocks.append)
-        # 2**14 entries over d**2 = 4 per run: 4096 runs per block.
-        assert [len(b["run_index"]) for b in blocks] == [4096, 4096, 1808]
+        # 2**15 entries over 2d + 3 + 5d = 17 per run: 1927 runs per block.
+        assert [len(b["run_index"]) for b in blocks] == [1927] * 5 + [365]
         assert transcript_bits(p.n_outcomes) == 4  # ceil(log2(8)) + 1
         for b in blocks:
             assert set(b) == {"run_index", "outcome_alpha", "conclusive_flag", "bits_sent"}
@@ -1005,7 +1005,7 @@ class TestBlockedKernel:
         np.testing.assert_array_equal(alpha, want_alpha)
         assert np.max(np.abs(fid - want_fid)) <= 1e-12
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
     @pytest.mark.parametrize("strategy", ["product", "residual", "rotated"])
     @pytest.mark.parametrize("corrections", ["auto", "paper"])
     @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
@@ -1119,7 +1119,7 @@ class TestBlockedKernel:
         assert np.all(weights[alpha] > 0) and alpha[1] == 2 * d * d - 1 - dead.size
         assert np.all(np.isfinite(fid))
         for a in np.flatnonzero(weights):
-            k = fidelity._draw_outcomes(np.tile(cum_m[a], (2, 1)), r * cum_m[a, -1])
+            k = fidelity._draw_outcomes(np.tile(cum_m[a][:, None], (1, 2)), r * cum_m[a, -1])
             assert np.all(m[a, k] > 0) and k[1] == d - 1
         # Whole runs: the kernel's eigen-indices are the reference's.
         n = 2_000
@@ -1143,8 +1143,8 @@ class TestBlockedKernel:
         mc = simulate(p, ch, basis, "auto", n_runs=20_000, rng=12)
         assert abs(mc.f_total - report(p, ch, basis, "auto").f_total) <= 4 * mc.f_total_se
 
-    @pytest.mark.parametrize("d", [2, 3, 8])
-    @pytest.mark.parametrize("strategy", ["product", "residual"])
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    @pytest.mark.parametrize("strategy", ["product", "residual", "rotated"])
     @pytest.mark.parametrize("corrections", ["auto", "paper"])
     @pytest.mark.parametrize("share", [0.5, 1.0])
     @pytest.mark.parametrize("n_workers", [1, 3])
@@ -1152,8 +1152,12 @@ class TestBlockedKernel:
         self, monkeypatch, d, strategy, corrections, share, n_workers
     ):
         # From one run per block to a whole shard per block: the same runs,
-        # the same transcript columns and a bit-identical report.
-        p, ch, basis, _, _ = maps_and_corrections(d, strategy, corrections, 30 + d, share)
+        # the same transcript columns and a bit-identical report, also where
+        # the rotated stack sends runs through the off-diagonal K.
+        p, ch, basis, maps, vs = maps_and_corrections(d, strategy, corrections, 30 + d, share)
+        read = None if corrections == "auto" else stack_reader(vs)
+        live = fidelity._sampling_tables(maps, read)[4]
+        assert (live.size > 0) == (strategy == "rotated" and corrections == "paper")
         results = []
         for entries in (1, 1 << 9, fidelity._BLOCK_ENTRIES, 1 << 30):
             monkeypatch.setattr(fidelity, "_BLOCK_ENTRIES", entries)
@@ -1275,7 +1279,8 @@ class TestBlockedKernel:
     def test_draw_at_the_total_picks_the_last_outcome(self):
         probs = np.array([[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25]])
         cum = np.cumsum(probs, axis=1)
-        alpha = fidelity._draw_outcomes(cum, cum[:, -1])
+        # One column per run.
+        alpha = fidelity._draw_outcomes(cum.T, cum[:, -1])
         np.testing.assert_array_equal(alpha, [3, 3])
-        np.testing.assert_array_equal(fidelity._draw_outcomes(cum, np.zeros(2)), [0, 0])
-        np.testing.assert_array_equal(fidelity._draw_outcomes(cum, cum[:, 1]), [2, 2])
+        np.testing.assert_array_equal(fidelity._draw_outcomes(cum.T, np.zeros(2)), [0, 0])
+        np.testing.assert_array_equal(fidelity._draw_outcomes(cum.T, cum[:, 1]), [2, 2])
