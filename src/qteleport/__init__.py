@@ -28,7 +28,6 @@ from .errors import (
 )
 from .fidelity import (
     FidelityReport,
-    OutcomeStat,
     avg_fidelity_term,
     channel_maps,
     report,
@@ -77,7 +76,6 @@ __all__ = [
     "InconclusiveProduct",
     "InconclusiveResidual",
     "NormalizationError",
-    "OutcomeStat",
     "PositivityError",
     "PovmSet",
     "QTeleportError",

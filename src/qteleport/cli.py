@@ -23,13 +23,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
-import itertools
 import json
 import math
 import os
-import re
 import sys
 
 import numpy as np
@@ -185,42 +182,37 @@ def _resolve_channel(args: argparse.Namespace) -> SchmidtChannel:
     return make_channel(np.full(args.d, 1.0 / np.sqrt(args.d)))
 
 
-def _cell(value):
+def _csv_field(value) -> str:
+    """``value`` as one CSV cell, as ``csv.writer`` writes it.
+
+    A float has 12 significant digits, None is empty, and anything else is
+    ``str`` of it, quoted if it holds a comma, quote or newline.
+    """
+    if isinstance(value, float):
+        return f"{value:.12g}"
     if value is None:
         return ""
-    return f"{value:.12g}" if isinstance(value, float) else value
-
-
-_CSV_QUOTED = re.compile(r'[,"\n]')
-
-
-def _csv_field(text: str) -> str:
-    """``text`` as one CSV cell: quoted, as ``csv.writer`` does, if it holds a comma, quote or newline."""
-    if _CSV_QUOTED.search(text):
+    text = str(value)
+    if "," in text or '"' in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
-def _write_rows(
-    path: str | None, fmt: str, header: tuple[str, ...], rows: list[tuple], csv_lines: str = ""
-) -> None:
-    """Write ``rows`` (tuples in ``header`` order) to ``path``, or to stdout if None.
+def _write_table(path: str | None, fmt: str, header: tuple[str, ...], columns: list) -> None:
+    """Write the table ``columns`` (equal-length, in ``header`` order) to ``path``, or to stdout if None.
 
-    CSV has a header line, floats at 12 significant digits and None as an
-    empty cell; ``csv_lines``, rows already in that form, go right after
-    the header.  JSON lines have one object per row with full-precision
-    floats and null.
+    CSV has a header line and then one line per row, each cell formatted
+    by ``_csv_field`` a column at a time.  JSON lines have one object per
+    row with full-precision floats and null.
     """
     with (
         open(path, "w", newline="") if path is not None else contextlib.nullcontext(sys.stdout)
     ) as stream:
         if fmt == "csv":
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(header)
-            stream.write(csv_lines)
-            writer.writerows([_cell(v) for v in row] for row in rows)
+            lines = map(",".join, zip(*(map(_csv_field, column) for column in columns)))
+            stream.write("\n".join([",".join(map(_csv_field, header)), *lines]) + "\n")
         else:
-            stream.writelines(json.dumps(dict(zip(header, row))) + "\n" for row in rows)
+            stream.writelines(json.dumps(dict(zip(header, row))) + "\n" for row in zip(*columns))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -265,7 +257,7 @@ def _figure_rows() -> list[tuple]:
 
 def cmd_figure1(args: argparse.Namespace) -> int:
     _echo("command=figure1", f"format={args.fmt}")
-    _write_rows(args.out, args.fmt, FIGURE_HEADER, _figure_rows())
+    _write_table(args.out, args.fmt, FIGURE_HEADER, list(zip(*_figure_rows())))
     return 0
 
 
@@ -279,36 +271,15 @@ def _tag_fields(tag) -> tuple[str, str]:
     return "remainder", ""
 
 
-def _float_columns(exact: FidelityReport, mc: FidelityReport | None) -> list[tuple[float, ...]]:
-    """The per-outcome float columns in header order; the Monte Carlo four only with ``mc``."""
-    columns = [exact.probabilities, exact.fidelity_terms]
-    if mc is not None:
+def _teleport_columns(exact: FidelityReport, mc: FidelityReport | None) -> list[tuple]:
+    """The teleport table in ``TELEPORT_HEADER`` order: one row per outcome, then the three totals."""
+    n = len(exact.tags)
+    kinds, details = zip(*map(_tag_fields, exact.tags))
+    columns = [tuple(range(n)), kinds, details, exact.probabilities, exact.fidelity_terms]
+    if mc is None:
+        columns += [(None,) * n] * 4
+    else:
         columns += [mc.probabilities, mc.probability_se, mc.fidelity_terms, mc.fidelity_term_se]
-    return columns
-
-
-def _outcome_rows(exact: FidelityReport, mc: FidelityReport | None) -> list[tuple]:
-    """One row per outcome, read from the reports' columns."""
-    kinds, details = zip(*map(_tag_fields, exact.tags))
-    columns = [range(len(kinds)), kinds, details, *_float_columns(exact, mc)]
-    columns += [itertools.repeat(None)] * (len(TELEPORT_HEADER) - len(columns))
-    return list(zip(*columns))
-
-
-def _outcome_csv(exact: FidelityReport, mc: FidelityReport | None) -> str:
-    """The outcome rows as CSV lines, formatted a column at a time.
-
-    The bytes are those ``_cell`` and ``csv.writer`` give for ``_outcome_rows``.
-    """
-    kinds, details = zip(*map(_tag_fields, exact.tags))
-    columns = [map(str, range(len(kinds))), kinds, map(_csv_field, details)]
-    columns += [map("{:.12g}".format, col) for col in _float_columns(exact, mc)]
-    columns += [itertools.repeat("")] * (len(TELEPORT_HEADER) - len(columns))
-    return "\n".join(map(",".join, zip(*columns))) + "\n"
-
-
-def _total_rows(exact: FidelityReport, mc: FidelityReport | None) -> list[tuple]:
-    """The conclusive, inconclusive and overall totals."""
     totals = [
         ("total_conclusive", exact.conclusive_probability, exact.f_conclusive,
          mc.conclusive_probability if mc else None, mc.f_conclusive if mc else None, None),
@@ -317,10 +288,11 @@ def _total_rows(exact: FidelityReport, mc: FidelityReport | None) -> list[tuple]
         ("total", 1.0, exact.f_total,
          1.0 if mc else None, mc.f_total if mc else None, mc.f_total_se if mc else None),
     ]
-    return [
+    rows = [
         ("", kind, "", prob, fid, mc_prob, None, mc_fid, mc_fid_se)
         for kind, prob, fid, mc_prob, mc_fid, mc_fid_se in totals
     ]
+    return [column + total for column, total in zip(columns, zip(*rows))]
 
 
 def _transcript_sink(stream, tags):
@@ -397,10 +369,7 @@ def cmd_teleport(args: argparse.Namespace) -> int:
                 )
     except QTeleportError as exc:
         raise _usage_error(str(exc))
-    if args.fmt == "csv":
-        _write_rows(args.out, "csv", TELEPORT_HEADER, _total_rows(exact, mc), _outcome_csv(exact, mc))
-    else:
-        _write_rows(args.out, "jsonl", TELEPORT_HEADER, _outcome_rows(exact, mc) + _total_rows(exact, mc))
+    _write_table(args.out, args.fmt, TELEPORT_HEADER, _teleport_columns(exact, mc))
     return 0
 
 

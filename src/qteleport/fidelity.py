@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -106,8 +106,8 @@ def _pattern(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     nz = maps != 0
     if np.count_nonzero(nz, axis=1).max() > 1 or np.count_nonzero(nz, axis=2).max() > 1:
         return None
-    rows = nz.argmax(axis=1)
-    return rows, np.take_along_axis(maps, rows[:, None, :], axis=1)[:, 0]
+    # With one nonzero per column, the column sum is that value, exactly.
+    return nz.argmax(axis=1), maps.sum(axis=1)
 
 
 def _singular_values(maps: np.ndarray, pattern: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
@@ -123,24 +123,12 @@ def _check_corrections(corrections: str) -> None:
 
 
 @dataclass(frozen=True)
-class OutcomeStat:
-    """Per-outcome slice of a fidelity report."""
-
-    index: int
-    tag: Tag
-    probability: float
-    fidelity_term: float
-    probability_se: float | None = None
-    fidelity_term_se: float | None = None
-
-
-@dataclass(frozen=True)
 class FidelityReport:
     """Haar-average fidelity split into conclusive and inconclusive parts.
 
     Per-outcome numbers are columns in outcome order, tuples of floats so
     that reports compare with ``==``; the standard-error columns are None
-    for an exact report.  ``outcomes`` views the same numbers as rows.
+    for an exact report.
     """
 
     lam: float
@@ -157,23 +145,6 @@ class FidelityReport:
     n_runs: int | None = None
     f_total_se: float | None = None
 
-    @cached_property
-    def outcomes(self) -> tuple[OutcomeStat, ...]:
-        """One ``OutcomeStat`` per outcome, built from the columns on first read."""
-        unknown = (None,) * len(self.tags)
-        return tuple(
-            OutcomeStat(k, *row)
-            for k, row in enumerate(
-                zip(
-                    self.tags,
-                    self.probabilities,
-                    self.fidelity_terms,
-                    self.probability_se or unknown,
-                    self.fidelity_term_se or unknown,
-                )
-            )
-        )
-
     @property
     def conclusive_probability(self) -> float:
         return sum(q for q, t in zip(self.probabilities, self.tags) if isinstance(t, Conclusive))
@@ -181,14 +152,6 @@ class FidelityReport:
     @property
     def inconclusive_probability(self) -> float:
         return sum(q for q, t in zip(self.probabilities, self.tags) if not isinstance(t, Conclusive))
-
-
-def strategy_of(p: PovmSet) -> str:
-    if any(isinstance(t, InconclusiveProduct) for t in p.tags):
-        return "product"
-    if any(isinstance(t, InconclusiveResidual) for t in p.tags):
-        return "residual"
-    return "conclusive-only"
 
 
 def channel_maps(p: PovmSet, ch: SchmidtChannel) -> np.ndarray:
@@ -285,13 +248,26 @@ def _build_report(
     n_runs: int | None = None,
     f_total_se: float | None = None,
 ) -> FidelityReport:
-    """The one assembly of a report from per-outcome arrays, exact or Monte Carlo."""
-    conclusive = np.array([isinstance(t, Conclusive) for t in p.tags])
+    """The one assembly of a report from per-outcome arrays, exact or Monte Carlo.
+
+    The strategy is ``product`` if any tag is an ``InconclusiveProduct``,
+    else ``residual`` if any is an ``InconclusiveResidual``, else
+    ``conclusive-only``.
+    """
+    conclusive = np.zeros(len(p.tags), dtype=bool)
+    strategy = "conclusive-only"
+    for k, tag in enumerate(p.tags):
+        if isinstance(tag, Conclusive):
+            conclusive[k] = True
+        elif isinstance(tag, InconclusiveProduct):
+            strategy = "product"
+        elif isinstance(tag, InconclusiveResidual) and strategy != "product":
+            strategy = "residual"
     f_con = float(terms[conclusive].sum())
     f_inc = float(terms[~conclusive].sum())
     return FidelityReport(
         lam=p.lam,
-        strategy=strategy_of(p),
+        strategy=strategy,
         corrections=corrections,
         tags=p.tags,
         probabilities=tuple(probs.tolist()),

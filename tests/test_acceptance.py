@@ -193,9 +193,9 @@ def test_criterion_4_standard_teleportation_limit():
             fid = abs(np.vdot(phi, out)) ** 2 / probs[alpha]
             assert abs(fid - 1.0) <= 1e-12
         mc = simulate(p, ch, basis, "paper", n_runs=20_000, rng=d)
-        for stat in mc.outcomes:
-            if stat.probability > 0:
-                assert abs(stat.fidelity_term / stat.probability - 1.0) <= 1e-12
+        for q, term in zip(mc.probabilities, mc.fidelity_terms):
+            if q > 0:
+                assert abs(term / q - 1.0) <= 1e-12
     print("\nPASS criterion 4: maximally entangled limit is exact, run by run")
 
 

@@ -17,7 +17,7 @@ from qteleport import cli, fidelity
 from qteleport.channel import make_channel, qubit_channel_from_cos_theta
 from qteleport.cli import main
 from qteleport.fidelity import simulate
-from qteleport.formulas import relaxed_angle_fidelity
+from qteleport.formulas import channel_from_entropy, qubit_average_fidelity, relaxed_angle_fidelity
 from qteleport.povm import (
     Conclusive,
     InconclusiveProduct,
@@ -40,7 +40,7 @@ def read_rows(path):
 
 
 def per_cell_teleport_text(exact, mc, fmt):
-    """Oracle: the teleport table row by row from ``outcomes``, written cell by cell.
+    """Oracle: the teleport table row by row from the report columns, written cell by cell.
 
     CSV goes through ``csv.writer`` with floats at 12 significant digits
     and None as an empty cell; JSONL is one ``json.dumps`` per row.
@@ -59,13 +59,12 @@ def per_cell_teleport_text(exact, mc, fmt):
         return "inconclusive_residual", str(tag.alpha)
 
     rows = []
-    for k, stat in enumerate(exact.outcomes):
+    for k, tag in enumerate(exact.tags):
         if mc is None:
             mc_cols = (None, None, None, None)
         else:
-            m = mc.outcomes[k]
-            mc_cols = (m.probability, m.probability_se, m.fidelity_term, m.fidelity_term_se)
-        rows.append((k, *tag_fields(stat.tag), stat.probability, stat.fidelity_term, *mc_cols))
+            mc_cols = (mc.probabilities[k], mc.probability_se[k], mc.fidelity_terms[k], mc.fidelity_term_se[k])
+        rows.append((k, *tag_fields(tag), exact.probabilities[k], exact.fidelity_terms[k], *mc_cols))
     totals = [
         ("total_conclusive", exact.conclusive_probability, exact.f_conclusive,
          mc.conclusive_probability if mc else None, mc.f_conclusive if mc else None, None),
@@ -83,6 +82,30 @@ def per_cell_teleport_text(exact, mc, fmt):
         writer.writerows([cell(v) for v in row] for row in rows)
     else:
         stream.writelines(json.dumps(dict(zip(cli.TELEPORT_HEADER, row))) + "\n" for row in rows)
+    return stream.getvalue()
+
+
+def per_cell_figure1_text(fmt):
+    """Oracle: the 404 ``figure1`` rows from ``formulas``, written cell by cell.
+
+    Per entanglement entropy, the 100 curve points at cos_theta = k/100 and
+    then the arrow point at the channel's own overlap.
+    """
+    header = ("entropy_bits", "cos_theta", "fidelity_opt", "is_arrow_point")
+    rows = []
+    for s in (0.0, 0.19, 0.55, 1.0):
+        channel, cos_theta_c = channel_from_entropy(s)
+        for k in range(100):
+            ct = k / 100
+            rows.append((s, ct, relaxed_angle_fidelity(cos_theta_c, ct, 1.0 - ct), 0))
+        rows.append((s, cos_theta_c, qubit_average_fidelity(lambda_max(channel)), 1))
+    stream = io.StringIO()
+    if fmt == "csv":
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row] for row in rows)
+    else:
+        stream.writelines(json.dumps(dict(zip(header, row))) + "\n" for row in rows)
     return stream.getvalue()
 
 
@@ -329,6 +352,12 @@ class TestFigure1:
         run(capsys, "figure1", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_stdout_is_the_per_cell_text(self, capsys, fmt):
+        code, out, _ = run(capsys, "figure1", "--format", fmt)
+        assert code == 0
+        assert out == per_cell_figure1_text(fmt)
+
     def test_jsonl_mirrors_rows(self, capsys, tmp_path):
         out = tmp_path / "fig.jsonl"
         run(capsys, "figure1", "--out", str(out), "--format", "jsonl")
@@ -525,19 +554,6 @@ class TestTeleport:
         assert code == 0
         assert ("mc" in seen) == (runs > 0)
         assert out == per_cell_teleport_text(seen["exact"], seen.get("mc"), fmt)
-
-    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    def test_no_outcome_objects_are_built(self, capsys, monkeypatch, fmt):
-        # teleport writes from the report columns, and verify reads them.
-        def refuse(*args, **kwargs):
-            raise AssertionError("OutcomeStat built")
-
-        monkeypatch.setattr(fidelity, "OutcomeStat", refuse)
-        code, out, _ = run(capsys, "teleport", "--d", "6", "--runs", "2000", "--format", fmt)
-        assert code == 0
-        assert len(out.splitlines()) == (fmt == "csv") + 2 * 36 + 3
-        code, out, _ = run(capsys, "verify")
-        assert code == 0 and out.endswith(" checks passed\n")
 
     def test_jsonl_report(self, capsys, tmp_path):
         out = tmp_path / "report.jsonl"

@@ -264,10 +264,10 @@ class TestExactReport:
         rng = np.random.default_rng(3)
         ch = random_channel(3, rng)
         rep = report(refined(ch, basis, 0.2, "residual"), ch, basis, "auto")
-        assert sum(o.probability for o in rep.outcomes) == pytest.approx(1.0, abs=1e-10)
+        assert sum(rep.probabilities) == pytest.approx(1.0, abs=1e-10)
         assert rep.f_total == pytest.approx(rep.f_conclusive + rep.f_inconclusive, abs=1e-14)
 
-    def test_columns_and_the_outcomes_view(self):
+    def test_report_columns(self):
         basis = build_weyl_basis(3)
         ch = random_channel(3, np.random.default_rng(31))
         p = refined(ch, basis, 0.5 * lambda_max(ch), "product")
@@ -279,15 +279,11 @@ class TestExactReport:
             assert all(type(x) is float for x in col)
         assert rep.conclusive_probability == sum(rep.probabilities[:9])
         assert rep == report(p, ch, basis, "paper")
-        rows = rep.outcomes
-        assert rows is rep.outcomes
-        assert rows == tuple(
-            fidelity.OutcomeStat(k, t, q, f)
-            for k, (t, q, f) in enumerate(zip(p.tags, rep.probabilities, rep.fidelity_terms))
-        )
         mc = simulate(p, ch, basis, "paper", n_runs=500, rng=2)
-        assert [o.probability_se for o in mc.outcomes] == list(mc.probability_se)
-        assert [o.fidelity_term_se for o in mc.outcomes] == list(mc.fidelity_term_se)
+        assert mc.tags == p.tags
+        for col in (mc.probabilities, mc.probability_se, mc.fidelity_terms, mc.fidelity_term_se):
+            assert type(col) is tuple and len(col) == p.n_outcomes
+            assert all(type(x) is float for x in col)
 
     def test_amplitude_map_completeness(self):
         basis = build_weyl_basis(3)
@@ -380,9 +376,8 @@ class TestExactReport:
         for share in (0.0, 0.5, 1.0):
             p = refined(ch, basis, share * lambda_max(ch), strategy)
             auto, paper = report(p, ch, basis, "auto"), report(p, ch, basis, "paper")
-            for a, b in zip(auto.outcomes, paper.outcomes):
-                assert abs(a.probability - b.probability) <= 1e-12
-                assert abs(a.fidelity_term - b.fidelity_term) <= 1e-12
+            assert np.max(np.abs(np.subtract(auto.probabilities, paper.probabilities))) <= 1e-12
+            assert np.max(np.abs(np.subtract(auto.fidelity_terms, paper.fidelity_terms))) <= 1e-12
             assert abs(auto.f_total - paper.f_total) <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
@@ -408,8 +403,8 @@ class TestExactReport:
             assert (fidelity._pattern(maps) is not None) == (k < 3)
             probs, terms = avg_fidelity_term(maps, optimal_correction(maps))
             rep = report(p, ch, basis, "auto")
-            assert np.max(np.abs([o.probability for o in rep.outcomes] - probs)) <= 1e-15
-            assert np.max(np.abs([o.fidelity_term for o in rep.outcomes] - terms)) <= 1e-15
+            assert np.max(np.abs(np.subtract(rep.probabilities, probs))) <= 1e-15
+            assert np.max(np.abs(np.subtract(rep.fidelity_terms, terms))) <= 1e-15
 
 
 def optimal_correction(b):
@@ -510,11 +505,11 @@ class TestStackedEngine:
         else:
             vs = correction_unitaries(p, basis)
         f_con = f_inc = 0.0
-        for stat, tag, b, v in zip(rep.outcomes, p.tags, maps, vs):
+        assert rep.tags == p.tags and rep.probability_se is None and rep.fidelity_term_se is None
+        for got_prob, got_term, tag, b, v in zip(rep.probabilities, rep.fidelity_terms, p.tags, maps, vs):
             prob, term = loop_fidelity_term(b, v)
-            assert stat.tag == tag and stat.probability_se is None
-            assert abs(stat.probability - prob) <= 1e-15
-            assert abs(stat.fidelity_term - term) <= 1e-15
+            assert abs(got_prob - prob) <= 1e-15
+            assert abs(got_term - term) <= 1e-15
             if isinstance(tag, Conclusive):
                 f_con += term
             else:
@@ -571,11 +566,18 @@ class TestPatternPaperReport:
         for share in (0.0, 0.5, 1.0):
             p = refined(ch, basis, share * lambda_max(ch), strategy)
             maps = channel_maps(p, ch)
-            assert fidelity._pattern(maps) is not None
+            # The pattern against the nonzero entries' own positions: each
+            # column's row (0 for an all-zero column) and the entry there.
+            rows, values = fidelity._pattern(maps)
+            want_rows = np.zeros(maps.shape[::2], dtype=np.intp)
+            a, i, j = np.nonzero(maps)
+            want_rows[a, j] = i
+            assert np.array_equal(rows, want_rows)
+            assert np.array_equal(values, np.take_along_axis(maps, want_rows[:, None, :], axis=1)[:, 0])
             probs, terms = avg_fidelity_term(maps, correction_unitaries(p, basis))
             rep = report(p, ch, basis, "paper")
-            assert np.max(np.abs([o.probability for o in rep.outcomes] - probs)) <= 1e-15
-            assert np.max(np.abs([o.fidelity_term for o in rep.outcomes] - terms)) <= 1e-15
+            assert np.max(np.abs(np.subtract(rep.probabilities, probs))) <= 1e-15
+            assert np.max(np.abs(np.subtract(rep.fidelity_terms, terms))) <= 1e-15
 
     @pytest.mark.parametrize("strategy", ["product", "residual"])
     def test_correction_stack_is_never_built(self, monkeypatch, strategy):
@@ -758,7 +760,7 @@ class TestSimulate:
         a = simulate(p, ch, basis, "auto", n_runs=2_000, rng=42, n_workers=3)
         b = simulate(p, ch, basis, "auto", n_runs=2_000, rng=42, n_workers=3)
         assert a.f_total == b.f_total
-        assert [o.probability for o in a.outcomes] == [o.probability for o in b.outcomes]
+        assert a.probabilities == b.probabilities
 
     def test_surplus_workers_spawn_no_empty_shards(self):
         basis = build_weyl_basis(2)
@@ -787,11 +789,11 @@ class TestSimulate:
             mc = simulate(p, ch, basis, "auto", n_runs=20_000, rng=trial)
             assert abs(mc.f_total - exact.f_total) <= 4 * mc.f_total_se
             n = mc.n_runs
-            for ex, got in zip(exact.outcomes, mc.outcomes):
-                se = max(np.sqrt(ex.probability * (1 - ex.probability) / n), 1e-9)
-                assert abs(got.probability - ex.probability) <= 4 * se
-                term_se = max(got.fidelity_term_se or 0.0, 1e-9)
-                assert abs(got.fidelity_term - ex.fidelity_term) <= 4 * term_se
+            for k, q in enumerate(exact.probabilities):
+                se = max(np.sqrt(q * (1 - q) / n), 1e-9)
+                assert abs(mc.probabilities[k] - q) <= 4 * se
+                term_se = max(mc.fidelity_term_se[k], 1e-9)
+                assert abs(mc.fidelity_terms[k] - exact.fidelity_terms[k]) <= 4 * term_se
 
     def test_transcript_records(self):
         basis = build_weyl_basis(2)
@@ -976,9 +978,9 @@ class TestBornRuleOracle:
         mc = simulate(p, ch, basis, corrections, n_runs=n, rng=d)
         probs, terms, prob_se, term_se, f_total, f_total_se = born_rule_estimates(maps, vs, n, 90 + d)
         assert abs(mc.f_total - f_total) <= 4 * np.hypot(mc.f_total_se, f_total_se)
-        for k, got in enumerate(mc.outcomes):
-            assert abs(got.probability - probs[k]) <= 5 * np.hypot(got.probability_se, prob_se[k])
-            assert abs(got.fidelity_term - terms[k]) <= 5 * np.hypot(got.fidelity_term_se, term_se[k])
+        for k in range(len(mc.tags)):
+            assert abs(mc.probabilities[k] - probs[k]) <= 5 * np.hypot(mc.probability_se[k], prob_se[k])
+            assert abs(mc.fidelity_terms[k] - terms[k]) <= 5 * np.hypot(mc.fidelity_term_se[k], term_se[k])
 
 
 class TestBlockedKernel:
@@ -1044,8 +1046,7 @@ class TestBlockedKernel:
         fid = np.concatenate(want_fid)
         assert rep.f_total == pytest.approx(fid.mean(), abs=1e-12)
         terms = np.bincount(alpha, weights=fid, minlength=p.n_outcomes) / n_runs
-        got = np.array([o.fidelity_term for o in rep.outcomes])
-        assert np.max(np.abs(got - terms)) <= 1e-12
+        assert np.max(np.abs(np.subtract(rep.fidelity_terms, terms))) <= 1e-12
 
     def test_multi_block_report_is_reproducible(self):
         d = 4
@@ -1060,13 +1061,12 @@ class TestBlockedKernel:
         c = simulate(realized_povm(dilate(p), p), ch, basis, "auto", n_runs=n_runs, rng=21)
         direct = simulate(p, ch, basis, "auto", n_runs=n_runs, rng=21)
         assert c.n_runs == direct.n_runs and c.strategy == direct.strategy == "residual"
-        assert [o.tag for o in c.outcomes] == list(p.tags)
-        assert all(o.probability_se is not None for o in c.outcomes)
+        assert c.tags == p.tags
+        assert len(c.probability_se) == len(c.fidelity_term_se) == p.n_outcomes
         assert c.f_total == pytest.approx(direct.f_total, abs=1e-12)
         assert c.f_total_se == pytest.approx(direct.f_total_se, abs=1e-12)
-        for got, want in zip(c.outcomes, direct.outcomes):
-            assert got.probability == pytest.approx(want.probability, abs=1e-12)
-            assert got.fidelity_term == pytest.approx(want.fidelity_term, abs=1e-12)
+        assert c.probabilities == pytest.approx(direct.probabilities, abs=1e-12)
+        assert c.fidelity_terms == pytest.approx(direct.fidelity_terms, abs=1e-12)
 
     def test_memory_is_bounded_by_the_block(self):
         d = 4
@@ -1131,7 +1131,7 @@ class TestBlockedKernel:
         blocks = []
         mc = simulate(p, ch, basis, "auto", n_runs=20_000, rng=6, transcript=blocks.append)
         assert not np.isin(np.concatenate([b["outcome_alpha"] for b in blocks]), dead).any()
-        assert all(np.isfinite(o.fidelity_term) for o in mc.outcomes)
+        assert np.isfinite(mc.fidelity_terms).all()
         assert abs(mc.f_total - report(p, ch, basis, "auto").f_total) <= 4 * mc.f_total_se
 
     @pytest.mark.parametrize("strategy", ["product", "residual"])
