@@ -28,7 +28,6 @@ from .errors import (
 )
 from .fidelity import (
     FidelityReport,
-    avg_fidelity_term,
     channel_maps,
     report,
     simulate,
@@ -85,7 +84,6 @@ __all__ = [
     "SingularChannelError",
     "ThetaPovmFamily",
     "UnitaryBasis",
-    "avg_fidelity_term",
     "basis_states",
     "best_orthogonal_fidelity",
     "binary_entropy",

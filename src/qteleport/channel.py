@@ -90,11 +90,12 @@ def qubit_channel_from_cos_theta(cos_theta_c: float) -> SchmidtChannel:
 def _check_full_rank(ch: SchmidtChannel, basis: UnitaryBasis) -> None:
     if ch.dim != basis.dim:
         raise ShapeError(f"channel dim {ch.dim} does not match basis dim {basis.dim}")
-    # A coefficient whose square underflows to 0 is singular in floating point.
-    if np.any(ch.coeffs <= 0) or np.any(ch.probs == 0):
+    # A coefficient whose square underflows to 0 is singular in floating
+    # point, and a subnormal square keeps too few bits for a complete POVM.
+    if np.any(ch.coeffs <= 0) or np.any(ch.probs < np.finfo(float).tiny):
         raise SingularChannelError(
-            "dual construction needs every Schmidt coefficient positive, with a nonzero square; "
-            f"got {ch.coeffs}"
+            "dual construction needs every Schmidt coefficient positive, with a square of at least "
+            f"the smallest normal float; got {ch.coeffs}"
         )
 
 

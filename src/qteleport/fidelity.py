@@ -42,12 +42,13 @@ and the conclusive block, both refinements and the theta family inherit
 that.  Column j of such a B holds one value b_j in its own row, so M =
 diag(|b|^2) and sigma_j = |b_j|, with no SVD or eigh.  The paper's
 corrections have one reader, ``_correction_entries``, which first checks
-every basis operator for unitarity (``DomainError``); the exact report,
-the Monte Carlo and ``correction_unitaries`` all use it.  On a pattern the
-exact report reads d entries of each V, for Tr(V B) = sum_j V[j, r_j] b_j,
-and the Monte Carlo d^2, so neither forms a correction stack.  Other map
-stacks take sigma from an SVD without vectors; only explicit corrections
-on them need E, from eigh.
+every basis operator for unitarity (``DomainError``); ``_reader`` hands it
+to the exact report and the Monte Carlo alike.  On a pattern the exact
+report reads d entries of each V, for Tr(V B) = sum_j V[j, r_j] b_j, and
+the Monte Carlo d^2, so neither forms a correction stack.  On other map
+stacks the exact report reads each V whole and traces it against B, sigma
+comes from an SVD without vectors, and only the Monte Carlo with explicit
+corrections needs E, from eigh.
 """
 
 from __future__ import annotations
@@ -64,28 +65,6 @@ from .errors import ConsistencyError, DecompositionError, DomainError, ShapeErro
 from .linalg import chunks, dagger
 from .povm import Conclusive, InconclusiveProduct, InconclusiveResidual, PovmSet, Tag
 from .weyl import UnitaryBasis
-
-
-def avg_fidelity_term(b: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Haar-exact (probability, fidelity term) of every outcome with its correction.
-
-    ``b`` and ``v`` are one (d, d) map and correction or equal-shaped stacks
-    (..., d, d); the results have shape ``b.shape[:-2]``.
-    """
-    b, v = np.asarray(b), np.asarray(v)
-    d = b.shape[-1]
-    if b.shape[-2:] != (d, d) or v.shape != b.shape:
-        raise ShapeError(f"correction shape {v.shape} does not match {b.shape}")
-    _check_unitary(v.reshape(-1, d, d))
-    return _haar_terms(b, v)
-
-
-def _haar_terms(b: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``avg_fidelity_term`` on corrections already checked for unitarity."""
-    d = b.shape[-1]
-    gram = np.sum(np.abs(b) ** 2, axis=(-2, -1))
-    trace = np.einsum("...ij,...ji->...", v, b)
-    return gram / d, (np.abs(trace) ** 2 + gram) / (d * (d + 1))
 
 
 def _check_unitary(ops: np.ndarray) -> None:
@@ -117,9 +96,13 @@ def _singular_values(maps: np.ndarray, pattern: tuple[np.ndarray, np.ndarray] | 
     return np.abs(pattern[1])
 
 
-def _check_corrections(corrections: str) -> None:
-    if corrections not in ("auto", "paper"):
-        raise DomainError(f"unknown corrections mode {corrections!r}; use 'auto' or 'paper'")
+def _reader(p: PovmSet, basis: UnitaryBasis, corrections: str) -> Callable | None:
+    """Entry reader of a corrections mode: ``_correction_entries`` for ``paper``, None for ``auto``."""
+    if corrections == "auto":
+        return None
+    if corrections == "paper":
+        return partial(_correction_entries, p, basis)
+    raise DomainError(f"unknown corrections mode {corrections!r}; use 'auto' or 'paper'")
 
 
 @dataclass(frozen=True)
@@ -168,16 +151,6 @@ def channel_maps(p: PovmSet, ch: SchmidtChannel) -> np.ndarray:
     return maps
 
 
-def correction_unitaries(p: PovmSet, basis: UnitaryBasis) -> np.ndarray:
-    """The paper's fixed correction unitaries, one per outcome, shape (n, d, d).
-
-    Outcomes aligned with the measurement basis get the basis unitary
-    itself, the diagonal product outcomes the cyclic shift |j> -> |i>.  The
-    optimal corrections are never formed (see the module docstring).
-    """
-    return _correction_entries(p, basis, *np.indices((1, p.d, p.d))[1:])
-
-
 def _correction_entries(p: PovmSet, basis: UnitaryBasis, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Entries V_a[i, j] of each outcome's paper correction, after checking every basis operator.
 
@@ -212,28 +185,28 @@ def report(
 ) -> FidelityReport:
     """Exact Haar-average fidelity report for a refined POVM.
 
-    ``auto`` reads only each map's singular values (see the module
+    One reduction for every case: outcome a has probability Tr(B^† B)/d
+    and fidelity term (|Tr(V B)|^2 + Tr(B^† B)) / (d (d + 1)).  ``auto``
+    reads both traces from each map's singular values (see the module
     docstring).  ``paper`` on a pattern stack reads d entries of each fixed
-    correction (``_correction_entries``); on any other stack it forms the
-    corrections and takes ``avg_fidelity_term``'s numbers without checking
-    them a second time.
+    correction (``_correction_entries``); on any other stack it reads the
+    whole (d, d) grid of each and traces it against the map.
     """
     maps = channel_maps(p, ch)
-    _check_corrections(corrections)
+    read = _reader(p, basis, corrections)
     pattern = _pattern(maps)
-    if corrections == "paper" and pattern is None:
-        # The reader has checked every basis operator; the shifts are permutations.
-        probs, terms = _haar_terms(maps, correction_unitaries(p, basis))
+    d = p.d
+    if pattern is None and read is not None:
+        gram = np.sum(np.abs(maps) ** 2, axis=(1, 2))
+        overlap = np.abs(np.einsum("nij,nji->n", read(*np.indices((1, d, d))[1:]), maps))
     else:
-        d = p.d
         sigma = _singular_values(maps, pattern)
         gram = np.sum(sigma**2, axis=1)
-        if corrections == "auto":
+        if read is None:
             overlap = np.sum(sigma, axis=1)
         else:
-            entries = _correction_entries(p, basis, np.arange(d)[None], pattern[0])
-            overlap = np.abs((entries * pattern[1]).sum(axis=1))
-        probs, terms = gram / d, (overlap**2 + gram) / (d * (d + 1))
+            overlap = np.abs((read(np.arange(d)[None], pattern[0]) * pattern[1]).sum(axis=1))
+    probs, terms = gram / d, (overlap**2 + gram) / (d * (d + 1))
     return _build_report(p, corrections, probs, terms)
 
 
@@ -451,9 +424,7 @@ def simulate(
     if n_workers < 1:
         raise DomainError(f"need at least one worker, got {n_workers}")
     maps = channel_maps(p, ch)
-    _check_corrections(corrections)
-    read = None if corrections == "auto" else partial(_correction_entries, p, basis)
-    tables = _sampling_tables(maps, read)
+    tables = _sampling_tables(maps, _reader(p, basis, corrections))
     n_out, d, _ = maps.shape
     block = max(1, _BLOCK_ENTRIES // (2 * d + 3 + len(tables[3])))
     # The first k children of spawn(n) equal spawn(k), so dropping the shards

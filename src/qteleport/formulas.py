@@ -24,7 +24,8 @@ def optimal_average_fidelity(d: int, probs, lam: float) -> float:
     """
     probs = np.asarray(probs, dtype=float)
     radicands = d * probs - lam
-    if lam < -1e-12 or np.min(radicands) < -1e-12:
+    # NaN fails both comparisons, so it is refused too.
+    if not -1e-12 <= lam or not -1e-12 <= np.min(radicands):
         raise DomainError(
             f"weight {lam} outside [0, {d * float(np.min(probs))}]: negative radicand"
         )
@@ -58,6 +59,8 @@ def relaxed_angle_fidelity(cos_theta_c: float, cos_theta: float, lam: float) -> 
     Positivity restricts lam to [0, 1 - |cos_theta|]; at the upper end this
     is the per-angle optimum.
     """
+    if not -1.0 <= cos_theta_c <= 1.0:
+        raise DomainError(f"cos_theta_c must lie in [-1, 1], got {cos_theta_c}")
     if not abs(cos_theta) < 1.0:
         raise DomainError(f"cos_theta must satisfy |cos_theta| < 1, got {cos_theta}")
     if not 0.0 <= lam <= 1.0 - abs(cos_theta) + 1e-12:
@@ -72,6 +75,8 @@ def best_orthogonal_fidelity(probs) -> float:
     """Fidelity ceiling of orthogonal measurement plus unitary correction,
     (1 + (sum_i a_i)^2) / (d + 1)."""
     probs = np.asarray(probs, dtype=float)
+    if not all(0.0 <= p <= 1.0 for p in probs.tolist()):
+        raise DomainError(f"squared coefficients must lie in [0, 1], got {probs}")
     d = probs.size
     return (1.0 + float(np.sum(np.sqrt(probs))) ** 2) / (d + 1)
 

@@ -12,7 +12,8 @@ import pytest
 from qteleport.channel import basis_states, make_channel, qubit_channel_from_cos_theta
 from qteleport.dilation import dilate, outcome_probabilities, realized_povm
 from qteleport.errors import PositivityError
-from qteleport.fidelity import channel_maps, correction_unitaries, report, simulate
+from qteleport import fidelity
+from qteleport.fidelity import channel_maps, report, simulate
 from qteleport.formulas import (
     best_orthogonal_fidelity,
     binary_entropy,
@@ -181,7 +182,8 @@ def test_criterion_4_standard_teleportation_limit():
         assert exact.inconclusive_probability <= 1e-10
         # Per-run conclusive fidelity, through the protocol primitives.
         maps = channel_maps(p, ch)
-        vs = correction_unitaries(p, basis)
+        # The paper's fixed corrections, read whole: V_a[i, j] for every i, j.
+        vs = fidelity._correction_entries(p, basis, *np.indices((1, d, d))[1:])
         rng = np.random.default_rng(d)
         for _ in range(500):
             phi = haar_random_ket(d, rng)

@@ -201,7 +201,7 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err == f"usage error: --d must be at least 2, got {argv[-1]}\n"
 
-    @pytest.mark.parametrize("coeffs", ["1,0", "0.6,0.8,-0.0", "1e-170,1"])
+    @pytest.mark.parametrize("coeffs", ["1,0", "0.6,0.8,-0.0", "1e-170,1", "1e-160,1"])
     def test_singular_channel_is_one_usage_line(self, capsys, coeffs):
         with pytest.raises(SystemExit) as info:
             main(["teleport", "--coeffs", coeffs])

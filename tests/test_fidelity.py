@@ -7,14 +7,7 @@ import pytest
 from qteleport.channel import make_channel, qubit_channel_from_cos_theta
 from qteleport.errors import ConsistencyError, DecompositionError, DomainError, ShapeError
 from qteleport import fidelity
-from qteleport.fidelity import (
-    avg_fidelity_term,
-    channel_maps,
-    correction_unitaries,
-    report,
-    simulate,
-    transcript_bits,
-)
+from qteleport.fidelity import channel_maps, report, simulate, transcript_bits
 from qteleport.dilation import dilate, realized_povm
 from qteleport.formulas import (
     best_orthogonal_fidelity,
@@ -427,6 +420,29 @@ def optimal_correction(b):
     return dagger((u / phase) @ (wh * np.swapaxes(phase, -1, -2)))
 
 
+def avg_fidelity_term(b, v):
+    """Haar-exact (probability, fidelity term) of every outcome with its correction.
+
+    The dense oracle for ``report``: ``b`` and ``v`` are one (d, d) map and
+    correction or equal-shaped stacks (..., d, d), and the results have
+    shape ``b.shape[:-2]``.  Every correction is checked for unitarity by
+    the library's check, which reads the stack in bounded chunks.
+    """
+    b, v = np.asarray(b), np.asarray(v)
+    d = b.shape[-1]
+    if b.shape[-2:] != (d, d) or v.shape != b.shape:
+        raise ShapeError(f"correction shape {v.shape} does not match {b.shape}")
+    fidelity._check_unitary(v.reshape(-1, d, d))
+    gram = np.sum(np.abs(b) ** 2, axis=(-2, -1))
+    trace = np.einsum("...ij,...ji->...", v, b)
+    return gram / d, (np.abs(trace) ** 2 + gram) / (d * (d + 1))
+
+
+def correction_unitaries(p, basis):
+    """The paper's fixed corrections as a dense (n, d, d) stack: the library's reader on the whole grid."""
+    return fidelity._correction_entries(p, basis, *np.indices((1, p.d, p.d))[1:])
+
+
 def corrections_of(p, basis, maps, corrections):
     """Explicit corrections per outcome: the SVD oracle for auto, the library's fixed ones for paper."""
     return optimal_correction(maps) if corrections == "auto" else correction_unitaries(p, basis)
@@ -581,16 +597,23 @@ class TestPatternPaperReport:
 
     @pytest.mark.parametrize("strategy", ["product", "residual"])
     def test_correction_stack_is_never_built(self, monkeypatch, strategy):
-        basis = build_weyl_basis(4)
-        ch = random_channel(4, np.random.default_rng(4))
+        # The report asks the reader once, for d entries per outcome,
+        # never for the (d, d) grid of each.
+        d = 4
+        basis = build_weyl_basis(d)
+        ch = random_channel(d, np.random.default_rng(4))
         p = refined(ch, basis, 0.5 * lambda_max(ch), strategy)
         want = report(p, ch, basis, "auto").f_total
+        asked = []
+        entries = fidelity._correction_entries
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("correction_unitaries called on a pattern stack")
+        def counted(p, basis, i, j):
+            asked.append(np.broadcast_shapes(np.shape(i), np.shape(j)))
+            return entries(p, basis, i, j)
 
-        monkeypatch.setattr(fidelity, "correction_unitaries", refuse)
+        monkeypatch.setattr(fidelity, "_correction_entries", counted)
         assert report(p, ch, basis, "paper").f_total == pytest.approx(want, abs=1e-12)
+        assert asked == [(p.n_outcomes, d)]
         mc = simulate(p, ch, basis, "paper", n_runs=2000, rng=1)
         assert abs(mc.f_total - want) <= 4 * mc.f_total_se
 
@@ -615,7 +638,7 @@ class TestPatternPaperReport:
     def test_every_chunk_of_the_check_is_read(self, alpha):
         # At d = 16 the check runs in several chunks; a bad operator in any
         # of them is refused, on the pattern path, by the Monte Carlo, by
-        # correction_unitaries and by avg_fidelity_term.
+        # the reader on the whole grid and by the dense oracle's check.
         d = 16
         basis = build_weyl_basis(d)
         ch = random_channel(d, np.random.default_rng(d))
@@ -628,18 +651,34 @@ class TestPatternPaperReport:
             simulate(p, ch, bad, "paper", n_runs=10, rng=0)
         with pytest.raises(DomainError):
             correction_unitaries(p, bad)
-        # correction_unitaries refuses the bad basis itself, so the stack
-        # check gets a bad stack built from the good one.
+        # The reader refuses the bad basis itself, so the stack check gets
+        # a bad stack built from the good one.
         vs = correction_unitaries(p, basis)
         vs[alpha] *= 0.5
         with pytest.raises(DomainError):
             avg_fidelity_term(channel_maps(p, ch), vs)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_conjugated_corrections_on_a_pattern_stack(self, d):
+        # A Weyl POVM with its paper corrections read from a conjugated
+        # basis: the maps keep their pattern, so the report reads d entries
+        # per correction, but V_a B_a does not, so K_a is nonzero and the
+        # Monte Carlo reads phases on the live indices.
+        p, ch, basis, maps, vs = maps_and_corrections(d, "conjugated", "paper", 600 + d, 0.5)
+        assert fidelity._pattern(maps) is not None
+        assert fidelity._sampling_tables(maps, fidelity._reader(p, basis, "paper"))[4].size > 0
+        probs, terms = avg_fidelity_term(maps, vs)
+        rep = report(p, ch, basis, "paper")
+        assert np.max(np.abs(np.subtract(rep.probabilities, probs))) <= 1e-15
+        assert np.max(np.abs(np.subtract(rep.fidelity_terms, terms))) <= 1e-15
+        mc = simulate(p, ch, basis, "paper", n_runs=20_000, rng=d)
+        assert abs(mc.f_total - rep.f_total) <= 4 * mc.f_total_se
+
     @pytest.mark.parametrize("stack", ["rotated", "realized"])
     def test_dense_paper_report_checks_the_basis_once(self, monkeypatch, stack):
-        # Without the pattern, report forms the corrections through the
-        # reader, which checks the basis; the stack is not checked again,
-        # and the terms are avg_fidelity_term's bit for bit.
+        # Without the pattern, report reads the whole corrections through
+        # the reader, which checks the basis; the stack is not checked
+        # again, and the terms are the dense oracle's bit for bit.
         d = 4
         p, ch, basis, maps, _ = maps_and_corrections(d, "rotated", "paper", 80)
         if stack == "realized":
@@ -924,15 +963,20 @@ def maps_and_corrections(d, strategy, corrections, seed, share=0.8):
     Strategy "rotated" is the residual refinement with every vector
     multiplied by kron(Q, I), Q a seeded Haar unitary: still a complete
     rank-one POVM, but one whose G_a = E^† V_a B_a E is not diagonal, so
-    runs take the kernel's off-diagonal path.
+    runs take the kernel's off-diagonal path.  Strategy "conjugated" is the
+    residual refinement of the Weyl basis with its corrections read from a
+    seeded conjugated basis: the maps keep their pattern, but G_a is not
+    diagonal either.
     """
     basis = build_weyl_basis(d)
     rng = np.random.default_rng(seed)
     ch = random_channel(d, rng)
-    p = refined(ch, basis, share * lambda_max(ch), "residual" if strategy == "rotated" else strategy)
+    p = refined(ch, basis, share * lambda_max(ch), "product" if strategy == "product" else "residual")
     if strategy == "rotated":
         rotation = np.kron(haar_random_unitary(d, rng), np.eye(d))
         p = PovmSet(d=d, vectors=p.vectors @ rotation.T, tags=p.tags, lam=p.lam)
+    if strategy == "conjugated":
+        basis = conjugated_basis(basis, haar_random_unitary(d, rng), haar_random_unitary(d, rng))
     maps = channel_maps(p, ch)
     return p, ch, basis, maps, corrections_of(p, basis, maps, corrections)
 
@@ -1144,7 +1188,7 @@ class TestBlockedKernel:
         assert abs(mc.f_total - report(p, ch, basis, "auto").f_total) <= 4 * mc.f_total_se
 
     @pytest.mark.parametrize("d", [2, 3, 8, 16])
-    @pytest.mark.parametrize("strategy", ["product", "residual", "rotated"])
+    @pytest.mark.parametrize("strategy", ["product", "residual", "rotated", "conjugated"])
     @pytest.mark.parametrize("corrections", ["auto", "paper"])
     @pytest.mark.parametrize("share", [0.5, 1.0])
     @pytest.mark.parametrize("n_workers", [1, 3])
@@ -1153,11 +1197,12 @@ class TestBlockedKernel:
     ):
         # From one run per block to a whole shard per block: the same runs,
         # the same transcript columns and a bit-identical report, also where
-        # the rotated stack sends runs through the off-diagonal K.
+        # the rotated stack, or the pattern stack with conjugated-basis
+        # corrections, sends runs through the off-diagonal K.
         p, ch, basis, maps, vs = maps_and_corrections(d, strategy, corrections, 30 + d, share)
         read = None if corrections == "auto" else stack_reader(vs)
         live = fidelity._sampling_tables(maps, read)[4]
-        assert (live.size > 0) == (strategy == "rotated" and corrections == "paper")
+        assert (live.size > 0) == (strategy in ("rotated", "conjugated") and corrections == "paper")
         results = []
         for entries in (1, 1 << 9, fidelity._BLOCK_ENTRIES, 1 << 30):
             monkeypatch.setattr(fidelity, "_BLOCK_ENTRIES", entries)

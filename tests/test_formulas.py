@@ -39,6 +39,21 @@ class TestOptimalAverageFidelity:
         with pytest.raises(DomainError):
             optimal_average_fidelity(3, [0.5, 0.3, 0.2], 0.61)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: optimal_average_fidelity(2, [0.5, 0.5], float("nan")),
+            lambda: optimal_average_fidelity(2, [float("nan"), 0.5], 0.1),
+            lambda: best_orthogonal_fidelity([-0.5, 1.5]),
+            lambda: best_orthogonal_fidelity([float("nan"), 0.5]),
+        ],
+        ids=["nan-weight", "nan-probs", "orthogonal-out-of-range", "orthogonal-nan"],
+    )
+    def test_domain(self, call):
+        # NaN fails every comparison, so it is refused rather than returned.
+        with pytest.raises(DomainError):
+            call()
+
     def test_qubit_reduces_to_product_form_at_max_weight(self):
         for pmin in (0.05, 0.2, 0.4):
             probs = [1 - pmin, pmin]
@@ -93,6 +108,13 @@ class TestRelaxedAngle:
             relaxed_angle_fidelity(0.3, 1.0, 0.0)
         with pytest.raises(DomainError):
             relaxed_angle_fidelity(0.3, 0.5, 0.6)
+        for cos_theta_c in (float("nan"), 1.5, -1.5):
+            with pytest.raises(DomainError, match="cos_theta_c"):
+                relaxed_angle_fidelity(cos_theta_c, 0.2, 0.5)
+        with pytest.raises(DomainError):
+            relaxed_angle_fidelity(0.3, float("nan"), 0.5)
+        with pytest.raises(DomainError):
+            relaxed_angle_fidelity(0.3, 0.2, float("nan"))
 
 
 class TestEntropyInversion:

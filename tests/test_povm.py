@@ -101,15 +101,29 @@ class TestConclusivePovm:
             build_conclusive_povm(qubit_channel_from_cos_theta(0.5), basis, lam)
 
     @pytest.mark.parametrize(
-        "coeffs, lam", [([1.0, 0.0], 0.0), ([0.6, 0.8, -0.0], 0.0), ([1e-170, 1.0], 0.5)]
+        "coeffs, lam",
+        [([1.0, 0.0], 0.0), ([0.6, 0.8, -0.0], 0.0), ([1e-170, 1.0], 0.5), ([1e-160, 1.0], 0.5)],
     )
     def test_singular_channel_rejected_before_dividing(self, coeffs, lam):
-        # A zero (or underflowing) a_j^2 would divide by zero in the remainder weights.
+        # A zero (or underflowing) a_j^2 would divide by zero in the remainder
+        # weights; a subnormal one leaves lambda_max too few bits for completeness.
         ch = make_channel(coeffs)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularChannelError):
                 build_conclusive_povm(ch, build_weyl_basis(ch.dim), lam)
+
+    @pytest.mark.parametrize("frac", [0.0, 0.5, 1.0])
+    def test_smallest_normal_square_is_accepted(self, frac):
+        # 2^-511 squares to exactly the smallest normal float, the edge that
+        # is still accepted; both refinements stay complete.
+        ch = make_channel([2.0**-511, 1.0])
+        assert ch.probs[0] == np.finfo(float).tiny
+        basis = build_weyl_basis(2)
+        p = build_conclusive_povm(ch, basis, frac * lambda_max(ch))
+        for refined in (refine_inconclusive_product(p), refine_inconclusive_residual(p, basis)):
+            assert completeness_residual(refined) <= 1e-10
+            assert min_eigenvalue(refined) >= -1e-10
 
     def test_error_names_violating_column(self):
         basis = build_weyl_basis(2)
