@@ -331,6 +331,12 @@ def cmd_teleport(args: argparse.Namespace) -> int:
     if args.runs < 0:
         raise _usage_error(f"--runs must be nonnegative, got {args.runs}")
     _check_seed(args.seed)
+    if (
+        args.out is not None
+        and args.transcript is not None
+        and os.path.realpath(args.out) == os.path.realpath(args.transcript)
+    ):
+        raise _usage_error(f"--out and --transcript name the same file {args.out!r}")
     n_workers = _workers()
     _echo(
         "command=teleport",

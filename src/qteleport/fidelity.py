@@ -76,6 +76,23 @@ def _check_unitary(ops: np.ndarray) -> None:
             raise DomainError("correction operator is not unitary")
 
 
+def _check_complete(maps: np.ndarray, sq_mod: np.ndarray | None) -> None:
+    """Raise ``ConsistencyError`` unless sum_a B_a^† B_a = I within 1e-10.
+
+    ``sq_mod`` holds the squared moduli |b|^2, shape (n, d), of a pattern
+    stack (see ``_pattern``), and is None for any other stack.  On a pattern
+    B_a^† B_a = diag(|b|^2), so only the diagonal of the sum can differ from I.
+    """
+    if sq_mod is None:
+        excess = np.einsum("nji,njk->ik", maps.conj(), maps) - np.eye(maps.shape[-1])
+    else:
+        excess = sq_mod.sum(axis=0) - 1.0
+    # Array methods skip numpy's Python wrappers; verify makes hundreds of reports.
+    residual = float(np.abs(excess).max())
+    if residual > 1e-10:
+        raise ConsistencyError(f"sum of B^† B differs from the identity by {residual:.3e} > 1e-10")
+
+
 def _pattern(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Each column's nonzero row and value, both (n, d), or None.
 
@@ -158,7 +175,7 @@ def _correction_entries(p: PovmSet, basis: UnitaryBasis, i: np.ndarray, j: np.nd
     V_a is ``basis.ops[alpha]`` for ``Conclusive(alpha)`` and
     ``InconclusiveResidual(alpha)``, and for an ``InconclusiveProduct`` tag
     the shift X^m with m = (tag.i - tag.j) mod d, whose [i, j] entry is
-    [i == (j + m) mod d] (see ``weyl.shift_matrix``).
+    [i == (j + m) mod d], as in ``build_weyl_basis(d).ops[m * d]``.
     """
     d = p.d
     if basis.dim != d:
@@ -185,8 +202,10 @@ def report(
 ) -> FidelityReport:
     """Exact Haar-average fidelity report for a refined POVM.
 
-    One reduction for every case: outcome a has probability Tr(B^† B)/d
-    and fidelity term (|Tr(V B)|^2 + Tr(B^† B)) / (d (d + 1)).  ``auto``
+    Like ``simulate``, it first checks sum_a B_a^† B_a = I to 1e-10
+    (``ConsistencyError``), so an incomplete POVM gets no report.  One
+    reduction for every case: outcome a has probability Tr(B^† B)/d and
+    fidelity term (|Tr(V B)|^2 + Tr(B^† B)) / (d (d + 1)).  ``auto``
     reads both traces from each map's singular values (see the module
     docstring).  ``paper`` on a pattern stack reads d entries of each fixed
     correction (``_correction_entries``); on any other stack it reads the
@@ -197,11 +216,15 @@ def report(
     pattern = _pattern(maps)
     d = p.d
     if pattern is None and read is not None:
+        _check_complete(maps, None)
         gram = np.sum(np.abs(maps) ** 2, axis=(1, 2))
         overlap = np.abs(np.einsum("nij,nji->n", read(*np.indices((1, d, d))[1:]), maps))
     else:
         sigma = _singular_values(maps, pattern)
-        gram = np.sum(sigma**2, axis=1)
+        sq = sigma**2
+        # On a pattern sigma^2 = |b|^2; the SVD's give no operator sum.
+        _check_complete(maps, None if pattern is None else sq)
+        gram = np.sum(sq, axis=1)
         if read is None:
             overlap = np.sum(sigma, axis=1)
         else:
@@ -285,7 +308,7 @@ def _draw_outcomes(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _sampling_tables(maps: np.ndarray, read: Callable | None) -> tuple[np.ndarray, ...]:
-    """Set-up of the outcome-first draw, after checking sum_a M_a = I for M_a = B_a^† B_a.
+    """Set-up of the outcome-first draw for M_a = B_a^† B_a, after ``_check_complete``.
 
     Returns cumulative Tr(M_a), the eigenvalues m of each M_a = E diag(m)
     E^† (zero at rounding level), shape (n, d), with their cumulative rows,
@@ -303,21 +326,16 @@ def _sampling_tables(maps: np.ndarray, read: Callable | None) -> tuple[np.ndarra
     n, d, _ = maps.shape
     pattern = _pattern(maps)
     if pattern is None:
-        gram = dagger(maps) @ maps
+        _check_complete(maps, None)
         weights = np.sum(np.abs(maps) ** 2, axis=(1, 2))
-        excess = gram.sum(axis=0) - np.eye(d)
     else:
         rows, vals = pattern
-        mod = np.abs(vals)
-        weights = np.sum(mod**2, axis=1)
-        # M_a = diag(|b|^2): only the diagonal of sum_a M_a can differ from I.
-        excess = np.sum(mod**2, axis=0) - 1.0
-    residual = float(np.max(np.abs(excess)))
-    if residual > 1e-10:
-        raise ConsistencyError(f"sum of B^† B differs from the identity by {residual:.3e} > 1e-10")
+        sq_mod = np.abs(vals) ** 2
+        _check_complete(maps, sq_mod)
+        weights = np.sum(sq_mod, axis=1)
     k = None
     if pattern is None and read is not None:
-        m, e = np.linalg.eigh(gram)
+        m, e = np.linalg.eigh(dagger(maps) @ maps)
         k = dagger(e) @ read(*np.indices((1, d, d))[1:]) @ maps @ e
     else:
         sigma = _singular_values(maps, pattern)

@@ -9,22 +9,35 @@ part of the verification battery.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
 from .channel import SchmidtChannel, make_channel
-from .errors import DomainError
+from .errors import DomainError, ShapeError
+
+
+def _check_dimension(d) -> None:
+    """Raise ``DomainError`` unless d is an integer of at least 2."""
+    if not isinstance(d, numbers.Integral) or d < 2:
+        raise DomainError(f"dimension must be an integer of at least 2, got {d!r}")
 
 
 def optimal_average_fidelity(d: int, probs, lam: float) -> float:
     """Maximal Haar-average fidelity at conclusive weight lam (residual split).
 
-    probs are the squared Schmidt coefficients.  Requires
+    probs are the d squared Schmidt coefficients: each in [0, 1], summing
+    to 1 within 1e-9 as ``make_channel`` requires.  Requires
     0 <= lam <= d * min(probs) so every radicand d*p - lam is nonnegative.
     """
+    _check_dimension(d)
     probs = np.asarray(probs, dtype=float)
+    if probs.shape != (d,):
+        raise ShapeError(f"expected {d} squared coefficients, got shape {probs.shape}")
+    # NaN fails every comparison, so these checks and the weight's refuse it too.
+    if not (probs.min() >= 0.0 and probs.max() <= 1.0 and abs(probs.sum() - 1.0) <= 1e-9):
+        raise DomainError(f"squared coefficients must lie in [0, 1] and sum to 1, got {probs}")
     radicands = d * probs - lam
-    # NaN fails both comparisons, so it is refused too.
     if not -1e-12 <= lam or not -1e-12 <= np.min(radicands):
         raise DomainError(
             f"weight {lam} outside [0, {d * float(np.min(probs))}]: negative radicand"
@@ -40,6 +53,7 @@ def product_strategy_fidelity(d: int, lam: float) -> float:
     2/(d+1), hence lam + 2 (1 - lam) / (d + 1) overall, independent of the
     channel.
     """
+    _check_dimension(d)
     if not -1e-12 <= lam <= 1.0 + 1e-12:
         raise DomainError(f"weight must lie in [0, 1], got {lam}")
     return lam + 2.0 * (1.0 - lam) / (d + 1)

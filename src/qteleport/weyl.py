@@ -42,36 +42,23 @@ class UnitaryBasis:
         self.ops.setflags(write=False)
 
 
-def shift_matrix(d: int) -> np.ndarray:
-    """X with X|j> = |j+1 mod d>: the identity with its rows rolled down by one."""
-    return np.roll(np.eye(d, dtype=complex), 1, axis=0)
-
-
-def clock_matrix(d: int) -> np.ndarray:
-    """Z = diag(1, w, w^2, ...) with w = exp(2 pi i / d)."""
-    omega = np.exp(2j * np.pi / d)
-    return np.diag(omega ** np.arange(d))
-
-
 def build_weyl_basis(d: int) -> UnitaryBasis:
     """Construct the clock-and-shift basis for dimension d >= 2.
 
-    The construction is deterministic: rebuilding yields bit-identical
-    matrices.
+    Each operator is written from its index rule X^m Z^n |j> = w^(n j mod d)
+    |j + m mod d>, with w^k read from one table of exp(2 pi i k / d).  No
+    matrix product rounds the phases, and rebuilding yields bit-identical
+    matrices on any BLAS.
     """
     if d < 2:
         raise ShapeError(f"dimension must be at least 2, got {d}")
-    x = shift_matrix(d)
-    z = clock_matrix(d)
-    # Power tables xs[m] = X^m and zs[n] = Z^n by repeated products.
-    xs = np.empty((d, d, d), dtype=complex)
-    zs = np.empty((d, d, d), dtype=complex)
-    xs[0] = zs[0] = np.eye(d)
-    for k in range(1, d):
-        xs[k] = xs[k - 1] @ x
-        zs[k] = zs[k - 1] @ z
-    ops = (xs[:, None] @ zs[None, :]).reshape(d * d, d, d)
-    return UnitaryBasis(dim=d, ops=ops)
+    k = np.arange(d)
+    # The (d, d) table comes first: an impossible d raises MemoryError here.
+    clock = np.exp(2j * np.pi * k / d)[np.outer(k, k) % d]
+    m, n, j = np.ix_(k, k, k)
+    ops = np.zeros((d, d, d, d), dtype=complex)
+    ops[m, n, (j + m) % d, j] = clock[n, j]
+    return UnitaryBasis(dim=d, ops=ops.reshape(d * d, d, d))
 
 
 def maximally_entangled_basis(basis: UnitaryBasis) -> np.ndarray:

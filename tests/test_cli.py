@@ -201,6 +201,18 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err == f"usage error: --d must be at least 2, got {argv[-1]}\n"
 
+    @pytest.mark.parametrize("second", ["same.txt", "./sub/../same.txt"])
+    def test_out_and_transcript_on_one_file(self, capsys, tmp_path, monkeypatch, second):
+        # The table would overwrite the transcript once the runs finish.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        with pytest.raises(SystemExit) as info:
+            main(["teleport", "--runs", "50", "--out", "same.txt", "--transcript", second])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --out and --transcript name the same file") and err.count("\n") == 1
+        assert not (tmp_path / "same.txt").exists()
+
     @pytest.mark.parametrize("coeffs", ["1,0", "0.6,0.8,-0.0", "1e-170,1", "1e-160,1"])
     def test_singular_channel_is_one_usage_line(self, capsys, coeffs):
         with pytest.raises(SystemExit) as info:

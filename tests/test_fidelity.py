@@ -29,7 +29,7 @@ from qteleport.povm import (
     refine_inconclusive_product,
     refine_inconclusive_residual,
 )
-from qteleport.weyl import UnitaryBasis, build_weyl_basis, conjugated_basis, shift_matrix
+from qteleport.weyl import UnitaryBasis, build_weyl_basis, conjugated_basis
 
 
 def random_channel(d, rng):
@@ -436,6 +436,11 @@ def avg_fidelity_term(b, v):
     gram = np.sum(np.abs(b) ** 2, axis=(-2, -1))
     trace = np.einsum("...ij,...ji->...", v, b)
     return gram / d, (np.abs(trace) ** 2 + gram) / (d * (d + 1))
+
+
+def shift_matrix(d):
+    """X with X|j> = |j+1 mod d>: the identity with its rows rolled down by one."""
+    return np.roll(np.eye(d, dtype=complex), 1, axis=0)
 
 
 def correction_unitaries(p, basis):
@@ -1123,16 +1128,27 @@ class TestBlockedKernel:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
-    def test_incomplete_povm_is_refused_before_any_draw(self):
-        basis = build_weyl_basis(3)
+    @pytest.mark.parametrize("case", ["scaled-vector", "non-unitary-basis"])
+    @pytest.mark.parametrize("run", ["report", "simulate"])
+    def test_incomplete_povm_is_refused_before_any_draw(self, run, case):
+        # report and simulate refuse the same POVMs: an exact report of one
+        # would have probabilities summing to 1.002 or 2.0.
         ch = make_channel(np.sqrt([0.5, 0.3, 0.2]))
-        p = refined(ch, basis, 0.4, "residual")
-        vectors = p.vectors.copy()
-        vectors[4] *= 1.001
-        bad = PovmSet(d=3, vectors=vectors, tags=p.tags, lam=p.lam)
+        basis = build_weyl_basis(3)
+        if case == "scaled-vector":
+            p = refined(ch, basis, 0.4, "residual")
+            vectors = p.vectors.copy()
+            vectors[4] *= 1.001
+            bad = PovmSet(d=3, vectors=vectors, tags=p.tags, lam=p.lam)
+        else:
+            basis = conjugated_basis(basis, np.diag([1.0, 2.0, 1.0]), np.eye(3))
+            bad = refined(ch, basis, 0.1, "residual")
         calls = []
         with pytest.raises(ConsistencyError, match="identity"):
-            simulate(bad, ch, basis, "auto", n_runs=100, rng=0, transcript=calls.append)
+            if run == "report":
+                report(bad, ch, basis, "auto")
+            else:
+                simulate(bad, ch, basis, "auto", n_runs=100, rng=0, transcript=calls.append)
         assert calls == []
 
     @pytest.mark.parametrize("strategy", ["product", "residual"])

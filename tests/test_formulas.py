@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qteleport.errors import DomainError
+from qteleport.errors import DomainError, ShapeError
 from qteleport.formulas import (
     best_orthogonal_fidelity,
     binary_entropy,
@@ -40,18 +40,41 @@ class TestOptimalAverageFidelity:
             optimal_average_fidelity(3, [0.5, 0.3, 0.2], 0.61)
 
     @pytest.mark.parametrize(
-        "call",
+        "call, error",
         [
-            lambda: optimal_average_fidelity(2, [0.5, 0.5], float("nan")),
-            lambda: optimal_average_fidelity(2, [float("nan"), 0.5], 0.1),
-            lambda: best_orthogonal_fidelity([-0.5, 1.5]),
-            lambda: best_orthogonal_fidelity([float("nan"), 0.5]),
+            (lambda: optimal_average_fidelity(2, [0.5, 0.5], float("nan")), DomainError),
+            (lambda: optimal_average_fidelity(2, [float("nan"), 0.5], 0.1), DomainError),
+            (lambda: best_orthogonal_fidelity([-0.5, 1.5]), DomainError),
+            (lambda: best_orthogonal_fidelity([float("nan"), 0.5]), DomainError),
+            (lambda: optimal_average_fidelity(2, [0.5, 0.3, 0.2], 0.1), ShapeError),
+            (lambda: optimal_average_fidelity(2, [], 0.1), ShapeError),
+            (lambda: optimal_average_fidelity(2, [0.7, 0.7], 0.1), DomainError),
+            (lambda: optimal_average_fidelity(2, [1.5, -0.5], 0.1), DomainError),
+            (lambda: optimal_average_fidelity(2.0, [0.5, 0.5], 0.1), DomainError),
+            (lambda: optimal_average_fidelity(1, [1.0], 0.1), DomainError),
+            (lambda: product_strategy_fidelity(0, 0.5), DomainError),
+            (lambda: product_strategy_fidelity(-1, 0.5), DomainError),
+            (lambda: product_strategy_fidelity(2.5, 0.5), DomainError),
         ],
-        ids=["nan-weight", "nan-probs", "orthogonal-out-of-range", "orthogonal-nan"],
+        ids=[
+            "nan-weight",
+            "nan-probs",
+            "orthogonal-out-of-range",
+            "orthogonal-nan",
+            "probs-longer-than-d",
+            "probs-empty",
+            "probs-sum-above-one",
+            "probs-out-of-range",
+            "float-dimension",
+            "dimension-one",
+            "product-dimension-zero",
+            "product-dimension-negative",
+            "product-float-dimension",
+        ],
     )
-    def test_domain(self, call):
+    def test_domain(self, call, error):
         # NaN fails every comparison, so it is refused rather than returned.
-        with pytest.raises(DomainError):
+        with pytest.raises(error):
             call()
 
     def test_qubit_reduces_to_product_form_at_max_weight(self):

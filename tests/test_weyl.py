@@ -5,11 +5,9 @@ from qteleport.errors import ShapeError
 from qteleport.linalg import haar_random_unitary
 from qteleport.weyl import (
     build_weyl_basis,
-    clock_matrix,
     conjugated_basis,
     maximally_entangled_basis,
     orthogonality_residuals,
-    shift_matrix,
 )
 
 PAULIS = [
@@ -18,6 +16,17 @@ PAULIS = [
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.diag([1.0, -1.0]).astype(complex),
 ]
+
+
+def shift_matrix(d):
+    """X with X|j> = |j+1 mod d>: the identity with its rows rolled down by one."""
+    return np.roll(np.eye(d, dtype=complex), 1, axis=0)
+
+
+def clock_matrix(d):
+    """Z = diag(1, w, w^2, ...) with w = exp(2 pi i / d)."""
+    omega = np.exp(2j * np.pi / d)
+    return np.diag(omega ** np.arange(d))
 
 
 def test_qubit_set_is_identity_shift_clock_product():
@@ -71,10 +80,11 @@ def test_shift_matrix_is_bit_identical_to_loop_oracle(d):
     for j in range(d):
         want[(j + 1) % d, j] = 1.0
     assert shift_matrix(d).tobytes() == want.tobytes()
+    assert build_weyl_basis(d).ops[d].tobytes() == want.tobytes()
 
 
 def loop_weyl_ops(d):
-    """The double loop of products X^m Z^n, kept as an oracle for the broadcast build."""
+    """The double loop of products X^m Z^n, kept as a dense-algebra oracle for the index rule."""
     x, z = shift_matrix(d), clock_matrix(d)
     ops = np.empty((d * d, d, d), dtype=complex)
     xm = np.eye(d, dtype=complex)
@@ -87,9 +97,34 @@ def loop_weyl_ops(d):
     return ops
 
 
+def index_rule_ops(d):
+    """X^m Z^n |j> = w^(n j mod d) |j + m mod d>, entry by entry from one phase table."""
+    phases = np.exp(2j * np.pi * np.arange(d) / d)
+    ops = np.zeros((d * d, d, d), dtype=complex)
+    for m in range(d):
+        for n in range(d):
+            for j in range(d):
+                ops[m * d + n, (j + m) % d, j] = phases[(n * j) % d]
+    return ops
+
+
 @pytest.mark.parametrize("d", range(2, 17))
-def test_basis_is_bit_identical_to_loop_oracle(d):
-    assert build_weyl_basis(d).ops.tobytes() == loop_weyl_ops(d).tobytes()
+def test_basis_is_bit_identical_to_index_rule_oracle(d):
+    assert build_weyl_basis(d).ops.tobytes() == index_rule_ops(d).tobytes()
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_basis_agrees_with_matmul_oracle(d):
+    # The products round their phases; at d = 2 only the signs of zeros differ.
+    np.testing.assert_allclose(build_weyl_basis(d).ops, loop_weyl_ops(d), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 16, 32, 48])
+def test_entries_are_unit_phases_on_a_permutation(d):
+    ops = build_weyl_basis(d).ops
+    nonzero = ops != 0
+    assert np.all(nonzero.sum(axis=1) == 1) and np.all(nonzero.sum(axis=2) == 1)
+    assert np.max(np.abs(np.abs(ops[nonzero]) - 1)) <= 4 * np.finfo(float).eps
 
 
 def test_rebuild_is_bit_identical():
