@@ -42,6 +42,7 @@ from .formulas import (
     relaxed_angle_fidelity,
 )
 from .linalg import (
+    Monomial,
     haar_random_ket,
     haar_random_unitary,
     partial_trace,
@@ -74,6 +75,7 @@ __all__ = [
     "FidelityReport",
     "InconclusiveProduct",
     "InconclusiveResidual",
+    "Monomial",
     "NormalizationError",
     "PositivityError",
     "PovmSet",

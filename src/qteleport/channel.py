@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormalizationError, ShapeError, SingularChannelError
+from .linalg import Monomial
 from .weyl import UnitaryBasis
 
 
@@ -113,10 +114,20 @@ def basis_states(ch: SchmidtChannel, basis: UnitaryBasis) -> np.ndarray:
     return states
 
 
-def dual_states(ch: SchmidtChannel, basis: UnitaryBasis) -> np.ndarray:
-    """The unnormalized duals with <dual_a|state_b> = delta_ab, one per row."""
+def dual_states(ch: SchmidtChannel, basis: UnitaryBasis) -> Monomial | np.ndarray:
+    """The unnormalized duals with <dual_a|state_b> = delta_ab.
+
+    Dual a has joint components U_a[i, j] / (d a_j).  For a monomial basis
+    they come as a ``Monomial`` in the vector form of ``PovmSet``: row i of
+    matrix a holds dual_a[i*d + j] in column j.  For a dense basis they come
+    as a (d^2, d^2) array, one dual per row.
+    """
     _check_full_rank(ch, basis)
     d = ch.dim
-    duals = (basis.ops / (d * ch.coeffs)).reshape(d * d, d * d)
+    scale = d * ch.coeffs
+    if basis.monomial is not None:
+        cols = basis.monomial.cols
+        return Monomial(cols, basis.monomial.values / scale[cols])
+    duals = (basis.ops / scale).reshape(d * d, d * d)
     duals.setflags(write=False)
     return duals

@@ -36,33 +36,35 @@ values sigma and Tr(B^† B) = sum sigma^2.  ``auto`` reads only sigma and
 never forms V.  The paper's fixed corrections also give a diagonal G on
 both refinements.
 
-Every map the CLI builds has at most one nonzero per row and per column (a
-pattern, see ``_pattern``): X^m Z^n is a generalized permutation matrix,
-and the conclusive block, both refinements and the theta family inherit
-that.  Column j of such a B holds one value b_j in its own row, so M =
-diag(|b|^2) and sigma_j = |b_j|, with no SVD or eigh.  The paper's
-corrections have one reader, ``_correction_entries``, which first checks
-every basis operator for unitarity (``DomainError``); ``_reader`` hands it
-to the exact report and the Monte Carlo alike.  On a pattern the exact
-report reads d entries of each V, for Tr(V B) = sum_j V[j, r_j] b_j, and
-the Monte Carlo d^2, so neither forms a correction stack.  On other map
-stacks the exact report reads each V whole and traces it against B, sigma
-comes from an SVD without vectors, and only the Monte Carlo with explicit
-corrections needs E, from eigh.
+Every map the CLI builds has at most one nonzero per row and per column:
+X^m Z^n is a generalized permutation matrix, and the conclusive block,
+both refinements and the theta family inherit that, so ``PovmSet`` stores
+them as a ``Monomial`` and ``_maps`` reads each map's column i as one value
+b_i = conj(v_i) a_{c_i} in row c_i, from d entries per outcome.  Then M =
+diag(|b|^2) and sigma_i = |b_i|, with no SVD, no eigh and no (n, d, d)
+stack.  The paper's corrections have one builder, ``_corrections``, which
+first checks the basis for unitarity (``DomainError``); on a monomial
+basis that is a check of |v|^2 = 1 on d entries per operator, and the
+corrections come as a ``Monomial`` too.  The exact report reads d entries
+of each V, for Tr(V B) = sum_i V[i, c_i] b_i, and so does the Monte
+Carlo when V_a B_a stays diagonal.  Dense POVMs (a realized Neumark
+extension) and dense bases (a conjugated one) keep dense paths: the exact
+report traces each V whole against B, sigma comes from an SVD without
+vectors, and only the Monte Carlo with explicit corrections on dense maps
+needs E, from eigh.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .channel import SchmidtChannel
 from .errors import ConsistencyError, DecompositionError, DomainError, ShapeError
-from .linalg import chunks, dagger
+from .linalg import Monomial, chunks, dagger
 from .povm import Conclusive, InconclusiveProduct, InconclusiveResidual, PovmSet, Tag
 from .weyl import UnitaryBasis
 
@@ -76,50 +78,84 @@ def _check_unitary(ops: np.ndarray) -> None:
             raise DomainError("correction operator is not unitary")
 
 
-def _check_complete(maps: np.ndarray, sq_mod: np.ndarray | None) -> None:
-    """Raise ``ConsistencyError`` unless sum_a B_a^† B_a = I within 1e-10.
-
-    ``sq_mod`` holds the squared moduli |b|^2, shape (n, d), of a pattern
-    stack (see ``_pattern``), and is None for any other stack.  On a pattern
-    B_a^† B_a = diag(|b|^2), so only the diagonal of the sum can differ from I.
-    """
-    if sq_mod is None:
-        excess = np.einsum("nji,njk->ik", maps.conj(), maps) - np.eye(maps.shape[-1])
-    else:
-        excess = sq_mod.sum(axis=0) - 1.0
+def _check_complete(excess: np.ndarray) -> None:
+    """Raise ``ConsistencyError`` unless ``excess`` = sum_a B_a^† B_a - I is within 1e-10 of 0."""
     # Array methods skip numpy's Python wrappers; verify makes hundreds of reports.
     residual = float(np.abs(excess).max())
     if residual > 1e-10:
         raise ConsistencyError(f"sum of B^† B differs from the identity by {residual:.3e} > 1e-10")
 
 
-def _pattern(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Each column's nonzero row and value, both (n, d), or None.
+def _maps(p: PovmSet, ch: SchmidtChannel) -> tuple[np.ndarray, ...]:
+    """(rows, b, sigma, Tr(B^† B)) of a monomial POVM's maps, once sum_a B_a^† B_a = I is checked.
 
-    None unless every map has at most one nonzero per row and per column,
-    judged on exact zeros; an all-zero column reports row 0 and value 0.
+    Column i of B_a holds b[a, i] in row rows[a, i]: with (cols, v) the
+    POVM's ``monomial``, rows = cols and b = conj(v) a_cols.  So B_a^† B_a =
+    diag(|b|^2), only the diagonal of the sum can differ from I, and the
+    singular values sigma are |b| in column order.
     """
-    nz = maps != 0
-    if np.count_nonzero(nz, axis=1).max() > 1 or np.count_nonzero(nz, axis=2).max() > 1:
-        return None
-    # With one nonzero per column, the column sum is that value, exactly.
-    return nz.argmax(axis=1), maps.sum(axis=1)
+    rows = p.monomial.cols
+    b = np.conj(p.monomial.values) * ch.coeffs[rows]
+    sigma = np.abs(b)
+    sq = sigma**2
+    _check_complete(sq.sum(axis=0) - 1.0)
+    return rows, b, sigma, np.sum(sq, axis=1)
 
 
-def _singular_values(maps: np.ndarray, pattern: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
-    """Each map's singular values, shape (n, d): |b_j| in column order on a pattern, else the SVD's."""
-    if pattern is None:
-        return np.linalg.svd(maps, compute_uv=False)
-    return np.abs(pattern[1])
+def _dense_maps(p: PovmSet, ch: SchmidtChannel) -> tuple[np.ndarray, np.ndarray]:
+    """The dense maps of any POVM and each Tr(B^† B), once sum_a B_a^† B_a = I is checked."""
+    maps = channel_maps(p, ch)
+    _check_complete(np.einsum("nji,njk->ik", maps.conj(), maps) - np.eye(p.d))
+    return maps, np.sum(np.abs(maps) ** 2, axis=(1, 2))
 
 
-def _reader(p: PovmSet, basis: UnitaryBasis, corrections: str) -> Callable | None:
-    """Entry reader of a corrections mode: ``_correction_entries`` for ``paper``, None for ``auto``."""
+def _paired(fixed: Monomial, rows: np.ndarray) -> np.ndarray:
+    """V_a[i, rows_i] for every outcome a and index i: the entries that Tr(V_a B_a) pairs with b_i."""
+    return np.where(fixed.cols == rows, fixed.values, 0)
+
+
+def _dense(ops: Monomial | np.ndarray) -> np.ndarray:
+    """The dense (n, d, d) form of a correction stack."""
+    return ops.dense() if isinstance(ops, Monomial) else ops
+
+
+def _corrections(p: PovmSet, basis: UnitaryBasis, corrections: str) -> Monomial | np.ndarray | None:
+    """The paper's fixed correction of every outcome, after checking the basis; None for ``auto``.
+
+    V_a is ``basis.ops[alpha]`` for ``Conclusive(alpha)`` and
+    ``InconclusiveResidual(alpha)``, and for an ``InconclusiveProduct`` tag
+    the shift X^m with m = (tag.i - tag.j) mod d, as in
+    ``build_weyl_basis(d).ops[m * d]``.  A monomial basis is unitary exactly
+    when every value has unit modulus, checked to 1e-10 in |v|^2, and gives
+    a ``Monomial`` stack; a dense basis is checked as V^† V = I to 1e-10 and
+    gives a dense (n, d, d) stack.  Either fault raises ``DomainError``.
+    """
     if corrections == "auto":
         return None
-    if corrections == "paper":
-        return partial(_correction_entries, p, basis)
-    raise DomainError(f"unknown corrections mode {corrections!r}; use 'auto' or 'paper'")
+    if corrections != "paper":
+        raise DomainError(f"unknown corrections mode {corrections!r}; use 'auto' or 'paper'")
+    d = p.d
+    if basis.dim != d:
+        raise ShapeError(f"basis dimension {basis.dim} does not match POVM dimension {d}")
+    index = []
+    for tag in p.tags:
+        if isinstance(tag, (Conclusive, InconclusiveResidual)):
+            index.append(tag.alpha)
+        elif isinstance(tag, InconclusiveProduct):
+            index.append(d * d + (tag.i - tag.j) % d)
+        else:
+            raise DecompositionError("fixed corrections need a refined POVM")
+    k = np.arange(d)
+    # X^m, at index d^2 + m: row i holds 1 in column (i - m) mod d.
+    shifts = Monomial((k[None, :] - k[:, None]) % d, np.ones((d, d)))
+    u = basis.monomial
+    if u is None:
+        _check_unitary(basis.ops)
+        return np.concatenate([basis.ops, shifts.dense()])[index]
+    if np.abs(np.abs(u.values) ** 2 - 1.0).max() > 1e-10:
+        raise DomainError("correction operator is not unitary")
+    both = u.concat(shifts)
+    return Monomial(both.cols[index], both.values[index])
 
 
 @dataclass(frozen=True)
@@ -154,47 +190,22 @@ class FidelityReport:
         return sum(q for q, t in zip(self.probabilities, self.tags) if not isinstance(t, Conclusive))
 
 
-def channel_maps(p: PovmSet, ch: SchmidtChannel) -> np.ndarray:
-    """Stack of the amplitude maps B of every element, shape (n, d, d)."""
+def _check_evaluable(p: PovmSet, ch: SchmidtChannel) -> None:
     if not p.is_refined():
         raise DecompositionError(
             "POVM still contains an unrefined remainder; refine it before evaluating"
         )
     if p.d != ch.dim:
         raise ShapeError(f"POVM dimension {p.d} does not match channel dimension {ch.dim}")
+
+
+def channel_maps(p: PovmSet, ch: SchmidtChannel) -> np.ndarray:
+    """Dense stack of the amplitude maps B of every element, shape (n, d, d)."""
+    _check_evaluable(p, ch)
     d = p.d
     maps = np.conj(p.vectors.reshape(-1, d, d).transpose(0, 2, 1), order="C")
     maps *= ch.coeffs[:, None]
     return maps
-
-
-def _correction_entries(p: PovmSet, basis: UnitaryBasis, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Entries V_a[i, j] of each outcome's paper correction, after checking every basis operator.
-
-    ``i`` and ``j`` broadcast against the outcome axis (first axis n or 1).
-    V_a is ``basis.ops[alpha]`` for ``Conclusive(alpha)`` and
-    ``InconclusiveResidual(alpha)``, and for an ``InconclusiveProduct`` tag
-    the shift X^m with m = (tag.i - tag.j) mod d, whose [i, j] entry is
-    [i == (j + m) mod d], as in ``build_weyl_basis(d).ops[m * d]``.
-    """
-    d = p.d
-    if basis.dim != d:
-        raise ShapeError(f"basis dimension {basis.dim} does not match POVM dimension {d}")
-    index = []
-    for tag in p.tags:
-        if isinstance(tag, (Conclusive, InconclusiveResidual)):
-            index.append(tag.alpha)
-        elif isinstance(tag, InconclusiveProduct):
-            index.append(d * d + (tag.i - tag.j) % d)
-        else:
-            raise DecompositionError("fixed corrections need a refined POVM")
-    _check_unitary(basis.ops)
-    index = np.array(index, dtype=np.intp).reshape((-1,) + (1,) * (max(np.ndim(i), np.ndim(j)) - 1))
-    is_op = index < d * d
-    entries = np.asarray(basis.ops[np.where(is_op, index, 0), i, j], dtype=complex)
-    # X^m has index d^2 + m, which is m mod d.
-    np.copyto(entries, (i - j) % d == index % d, where=~is_op)
-    return entries
 
 
 def report(
@@ -207,28 +218,27 @@ def report(
     reduction for every case: outcome a has probability Tr(B^† B)/d and
     fidelity term (|Tr(V B)|^2 + Tr(B^† B)) / (d (d + 1)).  ``auto``
     reads both traces from each map's singular values (see the module
-    docstring).  ``paper`` on a pattern stack reads d entries of each fixed
-    correction (``_correction_entries``); on any other stack it reads the
-    whole (d, d) grid of each and traces it against the map.
+    docstring).  ``paper`` on monomial maps with a monomial basis reads d
+    entries of each fixed correction, V[i, rows_i] for Tr(V B) = sum_i
+    V[i, rows_i] b_i; otherwise it traces the whole dense correction
+    against the dense map.
     """
-    maps = channel_maps(p, ch)
-    read = _reader(p, basis, corrections)
-    pattern = _pattern(maps)
+    _check_evaluable(p, ch)
+    fixed = _corrections(p, basis, corrections)
     d = p.d
-    if pattern is None and read is not None:
-        _check_complete(maps, None)
-        gram = np.sum(np.abs(maps) ** 2, axis=(1, 2))
-        overlap = np.abs(np.einsum("nij,nji->n", read(*np.indices((1, d, d))[1:]), maps))
-    else:
-        sigma = _singular_values(maps, pattern)
-        sq = sigma**2
-        # On a pattern sigma^2 = |b|^2; the SVD's give no operator sum.
-        _check_complete(maps, None if pattern is None else sq)
-        gram = np.sum(sq, axis=1)
-        if read is None:
+    if p.monomial is not None and not isinstance(fixed, np.ndarray):
+        rows, b, sigma, gram = _maps(p, ch)
+        if fixed is None:
             overlap = np.sum(sigma, axis=1)
         else:
-            overlap = np.abs((read(np.arange(d)[None], pattern[0]) * pattern[1]).sum(axis=1))
+            overlap = np.abs((_paired(fixed, rows) * b).sum(axis=1))
+    else:
+        maps, gram = _dense_maps(p, ch)
+        if fixed is None:
+            sigma = np.linalg.svd(maps, compute_uv=False)
+            gram, overlap = np.sum(sigma**2, axis=1), np.sum(sigma, axis=1)
+        else:
+            overlap = np.abs(np.einsum("nij,nji->n", _dense(fixed), maps))
     probs, terms = gram / d, (overlap**2 + gram) / (d * (d + 1))
     return _build_report(p, corrections, probs, terms)
 
@@ -307,60 +317,56 @@ def _draw_outcomes(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.count_nonzero(u >= cum[:-1], axis=0)
 
 
-def _sampling_tables(maps: np.ndarray, read: Callable | None) -> tuple[np.ndarray, ...]:
-    """Set-up of the outcome-first draw for M_a = B_a^† B_a, after ``_check_complete``.
+def _sampling_tables(
+    p: PovmSet, ch: SchmidtChannel, fixed: Monomial | np.ndarray | None
+) -> tuple[np.ndarray, ...]:
+    """Set-up of the outcome-first draw for M_a = B_a^† B_a, after checking sum_a M_a = I.
 
-    Returns cumulative Tr(M_a), the eigenvalues m of each M_a = E diag(m)
-    E^† (zero at rounding level), shape (n, d), with their cumulative rows,
-    the kernel's table and the indices ``live`` that any nonzero entry of
-    the off-diagonal parts K_a of G_a = E^† V_a B_a E touches.  The table
-    has one column per outcome and 5d + 2L^2 rows (L = ``live.size``): the
-    d cumulative eigenweights; per index j the four rows Re G_jj, Im G_jj,
-    m_j and 1; then Re and Im of K_a on ``live``, row-major.  m is sigma^2
-    in stable ascending order (on a pattern E is that sorting permutation);
-    explicit corrections on any other stack take m and E from eigh instead.
-    ``read(i, j)`` gives every outcome's V_a[i, j], as
-    ``_correction_entries`` does; None stands for the optimal corrections:
-    G_a = diag(sigma) in the order of m, and ``live`` is empty.
+    ``fixed`` is what ``_corrections`` gives: every outcome's V_a, or None
+    for the optimal corrections.  Returns cumulative Tr(M_a), the
+    eigenvalues m of each M_a = E diag(m) E^† (zero at rounding level),
+    shape (n, d), with their cumulative rows, the kernel's table and the
+    indices ``live`` that any nonzero entry of the off-diagonal parts K_a of
+    G_a = E^† V_a B_a E touches.  The table has one column per outcome and
+    5d + 2L^2 rows (L = ``live.size``): the d cumulative eigenweights; per
+    index j the four rows Re G_jj, Im G_jj, m_j and 1; then Re and Im of K_a
+    on ``live``, row-major.  m is sigma^2 in stable ascending order; on
+    monomial maps E is that sorting permutation.  There G_a = diag(sigma)
+    for the optimal corrections, and for monomial corrections that keep
+    V_a B_a diagonal, V_a[i, rows_i] != 0 wherever b_i != 0, as the paper's
+    do, G_jj = V_a[i, rows_i] b_i at i = order_j; ``live`` is empty.  Any
+    other corrections take the dense maps, with m and E from eigh.
     """
-    n, d, _ = maps.shape
-    pattern = _pattern(maps)
-    if pattern is None:
-        _check_complete(maps, None)
-        weights = np.sum(np.abs(maps) ** 2, axis=(1, 2))
-    else:
-        rows, vals = pattern
-        sq_mod = np.abs(vals) ** 2
-        _check_complete(maps, sq_mod)
-        weights = np.sum(sq_mod, axis=1)
-    k = None
-    if pattern is None and read is not None:
-        m, e = np.linalg.eigh(dagger(maps) @ maps)
-        k = dagger(e) @ read(*np.indices((1, d, d))[1:]) @ maps @ e
-    else:
-        sigma = _singular_values(maps, pattern)
-        order = np.argsort(sigma**2, axis=1, kind="stable")
-        g_diag = np.take_along_axis(sigma, order, axis=1)
-        m = g_diag**2
-        if read is not None:
-            # (V B)[i, j] = V[i, rows_j] b_j, rows and columns permuted by order.
-            src = np.take_along_axis(rows, order, axis=1)
-            k = read(order[:, :, None], src[:, None])
-            k *= np.take_along_axis(vals, order, axis=1)[:, None]
+    d = p.d
+    sigma = None
+    if p.monomial is not None and not isinstance(fixed, np.ndarray):
+        rows, b, sigma, weights = _maps(p, ch)
+        if fixed is not None and not np.all((fixed.cols == rows) | (b == 0)):
+            sigma = None
+    if sigma is None:
+        maps, weights = _dense_maps(p, ch)
+        sigma = np.linalg.svd(maps, compute_uv=False) if fixed is None else None
+    n = len(weights)
     floor = d * np.finfo(float).eps
-    m = np.where(m > floor * m[:, -1:], m, 0.0)
-    cum_m = np.cumsum(m, axis=1)
-    if k is None:
-        live, k_live = np.empty(0, dtype=np.intp), np.empty((n, 0), dtype=complex)
-    else:
+    if sigma is None:
+        m, e = np.linalg.eigh(dagger(maps) @ maps)
+        k = dagger(e) @ _dense(fixed) @ maps @ e
         g_diag = np.diagonal(k, axis1=1, axis2=2).copy()
-        # K_a = G_a - diag(G_a) is zero in exact arithmetic for the CLI's POVMs;
-        # what the products leave is rounding, floored as m is.
+        # Off-diagonal entries at rounding level are floored, as m is.
         scale = floor * np.abs(k).max(axis=(1, 2), keepdims=True)
         k[:, np.arange(d), np.arange(d)] = 0.0
         k[np.abs(k) <= scale] = 0.0
         live = np.flatnonzero((k != 0).any(axis=(0, 1)) | (k != 0).any(axis=(0, 2)))
         k_live = k[:, live[:, None], live].reshape(n, -1)
+    else:
+        order = np.argsort(sigma**2, axis=1, kind="stable")
+        g_diag = np.take_along_axis(sigma, order, axis=1)
+        m = g_diag**2
+        if fixed is not None:
+            g_diag = np.take_along_axis(_paired(fixed, rows) * b, order, axis=1)
+        live, k_live = np.empty(0, dtype=np.intp), np.empty((n, 0), dtype=complex)
+    m = np.where(m > floor * m[:, -1:], m, 0.0)
+    cum_m = np.cumsum(m, axis=1)
     per_index = np.stack([g_diag.real, g_diag.imag, m, np.ones_like(m)], axis=2).reshape(n, 4 * d)
     table = np.concatenate([part.T for part in (cum_m, per_index, k_live.real, k_live.imag)])
     return np.cumsum(weights), m, cum_m, table, live
@@ -425,7 +431,7 @@ def simulate(
     module docstring), applies the per-outcome correction and records the
     run fidelity; sum_a B_a^† B_a = I is checked to 1e-10 before any draw
     (``ConsistencyError``), and so, for ``paper``, is every basis operator's
-    unitarity, by the reader the exact report uses (``DomainError``).
+    unitarity, by ``_corrections`` as for the exact report (``DomainError``).
     Runs are sharded across ``min(n_workers, n_runs)`` chunks, each owning
     an independent generator spawned from the master seed, so the merged
     totals are reproducible for a fixed seed and shard count.  Each shard
@@ -441,9 +447,9 @@ def simulate(
         raise DomainError(f"need at least one run, got {n_runs}")
     if n_workers < 1:
         raise DomainError(f"need at least one worker, got {n_workers}")
-    maps = channel_maps(p, ch)
-    tables = _sampling_tables(maps, _reader(p, basis, corrections))
-    n_out, d, _ = maps.shape
+    _check_evaluable(p, ch)
+    tables = _sampling_tables(p, ch, _corrections(p, basis, corrections))
+    n_out, d = p.n_outcomes, p.d
     block = max(1, _BLOCK_ENTRIES // (2 * d + 3 + len(tables[3])))
     # The first k children of spawn(n) equal spawn(k), so dropping the shards
     # that would get no runs changes no result.

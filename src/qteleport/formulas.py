@@ -23,6 +23,13 @@ def _check_dimension(d) -> None:
         raise DomainError(f"dimension must be an integer of at least 2, got {d!r}")
 
 
+def _check_probs(probs: np.ndarray) -> None:
+    """Raise ``DomainError`` unless the squared coefficients lie in [0, 1] and sum to 1 within 1e-9."""
+    # NaN fails every comparison, so this check refuses it too.
+    if not (probs.min() >= 0.0 and probs.max() <= 1.0 and abs(probs.sum() - 1.0) <= 1e-9):
+        raise DomainError(f"squared coefficients must lie in [0, 1] and sum to 1, got {probs}")
+
+
 def optimal_average_fidelity(d: int, probs, lam: float) -> float:
     """Maximal Haar-average fidelity at conclusive weight lam (residual split).
 
@@ -34,9 +41,7 @@ def optimal_average_fidelity(d: int, probs, lam: float) -> float:
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (d,):
         raise ShapeError(f"expected {d} squared coefficients, got shape {probs.shape}")
-    # NaN fails every comparison, so these checks and the weight's refuse it too.
-    if not (probs.min() >= 0.0 and probs.max() <= 1.0 and abs(probs.sum() - 1.0) <= 1e-9):
-        raise DomainError(f"squared coefficients must lie in [0, 1] and sum to 1, got {probs}")
+    _check_probs(probs)
     radicands = d * probs - lam
     if not -1e-12 <= lam or not -1e-12 <= np.min(radicands):
         raise DomainError(
@@ -87,11 +92,17 @@ def relaxed_angle_fidelity(cos_theta_c: float, cos_theta: float, lam: float) -> 
 
 def best_orthogonal_fidelity(probs) -> float:
     """Fidelity ceiling of orthogonal measurement plus unitary correction,
-    (1 + (sum_i a_i)^2) / (d + 1)."""
+    (1 + (sum_i a_i)^2) / (d + 1).
+
+    probs are the d >= 2 squared Schmidt coefficients, checked as
+    ``optimal_average_fidelity`` checks them.
+    """
     probs = np.asarray(probs, dtype=float)
-    if not all(0.0 <= p <= 1.0 for p in probs.tolist()):
-        raise DomainError(f"squared coefficients must lie in [0, 1], got {probs}")
+    if probs.ndim != 1:
+        raise ShapeError(f"expected a 1-D array of squared coefficients, got shape {probs.shape}")
     d = probs.size
+    _check_dimension(d)
+    _check_probs(probs)
     return (1.0 + float(np.sum(np.sqrt(probs))) ** 2) / (d + 1)
 
 

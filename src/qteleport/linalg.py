@@ -1,6 +1,9 @@
-"""Dense complex linear algebra primitives used by every other module.
+"""Complex linear algebra primitives used by every other module.
 
-Kets are plain 1-D complex ndarrays, operators 2-D complex ndarrays.
+Kets are plain 1-D complex ndarrays, operators 2-D complex ndarrays, and a
+stack of operators with at most one nonzero per row and per column (the
+clock-and-shift operators and everything built from them) is a
+``Monomial``: d entries per operator instead of d^2.
 Joint bases are flattened row-major: the product ket |i>|j> of subsystems
 with dimensions (da, db) sits at flat index i * db + j.  All indices are
 zero-based (one-based labels elsewhere map here by subtracting 1).
@@ -12,6 +15,7 @@ generator state is owned by the caller.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +36,64 @@ def chunks(n: int, entries_each: int) -> Iterator[slice]:
     step = max(1, CHUNK_ENTRIES // entries_each)
     for start in range(0, n, step):
         yield slice(start, start + step)
+
+
+@dataclass(frozen=True)
+class Monomial:
+    """A stack of n (d, d) matrices with at most one nonzero per row and per column.
+
+    Row i of matrix k holds ``values[k, i]`` in column ``cols[k, i]`` and is
+    zero elsewhere; a zero value marks an all-zero row, whatever its column.
+    Both arrays have shape (n, d) and are read-only; the values are stored
+    complex.  The nonzero values of one matrix must sit in distinct columns
+    in [0, d): ``scan`` and the builders of this package guarantee it, and
+    ``UnitaryBasis`` and ``PovmSet`` take it as given, since their monomial
+    checks (unit moduli, the diagonal of sum B^† B) rely on it.
+    """
+
+    cols: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        cols = np.asarray(self.cols, dtype=np.intp)
+        values = np.asarray(self.values, dtype=complex)
+        if values.ndim != 2 or cols.shape != values.shape:
+            raise ShapeError(f"cols {cols.shape} and values {values.shape} must be equal (n, d) shapes")
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "values", values)
+        for arr in (cols, values):
+            arr.setflags(write=False)
+
+    @property
+    def d(self) -> int:
+        return self.values.shape[1]
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    @classmethod
+    def scan(cls, dense: np.ndarray) -> Monomial | None:
+        """The monomial form of a dense (n, d, d) stack, or None if it has none.
+
+        Judged on exact zeros; an all-zero row gets column 0 and value 0.
+        """
+        nz = dense != 0
+        if max(np.count_nonzero(nz, axis=axis).max(initial=0) for axis in (1, 2)) > 1:
+            return None
+        # With one nonzero per row, the row sum is that value, exactly.
+        return cls(nz.argmax(axis=2), dense.sum(axis=2))
+
+    def dense(self) -> np.ndarray:
+        """The (n, d, d) stack, zero off the stored entries."""
+        n, d = self.values.shape
+        out = np.zeros((n, d, d), dtype=complex)
+        out[np.arange(n)[:, None], np.arange(d), self.cols] = self.values
+        return out
+
+    def concat(self, other: Monomial) -> Monomial:
+        """This stack followed by ``other``."""
+        cols = np.concatenate([self.cols, other.cols])
+        return Monomial(cols, np.concatenate([self.values, other.values]))
 
 
 def partial_trace(rho: np.ndarray, keep: int, dims: list[int] | tuple[int, ...]) -> np.ndarray:

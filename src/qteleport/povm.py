@@ -15,10 +15,12 @@ Two refinements split R into d^2 rank-one pieces:
   projectors, which keeps the split aligned with the measurement basis.
 
 Every element is therefore stored as one vector w with element |w><w|,
-and the unrefined remainder as its diagonal; dense matrices are built only
-on demand, for checks.  The two refinements sum to the same remainder but
-are inequivalent measurements; the fidelity engine treats them as distinct
-strategies.
+and the unrefined remainder as its diagonal.  Every vector built here has,
+for each i, at most one nonzero w[i*d + j]: the set stores them as a
+``Monomial`` (d entries per vector), and dense vectors and elements are
+built only on demand, for checks and the dilation.  The two refinements
+sum to the same remainder but are inequivalent measurements; the fidelity
+engine treats them as distinct strategies.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import numpy as np
 
 from .channel import SchmidtChannel, dual_states
 from .errors import DecompositionError, PositivityError, ShapeError
+from .linalg import Monomial
 from .weyl import UnitaryBasis, maximally_entangled_basis
 
 
@@ -58,38 +61,64 @@ class Remainder:
 Tag = Union[Conclusive, InconclusiveProduct, InconclusiveResidual, Remainder]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class PovmSet:
     """Ordered POVM on the d^2-dimensional joint space.
 
-    ``vectors`` has shape (n, d^2): rank-one element k is |w_k><w_k| with
-    w_k = vectors[k].  An unrefined set carries its diagonal remainder as
-    ``remainder`` (shape (d^2,)), which is the last element; it is ``None``
-    once refined.  ``tags`` classifies each element, remainder included;
-    ``lam`` is the common conclusive weight.
+    Rank-one element k is |w_k><w_k|.  The vectors are given as a
+    ``Monomial`` of n (d, d) matrices, row i of matrix k holding w_k[i*d + j]
+    in column j, or as a dense (n, d^2) array; a dense array whose vectors
+    have at most one nonzero per such row and column is scanned into
+    ``monomial`` once, here, and any other (e.g. a realized Neumark
+    extension) leaves ``monomial`` None.  ``vectors`` and ``elements`` read
+    the dense forms back, read-only, built on first use.  An unrefined set
+    carries its diagonal remainder as ``remainder`` (shape (d^2,)), which is
+    the last element; it is ``None`` once refined.  ``tags`` classifies each
+    element, remainder included; ``lam`` is the common conclusive weight.
     """
 
     d: int
-    vectors: np.ndarray
     tags: tuple[Tag, ...]
     lam: float
-    remainder: np.ndarray | None = None
+    remainder: np.ndarray | None
+    monomial: Monomial | None
 
-    def __post_init__(self):
-        joint = self.d * self.d
-        n = len(self.tags) - (self.remainder is not None)
-        if self.vectors.shape != (n, joint):
-            raise ShapeError(f"expected vectors of shape {(n, joint)}, got {self.vectors.shape}")
-        if self.remainder is not None and self.remainder.shape != (joint,):
-            raise ShapeError(
-                f"expected a remainder diagonal of shape {(joint,)}, got {self.remainder.shape}"
-            )
-        tagged = bool(self.tags) and isinstance(self.tags[-1], Remainder)
-        if (self.remainder is not None) != tagged:
+    def __init__(
+        self,
+        d: int,
+        vectors: Monomial | np.ndarray,
+        tags: tuple[Tag, ...],
+        lam: float,
+        remainder: np.ndarray | None = None,
+    ):
+        joint = d * d
+        n = len(tags) - (remainder is not None)
+        given = isinstance(vectors, Monomial)
+        shape, want = (vectors.values.shape, (n, d)) if given else (vectors.shape, (n, joint))
+        if shape != want:
+            raise ShapeError(f"expected vectors of shape {want}, got {shape}")
+        if remainder is not None and remainder.shape != (joint,):
+            raise ShapeError(f"expected a remainder diagonal of shape {(joint,)}, got {remainder.shape}")
+        tagged = bool(tags) and isinstance(tags[-1], Remainder)
+        if (remainder is not None) != tagged:
             raise ShapeError("a remainder diagonal must come with a last tag Remainder(), and only then")
-        for arr in (self.vectors, self.remainder):
-            if arr is not None:
-                arr.setflags(write=False)
+        if remainder is not None:
+            remainder.setflags(write=False)
+        if not given:
+            vectors.setflags(write=False)
+            # The dense input is the view ``vectors`` returns.
+            self.__dict__["vectors"] = vectors
+            vectors = Monomial.scan(vectors.reshape(n, d, d))
+        fields = {"d": d, "tags": tags, "lam": lam, "remainder": remainder, "monomial": vectors}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """Dense vectors, shape (n, d^2), built on first use from ``monomial``."""
+        dense = self.monomial.dense().reshape(len(self.monomial), -1)
+        dense.setflags(write=False)
+        return dense
 
     @cached_property
     def elements(self) -> np.ndarray:
@@ -141,21 +170,33 @@ def build_conclusive_povm(ch: SchmidtChannel, basis: UnitaryBasis, lam: float) -
             f"weight {lam} exceeds the positivity bound {lambda_max(ch)} "
             f"(remainder entry negative for column j={bad.tolist()})"
         )
-    tags = tuple(Conclusive(alpha) for alpha in range(d * d)) + (Remainder(),)
+    tags = tuple(map(Conclusive, range(d * d))) + (Remainder(),)
     # The remainder depends on the column index j only (clamp the
     # exact-boundary entries at zero).
     diag = np.tile(np.clip(weights, 0.0, None), d)
-    return PovmSet(d=d, vectors=np.sqrt(lam) * duals, tags=tags, lam=float(lam), remainder=diag)
+    scale = np.sqrt(lam)
+    if isinstance(duals, Monomial):
+        vectors = Monomial(duals.cols, scale * duals.values)
+    else:
+        vectors = scale * duals
+    return PovmSet(d=d, vectors=vectors, tags=tags, lam=float(lam), remainder=diag)
 
 
-def _split_remainder(p: PovmSet) -> tuple[np.ndarray, np.ndarray]:
-    """The remainder diagonal and a (n + d^2, d^2) vector array holding ``p.vectors`` in its first n rows."""
+def _remainder(p: PovmSet) -> np.ndarray:
+    """The remainder diagonal of an unrefined set."""
     if p.remainder is None:
         raise DecompositionError("POVM has no remainder element to refine")
-    n, joint = p.vectors.shape
-    vectors = np.zeros((n + joint, joint), dtype=complex)
-    vectors[:n] = p.vectors
-    return p.remainder, vectors
+    return p.remainder
+
+
+def _refined(p: PovmSet, pieces: Monomial | np.ndarray, tags: tuple[Tag, ...]) -> PovmSet:
+    """``p`` with its remainder replaced by the rank-one ``pieces``: monomial if both are, else dense."""
+    if p.monomial is not None and isinstance(pieces, Monomial):
+        vectors = p.monomial.concat(pieces)
+    else:
+        dense = pieces.dense().reshape(len(pieces), -1) if isinstance(pieces, Monomial) else pieces
+        vectors = np.concatenate([p.vectors, dense])
+    return PovmSet(d=p.d, vectors=vectors, tags=p.tags[:-1] + tags, lam=p.lam)
 
 
 def refine_inconclusive_product(p: PovmSet) -> PovmSet:
@@ -164,13 +205,16 @@ def refine_inconclusive_product(p: PovmSet) -> PovmSet:
     New elements are weight |ij><ij| appended j-major (all i for j=0, then
     j=1, ...), giving a 2 d^2 element set.
     """
-    diag, vectors = _split_remainder(p)
+    diag = _remainder(p)
     d = p.d
     j, i = np.divmod(np.arange(d * d), d)
-    flat = i * d + j
-    vectors[len(p.vectors) + np.arange(d * d), flat] = np.sqrt(diag[flat])
-    tags = p.tags[:-1] + tuple(InconclusiveProduct(*ij) for ij in zip(i.tolist(), j.tolist()))
-    return PovmSet(d=d, vectors=vectors, tags=tags, lam=p.lam)
+    cols = np.zeros((d * d, d), dtype=np.intp)
+    values = np.zeros((d * d, d), dtype=complex)
+    # Piece i + d j has its one nonzero in row i, column j.
+    cols[np.arange(d * d), i] = j
+    values[np.arange(d * d), i] = np.sqrt(diag[i * d + j])
+    tags = tuple(map(InconclusiveProduct, i.tolist(), j.tolist()))
+    return _refined(p, Monomial(cols, values), tags)
 
 
 def refine_inconclusive_residual(p: PovmSet, basis: UnitaryBasis) -> PovmSet:
@@ -179,14 +223,19 @@ def refine_inconclusive_residual(p: PovmSet, basis: UnitaryBasis) -> PovmSet:
     P_a are the maximally entangled projectors, so piece a is |S e_a><S e_a|
     for the entangled ket e_a: rank-one, positive, and the pieces sum back
     to R exactly.  R is diagonal, so S e_a is sqrt(diag R) times e_a
-    entrywise; entries of R below 1e-12 count as zero.
+    entrywise; entries of R below 1e-12 count as zero.  On a monomial
+    basis, e_a[i*d + j] = U_a[i, j] / sqrt(d) is nonzero in one column j
+    per row i, and so is the piece.
     """
-    diag, vectors = _split_remainder(p)
+    diag = _remainder(p)
     d = p.d
     root = np.sqrt(np.where(diag < 1e-12, 0.0, diag))
-    np.multiply(root, maximally_entangled_basis(basis), out=vectors[len(p.vectors) :])
-    tags = p.tags[:-1] + tuple(InconclusiveResidual(alpha) for alpha in range(d * d))
-    return PovmSet(d=d, vectors=vectors, tags=tags, lam=p.lam)
+    u = basis.monomial
+    if u is None:
+        pieces = root * maximally_entangled_basis(basis)
+    else:
+        pieces = Monomial(u.cols, root[np.arange(d) * d + u.cols] * (u.values / np.sqrt(d)))
+    return _refined(p, pieces, tuple(map(InconclusiveResidual, range(d * d))))
 
 
 @dataclass(frozen=True)
@@ -227,15 +276,19 @@ def build_theta_povm(fam: ThetaPovmFamily) -> PovmSet:
     n = 1.0 / np.sqrt(2.0 - 2.0 * ct * ct)
     hi = np.sqrt(1.0 + ct)
     lo = np.sqrt(1.0 - ct)
-    # Flat joint index i*2 + j for |ij>, i, j in {0, 1}.
-    states = np.zeros((4, 4), dtype=complex)
-    states[0, 0], states[0, 3] = n * hi, n * lo     # |00> , |11>
-    states[1, 0], states[1, 3] = n * hi, -n * lo
-    states[2, 2], states[2, 1] = n * hi, n * lo     # |10> , |01>
-    states[3, 2], states[3, 1] = n * hi, -n * lo
+    # Row i, column j of state k holds its component on |ij>: |00> and |11>
+    # for the first two states, |01> and |10> for the last two.
+    cols = np.array([[0, 1], [0, 1], [1, 0], [1, 0]])
+    values = np.array(
+        [[n * hi, n * lo], [n * hi, -n * lo], [n * lo, n * hi], [-n * lo, n * hi]], dtype=complex
+    )
     tags = tuple(Conclusive(alpha) for alpha in range(4)) + (Remainder(),)
     w0 = max(1.0 - lam / (1.0 - ct), 0.0)
     w1 = max(1.0 - lam / (1.0 + ct), 0.0)
     return PovmSet(
-        d=2, vectors=np.sqrt(lam) * states, tags=tags, lam=float(lam), remainder=np.array([w0, w1, w0, w1])
+        d=2,
+        vectors=Monomial(cols, np.sqrt(lam) * values),
+        tags=tags,
+        lam=float(lam),
+        remainder=np.array([w0, w1, w0, w1]),
     )

@@ -73,7 +73,7 @@ def _basis_checks(d: int, basis: UnitaryBasis) -> list[CheckResult]:
 def _channel_checks(d: int, basis: UnitaryBasis, rng: np.random.Generator) -> list[CheckResult]:
     ch = _random_channel(d, rng)
     states = basis_states(ch, basis)
-    duals = dual_states(ch, basis)
+    duals = dual_states(ch, basis).dense().reshape(d * d, d * d)
     cross = np.max(np.abs(duals.conj() @ states.T - np.eye(d * d)))
     gamma_inv = duals.conj().reshape(d * d, d, d)
     modified = np.einsum("aij,ak->kij", gamma_inv, states).reshape(d * d, d * d)

@@ -15,50 +15,69 @@ phase-insensitive combinations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import dagger
+from .linalg import Monomial, dagger
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class UnitaryBasis:
     """An ordered set of d^2 unitaries satisfying the orthogonality relations.
 
-    ``ops`` has shape (d^2, d, d); element alpha = m*d + n is X^m Z^n for
-    the stock construction, but any set satisfying the relations above is
-    admissible (see :func:`conjugated_basis`).
+    Built from ``ops``: a ``Monomial`` stack of d^2 operators, as
+    :func:`build_weyl_basis` gives, or a dense (d^2, d, d) array.  A dense
+    array with one nonzero per row and column is scanned into ``monomial``
+    once, here; any other (see :func:`conjugated_basis`) leaves ``monomial``
+    None.  Element alpha = m*d + n is X^m Z^n for the stock construction,
+    but any set satisfying the relations above is admissible.
     """
 
     dim: int
-    ops: np.ndarray
+    monomial: Monomial | None
 
-    def __post_init__(self):
-        if self.ops.shape != (self.dim**2, self.dim, self.dim):
-            raise ShapeError(
-                f"expected ops of shape {(self.dim**2, self.dim, self.dim)}, got {self.ops.shape}"
-            )
-        self.ops.setflags(write=False)
+    def __init__(self, dim: int, ops: Monomial | np.ndarray):
+        given = isinstance(ops, Monomial)
+        shape, want = (ops.values.shape, (dim**2, dim)) if given else (ops.shape, (dim**2, dim, dim))
+        if shape != want:
+            raise ShapeError(f"expected ops of shape {want}, got {shape}")
+        if not given:
+            ops.setflags(write=False)
+            # The dense input is the view ``ops`` returns.
+            self.__dict__["ops"] = ops
+            ops = Monomial.scan(ops)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "monomial", ops)
+
+    @cached_property
+    def ops(self) -> np.ndarray:
+        """The dense (d^2, d, d) operators, read-only, built on first use from ``monomial``."""
+        dense = self.monomial.dense()
+        dense.setflags(write=False)
+        return dense
 
 
 def build_weyl_basis(d: int) -> UnitaryBasis:
-    """Construct the clock-and-shift basis for dimension d >= 2.
+    """Construct the clock-and-shift basis for dimension d >= 2, in monomial form.
 
     Each operator is written from its index rule X^m Z^n |j> = w^(n j mod d)
-    |j + m mod d>, with w^k read from one table of exp(2 pi i k / d).  No
-    matrix product rounds the phases, and rebuilding yields bit-identical
-    matrices on any BLAS.
+    |j + m mod d>, with w^k read from one table of exp(2 pi i k / d): row i
+    of X^m Z^n holds w^(n j mod d) in column j = (i - m) mod d.  No matrix
+    product rounds the phases, and rebuilding yields bit-identical
+    operators on any BLAS.
     """
     if d < 2:
         raise ShapeError(f"dimension must be at least 2, got {d}")
     k = np.arange(d)
-    # The (d, d) table comes first: an impossible d raises MemoryError here.
-    clock = np.exp(2j * np.pi * k / d)[np.outer(k, k) % d]
-    m, n, j = np.ix_(k, k, k)
-    ops = np.zeros((d, d, d, d), dtype=complex)
-    ops[m, n, (j + m) % d, j] = clock[n, j]
-    return UnitaryBasis(dim=d, ops=ops.reshape(d * d, d, d))
+    # The (d, d) index table comes first: an impossible d raises MemoryError here.
+    power = np.outer(k, k) % d
+    clock = np.exp(2j * np.pi * k / d)[power]
+    cols = (k[None, :] - k[:, None]) % d  # [m, i]
+    values = clock[k[None, :, None], cols[:, None, :]]  # [m, n, i]
+    cols = np.broadcast_to(cols[:, None, :], (d, d, d))
+    return UnitaryBasis(dim=d, ops=Monomial(cols.reshape(d * d, d), values.reshape(d * d, d)))
 
 
 def maximally_entangled_basis(basis: UnitaryBasis) -> np.ndarray:

@@ -110,11 +110,11 @@ def test_criterion_2_optimal_fidelity_reproduction():
                     mc_worst = max(
                         mc_worst, abs(mc.f_total - exact.f_total) / mc.f_total_se
                     )
-    # The edges, exact only: d = 16 and 32, a channel with min a^2 = 1e-8,
+    # The edges, exact only: d = 16 to 128, a channel with min a^2 = 1e-8,
     # both strategies (the product split against its own closed form) and
     # lambda at 0, half and the positivity bound; fixed corrections at
-    # d = 16, where they cost little.
-    for d in (16, 32):
+    # d = 16 and 64.
+    for d in (16, 32, 48, 64, 128):
         basis = build_weyl_basis(d)
         probs = np.random.default_rng(d).random(d) + 0.1
         probs[-1] = 1e-8
@@ -129,7 +129,7 @@ def test_criterion_2_optimal_fidelity_reproduction():
                     (refine_inconclusive_residual(base, basis), optimal_average_fidelity(d, ch.probs, lam)),
                     (refine_inconclusive_product(base), product_strategy_fidelity(d, lam)),
                 ):
-                    for corrections in ("auto", "paper") if d == 16 else ("auto",):
+                    for corrections in ("auto", "paper") if d in (16, 64) else ("auto",):
                         worst = max(worst, abs(report(p, ch, basis, corrections).f_total - want))
     assert worst <= 1e-9
     assert mc_worst <= 4.0
@@ -183,7 +183,7 @@ def test_criterion_4_standard_teleportation_limit():
         # Per-run conclusive fidelity, through the protocol primitives.
         maps = channel_maps(p, ch)
         # The paper's fixed corrections, read whole: V_a[i, j] for every i, j.
-        vs = fidelity._correction_entries(p, basis, *np.indices((1, d, d))[1:])
+        vs = fidelity._corrections(p, basis, "paper").dense()
         rng = np.random.default_rng(d)
         for _ in range(500):
             phi = haar_random_ket(d, rng)

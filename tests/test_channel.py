@@ -8,12 +8,18 @@ from qteleport.channel import (
     qubit_channel_from_cos_theta,
 )
 from qteleport.errors import NormalizationError, SingularChannelError
-from qteleport.linalg import haar_random_ket, partial_trace, von_neumann_entropy
-from qteleport.weyl import build_weyl_basis, maximally_entangled_basis
+from qteleport.linalg import Monomial, haar_random_ket, haar_random_unitary, partial_trace, von_neumann_entropy
+from qteleport.weyl import build_weyl_basis, conjugated_basis, maximally_entangled_basis
 
 
 def maximal(d):
     return make_channel(np.full(d, 1 / np.sqrt(d)))
+
+
+def dense_duals(ch, basis):
+    """The duals one per row, shape (d^2, d^2), from either form ``dual_states`` returns."""
+    duals = dual_states(ch, basis)
+    return duals.dense().reshape(len(duals), -1) if isinstance(duals, Monomial) else duals
 
 
 class TestMakeChannel:
@@ -101,19 +107,19 @@ class TestDualStates:
         basis = build_weyl_basis(2)
         ch = maximal(2)
         np.testing.assert_allclose(
-            dual_states(ch, basis), basis_states(ch, basis), atol=1e-12
+            dense_duals(ch, basis), basis_states(ch, basis), atol=1e-12
         )
 
     def test_biorthogonality(self):
         basis = build_weyl_basis(3)
         ch = make_channel(np.sqrt([0.5, 0.3, 0.2]))
-        cross = dual_states(ch, basis).conj() @ basis_states(ch, basis).T
+        cross = dense_duals(ch, basis).conj() @ basis_states(ch, basis).T
         assert np.max(np.abs(cross - np.eye(9))) <= 1e-10
 
     def test_norms_match_coefficient_oracle(self):
         basis = build_weyl_basis(2)
         ch = make_channel(np.sqrt([0.8, 0.2]))
-        duals = dual_states(ch, basis)
+        duals = dense_duals(ch, basis)
         d = 2
         for a in range(4):
             # Brute force straight from the dual coefficient tensor.
@@ -130,6 +136,24 @@ class TestDualStates:
         with pytest.raises(SingularChannelError):
             dual_states(make_channel([1.0, 0.0]), basis)
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_monomial_duals_equal_the_dense_construction(self, d):
+        # On the Weyl basis the duals come as a Monomial whose dense view is
+        # U_a / (d a_j) flattened, bit for bit; a conjugated basis has no
+        # monomial form and gets the dense (d^2, d^2) duals.
+        basis = build_weyl_basis(d)
+        rng = np.random.default_rng(d)
+        probs = rng.random(d) + 0.1
+        ch = make_channel(np.sqrt(probs / probs.sum()))
+        duals = dual_states(ch, basis)
+        assert isinstance(duals, Monomial) and duals.values.shape == (d * d, d)
+        want = (basis.ops / (d * ch.coeffs)).reshape(d * d, d * d)
+        assert duals.dense().reshape(d * d, -1).tobytes() == want.tobytes()
+        moved = conjugated_basis(basis, haar_random_unitary(d, rng), haar_random_unitary(d, rng))
+        dense = dual_states(ch, moved)
+        assert isinstance(dense, np.ndarray) and dense.shape == (d * d, d * d)
+        assert np.max(np.abs(dense.conj() @ basis_states(ch, moved).T - np.eye(d * d))) <= 1e-10
+
 
 class TestStructuralIdentities:
     @pytest.mark.parametrize("d", [2, 3])
@@ -139,7 +163,7 @@ class TestStructuralIdentities:
         ch = make_channel(np.sqrt(probs / probs.sum()))
         basis = build_weyl_basis(d)
         states = basis_states(ch, basis)
-        gamma_inv = dual_states(ch, basis).conj().reshape(d * d, d, d)
+        gamma_inv = dense_duals(ch, basis).conj().reshape(d * d, d, d)
         ident = np.einsum("aij,ak->kij", gamma_inv, states).reshape(d * d, d * d)
         assert np.max(np.abs(ident - np.eye(d * d))) <= 1e-10
 
@@ -169,7 +193,7 @@ class TestStructuralIdentities:
         basis = build_weyl_basis(3)
         ch = make_channel(np.sqrt([0.4, 0.35, 0.25]))
         gamma = basis_states(ch, basis).reshape(9, 3, 3)
-        gamma_inv = dual_states(ch, basis).conj().reshape(9, 3, 3)
+        gamma_inv = dense_duals(ch, basis).conj().reshape(9, 3, 3)
         left = np.einsum("aij,akl->ijkl", gamma_inv, gamma)
         target = np.einsum("ik,jl->ijkl", np.eye(3), np.eye(3))
         assert np.max(np.abs(left - target)) <= 1e-10

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -241,13 +242,31 @@ class TestUsageErrors:
         assert capsys.readouterr().err == "usage error: --seed must be nonnegative, got -1\n"
 
     def test_allocation_failure_is_one_line(self, capsys):
-        # The first d x d matrix would take about 1.4 PiB, so it fails at once.
+        # The basis's (d, d) index table, its first allocation of O(d^2) or
+        # more, would take about 0.7 PiB, so it fails at once.
         with pytest.raises(SystemExit) as info:
             main(["teleport", "--d", "10000000"])
         assert info.value.code == 2
         echo, message = capsys.readouterr().err.splitlines()
         assert echo.startswith("# command=teleport d=10000000 ")
         assert message.startswith("out of memory: ")
+        assert "shape (10000000, 10000000)" in message
+
+    @pytest.mark.parametrize("argv", [["--strategy", "residual"], ["--strategy", "product", "--corrections", "paper"]])
+    def test_exact_peak_memory_grows_as_d_cubed(self, capsys, argv):
+        # Monomial storage keeps d entries per operator, so doubling d
+        # multiplies the tracemalloc peak of an exact teleport by about 8;
+        # dense (n, d, d) stacks would multiply it by 16.
+        peaks = []
+        for d in (32, 64):
+            tracemalloc.start()
+            try:
+                assert main(["teleport", "--d", str(d), "--runs", "0", *argv]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert peaks[1] < 10 * peaks[0]
 
     def test_unwritable_path(self, capsys):
         with pytest.raises(SystemExit) as info:

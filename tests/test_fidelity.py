@@ -15,7 +15,7 @@ from qteleport.formulas import (
     product_strategy_fidelity,
     qubit_average_fidelity,
 )
-from qteleport.linalg import CHUNK_ENTRIES, dagger, haar_random_ket, haar_random_unitary
+from qteleport.linalg import CHUNK_ENTRIES, Monomial, dagger, haar_random_ket, haar_random_unitary
 from qteleport.povm import (
     Conclusive,
     InconclusiveProduct,
@@ -377,8 +377,8 @@ class TestExactReport:
     @pytest.mark.parametrize("strategy", ["product", "residual"])
     def test_pattern_report_equals_the_svd_oracle(self, d, strategy):
         # The singular-value report against the SVD oracle's corrections:
-        # pattern stacks at every d and, for d <= 4, the realized,
-        # conjugated and rotated stacks, which have no pattern.
+        # monomial POVMs at every d and, for d <= 4, the realized,
+        # conjugated and rotated POVMs, which are dense.
         basis = build_weyl_basis(d)
         ch = random_channel(d, np.random.default_rng(300 + d))
         cases = [(refined(ch, basis, share * lambda_max(ch), strategy), ch, basis) for share in (0.0, 0.5, 1.0)]
@@ -393,7 +393,7 @@ class TestExactReport:
             ]
         for k, (p, ch, basis) in enumerate(cases):
             maps = channel_maps(p, ch)
-            assert (fidelity._pattern(maps) is not None) == (k < 3)
+            assert (p.monomial is not None) == (k < 3)
             probs, terms = avg_fidelity_term(maps, optimal_correction(maps))
             rep = report(p, ch, basis, "auto")
             assert np.max(np.abs(np.subtract(rep.probabilities, probs))) <= 1e-15
@@ -444,8 +444,8 @@ def shift_matrix(d):
 
 
 def correction_unitaries(p, basis):
-    """The paper's fixed corrections as a dense (n, d, d) stack: the library's reader on the whole grid."""
-    return fidelity._correction_entries(p, basis, *np.indices((1, p.d, p.d))[1:])
+    """The paper's fixed corrections as a dense (n, d, d) stack, from the library's builder."""
+    return fidelity._dense(fidelity._corrections(p, basis, "paper"))
 
 
 def corrections_of(p, basis, maps, corrections):
@@ -577,7 +577,7 @@ def scaled_basis(basis, alpha, factor):
 
 
 class TestPatternPaperReport:
-    """``paper`` on a pattern stack reads d entries per correction, never the stack."""
+    """``paper`` on monomial maps reads d entries per correction, never the stack."""
 
     @pytest.mark.parametrize("d", range(2, 17))
     @pytest.mark.parametrize("strategy", ["product", "residual"])
@@ -587,14 +587,14 @@ class TestPatternPaperReport:
         for share in (0.0, 0.5, 1.0):
             p = refined(ch, basis, share * lambda_max(ch), strategy)
             maps = channel_maps(p, ch)
-            # The pattern against the nonzero entries' own positions: each
-            # column's row (0 for an all-zero column) and the entry there.
-            rows, values = fidelity._pattern(maps)
-            want_rows = np.zeros(maps.shape[::2], dtype=np.intp)
+            # The monomial maps against the dense stack: each column's
+            # stored entry is the dense one, and each nonzero entry of the
+            # dense stack is the stored entry of its column.
+            rows, values = fidelity._maps(p, ch)[:2]
+            assert np.array_equal(values, np.take_along_axis(maps, rows[:, None, :], axis=1)[:, 0])
             a, i, j = np.nonzero(maps)
-            want_rows[a, j] = i
-            assert np.array_equal(rows, want_rows)
-            assert np.array_equal(values, np.take_along_axis(maps, want_rows[:, None, :], axis=1)[:, 0])
+            assert np.array_equal(rows[a, j], i)
+            assert np.count_nonzero(values) == a.size
             probs, terms = avg_fidelity_term(maps, correction_unitaries(p, basis))
             rep = report(p, ch, basis, "paper")
             assert np.max(np.abs(np.subtract(rep.probabilities, probs))) <= 1e-15
@@ -602,25 +602,33 @@ class TestPatternPaperReport:
 
     @pytest.mark.parametrize("strategy", ["product", "residual"])
     def test_correction_stack_is_never_built(self, monkeypatch, strategy):
-        # The report asks the reader once, for d entries per outcome,
-        # never for the (d, d) grid of each.
+        # The report and the Monte Carlo set-up each ask the monomial
+        # corrections once, for d entries per outcome; no dense stack of
+        # maps, vectors or corrections is built.
         d = 4
         basis = build_weyl_basis(d)
         ch = random_channel(d, np.random.default_rng(4))
         p = refined(ch, basis, 0.5 * lambda_max(ch), strategy)
         want = report(p, ch, basis, "auto").f_total
         asked = []
-        entries = fidelity._correction_entries
+        paired = fidelity._paired
 
-        def counted(p, basis, i, j):
-            asked.append(np.broadcast_shapes(np.shape(i), np.shape(j)))
-            return entries(p, basis, i, j)
+        def counted(fixed, rows):
+            asked.append(rows.shape)
+            return paired(fixed, rows)
 
-        monkeypatch.setattr(fidelity, "_correction_entries", counted)
+        def refuse(*args):
+            raise AssertionError("dense stack built")
+
+        monkeypatch.setattr(fidelity, "_paired", counted)
+        monkeypatch.setattr(Monomial, "dense", refuse)
+        monkeypatch.setattr(fidelity, "channel_maps", refuse)
         assert report(p, ch, basis, "paper").f_total == pytest.approx(want, abs=1e-12)
         assert asked == [(p.n_outcomes, d)]
         mc = simulate(p, ch, basis, "paper", n_runs=2000, rng=1)
+        assert asked == [(p.n_outcomes, d)] * 2
         assert abs(mc.f_total - want) <= 4 * mc.f_total_se
+        assert "vectors" not in vars(p) and "ops" not in vars(basis)
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     @pytest.mark.parametrize("strategy", ["product", "residual"])
@@ -629,8 +637,7 @@ class TestPatternPaperReport:
         ch = random_channel(d, np.random.default_rng(500 + d))
         p = refined(ch, basis, 0.5 * lambda_max(ch), strategy)
         realized = realized_povm(dilate(p), p)
-        assert fidelity._pattern(channel_maps(p, ch)) is not None
-        assert fidelity._pattern(channel_maps(realized, ch)) is None
+        assert p.monomial is not None and realized.monomial is None
         bad = scaled_basis(basis, d + 1, 0.5)
         for q in (p, realized):
             report(q, ch, basis, "paper")
@@ -641,22 +648,33 @@ class TestPatternPaperReport:
 
     @pytest.mark.parametrize("alpha", [0, 100, 255])
     def test_every_chunk_of_the_check_is_read(self, alpha):
-        # At d = 16 the check runs in several chunks; a bad operator in any
-        # of them is refused, on the pattern path, by the Monte Carlo, by
-        # the reader on the whole grid and by the dense oracle's check.
+        # At d = 16 the check of a dense basis runs in several chunks; a bad
+        # operator in any of them is refused by the report, by the Monte
+        # Carlo, by the corrections' builder and by the dense oracle's check.
+        self.refuse_bad_operator(alpha, "dense")
+
+    @pytest.mark.parametrize("alpha", [0, 100, 255])
+    def test_every_value_of_a_monomial_basis_is_checked(self, alpha):
+        self.refuse_bad_operator(alpha, "monomial")
+
+    def refuse_bad_operator(self, alpha, form):
         d = 16
         basis = build_weyl_basis(d)
         ch = random_channel(d, np.random.default_rng(d))
+        if form == "dense":
+            rng = np.random.default_rng(160)
+            basis = conjugated_basis(basis, haar_random_unitary(d, rng), haar_random_unitary(d, rng))
         p = refined(ch, basis, 0.5 * lambda_max(ch), "residual")
         assert len(basis.ops) > CHUNK_ENTRIES // (d * d)
         bad = scaled_basis(basis, alpha, 0.5)
+        assert (bad.monomial is None) == (form == "dense")
         with pytest.raises(DomainError):
             report(p, ch, bad, "paper")
         with pytest.raises(DomainError):
             simulate(p, ch, bad, "paper", n_runs=10, rng=0)
         with pytest.raises(DomainError):
             correction_unitaries(p, bad)
-        # The reader refuses the bad basis itself, so the stack check gets
+        # The builder refuses the bad basis itself, so the stack check gets
         # a bad stack built from the good one.
         vs = correction_unitaries(p, basis)
         vs[alpha] *= 0.5
@@ -666,12 +684,13 @@ class TestPatternPaperReport:
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
     def test_conjugated_corrections_on_a_pattern_stack(self, d):
         # A Weyl POVM with its paper corrections read from a conjugated
-        # basis: the maps keep their pattern, so the report reads d entries
-        # per correction, but V_a B_a does not, so K_a is nonzero and the
-        # Monte Carlo reads phases on the live indices.
+        # basis: the POVM stays monomial, but the basis is dense, so the
+        # report traces the dense corrections against the dense maps, and
+        # V_a B_a is not diagonal, so K_a is nonzero and the Monte Carlo
+        # reads phases on the live indices.
         p, ch, basis, maps, vs = maps_and_corrections(d, "conjugated", "paper", 600 + d, 0.5)
-        assert fidelity._pattern(maps) is not None
-        assert fidelity._sampling_tables(maps, fidelity._reader(p, basis, "paper"))[4].size > 0
+        assert p.monomial is not None and basis.monomial is None
+        assert tables_of(p, ch, fidelity._corrections(p, basis, "paper"))[4].size > 0
         probs, terms = avg_fidelity_term(maps, vs)
         rep = report(p, ch, basis, "paper")
         assert np.max(np.abs(np.subtract(rep.probabilities, probs))) <= 1e-15
@@ -681,16 +700,27 @@ class TestPatternPaperReport:
 
     @pytest.mark.parametrize("stack", ["rotated", "realized"])
     def test_dense_paper_report_checks_the_basis_once(self, monkeypatch, stack):
-        # Without the pattern, report reads the whole corrections through
-        # the reader, which checks the basis; the stack is not checked
-        # again, and the terms are the dense oracle's bit for bit.
+        # On dense maps, report traces the whole corrections against the
+        # maps, and the terms are the dense oracle's bit for bit.  A
+        # monomial basis gets no V^† V check, only its unit moduli ...
+        self.dense_paper_report(monkeypatch, stack, "monomial")
+
+    @pytest.mark.parametrize("stack", ["rotated", "realized"])
+    def test_dense_basis_gets_the_chunked_check_once(self, monkeypatch, stack):
+        # ... and a dense basis gets the chunked V^† V check, once.
+        self.dense_paper_report(monkeypatch, stack, "dense")
+
+    def dense_paper_report(self, monkeypatch, stack, form):
         d = 4
         p, ch, basis, maps, _ = maps_and_corrections(d, "rotated", "paper", 80)
         if stack == "realized":
             q = refined(ch, basis, 0.5 * lambda_max(ch), "product")
             p = realized_povm(dilate(q), q)
             maps = channel_maps(p, ch)
-        assert fidelity._pattern(maps) is None
+        if form == "dense":
+            rng = np.random.default_rng(81)
+            basis = conjugated_basis(basis, haar_random_unitary(d, rng), haar_random_unitary(d, rng))
+        assert p.monomial is None and (basis.monomial is None) == (form == "dense")
         probs, terms = avg_fidelity_term(maps, correction_unitaries(p, basis))
         checked = []
         check = fidelity._check_unitary
@@ -701,7 +731,7 @@ class TestPatternPaperReport:
 
         monkeypatch.setattr(fidelity, "_check_unitary", counted)
         rep = report(p, ch, basis, "paper")
-        assert checked == [basis.ops.shape]
+        assert checked == ([basis.ops.shape] if form == "dense" else [])
         assert np.array(rep.probabilities).tobytes() == probs.tobytes()
         assert np.array(rep.fidelity_terms).tobytes() == terms.tobytes()
 
@@ -727,8 +757,7 @@ class TestPatternPaperReport:
         ch = random_channel(d, np.random.default_rng(9))
         p = refined(ch, basis, 0.5 * lambda_max(ch), strategy)
         realized = realized_povm(dilate(p), p)
-        assert fidelity._pattern(channel_maps(p, ch)) is not None
-        assert fidelity._pattern(channel_maps(realized, ch)) is None
+        assert p.monomial is not None and realized.monomial is None
         for q in (p, realized):
             with pytest.raises(ShapeError, match="basis dimension 3"):
                 report(q, ch, build_weyl_basis(d + 1), "paper")
@@ -744,6 +773,36 @@ class TestPatternPaperReport:
         report(p, ch, scaled_basis(basis, 4, 1 + 1e-12), "paper")
         with pytest.raises(DomainError):
             report(p, ch, scaled_basis(basis, 4, 1 + 1e-9), "paper")
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    @pytest.mark.parametrize("form", ["monomial", "dense"])
+    @pytest.mark.parametrize("strategy", ["product", "residual"])
+    def test_unit_modulus_check_refuses_what_the_dense_check_refused(self, d, form, strategy):
+        # One phase of a Weyl basis scaled by 1 + 1e-9 is refused by report
+        # and simulate, by 1 + 1e-12 accepted, with the basis given as a
+        # Monomial or as the same dense array; the dense max|V^† V - I| <=
+        # 1e-10 check gives the same verdicts on the same operators.
+        basis = build_weyl_basis(d)
+        ch = random_channel(d, np.random.default_rng(d))
+        p = refined(ch, basis, 0.5 * lambda_max(ch), strategy)
+        alpha = d * d - 1
+        for factor, accepted in ((1 + 1e-12, True), (1 + 1e-9, False)):
+            values = basis.monomial.values.copy()
+            values[alpha, d // 2] *= factor
+            scaled = Monomial(basis.monomial.cols, values)
+            moved = UnitaryBasis(dim=d, ops=scaled if form == "monomial" else scaled.dense())
+            assert moved.monomial is not None and np.array_equal(moved.ops, scaled.dense())
+            try:
+                fidelity._check_unitary(moved.ops)
+                assert accepted
+            except DomainError:
+                assert not accepted
+            for run in (report, lambda *args: simulate(*args, n_runs=10, rng=0)):
+                if accepted:
+                    run(p, ch, moved, "paper")
+                else:
+                    with pytest.raises(DomainError, match="not unitary"):
+                        run(p, ch, moved, "paper")
 
     @pytest.mark.parametrize("d", [12, 16])
     @pytest.mark.parametrize("strategy", ["product", "residual"])
@@ -970,8 +1029,8 @@ def maps_and_corrections(d, strategy, corrections, seed, share=0.8):
     rank-one POVM, but one whose G_a = E^† V_a B_a E is not diagonal, so
     runs take the kernel's off-diagonal path.  Strategy "conjugated" is the
     residual refinement of the Weyl basis with its corrections read from a
-    seeded conjugated basis: the maps keep their pattern, but G_a is not
-    diagonal either.
+    seeded conjugated basis: the POVM stays monomial, but the basis is
+    dense and G_a is not diagonal either.
     """
     basis = build_weyl_basis(d)
     rng = np.random.default_rng(seed)
@@ -997,12 +1056,13 @@ class FixedRows:
         return self.rows
 
 
-def stack_reader(vs):
-    return lambda i, j: vs[np.arange(len(vs)).reshape((-1,) + (1,) * (max(np.ndim(i), np.ndim(j)) - 1)), i, j]
+def tables_of(p, ch, fixed):
+    """The kernel's tables for the POVM's maps and the corrections ``fixed`` (None, or a stack)."""
+    return fidelity._sampling_tables(p, ch, fixed)
 
 
-def kernel_block(maps, vs, rng, n):
-    return fidelity._simulate_block(fidelity._sampling_tables(maps, stack_reader(vs)), rng, n)
+def kernel_block(p, ch, vs, rng, n):
+    return fidelity._simulate_block(tables_of(p, ch, vs), rng, n)
 
 
 class TestBornRuleOracle:
@@ -1047,11 +1107,11 @@ class TestBlockedKernel:
     def test_single_block_matches_einsum_oracle(self, d, strategy, corrections):
         # The oracle replays the documented draw order and evaluates every
         # run on the maps themselves, not on the kernel's tables.
-        _, _, _, maps, vs = maps_and_corrections(d, strategy, corrections, d)
-        live = fidelity._sampling_tables(maps, stack_reader(vs))[4]
+        p, ch, _, maps, vs = maps_and_corrections(d, strategy, corrections, d)
+        live = tables_of(p, ch, vs)[4]
         assert (live.size > 0) == (strategy == "rotated")
         n = 2_000
-        alpha, fid = kernel_block(maps, vs, np.random.default_rng(11), n)
+        alpha, fid = kernel_block(p, ch, vs, np.random.default_rng(11), n)
         want_alpha, _, want_fid = outcome_first_reference(maps, vs, np.random.default_rng(11), n)
         np.testing.assert_array_equal(alpha, want_alpha)
         assert np.max(np.abs(fid - want_fid)) <= 1e-12
@@ -1061,14 +1121,14 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("corrections", ["auto", "paper"])
     @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
     def test_pattern_tables_match_the_eigh_reference(self, d, strategy, corrections, share):
-        # Pattern tables (no eigh, no SVD; for auto no V at all) and the
-        # tables of the rotated stack, which has no pattern (for auto only
-        # its singular values), replay the reference's runs, whose
-        # eigenbasis comes from a batched eigh and whose auto corrections
-        # come from the SVD oracle.
-        _, _, _, maps, vs = maps_and_corrections(d, strategy, corrections, 40 + d, share)
-        assert (fidelity._pattern(maps) is None) == (strategy == "rotated")
-        tables = fidelity._sampling_tables(maps, None if corrections == "auto" else stack_reader(vs))
+        # Monomial tables (no eigh, no SVD; for auto no V at all, for paper
+        # d entries of each monomial V) and the tables of the rotated stack,
+        # which is dense (for auto only its singular values), replay the
+        # reference's runs, whose eigenbasis comes from a batched eigh and
+        # whose auto corrections come from the SVD oracle.
+        p, ch, basis, maps, vs = maps_and_corrections(d, strategy, corrections, 40 + d, share)
+        assert (p.monomial is None) == (strategy == "rotated")
+        tables = tables_of(p, ch, fidelity._corrections(p, basis, corrections))
         n = 2_000
         alpha, fid = fidelity._simulate_block(tables, np.random.default_rng(d), n)
         want_alpha, _, want_fid = outcome_first_reference(maps, vs, np.random.default_rng(d), n)
@@ -1164,7 +1224,7 @@ class TestBlockedKernel:
         vs = optimal_correction(maps)
         weights = np.sum(np.abs(maps) ** 2, axis=(1, 2))
         dead = np.flatnonzero(weights == 0)
-        tables = fidelity._sampling_tables(maps, stack_reader(vs))
+        tables = tables_of(p, ch, vs)
         _, m, cum_m = tables[:3]
         if strategy == "product":
             np.testing.assert_array_equal(dead, np.arange(2 * d * d - d, 2 * d * d))
@@ -1183,7 +1243,7 @@ class TestBlockedKernel:
             assert np.all(m[a, k] > 0) and k[1] == d - 1
         # Whole runs: the kernel's eigen-indices are the reference's.
         n = 2_000
-        alpha, fid = kernel_block(maps, vs, np.random.default_rng(3), n)
+        alpha, fid = kernel_block(p, ch, vs, np.random.default_rng(3), n)
         want_alpha, k, want_fid = outcome_first_reference(maps, vs, np.random.default_rng(3), n)
         np.testing.assert_array_equal(alpha, want_alpha)
         assert np.max(np.abs(fid - want_fid)) <= 1e-12
@@ -1213,11 +1273,10 @@ class TestBlockedKernel:
     ):
         # From one run per block to a whole shard per block: the same runs,
         # the same transcript columns and a bit-identical report, also where
-        # the rotated stack, or the pattern stack with conjugated-basis
+        # the rotated stack, or the monomial POVM with conjugated-basis
         # corrections, sends runs through the off-diagonal K.
         p, ch, basis, maps, vs = maps_and_corrections(d, strategy, corrections, 30 + d, share)
-        read = None if corrections == "auto" else stack_reader(vs)
-        live = fidelity._sampling_tables(maps, read)[4]
+        live = tables_of(p, ch, fidelity._corrections(p, basis, corrections))[4]
         assert (live.size > 0) == (strategy in ("rotated", "conjugated") and corrections == "paper")
         results = []
         for entries in (1, 1 << 9, fidelity._BLOCK_ENTRIES, 1 << 30):
@@ -1237,9 +1296,9 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("strategy", ["product", "residual"])
     def test_cli_povms_take_the_diagonal_path(self, d, strategy):
         # For every correction mode, lambda from 0 to lambda_max and a
-        # near-singular channel, the maps have a pattern and G_a is
+        # near-singular channel, the POVM is monomial and G_a is
         # diagonal to rounding, so no run reads a phase.  The theta family
-        # has the pattern too; realized, conjugated and rotated POVMs do
+        # is monomial too; realized, conjugated and rotated POVMs are
         # not, and take the dense path.
         basis = build_weyl_basis(d)
         probs = np.random.default_rng(d).random(d) + 0.1
@@ -1248,32 +1307,33 @@ class TestBlockedKernel:
             for share in (0.0, 0.5, 1.0):
                 p = refined(ch, basis, share * lambda_max(ch), strategy)
                 maps = channel_maps(p, ch)
-                assert fidelity._pattern(maps) is not None, (ch.coeffs, share)
+                assert p.monomial is not None, (ch.coeffs, share)
                 for corrections in ("auto", "paper"):
                     vs = corrections_of(p, basis, maps, corrections)
-                    live = fidelity._sampling_tables(maps, stack_reader(vs))[4]
+                    live = tables_of(p, ch, vs)[4]
                     assert live.size == 0, (ch.coeffs, share, corrections)
-                assert fidelity._sampling_tables(maps, None)[4].size == 0
+                assert tables_of(p, ch, None)[4].size == 0
+                assert tables_of(p, ch, fidelity._corrections(p, basis, "paper"))[4].size == 0
         if d == 2:
             for cc, ct in ((0.6, 0.6), (0.6, 0.0), (0.3, -0.5), (0.9, 0.2)):
                 ch2 = qubit_channel_from_cos_theta(cc)
                 theta = build_theta_povm(ThetaPovmFamily(cc, ct, 0.5 * (1.0 - abs(ct))))
-                assert fidelity._pattern(channel_maps(refine_inconclusive_product(theta), ch2)) is not None
+                assert refine_inconclusive_product(theta).monomial is not None
         if d <= 4:
             ch = random_channel(d, np.random.default_rng(d))
             p = refined(ch, basis, 0.5 * lambda_max(ch), strategy)
             rng = np.random.default_rng(50 + d)
             moved = conjugated_basis(basis, haar_random_unitary(d, rng), haar_random_unitary(d, rng))
-            for maps in (
-                channel_maps(realized_povm(dilate(p), p), ch),
-                channel_maps(refined(ch, moved, 0.5 * lambda_max(ch), strategy), ch),
-                maps_and_corrections(d, "rotated", "auto", d)[3],
+            for q in (
+                realized_povm(dilate(p), p),
+                refined(ch, moved, 0.5 * lambda_max(ch), strategy),
+                maps_and_corrections(d, "rotated", "auto", d)[0],
             ):
-                assert fidelity._pattern(maps) is None
+                assert q.monomial is None
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_auto_runs_no_eigh_on_a_dense_stack(self, monkeypatch, d):
-        # The rotated POVM has no pattern; auto still needs only singular values.
+        # The rotated POVM is dense; auto still needs only singular values.
         p, ch, basis, _, _ = maps_and_corrections(d, "rotated", "auto", 60 + d)
 
         def refuse(*args, **kwargs):
@@ -1321,7 +1381,7 @@ class TestBlockedKernel:
         else:
             p, ch, basis, maps, vs = maps_and_corrections(d, strategy, corrections, 70 + d, share)
         rep = simulate(p, ch, basis, corrections, n_runs=n_runs, rng=2)
-        tables = fidelity._sampling_tables(maps, None if corrections == "auto" else stack_reader(vs))
+        tables = tables_of(p, ch, fidelity._corrections(p, basis, corrections))
         _, fid = fidelity._simulate_block(tables, np.random.default_rng(2).spawn(1)[0], n_runs)
         mean = math.fsum(fid) / n_runs
         want = math.sqrt(math.fsum((fid - mean) ** 2) / n_runs / n_runs)

@@ -46,6 +46,10 @@ class TestOptimalAverageFidelity:
             (lambda: optimal_average_fidelity(2, [float("nan"), 0.5], 0.1), DomainError),
             (lambda: best_orthogonal_fidelity([-0.5, 1.5]), DomainError),
             (lambda: best_orthogonal_fidelity([float("nan"), 0.5]), DomainError),
+            (lambda: best_orthogonal_fidelity([0.7, 0.7]), DomainError),
+            (lambda: best_orthogonal_fidelity([]), DomainError),
+            (lambda: best_orthogonal_fidelity([1.0]), DomainError),
+            (lambda: best_orthogonal_fidelity([[0.5, 0.5]]), ShapeError),
             (lambda: optimal_average_fidelity(2, [0.5, 0.3, 0.2], 0.1), ShapeError),
             (lambda: optimal_average_fidelity(2, [], 0.1), ShapeError),
             (lambda: optimal_average_fidelity(2, [0.7, 0.7], 0.1), DomainError),
@@ -61,6 +65,10 @@ class TestOptimalAverageFidelity:
             "nan-probs",
             "orthogonal-out-of-range",
             "orthogonal-nan",
+            "orthogonal-sum-above-one",
+            "orthogonal-empty",
+            "orthogonal-one-entry",
+            "orthogonal-not-1d",
             "probs-longer-than-d",
             "probs-empty",
             "probs-sum-above-one",

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qteleport.errors import NormalizationError, ShapeError
 from qteleport.linalg import (
+    Monomial,
     haar_random_ket,
     partial_trace,
     von_neumann_entropy,
@@ -115,3 +116,39 @@ class TestEntropy:
     def test_trace_validation(self):
         with pytest.raises(NormalizationError):
             von_neumann_entropy(np.eye(2))
+
+
+class TestMonomial:
+    def random_stack(self, rng, n, d):
+        cols = np.array([rng.permutation(d) for _ in range(n)])
+        values = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        values[0, 1] = 0.0  # an all-zero row
+        return Monomial(cols, values)
+
+    def test_dense_scan_and_concat_round_trip(self):
+        rng = np.random.default_rng(5)
+        m = self.random_stack(rng, 6, 4)
+        dense = m.dense()
+        assert dense.shape == (6, 4, 4)
+        assert np.count_nonzero(dense) == np.count_nonzero(m.values)
+        back = Monomial.scan(dense)
+        assert np.array_equal(back.values, m.values)
+        # The all-zero row reads back with column 0.
+        assert back.cols[0, 1] == 0 and np.array_equal(np.delete(back.cols[0], 1), np.delete(m.cols[0], 1))
+        assert np.array_equal(back.cols[1:], m.cols[1:])
+        assert np.array_equal(m.concat(m).dense(), np.concatenate([dense, dense]))
+
+    def test_scan_refuses_two_nonzeros_in_a_row_or_column(self):
+        eye = np.eye(3, dtype=complex)[None]
+        assert Monomial.scan(eye) is not None
+        for i, j in ((0, 1), (1, 0)):
+            bad = eye.copy()
+            bad[0, i, j] = 1.0
+            assert Monomial.scan(bad) is None
+        assert len(Monomial.scan(np.zeros((0, 3, 3)))) == 0
+
+    def test_cols_and_values_must_share_an_n_by_d_shape(self):
+        with pytest.raises(ShapeError):
+            Monomial(np.zeros((2, 3), dtype=int), np.ones((2, 2)))
+        with pytest.raises(ShapeError):
+            Monomial(np.zeros(3, dtype=int), np.ones(3))

@@ -218,6 +218,76 @@ class TestRankOneStorage:
             PovmSet(d=d, vectors=np.zeros((d * d + 1, d * d)), tags=base.tags, lam=0.3)
 
 
+def dense_weyl(d):
+    """X^m Z^n |j> = w^(n j mod d) |j + m mod d>, entry by entry into a dense (d^2, d, d) stack."""
+    phases = np.exp(2j * np.pi * np.arange(d) / d)
+    ops = np.zeros((d * d, d, d), dtype=complex)
+    for m in range(d):
+        for n in range(d):
+            for j in range(d):
+                ops[m * d + n, (j + m) % d, j] = phases[(n * j) % d]
+    return ops
+
+
+def dense_theta_states(ct):
+    """The theta family's four states, one per row, component by component on |ij>."""
+    n, hi, lo = 1.0 / np.sqrt(2.0 - 2.0 * ct * ct), np.sqrt(1.0 + ct), np.sqrt(1.0 - ct)
+    states = np.zeros((4, 4), dtype=complex)
+    states[0, 0], states[0, 3] = n * hi, n * lo
+    states[1, 0], states[1, 3] = n * hi, -n * lo
+    states[2, 2], states[2, 1] = n * hi, n * lo
+    states[3, 2], states[3, 1] = n * hi, -n * lo
+    return states
+
+
+class TestMonomialViews:
+    """The dense views of the monomial storage against dense oracles built here."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 12])
+    def test_vectors_equal_the_dense_construction(self, d):
+        ops = dense_weyl(d)
+        basis = build_weyl_basis(d)
+        assert basis.monomial is not None and np.array_equal(basis.ops, ops)
+        ch = random_channel(d, np.random.default_rng(d + 70))
+        j, i = np.divmod(np.arange(d * d), d)
+        for share in (0.0, 0.5, 1.0):
+            lam = share * lambda_max(ch)
+            base = build_conclusive_povm(ch, basis, lam)
+            conclusive = np.sqrt(lam) * (ops / (d * ch.coeffs)).reshape(d * d, d * d)
+            diag = np.tile(np.clip(1.0 - lam / (d * ch.probs), 0.0, None), d)
+            product = np.zeros((d * d, d * d), dtype=complex)
+            product[np.arange(d * d), i * d + j] = np.sqrt(diag[i * d + j])
+            residual = np.sqrt(np.where(diag < 1e-12, 0.0, diag)) * (ops.reshape(d * d, d * d) / np.sqrt(d))
+            assert np.array_equal(base.vectors, conclusive) and np.array_equal(base.remainder, diag)
+            for refined, pieces in (
+                (refine_inconclusive_product(base), product),
+                (refine_inconclusive_residual(base, basis), residual),
+            ):
+                assert refined.monomial is not None
+                assert np.array_equal(refined.vectors, np.concatenate([conclusive, pieces]))
+
+    @pytest.mark.parametrize("ct", [0.6, 0.0, -0.5, 0.9])
+    def test_theta_vectors_equal_the_dense_construction(self, ct):
+        lam = 0.5 * (1.0 - abs(ct))
+        p = build_theta_povm(ThetaPovmFamily(0.6, ct, lam))
+        assert p.monomial is not None
+        assert np.array_equal(p.vectors, np.sqrt(lam) * dense_theta_states(ct))
+
+    def test_dense_input_is_scanned_once(self):
+        # A dense array with the monomial structure is stored as a Monomial
+        # and read back as the very array given; one without it stays dense.
+        d = 3
+        p = refine_inconclusive_product(build_conclusive_povm(random_channel(d, np.random.default_rng(1)),
+                                                              build_weyl_basis(d), 0.2))
+        vectors = np.array(p.vectors)
+        q = PovmSet(d=d, vectors=vectors, tags=p.tags, lam=p.lam)
+        assert q.vectors is vectors and not vectors.flags.writeable
+        assert np.array_equal(q.monomial.dense().reshape(len(vectors), -1), vectors)
+        rotated = PovmSet(d=d, vectors=vectors @ np.kron(np.eye(d), [[0.6, 0.8, 0], [-0.8, 0.6, 0], [0, 0, 1]]),
+                          tags=p.tags, lam=p.lam)
+        assert rotated.monomial is None
+
+
 class TestProductRefinement:
     def test_count_and_tags(self):
         basis = build_weyl_basis(3)
