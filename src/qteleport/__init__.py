@@ -49,11 +49,7 @@ from .linalg import (
     von_neumann_entropy,
 )
 from .povm import (
-    Conclusive,
-    InconclusiveProduct,
-    InconclusiveResidual,
     PovmSet,
-    Remainder,
     ThetaPovmFamily,
     build_conclusive_povm,
     build_theta_povm,
@@ -67,20 +63,16 @@ from .weyl import UnitaryBasis, build_weyl_basis, conjugated_basis, maximally_en
 __all__ = [
     "CapacityError",
     "CheckResult",
-    "Conclusive",
     "ConsistencyError",
     "DecompositionError",
     "DilationResult",
     "DomainError",
     "FidelityReport",
-    "InconclusiveProduct",
-    "InconclusiveResidual",
     "Monomial",
     "NormalizationError",
     "PositivityError",
     "PovmSet",
     "QTeleportError",
-    "Remainder",
     "SchmidtChannel",
     "ShapeError",
     "SingularChannelError",

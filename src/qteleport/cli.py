@@ -36,9 +36,9 @@ from .errors import QTeleportError
 from .fidelity import FidelityReport, report, simulate, transcript_bits
 from .formulas import channel_from_entropy, qubit_average_fidelity, relaxed_angle_fidelity
 from .povm import (
-    Conclusive,
-    InconclusiveProduct,
-    InconclusiveResidual,
+    CONCLUSIVE,
+    PRODUCT,
+    PovmSet,
     build_conclusive_povm,
     lambda_max,
     refine_inconclusive_product,
@@ -52,6 +52,8 @@ WORKERS_ENV = "QTELEPORT_WORKERS"
 FIGURE_ENTROPIES = (0.0, 0.19, 0.55, 1.0)
 FIGURE_GRID = tuple(k / 100 for k in range(100))  # cos_theta in [0, 0.99]
 FIGURE_HEADER = ("entropy_bits", "cos_theta", "fidelity_opt", "is_arrow_point")
+# The ``kind`` cell of each outcome kind code (see ``povm``); a report's POVM is refined.
+KIND_NAMES = ("conclusive", "inconclusive_product", "inconclusive_residual")
 TELEPORT_HEADER = (
     "outcome",
     "kind",
@@ -261,20 +263,17 @@ def cmd_figure1(args: argparse.Namespace) -> int:
     return 0
 
 
-def _tag_fields(tag) -> tuple[str, str]:
-    if isinstance(tag, Conclusive):
-        return "conclusive", str(tag.alpha)
-    if isinstance(tag, InconclusiveProduct):
-        return "inconclusive_product", f"{tag.i},{tag.j}"
-    if isinstance(tag, InconclusiveResidual):
-        return "inconclusive_residual", str(tag.alpha)
-    return "remainder", ""
+def _teleport_columns(p: PovmSet, exact: FidelityReport, mc: FidelityReport | None) -> list[tuple]:
+    """The teleport table in ``TELEPORT_HEADER`` order: one row per outcome of ``p``, then the three totals.
 
-
-def _teleport_columns(exact: FidelityReport, mc: FidelityReport | None) -> list[tuple]:
-    """The teleport table in ``TELEPORT_HEADER`` order: one row per outcome, then the three totals."""
-    n = len(exact.tags)
-    kinds, details = zip(*map(_tag_fields, exact.tags))
+    An outcome's ``detail`` is its label alpha, or "i,j" for the product piece i + d j.
+    """
+    n, d = p.n_outcomes, p.d
+    kinds = tuple(map(KIND_NAMES.__getitem__, p.kinds.tolist()))
+    details = tuple(
+        f"{label % d},{label // d}" if kind == PRODUCT else str(label)
+        for kind, label in zip(p.kinds.tolist(), p.labels.tolist())
+    )
     columns = [tuple(range(n)), kinds, details, exact.probabilities, exact.fidelity_terms]
     if mc is None:
         columns += [(None,) * n] * 4
@@ -295,17 +294,17 @@ def _teleport_columns(exact: FidelityReport, mc: FidelityReport | None) -> list[
     return [column + total for column, total in zip(columns, zip(*rows))]
 
 
-def _transcript_sink(stream, tags):
-    """Write each Monte Carlo block as JSONL, one ``json.dumps(record)`` line per run.
+def _transcript_sink(stream, p: PovmSet):
+    """Write each Monte Carlo block of ``p`` as JSONL, one ``json.dumps(record)`` line per run.
 
     All fields are ints, so each outcome's line is a template that only
-    lacks the run index; ``tags`` are the POVM's, as ``simulate`` flags them.
+    lacks the run index; the flag is 1 for kind ``CONCLUSIVE``, as ``simulate`` sets it.
     """
-    bits = transcript_bits(len(tags))
+    bits = transcript_bits(p.n_outcomes)
     templates = [
         f'{{"run_index": %d, "outcome_alpha": {a}, '
-        f'"conclusive_flag": {int(isinstance(t, Conclusive))}, "bits_sent": {bits}}}\n'
-        for a, t in enumerate(tags)
+        f'"conclusive_flag": {int(kind == CONCLUSIVE)}, "bits_sent": {bits}}}\n'
+        for a, kind in enumerate(p.kinds.tolist())
     ]
 
     def write(block: dict) -> None:
@@ -371,11 +370,11 @@ def cmd_teleport(args: argparse.Namespace) -> int:
                     n_runs=args.runs,
                     rng=args.seed,
                     n_workers=n_workers,
-                    transcript=None if stream is None else _transcript_sink(stream, refined.tags),
+                    transcript=None if stream is None else _transcript_sink(stream, refined),
                 )
     except QTeleportError as exc:
         raise _usage_error(str(exc))
-    _write_table(args.out, args.fmt, TELEPORT_HEADER, _teleport_columns(exact, mc))
+    _write_table(args.out, args.fmt, TELEPORT_HEADER, _teleport_columns(refined, exact, mc))
     return 0
 
 

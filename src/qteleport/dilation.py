@@ -120,14 +120,14 @@ def _residuals(realized: np.ndarray, wanted: np.ndarray) -> np.ndarray:
 
 
 def realized_povm(dil: DilationResult, p: PovmSet) -> PovmSet:
-    """The POVM the extension actually measures, with ``p``'s tags.
+    """The POVM the extension actually measures, with ``p``'s ``kinds`` and ``labels``.
 
     Outcome a is found with amplitude U[x_a, (s, 0)] = conj(w_a[s]), so the
     realized element vectors are the conjugated rows of U on the inputs
     (s, 0); they equal ``p.vectors`` up to rounding.
     """
     vectors = dil.u_ext[: p.n_outcomes, :: dil.ancilla_dim].conj()
-    return PovmSet(d=dil.d, vectors=vectors, tags=p.tags, lam=p.lam)
+    return PovmSet(d=dil.d, vectors=vectors, kinds=p.kinds, labels=p.labels, lam=p.lam)
 
 
 def outcome_probabilities(dil: DilationResult, p: PovmSet, state12: np.ndarray) -> np.ndarray:

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable
 
 import numpy as np
@@ -65,7 +66,7 @@ import numpy as np
 from .channel import SchmidtChannel
 from .errors import ConsistencyError, DecompositionError, DomainError, ShapeError
 from .linalg import Monomial, chunks, dagger
-from .povm import Conclusive, InconclusiveProduct, InconclusiveResidual, PovmSet, Tag
+from .povm import CONCLUSIVE, PRODUCT, RESIDUAL, PovmSet
 from .weyl import UnitaryBasis
 
 
@@ -122,13 +123,13 @@ def _dense(ops: Monomial | np.ndarray) -> np.ndarray:
 def _corrections(p: PovmSet, basis: UnitaryBasis, corrections: str) -> Monomial | np.ndarray | None:
     """The paper's fixed correction of every outcome, after checking the basis; None for ``auto``.
 
-    V_a is ``basis.ops[alpha]`` for ``Conclusive(alpha)`` and
-    ``InconclusiveResidual(alpha)``, and for an ``InconclusiveProduct`` tag
-    the shift X^m with m = (tag.i - tag.j) mod d, as in
-    ``build_weyl_basis(d).ops[m * d]``.  A monomial basis is unitary exactly
-    when every value has unit modulus, checked to 1e-10 in |v|^2, and gives
-    a ``Monomial`` stack; a dense basis is checked as V^† V = I to 1e-10 and
-    gives a dense (n, d, d) stack.  Either fault raises ``DomainError``.
+    V_a is ``basis.ops[alpha]`` for a conclusive or residual outcome with
+    label alpha, and for the product piece with label i + d j the shift X^m
+    with m = (i - j) mod d, as in ``build_weyl_basis(d).ops[m * d]``.  A
+    monomial basis is unitary exactly when every value has unit modulus,
+    checked to 1e-10 in |v|^2, and gives a ``Monomial`` stack; a dense basis
+    is checked as V^† V = I to 1e-10 and gives a dense (n, d, d) stack.
+    Either fault raises ``DomainError``.
     """
     if corrections == "auto":
         return None
@@ -137,14 +138,10 @@ def _corrections(p: PovmSet, basis: UnitaryBasis, corrections: str) -> Monomial 
     d = p.d
     if basis.dim != d:
         raise ShapeError(f"basis dimension {basis.dim} does not match POVM dimension {d}")
-    index = []
-    for tag in p.tags:
-        if isinstance(tag, (Conclusive, InconclusiveResidual)):
-            index.append(tag.alpha)
-        elif isinstance(tag, InconclusiveProduct):
-            index.append(d * d + (tag.i - tag.j) % d)
-        else:
-            raise DecompositionError("fixed corrections need a refined POVM")
+    if not p.is_refined():
+        raise DecompositionError("fixed corrections need a refined POVM")
+    j, i = np.divmod(p.labels, d)
+    index = np.where(p.kinds == PRODUCT, d * d + (i - j) % d, p.labels)
     k = np.arange(d)
     # X^m, at index d^2 + m: row i holds 1 in column (i - m) mod d.
     shifts = Monomial((k[None, :] - k[:, None]) % d, np.ones((d, d)))
@@ -164,15 +161,18 @@ class FidelityReport:
 
     Per-outcome numbers are columns in outcome order, tuples of floats so
     that reports compare with ``==``; the standard-error columns are None
-    for an exact report.
+    for an exact report.  The POVM's ``kinds`` classify the outcomes; the
+    two probability totals are sums over those columns, conclusive outcomes
+    and the rest, in outcome order.
     """
 
     lam: float
     strategy: str
     corrections: str
-    tags: tuple[Tag, ...]
     probabilities: tuple[float, ...]
     fidelity_terms: tuple[float, ...]
+    conclusive_probability: float
+    inconclusive_probability: float
     f_conclusive: float
     f_inconclusive: float
     f_total: float
@@ -180,14 +180,6 @@ class FidelityReport:
     fidelity_term_se: tuple[float, ...] | None = None
     n_runs: int | None = None
     f_total_se: float | None = None
-
-    @property
-    def conclusive_probability(self) -> float:
-        return sum(q for q, t in zip(self.probabilities, self.tags) if isinstance(t, Conclusive))
-
-    @property
-    def inconclusive_probability(self) -> float:
-        return sum(q for q, t in zip(self.probabilities, self.tags) if not isinstance(t, Conclusive))
 
 
 def _check_evaluable(p: PovmSet, ch: SchmidtChannel) -> None:
@@ -256,28 +248,23 @@ def _build_report(
 ) -> FidelityReport:
     """The one assembly of a report from per-outcome arrays, exact or Monte Carlo.
 
-    The strategy is ``product`` if any tag is an ``InconclusiveProduct``,
-    else ``residual`` if any is an ``InconclusiveResidual``, else
-    ``conclusive-only``.
+    The strategy is ``product`` if any outcome has kind ``PRODUCT``, else
+    ``residual`` if any has kind ``RESIDUAL``, else ``conclusive-only``.
     """
-    conclusive = np.zeros(len(p.tags), dtype=bool)
-    strategy = "conclusive-only"
-    for k, tag in enumerate(p.tags):
-        if isinstance(tag, Conclusive):
-            conclusive[k] = True
-        elif isinstance(tag, InconclusiveProduct):
-            strategy = "product"
-        elif isinstance(tag, InconclusiveResidual) and strategy != "product":
-            strategy = "residual"
+    conclusive = p.kinds == CONCLUSIVE
+    present = np.bincount(p.kinds, minlength=RESIDUAL + 1)
+    strategy = "product" if present[PRODUCT] else "residual" if present[RESIDUAL] else "conclusive-only"
+    probabilities = tuple(probs.tolist())
     f_con = float(terms[conclusive].sum())
     f_inc = float(terms[~conclusive].sum())
     return FidelityReport(
         lam=p.lam,
         strategy=strategy,
         corrections=corrections,
-        tags=p.tags,
-        probabilities=tuple(probs.tolist()),
+        probabilities=probabilities,
         fidelity_terms=tuple(terms.tolist()),
+        conclusive_probability=sum(compress(probabilities, conclusive.tolist())),
+        inconclusive_probability=sum(compress(probabilities, (~conclusive).tolist())),
         f_conclusive=f_con,
         f_inconclusive=f_inc,
         f_total=f_con + f_inc,
@@ -455,7 +442,7 @@ def simulate(
     # that would get no runs changes no result.
     n_shards = min(n_workers, n_runs)
     shares = [n_runs // n_shards + (1 if w < n_runs % n_shards else 0) for w in range(n_shards)]
-    conclusive_flag = np.array([isinstance(t, Conclusive) for t in p.tags], dtype=np.int64)
+    conclusive_flag = (p.kinds == CONCLUSIVE).astype(np.int64)
     # Per outcome: runs, then the sums of f, f^2, 1 - f and (1 - f)^2.
     sums = np.zeros((5, n_out))
     run_index = 0

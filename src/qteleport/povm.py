@@ -15,19 +15,21 @@ Two refinements split R into d^2 rank-one pieces:
   projectors, which keeps the split aligned with the measurement basis.
 
 Every element is therefore stored as one vector w with element |w><w|,
-and the unrefined remainder as its diagonal.  Every vector built here has,
-for each i, at most one nonzero w[i*d + j]: the set stores them as a
-``Monomial`` (d entries per vector), and dense vectors and elements are
-built only on demand, for checks and the dilation.  The two refinements
-sum to the same remainder but are inequivalent measurements; the fidelity
-engine treats them as distinct strategies.
+and the unrefined remainder as its diagonal.  One integer table classifies
+the outcomes: ``kinds`` holds ``CONCLUSIVE``, ``PRODUCT``, ``RESIDUAL`` or
+``REMAINDER`` per outcome, and ``labels`` the basis index alpha (conclusive
+and residual), the piece index i + d j (product) or 0 (remainder).  Every
+vector built here has, for each i, at most one nonzero w[i*d + j]: the set
+stores them as a ``Monomial`` (d entries per vector), and dense vectors and
+elements are built only on demand, for checks and the dilation.  The two
+refinements sum to the same remainder but are inequivalent measurements;
+the fidelity engine treats them as distinct strategies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
 
 import numpy as np
 
@@ -37,28 +39,20 @@ from .linalg import Monomial
 from .weyl import UnitaryBasis, maximally_entangled_basis
 
 
-@dataclass(frozen=True)
-class Conclusive:
-    alpha: int
+# Outcome kind codes, the values of ``PovmSet.kinds``.
+CONCLUSIVE, PRODUCT, RESIDUAL, REMAINDER = range(4)
 
 
-@dataclass(frozen=True)
-class InconclusiveProduct:
-    i: int
-    j: int
-
-
-@dataclass(frozen=True)
-class InconclusiveResidual:
-    alpha: int
-
-
-@dataclass(frozen=True)
-class Remainder:
-    pass
-
-
-Tag = Union[Conclusive, InconclusiveProduct, InconclusiveResidual, Remainder]
+def _table(name: str, values, n: int) -> np.ndarray:
+    """``values`` as a read-only integer array of shape (n,); ``ShapeError`` otherwise."""
+    raw = np.asarray(values)
+    if raw.size and raw.dtype.kind not in "iu":
+        raise ShapeError(f"{name} must be integers, got dtype {raw.dtype}")
+    table = raw.astype(np.intp)
+    if table.shape != (n,):
+        raise ShapeError(f"expected {name} of shape {(n,)}, got {table.shape}")
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -73,12 +67,16 @@ class PovmSet:
     extension) leaves ``monomial`` None.  ``vectors`` and ``elements`` read
     the dense forms back, read-only, built on first use.  An unrefined set
     carries its diagonal remainder as ``remainder`` (shape (d^2,)), which is
-    the last element; it is ``None`` once refined.  ``tags`` classifies each
-    element, remainder included; ``lam`` is the common conclusive weight.
+    the last element; it is ``None`` once refined.  ``kinds`` and ``labels``,
+    read-only integer arrays, classify each element, remainder included (see
+    the module docstring); ``ShapeError`` refuses a wrong length, an unknown
+    kind, a label outside [0, d^2) and a kind ``REMAINDER`` on any outcome
+    but the remainder.  ``lam`` is the common conclusive weight.
     """
 
     d: int
-    tags: tuple[Tag, ...]
+    kinds: np.ndarray
+    labels: np.ndarray
     lam: float
     remainder: np.ndarray | None
     monomial: Monomial | None
@@ -87,21 +85,31 @@ class PovmSet:
         self,
         d: int,
         vectors: Monomial | np.ndarray,
-        tags: tuple[Tag, ...],
+        kinds: np.ndarray,
+        labels: np.ndarray,
         lam: float,
         remainder: np.ndarray | None = None,
     ):
         joint = d * d
-        n = len(tags) - (remainder is not None)
         given = isinstance(vectors, Monomial)
-        shape, want = (vectors.values.shape, (n, d)) if given else (vectors.shape, (n, joint))
+        shape = vectors.values.shape if given else vectors.shape
+        n = shape[0] if shape else 0
+        want = (n, d) if given else (n, joint)
         if shape != want:
             raise ShapeError(f"expected vectors of shape {want}, got {shape}")
         if remainder is not None and remainder.shape != (joint,):
             raise ShapeError(f"expected a remainder diagonal of shape {(joint,)}, got {remainder.shape}")
-        tagged = bool(tags) and isinstance(tags[-1], Remainder)
-        if (remainder is not None) != tagged:
-            raise ShapeError("a remainder diagonal must come with a last tag Remainder(), and only then")
+        kinds = _table("kinds", kinds, n + (remainder is not None))
+        labels = _table("labels", labels, len(kinds))
+        # Outcomes 0..n-1 are the vectors and outcome n, if any, the remainder.  A
+        # negative entry wraps to a large unsigned one, so one max checks both ends.
+        if n and kinds[:n].view(np.uintp).max() >= REMAINDER:
+            codes = sorted(set(kinds[:n].tolist()))
+            raise ShapeError(f"vector outcomes need kinds CONCLUSIVE, PRODUCT or RESIDUAL, got {codes}")
+        if remainder is not None and kinds[n] != REMAINDER:
+            raise ShapeError(f"a remainder diagonal needs the last kind REMAINDER, got {kinds[n]}")
+        if labels.size and labels.view(np.uintp).max() >= joint:
+            raise ShapeError(f"outcome labels must lie in [0, {joint}), got {labels.min()}..{labels.max()}")
         if remainder is not None:
             remainder.setflags(write=False)
         if not given:
@@ -109,7 +117,7 @@ class PovmSet:
             # The dense input is the view ``vectors`` returns.
             self.__dict__["vectors"] = vectors
             vectors = Monomial.scan(vectors.reshape(n, d, d))
-        fields = {"d": d, "tags": tags, "lam": lam, "remainder": remainder, "monomial": vectors}
+        fields = {"d": d, "kinds": kinds, "labels": labels, "lam": lam, "remainder": remainder, "monomial": vectors}
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
@@ -135,7 +143,7 @@ class PovmSet:
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.tags)
+        return len(self.kinds)
 
     def is_refined(self) -> bool:
         return self.remainder is None
@@ -170,7 +178,6 @@ def build_conclusive_povm(ch: SchmidtChannel, basis: UnitaryBasis, lam: float) -
             f"weight {lam} exceeds the positivity bound {lambda_max(ch)} "
             f"(remainder entry negative for column j={bad.tolist()})"
         )
-    tags = tuple(map(Conclusive, range(d * d))) + (Remainder(),)
     # The remainder depends on the column index j only (clamp the
     # exact-boundary entries at zero).
     diag = np.tile(np.clip(weights, 0.0, None), d)
@@ -179,7 +186,15 @@ def build_conclusive_povm(ch: SchmidtChannel, basis: UnitaryBasis, lam: float) -
         vectors = Monomial(duals.cols, scale * duals.values)
     else:
         vectors = scale * duals
-    return PovmSet(d=d, vectors=vectors, tags=tags, lam=float(lam), remainder=diag)
+    kinds, labels = _conclusive_table(d * d)
+    return PovmSet(d=d, vectors=vectors, kinds=kinds, labels=labels, lam=float(lam), remainder=diag)
+
+
+def _conclusive_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``kinds`` and ``labels`` of n conclusive outcomes alpha = 0, ..., n - 1, then the remainder."""
+    kinds, labels = np.full(n + 1, CONCLUSIVE), np.arange(n + 1)
+    kinds[n], labels[n] = REMAINDER, 0
+    return kinds, labels
 
 
 def _remainder(p: PovmSet) -> np.ndarray:
@@ -189,21 +204,28 @@ def _remainder(p: PovmSet) -> np.ndarray:
     return p.remainder
 
 
-def _refined(p: PovmSet, pieces: Monomial | np.ndarray, tags: tuple[Tag, ...]) -> PovmSet:
-    """``p`` with its remainder replaced by the rank-one ``pieces``: monomial if both are, else dense."""
+def _refined(p: PovmSet, pieces: Monomial | np.ndarray, kind: int) -> PovmSet:
+    """``p`` with its remainder replaced by the rank-one ``pieces``: monomial if both are, else dense.
+
+    Piece k has kind ``kind`` and label k.
+    """
     if p.monomial is not None and isinstance(pieces, Monomial):
         vectors = p.monomial.concat(pieces)
     else:
         dense = pieces.dense().reshape(len(pieces), -1) if isinstance(pieces, Monomial) else pieces
         vectors = np.concatenate([p.vectors, dense])
-    return PovmSet(d=p.d, vectors=vectors, tags=p.tags[:-1] + tags, lam=p.lam)
+    n = len(pieces)
+    kinds = np.concatenate([p.kinds[:-1], np.full(n, kind)])
+    labels = np.concatenate([p.labels[:-1], np.arange(n)])
+    return PovmSet(d=p.d, vectors=vectors, kinds=kinds, labels=labels, lam=p.lam)
 
 
 def refine_inconclusive_product(p: PovmSet) -> PovmSet:
     """Replace the remainder by its d^2 diagonal rank-one pieces.
 
     New elements are weight |ij><ij| appended j-major (all i for j=0, then
-    j=1, ...), giving a 2 d^2 element set.
+    j=1, ...), giving a 2 d^2 element set; piece i + d j has kind
+    ``PRODUCT`` and label i + d j.
     """
     diag = _remainder(p)
     d = p.d
@@ -213,8 +235,7 @@ def refine_inconclusive_product(p: PovmSet) -> PovmSet:
     # Piece i + d j has its one nonzero in row i, column j.
     cols[np.arange(d * d), i] = j
     values[np.arange(d * d), i] = np.sqrt(diag[i * d + j])
-    tags = tuple(map(InconclusiveProduct, i.tolist(), j.tolist()))
-    return _refined(p, Monomial(cols, values), tags)
+    return _refined(p, Monomial(cols, values), PRODUCT)
 
 
 def refine_inconclusive_residual(p: PovmSet, basis: UnitaryBasis) -> PovmSet:
@@ -225,7 +246,8 @@ def refine_inconclusive_residual(p: PovmSet, basis: UnitaryBasis) -> PovmSet:
     to R exactly.  R is diagonal, so S e_a is sqrt(diag R) times e_a
     entrywise; entries of R below 1e-12 count as zero.  On a monomial
     basis, e_a[i*d + j] = U_a[i, j] / sqrt(d) is nonzero in one column j
-    per row i, and so is the piece.
+    per row i, and so is the piece.  Piece a has kind ``RESIDUAL`` and
+    label a.
     """
     diag = _remainder(p)
     d = p.d
@@ -235,7 +257,7 @@ def refine_inconclusive_residual(p: PovmSet, basis: UnitaryBasis) -> PovmSet:
         pieces = root * maximally_entangled_basis(basis)
     else:
         pieces = Monomial(u.cols, root[np.arange(d) * d + u.cols] * (u.values / np.sqrt(d)))
-    return _refined(p, pieces, tuple(map(InconclusiveResidual, range(d * d))))
+    return _refined(p, pieces, RESIDUAL)
 
 
 @dataclass(frozen=True)
@@ -282,13 +304,14 @@ def build_theta_povm(fam: ThetaPovmFamily) -> PovmSet:
     values = np.array(
         [[n * hi, n * lo], [n * hi, -n * lo], [n * lo, n * hi], [-n * lo, n * hi]], dtype=complex
     )
-    tags = tuple(Conclusive(alpha) for alpha in range(4)) + (Remainder(),)
+    kinds, labels = _conclusive_table(4)
     w0 = max(1.0 - lam / (1.0 - ct), 0.0)
     w1 = max(1.0 - lam / (1.0 + ct), 0.0)
     return PovmSet(
         d=2,
         vectors=Monomial(cols, np.sqrt(lam) * values),
-        tags=tags,
+        kinds=kinds,
+        labels=labels,
         lam=float(lam),
         remainder=np.array([w0, w1, w0, w1]),
     )

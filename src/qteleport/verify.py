@@ -26,7 +26,7 @@ from .formulas import (
 from .dilation import dilate, dilated_channel_maps, outcome_probabilities
 from .linalg import haar_random_ket, haar_random_unitary, partial_trace, von_neumann_entropy
 from .povm import (
-    Conclusive,
+    CONCLUSIVE,
     ThetaPovmFamily,
     build_conclusive_povm,
     build_theta_povm,
@@ -127,9 +127,8 @@ def _povm_checks(
                 )
                 psd = max(psd, -float(np.linalg.eigvalsh(refined.elements)[:, 0].min()))
                 rep = report(refined, ch, basis, "auto")
-                for prob, tag in zip(rep.probabilities, rep.tags):
-                    if isinstance(tag, Conclusive):
-                        prob_res = max(prob_res, abs(prob - lam / d**2))
+                conclusive = np.array(rep.probabilities)[refined.kinds == CONCLUSIVE]
+                prob_res = max(prob_res, float(np.max(np.abs(conclusive - lam / d**2))))
                 inc_res = max(inc_res, abs(rep.inconclusive_probability - (1.0 - lam)))
             pieces = res.elements[d * d :].sum(axis=0)
             split_res = max(split_res, float(np.max(np.abs(pieces - p.elements[-1]))))
@@ -168,11 +167,10 @@ def _engine_checks(
             maps = channel_maps(residual, ch)
             total = np.einsum("nij,nik->jk", maps.conj(), maps)
             map_comp = max(map_comp, float(np.max(np.abs(total - eye))))
-            for k, tag in enumerate(residual.tags):
-                if isinstance(tag, Conclusive):
-                    nuclear = float(np.sum(np.linalg.svd(maps[k], compute_uv=False)))
-                    fixed = abs(np.trace(basis.ops[tag.alpha] @ maps[k]))
-                    corr_opt = max(corr_opt, abs(fixed - nuclear))
+            for k in np.flatnonzero(residual.kinds == CONCLUSIVE):
+                nuclear = float(np.sum(np.linalg.svd(maps[k], compute_uv=False)))
+                fixed = abs(np.trace(basis.ops[residual.labels[k]] @ maps[k]))
+                corr_opt = max(corr_opt, abs(fixed - nuclear))
         # Product fidelity grows with the conclusive weight, residual
         # fidelity shrinks (the certainty-vs-average trade-off); check both
         # directions on a 20-point weight grid.

@@ -24,7 +24,7 @@ from qteleport.formulas import (
 )
 from qteleport.linalg import haar_random_ket
 from qteleport.povm import (
-    Conclusive,
+    CONCLUSIVE,
     ThetaPovmFamily,
     build_conclusive_povm,
     build_theta_povm,
@@ -190,7 +190,7 @@ def test_criterion_4_standard_teleportation_limit():
             amps = np.einsum("okj,j->ok", maps, phi)
             probs = np.sum(np.abs(amps) ** 2, axis=1)
             alpha = int(np.argmax(np.cumsum(probs) >= rng.random()))
-            assert isinstance(p.tags[alpha], Conclusive)
+            assert p.kinds[alpha] == CONCLUSIVE
             out = vs[alpha] @ amps[alpha]
             fid = abs(np.vdot(phi, out)) ** 2 / probs[alpha]
             assert abs(fid - 1.0) <= 1e-12

@@ -1,5 +1,6 @@
 """The public surface: every exported name resolves and the scripts run."""
 
+import dataclasses
 import runpy
 import sys
 from pathlib import Path
@@ -28,3 +29,10 @@ def test_sweep_script(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("channel cos_theta_c=0.6")
     assert len(lines) == 2 + 3
+
+
+def test_outcome_tag_classes_are_gone():
+    # Outcomes are classified by the integer table ``PovmSet.kinds`` / ``labels``.
+    removed = ("Conclusive", "InconclusiveProduct", "InconclusiveResidual", "Remainder", "Tag")
+    assert not [name for name in removed if hasattr(qteleport, name) or hasattr(qteleport.povm, name)]
+    assert "tags" not in {f.name for f in dataclasses.fields(qteleport.FidelityReport)}

@@ -20,8 +20,9 @@ from qteleport.cli import main
 from qteleport.fidelity import simulate
 from qteleport.formulas import channel_from_entropy, qubit_average_fidelity, relaxed_angle_fidelity
 from qteleport.povm import (
-    Conclusive,
-    InconclusiveProduct,
+    CONCLUSIVE,
+    PRODUCT,
+    RESIDUAL,
     build_conclusive_povm,
     lambda_max,
     refine_inconclusive_product,
@@ -40,11 +41,14 @@ def read_rows(path):
         return list(csv.DictReader(f))
 
 
-def per_cell_teleport_text(exact, mc, fmt):
-    """Oracle: the teleport table row by row from the report columns, written cell by cell.
+def per_cell_teleport_text(p, exact, mc, fmt):
+    """Oracle: the teleport table row by row from the POVM's outcome table and the report columns.
 
-    CSV goes through ``csv.writer`` with floats at 12 significant digits
-    and None as an empty cell; JSONL is one ``json.dumps`` per row.
+    Each outcome's kind and detail come from ``p.kinds`` and ``p.labels``,
+    and the two probability totals are builtin sums over the report's
+    column, conclusive outcomes and the rest.  CSV goes through
+    ``csv.writer`` with floats at 12 significant digits and None as an
+    empty cell; JSONL is one ``json.dumps`` per row.
     """
 
     def cell(value):
@@ -52,25 +56,31 @@ def per_cell_teleport_text(exact, mc, fmt):
             return ""
         return f"{value:.12g}" if isinstance(value, float) else value
 
-    def tag_fields(tag):
-        if isinstance(tag, Conclusive):
-            return "conclusive", str(tag.alpha)
-        if isinstance(tag, InconclusiveProduct):
-            return "inconclusive_product", f"{tag.i},{tag.j}"
-        return "inconclusive_residual", str(tag.alpha)
+    def fields(kind, label):
+        if kind == CONCLUSIVE:
+            return "conclusive", str(label)
+        if kind == PRODUCT:
+            j, i = divmod(label, p.d)
+            return "inconclusive_product", f"{i},{j}"
+        assert kind == RESIDUAL
+        return "inconclusive_residual", str(label)
 
+    def split(rep):
+        conclusive = sum(q for q, kind in zip(rep.probabilities, kinds) if kind == CONCLUSIVE)
+        return conclusive, sum(q for q, kind in zip(rep.probabilities, kinds) if kind != CONCLUSIVE)
+
+    kinds = p.kinds.tolist()
     rows = []
-    for k, tag in enumerate(exact.tags):
+    for k, (kind, label) in enumerate(zip(kinds, p.labels.tolist())):
         if mc is None:
             mc_cols = (None, None, None, None)
         else:
             mc_cols = (mc.probabilities[k], mc.probability_se[k], mc.fidelity_terms[k], mc.fidelity_term_se[k])
-        rows.append((k, *tag_fields(tag), exact.probabilities[k], exact.fidelity_terms[k], *mc_cols))
+        rows.append((k, *fields(kind, label), exact.probabilities[k], exact.fidelity_terms[k], *mc_cols))
+    (con, inc), (mc_con, mc_inc) = split(exact), split(mc) if mc else (None, None)
     totals = [
-        ("total_conclusive", exact.conclusive_probability, exact.f_conclusive,
-         mc.conclusive_probability if mc else None, mc.f_conclusive if mc else None, None),
-        ("total_inconclusive", exact.inconclusive_probability, exact.f_inconclusive,
-         mc.inconclusive_probability if mc else None, mc.f_inconclusive if mc else None, None),
+        ("total_conclusive", con, exact.f_conclusive, mc_con, mc.f_conclusive if mc else None, None),
+        ("total_inconclusive", inc, exact.f_inconclusive, mc_inc, mc.f_inconclusive if mc else None, None),
         ("total", 1.0, exact.f_total,
          1.0 if mc else None, mc.f_total if mc else None, mc.f_total_se if mc else None),
     ]
@@ -538,7 +548,7 @@ class TestTeleport:
         blocks = []
         simulate(p, ch, basis, "paper", n_runs=5_000, rng=2, transcript=blocks.append)
         stream = io.StringIO()
-        write = cli._transcript_sink(stream, p.tags)
+        write = cli._transcript_sink(stream, p)
         for b in blocks:
             b["run_index"] = b["run_index"] + first_run
             write(b)
@@ -568,7 +578,12 @@ class TestTeleport:
     ):
         # The reports the command computes are kept and written again by the oracle.
         seen = {}
-        monkeypatch.setattr(cli, "report", lambda *a: seen.setdefault("exact", fidelity.report(*a)))
+
+        def exact(p, *args):
+            seen["povm"] = p
+            return seen.setdefault("exact", fidelity.report(p, *args))
+
+        monkeypatch.setattr(cli, "report", exact)
         monkeypatch.setattr(cli, "simulate", lambda *a, **k: seen.setdefault("mc", fidelity.simulate(*a, **k)))
         coeffs = np.sqrt(np.arange(1.0, d + 1) / np.sum(np.arange(1.0, d + 1)))
         code, out, _ = run(
@@ -584,7 +599,7 @@ class TestTeleport:
         )
         assert code == 0
         assert ("mc" in seen) == (runs > 0)
-        assert out == per_cell_teleport_text(seen["exact"], seen.get("mc"), fmt)
+        assert out == per_cell_teleport_text(seen["povm"], seen["exact"], seen.get("mc"), fmt)
 
     def test_jsonl_report(self, capsys, tmp_path):
         out = tmp_path / "report.jsonl"

@@ -149,7 +149,8 @@ def test_realized_povm_is_the_measured_povm(strategy):
     p = build(3, ch, 0.4, strategy, basis)
     dil = dilate(p)
     realized = realized_povm(dil, p)
-    assert realized.tags == p.tags and realized.lam == p.lam and realized.is_refined()
+    assert np.array_equal(realized.kinds, p.kinds) and np.array_equal(realized.labels, p.labels)
+    assert realized.lam == p.lam and realized.is_refined()
     assert np.max(np.abs(realized.vectors - p.vectors)) <= 1e-14
     # The residuals and the dilated maps are read through it.
     np.testing.assert_array_equal(
@@ -216,7 +217,8 @@ def test_qr_of_the_nonzero_rows_equals_the_padded_full_qr(d, strategy):
             dil = dilate(p, ancilla_dim=d_a)
             u = padded_full_qr_dilation(p, d_a)
             np.testing.assert_array_equal(dil.u_ext, u)
-            realized = PovmSet(d=d, vectors=u[: p.n_outcomes, ::d_a].conj(), tags=p.tags, lam=p.lam)
+            vectors = u[: p.n_outcomes, ::d_a].conj()
+            realized = PovmSet(d=d, vectors=vectors, kinds=p.kinds, labels=p.labels, lam=p.lam)
             oracle = np.max(np.abs(realized.elements - p.elements), axis=(1, 2))
             assert dil.residuals.tobytes() == oracle.tobytes()
 

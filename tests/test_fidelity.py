@@ -17,11 +17,11 @@ from qteleport.formulas import (
 )
 from qteleport.linalg import CHUNK_ENTRIES, Monomial, dagger, haar_random_ket, haar_random_unitary
 from qteleport.povm import (
-    Conclusive,
-    InconclusiveProduct,
-    InconclusiveResidual,
+    CONCLUSIVE,
+    PRODUCT,
+    REMAINDER,
+    RESIDUAL,
     PovmSet,
-    Remainder,
     ThetaPovmFamily,
     build_conclusive_povm,
     build_theta_povm,
@@ -91,7 +91,8 @@ class TestOutcomeChannel:
         p = refined(ch, basis, lam, "product")
         maps = channel_maps(p, ch)
         for k in range(d * d, 2 * d * d):
-            i, j = p.tags[k].i, p.tags[k].j
+            assert p.kinds[k] == PRODUCT
+            j, i = divmod(int(p.labels[k]), d)
             want = np.zeros((d, d))
             want[j, i] = ch.coeffs[j] * np.sqrt(1 - lam / (d * ch.probs[j]))
             np.testing.assert_allclose(maps[k], want, atol=1e-12)
@@ -109,10 +110,10 @@ class TestOutcomeChannel:
         ch = make_channel(np.sqrt([0.8, 0.2]))
         with pytest.raises(ShapeError):
             PovmSet(
-                d=2, vectors=np.diag([0.5, 0.5, 0.0, 0.0])[None], tags=(InconclusiveResidual(0),), lam=0.0
+                d=2, vectors=np.diag([0.5, 0.5, 0.0, 0.0])[None], kinds=[RESIDUAL], labels=[0], lam=0.0
             )
         rem = PovmSet(
-            d=2, vectors=np.zeros((0, 4)), tags=(Remainder(),), lam=0.0,
+            d=2, vectors=np.zeros((0, 4)), kinds=[REMAINDER], labels=[0], lam=0.0,
             remainder=np.array([0.5, 0.5, 0.0, 0.0]),
         )
         with pytest.raises(DecompositionError):
@@ -265,15 +266,17 @@ class TestExactReport:
         ch = random_channel(3, np.random.default_rng(31))
         p = refined(ch, basis, 0.5 * lambda_max(ch), "product")
         rep = report(p, ch, basis, "paper")
-        assert rep.tags == p.tags
         assert rep.probability_se is None and rep.fidelity_term_se is None
         for col in (rep.probabilities, rep.fidelity_terms):
             assert type(col) is tuple and len(col) == p.n_outcomes
             assert all(type(x) is float for x in col)
+        assert type(rep.conclusive_probability) is float and type(rep.inconclusive_probability) is float
         assert rep.conclusive_probability == sum(rep.probabilities[:9])
+        assert rep.inconclusive_probability == sum(rep.probabilities[9:])
         assert rep == report(p, ch, basis, "paper")
         mc = simulate(p, ch, basis, "paper", n_runs=500, rng=2)
-        assert mc.tags == p.tags
+        assert mc.conclusive_probability == sum(mc.probabilities[:9])
+        assert mc.inconclusive_probability == sum(mc.probabilities[9:])
         for col in (mc.probabilities, mc.probability_se, mc.fidelity_terms, mc.fidelity_term_se):
             assert type(col) is tuple and len(col) == p.n_outcomes
             assert all(type(x) is float for x in col)
@@ -353,10 +356,11 @@ class TestExactReport:
         ch = random_channel(d, np.random.default_rng(d))
         p = refined(ch, basis, 0.5 * lambda_max(ch), "product")
         vs = correction_unitaries(p, basis)
-        shifts = [(k, t) for k, t in enumerate(p.tags) if isinstance(t, InconclusiveProduct)]
+        shifts = np.flatnonzero(p.kinds == PRODUCT)
         assert len(shifts) == d * d
-        for k, tag in shifts:
-            want = np.linalg.matrix_power(shift_matrix(d), (tag.i - tag.j) % d)
+        for k in shifts:
+            j, i = divmod(int(p.labels[k]), d)
+            want = np.linalg.matrix_power(shift_matrix(d), (i - j) % d)
             assert vs[k].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("d", range(2, 17))
@@ -526,12 +530,12 @@ class TestStackedEngine:
         else:
             vs = correction_unitaries(p, basis)
         f_con = f_inc = 0.0
-        assert rep.tags == p.tags and rep.probability_se is None and rep.fidelity_term_se is None
-        for got_prob, got_term, tag, b, v in zip(rep.probabilities, rep.fidelity_terms, p.tags, maps, vs):
+        assert rep.probability_se is None and rep.fidelity_term_se is None
+        for got_prob, got_term, kind, b, v in zip(rep.probabilities, rep.fidelity_terms, p.kinds, maps, vs):
             prob, term = loop_fidelity_term(b, v)
             assert abs(got_prob - prob) <= 1e-15
             assert abs(got_term - term) <= 1e-15
-            if isinstance(tag, Conclusive):
+            if kind == CONCLUSIVE:
                 f_con += term
             else:
                 f_inc += term
@@ -839,9 +843,7 @@ class TestSimulate:
         rng = np.random.default_rng(0)
         for _ in range(200):
             phi = haar_random_ket(d, rng)
-            for k, tag in enumerate(p.tags):
-                if not isinstance(tag, Conclusive):
-                    continue
+            for k in np.flatnonzero(p.kinds == CONCLUSIVE):
                 out = vs[k] @ maps[k] @ phi
                 prob = float(np.vdot(out, out).real)
                 fid = abs(np.vdot(phi, out)) ** 2 / prob
@@ -1038,7 +1040,7 @@ def maps_and_corrections(d, strategy, corrections, seed, share=0.8):
     p = refined(ch, basis, share * lambda_max(ch), "product" if strategy == "product" else "residual")
     if strategy == "rotated":
         rotation = np.kron(haar_random_unitary(d, rng), np.eye(d))
-        p = PovmSet(d=d, vectors=p.vectors @ rotation.T, tags=p.tags, lam=p.lam)
+        p = PovmSet(d=d, vectors=p.vectors @ rotation.T, kinds=p.kinds, labels=p.labels, lam=p.lam)
     if strategy == "conjugated":
         basis = conjugated_basis(basis, haar_random_unitary(d, rng), haar_random_unitary(d, rng))
     maps = channel_maps(p, ch)
@@ -1087,7 +1089,7 @@ class TestBornRuleOracle:
         mc = simulate(p, ch, basis, corrections, n_runs=n, rng=d)
         probs, terms, prob_se, term_se, f_total, f_total_se = born_rule_estimates(maps, vs, n, 90 + d)
         assert abs(mc.f_total - f_total) <= 4 * np.hypot(mc.f_total_se, f_total_se)
-        for k in range(len(mc.tags)):
+        for k in range(p.n_outcomes):
             assert abs(mc.probabilities[k] - probs[k]) <= 5 * np.hypot(mc.probability_se[k], prob_se[k])
             assert abs(mc.fidelity_terms[k] - terms[k]) <= 5 * np.hypot(mc.fidelity_term_se[k], term_se[k])
 
@@ -1170,7 +1172,6 @@ class TestBlockedKernel:
         c = simulate(realized_povm(dilate(p), p), ch, basis, "auto", n_runs=n_runs, rng=21)
         direct = simulate(p, ch, basis, "auto", n_runs=n_runs, rng=21)
         assert c.n_runs == direct.n_runs and c.strategy == direct.strategy == "residual"
-        assert c.tags == p.tags
         assert len(c.probability_se) == len(c.fidelity_term_se) == p.n_outcomes
         assert c.f_total == pytest.approx(direct.f_total, abs=1e-12)
         assert c.f_total_se == pytest.approx(direct.f_total_se, abs=1e-12)
@@ -1199,7 +1200,7 @@ class TestBlockedKernel:
             p = refined(ch, basis, 0.4, "residual")
             vectors = p.vectors.copy()
             vectors[4] *= 1.001
-            bad = PovmSet(d=3, vectors=vectors, tags=p.tags, lam=p.lam)
+            bad = PovmSet(d=3, vectors=vectors, kinds=p.kinds, labels=p.labels, lam=p.lam)
         else:
             basis = conjugated_basis(basis, np.diag([1.0, 2.0, 1.0]), np.eye(3))
             bad = refined(ch, basis, 0.1, "residual")

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from qteleport.channel import make_channel, qubit_channel_from_cos_theta
 from qteleport.errors import PositivityError, ShapeError, SingularChannelError
+from qteleport.dilation import dilate, realized_povm
 from qteleport.povm import (
-    Conclusive,
-    InconclusiveProduct,
-    InconclusiveResidual,
+    CONCLUSIVE,
+    PRODUCT,
+    REMAINDER,
+    RESIDUAL,
     PovmSet,
-    Remainder,
     ThetaPovmFamily,
     build_conclusive_povm,
     build_theta_povm,
@@ -210,12 +211,15 @@ class TestRankOneStorage:
         assert refined.elements is refined.elements
         for arr in (base.vectors, base.remainder, refined.elements):
             assert not arr.flags.writeable
-        # The remainder diagonal and a last Remainder tag come together.
+        for arr in (base.kinds, base.labels, refined.kinds, refined.labels):
+            assert not arr.flags.writeable
+        # The remainder diagonal and a last kind REMAINDER come together.
+        kinds = np.append(base.kinds[:-1], CONCLUSIVE)
         with pytest.raises(ShapeError):
-            PovmSet(d=d, vectors=base.vectors, tags=base.tags[:-1] + (Conclusive(9),), lam=0.3,
+            PovmSet(d=d, vectors=base.vectors, kinds=kinds, labels=base.labels, lam=0.3,
                     remainder=base.remainder)
         with pytest.raises(ShapeError):
-            PovmSet(d=d, vectors=np.zeros((d * d + 1, d * d)), tags=base.tags, lam=0.3)
+            PovmSet(d=d, vectors=np.zeros((d * d + 1, d * d)), kinds=base.kinds, labels=base.labels, lam=0.3)
 
 
 def dense_weyl(d):
@@ -280,22 +284,22 @@ class TestMonomialViews:
         p = refine_inconclusive_product(build_conclusive_povm(random_channel(d, np.random.default_rng(1)),
                                                               build_weyl_basis(d), 0.2))
         vectors = np.array(p.vectors)
-        q = PovmSet(d=d, vectors=vectors, tags=p.tags, lam=p.lam)
+        q = PovmSet(d=d, vectors=vectors, kinds=p.kinds, labels=p.labels, lam=p.lam)
         assert q.vectors is vectors and not vectors.flags.writeable
         assert np.array_equal(q.monomial.dense().reshape(len(vectors), -1), vectors)
         rotated = PovmSet(d=d, vectors=vectors @ np.kron(np.eye(d), [[0.6, 0.8, 0], [-0.8, 0.6, 0], [0, 0, 1]]),
-                          tags=p.tags, lam=p.lam)
+                          kinds=p.kinds, labels=p.labels, lam=p.lam)
         assert rotated.monomial is None
 
 
 class TestProductRefinement:
-    def test_count_and_tags(self):
+    def test_count_and_kinds(self):
         basis = build_weyl_basis(3)
         ch = make_channel(np.sqrt([0.5, 0.3, 0.2]))
         refined = refine_inconclusive_product(build_conclusive_povm(ch, basis, 0.3))
         assert refined.n_outcomes == 2 * 9
-        assert sum(isinstance(t, Conclusive) for t in refined.tags) == 9
-        assert sum(isinstance(t, InconclusiveProduct) for t in refined.tags) == 9
+        assert np.count_nonzero(refined.kinds == CONCLUSIVE) == 9
+        assert np.count_nonzero(refined.kinds == PRODUCT) == 9
         assert refined.is_refined()
 
     def test_weights_follow_refinement_table(self):
@@ -306,8 +310,7 @@ class TestProductRefinement:
         # Appended j-major: (i=0,j=0), (1,0), (0,1), (1,1); weight 1 - lam/(2 a_j^2).
         expected_order = [(0, 0), (1, 0), (0, 1), (1, 1)]
         for k, (i, j) in enumerate(expected_order):
-            tag = refined.tags[4 + k]
-            assert (tag.i, tag.j) == (i, j)
+            assert refined.kinds[4 + k] == PRODUCT and refined.labels[4 + k] == i + 2 * j
             el = refined.elements[4 + k]
             flat = i * 2 + j
             want = max(1.0 - lam / (2 * ch.probs[j]), 0.0)
@@ -320,13 +323,9 @@ class TestProductRefinement:
         refined = refine_inconclusive_product(
             build_conclusive_povm(ch, basis, lambda_max(ch))
         )
-        zero_weights = [
-            t
-            for t, el in zip(refined.tags, refined.elements)
-            if isinstance(t, InconclusiveProduct) and np.max(np.abs(el)) <= 1e-14
-        ]
-        assert len(zero_weights) == 3
-        assert all(t.j == np.argmin(ch.coeffs) for t in zero_weights)
+        zero = (refined.kinds == PRODUCT) & (np.max(np.abs(refined.elements), axis=(1, 2)) <= 1e-14)
+        assert np.count_nonzero(zero) == 3
+        assert np.all(refined.labels[zero] // 3 == np.argmin(ch.coeffs))
 
     def test_completeness_preserved(self):
         basis = build_weyl_basis(2)
@@ -343,9 +342,7 @@ class TestResidualRefinement:
         refined = refine_inconclusive_residual(
             build_conclusive_povm(ch, basis, 1.0), basis
         )
-        for tag, el in zip(refined.tags, refined.elements):
-            if isinstance(tag, InconclusiveResidual):
-                assert np.max(np.abs(el)) <= 1e-12
+        assert np.max(np.abs(refined.elements[refined.kinds == RESIDUAL])) <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_pieces_sum_to_remainder(self, d):
@@ -366,11 +363,10 @@ class TestResidualRefinement:
         refined = refine_inconclusive_residual(
             build_conclusive_povm(ch, basis, 0.2), basis
         )
-        for tag, el in zip(refined.tags, refined.elements):
-            if isinstance(tag, InconclusiveResidual):
-                vals = np.linalg.eigvalsh(el)
-                assert vals[-1] > 1e-8
-                assert np.sum(vals > 1e-10) == 1
+        for el in refined.elements[refined.kinds == RESIDUAL]:
+            vals = np.linalg.eigvalsh(el)
+            assert vals[-1] > 1e-8
+            assert np.sum(vals > 1e-10) == 1
 
 
 class TestThetaFamily:
@@ -384,7 +380,8 @@ class TestThetaFamily:
         refined_t = refine_inconclusive_product(theta)
         refined_c = refine_inconclusive_product(conclusive)
         assert np.max(np.abs(refined_t.elements - refined_c.elements)) <= 1e-10
-        assert refined_t.tags == refined_c.tags
+        assert np.array_equal(refined_t.kinds, refined_c.kinds)
+        assert np.array_equal(refined_t.labels, refined_c.labels)
 
     def test_orthogonal_limit_is_scaled_bell_projectors(self):
         lam = 0.7
@@ -409,4 +406,73 @@ class TestThetaFamily:
     def test_completeness(self):
         theta = build_theta_povm(ThetaPovmFamily(0.2, 0.45, 0.3))
         assert completeness_residual(theta) <= 1e-10
-        assert isinstance(theta.tags[-1], Remainder)
+        assert theta.kinds[-1] == REMAINDER
+
+
+class TestOutcomeTable:
+    """``kinds`` and ``labels``: what each builder writes, and what ``PovmSet`` refuses."""
+
+    def test_each_builder_writes_its_table(self):
+        d = 3
+        basis = build_weyl_basis(d)
+        base = build_conclusive_povm(random_channel(d, np.random.default_rng(5)), basis, 0.2)
+        head = [CONCLUSIVE] * 9
+        assert base.kinds.tolist() == head + [REMAINDER]
+        assert base.labels.tolist() == list(range(9)) + [0]
+        product = refine_inconclusive_product(base)
+        assert product.kinds.tolist() == head + [PRODUCT] * 9
+        # Piece i + d j, appended j-major: all i for j = 0, then j = 1, ...
+        assert product.labels.tolist() == list(range(9)) + [i + d * j for j in range(d) for i in range(d)]
+        residual = refine_inconclusive_residual(base, basis)
+        assert residual.kinds.tolist() == head + [RESIDUAL] * 9
+        assert residual.labels.tolist() == list(range(9)) * 2
+        theta = build_theta_povm(ThetaPovmFamily(0.6, 0.3, 0.5))
+        assert theta.kinds.tolist() == [CONCLUSIVE] * 4 + [REMAINDER]
+        assert theta.labels.tolist() == [0, 1, 2, 3, 0]
+        realized = realized_povm(dilate(product), product)
+        assert realized.monomial is None
+        assert np.array_equal(realized.kinds, product.kinds)
+        assert np.array_equal(realized.labels, product.labels)
+
+    @staticmethod
+    def _product_povm():
+        ch = qubit_channel_from_cos_theta(0.6)
+        base = build_conclusive_povm(ch, build_weyl_basis(2), 0.5 * lambda_max(ch))
+        return refine_inconclusive_product(base)
+
+    @pytest.mark.parametrize(
+        "position, kind, label",
+        [
+            (0, CONCLUSIVE, -1),  # read the shift X^1 as a basis index
+            (0, CONCLUSIVE, 99),  # indexed past the basis
+            (2, REMAINDER, 0),  # a remainder mid-list passed as refined
+        ],
+    )
+    def test_refuses_a_negative_label_an_overlarge_label_and_a_mid_list_remainder(self, position, kind, label):
+        p = self._product_povm()
+        kinds, labels = np.array(p.kinds), np.array(p.labels)
+        kinds[position], labels[position] = kind, label
+        with pytest.raises(ShapeError):
+            PovmSet(d=2, vectors=p.monomial, kinds=kinds, labels=labels, lam=p.lam)
+
+    def test_refuses_a_malformed_table(self):
+        p = self._product_povm()
+        kinds, labels = p.kinds.tolist(), p.labels.tolist()
+        diag = np.ones(4)
+        bad = [
+            (kinds[:-1], labels, None),  # kinds too short
+            (kinds, labels + [0], None),  # labels too long
+            ([4] + kinds[1:], labels, None),  # unknown kind codes
+            ([-1] + kinds[1:], labels, None),
+            (kinds, labels[:-1] + [4], None),  # label outside [0, d^2)
+            ([0.0] + kinds[1:], labels, None),  # not integers
+            (kinds[:-1] + [REMAINDER], labels, None),  # REMAINDER without a diagonal
+            (kinds[:2] + [REMAINDER] + kinds[2:], labels + [0], diag),  # REMAINDER not last
+            (kinds + [CONCLUSIVE], labels + [0], diag),  # a diagonal without REMAINDER
+        ]
+        for k, lab, remainder in bad:
+            with pytest.raises(ShapeError):
+                PovmSet(d=2, vectors=p.monomial, kinds=k, labels=lab, lam=p.lam, remainder=remainder)
+        # The same entries, well formed, are taken.
+        PovmSet(d=2, vectors=p.monomial, kinds=kinds + [REMAINDER], labels=labels + [0], lam=p.lam,
+                remainder=diag)
