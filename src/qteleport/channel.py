@@ -15,6 +15,7 @@ must be absorbed into the local bases by the caller beforehand.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,9 @@ import numpy as np
 from .errors import NormalizationError, ShapeError, SingularChannelError
 from .linalg import Monomial
 from .weyl import UnitaryBasis
+
+# The smallest normal float, finfo(float).tiny.
+_TINY = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -93,7 +97,7 @@ def _check_full_rank(ch: SchmidtChannel, basis: UnitaryBasis) -> None:
         raise ShapeError(f"channel dim {ch.dim} does not match basis dim {basis.dim}")
     # A coefficient whose square underflows to 0 is singular in floating
     # point, and a subnormal square keeps too few bits for a complete POVM.
-    if np.any(ch.coeffs <= 0) or np.any(ch.probs < np.finfo(float).tiny):
+    if (ch.coeffs <= 0).any() or (ch.probs < _TINY).any():
         raise SingularChannelError(
             "dual construction needs every Schmidt coefficient positive, with a square of at least "
             f"the smallest normal float; got {ch.coeffs}"

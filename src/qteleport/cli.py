@@ -28,6 +28,8 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
+from itertools import repeat
 
 import numpy as np
 
@@ -200,18 +202,25 @@ def _csv_field(value) -> str:
     return text
 
 
+def _csv_cells(column) -> Iterator[str]:
+    """The CSV cells of one column: one ``%.12g`` map over a column of floats only, else ``_csv_field``."""
+    if all(map(isinstance, column, repeat(float))):
+        return map("%.12g".__mod__, column)
+    return map(_csv_field, column)
+
+
 def _write_table(path: str | None, fmt: str, header: tuple[str, ...], columns: list) -> None:
     """Write the table ``columns`` (equal-length, in ``header`` order) to ``path``, or to stdout if None.
 
     CSV has a header line and then one line per row, each cell formatted
-    by ``_csv_field`` a column at a time.  JSON lines have one object per
+    a column at a time by ``_csv_cells``.  JSON lines have one object per
     row with full-precision floats and null.
     """
     with (
         open(path, "w", newline="") if path is not None else contextlib.nullcontext(sys.stdout)
     ) as stream:
         if fmt == "csv":
-            lines = map(",".join, zip(*(map(_csv_field, column) for column in columns)))
+            lines = map(",".join, zip(*map(_csv_cells, columns)))
             stream.write("\n".join([",".join(map(_csv_field, header)), *lines]) + "\n")
         else:
             stream.writelines(json.dumps(dict(zip(header, row))) + "\n" for row in zip(*columns))
@@ -297,19 +306,48 @@ def _teleport_columns(p: PovmSet, exact: FidelityReport, mc: FidelityReport | No
 def _transcript_sink(stream, p: PovmSet):
     """Write each Monte Carlo block of ``p`` as JSONL, one ``json.dumps(record)`` line per run.
 
-    All fields are ints, so each outcome's line is a template that only
-    lacks the run index; the flag is 1 for kind ``CONCLUSIVE``, as ``simulate`` sets it.
+    All fields are nonnegative ints, so each outcome's line is fixed but for
+    the run index.  Row a of a byte table holds ``{"run_index": ``, a field
+    of zero bytes as wide as the block's largest run index, then outcome
+    a's tail, zero-padded to the longest tail.  A block takes its rows by
+    outcome, writes each run index into the field as right-aligned ASCII
+    digits (places above its leading digit stay zero), and drops every zero
+    byte.  The flag is 1 for kind ``CONCLUSIVE``, as ``simulate`` sets it.
     """
     bits = transcript_bits(p.n_outcomes)
-    templates = [
-        f'{{"run_index": %d, "outcome_alpha": {a}, '
-        f'"conclusive_flag": {int(kind == CONCLUSIVE)}, "bits_sent": {bits}}}\n'
+    tails = [
+        f', "outcome_alpha": {a}, "conclusive_flag": {int(kind == CONCLUSIVE)}, "bits_sent": {bits}}}\n'
         for a, kind in enumerate(p.kinds.tolist())
     ]
+    size = max(map(len, tails))
+    tails = np.frombuffer("".join(t.ljust(size, "\0") for t in tails).encode("ascii"), np.uint8)
+    tails = tails.reshape(p.n_outcomes, size)
+    head = np.frombuffer(b'{"run_index": ', np.uint8)
+
+    # Run indices only grow from block to block, so one table at a time is kept.
+    @functools.lru_cache(maxsize=1)
+    def rows(width: int) -> tuple[np.ndarray, np.ndarray]:
+        """The byte table with a field of ``width`` digits, and the field's place values as a column."""
+        field = np.zeros((len(tails), width), np.uint8)
+        table = np.concatenate([np.broadcast_to(head, (len(tails), head.size)), field, tails], axis=1)
+        return table, 10 ** np.arange(width - 1, -1, -1)[:, None]
 
     def write(block: dict) -> None:
-        lines = "".join(map(templates.__getitem__, block["outcome_alpha"].tolist()))
-        stream.write(lines % tuple(block["run_index"].tolist()))
+        index = block["run_index"]
+        table, places = rows(len(str(index.max())))
+        lines = table.take(block["outcome_alpha"], axis=0)
+        # One row of digits per place, units last, by repeated division by 10.
+        digits = np.empty((len(places), index.size), np.int8)
+        quotient = index
+        for row in digits[::-1]:
+            next_quotient = quotient // 10
+            np.subtract(quotient, 10 * next_quotient, out=row)
+            quotient = next_quotient
+        digits += ord("0")
+        # A place above the leading digit stays a zero byte; the units digit always shows.
+        digits[:-1] *= index >= places[:-1]
+        lines[:, head.size : head.size + len(places)] = digits.T
+        stream.write(lines.tobytes().replace(b"\0", b"").decode("ascii"))
 
     return write
 

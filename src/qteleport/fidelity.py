@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import compress
 from typing import Callable
 
@@ -66,7 +67,7 @@ import numpy as np
 from .channel import SchmidtChannel
 from .errors import ConsistencyError, DecompositionError, DomainError, ShapeError
 from .linalg import Monomial, chunks, dagger
-from .povm import CONCLUSIVE, PRODUCT, RESIDUAL, PovmSet
+from .povm import CONCLUSIVE, PRODUCT, PovmSet
 from .weyl import UnitaryBasis
 
 
@@ -100,14 +101,14 @@ def _maps(p: PovmSet, ch: SchmidtChannel) -> tuple[np.ndarray, ...]:
     sigma = np.abs(b)
     sq = sigma**2
     _check_complete(sq.sum(axis=0) - 1.0)
-    return rows, b, sigma, np.sum(sq, axis=1)
+    return rows, b, sigma, sq.sum(axis=1)
 
 
 def _dense_maps(p: PovmSet, ch: SchmidtChannel) -> tuple[np.ndarray, np.ndarray]:
     """The dense maps of any POVM and each Tr(B^† B), once sum_a B_a^† B_a = I is checked."""
     maps = channel_maps(p, ch)
     _check_complete(np.einsum("nji,njk->ik", maps.conj(), maps) - np.eye(p.d))
-    return maps, np.sum(np.abs(maps) ** 2, axis=(1, 2))
+    return maps, (np.abs(maps) ** 2).sum(axis=(1, 2))
 
 
 def _paired(fixed: Monomial, rows: np.ndarray) -> np.ndarray:
@@ -118,6 +119,13 @@ def _paired(fixed: Monomial, rows: np.ndarray) -> np.ndarray:
 def _dense(ops: Monomial | np.ndarray) -> np.ndarray:
     """The dense (n, d, d) form of a correction stack."""
     return ops.dense() if isinstance(ops, Monomial) else ops
+
+
+@cache
+def _shifts(d: int) -> Monomial:
+    """The shifts X^m, m = 0, ..., d - 1: row i of X^m holds 1 in column (i - m) mod d."""
+    k = np.arange(d)
+    return Monomial((k[None, :] - k[:, None]) % d, np.ones((d, d)))
 
 
 def _corrections(p: PovmSet, basis: UnitaryBasis, corrections: str) -> Monomial | np.ndarray | None:
@@ -142,9 +150,8 @@ def _corrections(p: PovmSet, basis: UnitaryBasis, corrections: str) -> Monomial 
         raise DecompositionError("fixed corrections need a refined POVM")
     j, i = np.divmod(p.labels, d)
     index = np.where(p.kinds == PRODUCT, d * d + (i - j) % d, p.labels)
-    k = np.arange(d)
-    # X^m, at index d^2 + m: row i holds 1 in column (i - m) mod d.
-    shifts = Monomial((k[None, :] - k[:, None]) % d, np.ones((d, d)))
+    # X^m is at index d^2 + m.
+    shifts = _shifts(d)
     u = basis.monomial
     if u is None:
         _check_unitary(basis.ops)
@@ -221,14 +228,14 @@ def report(
     if p.monomial is not None and not isinstance(fixed, np.ndarray):
         rows, b, sigma, gram = _maps(p, ch)
         if fixed is None:
-            overlap = np.sum(sigma, axis=1)
+            overlap = sigma.sum(axis=1)
         else:
             overlap = np.abs((_paired(fixed, rows) * b).sum(axis=1))
     else:
         maps, gram = _dense_maps(p, ch)
         if fixed is None:
             sigma = np.linalg.svd(maps, compute_uv=False)
-            gram, overlap = np.sum(sigma**2, axis=1), np.sum(sigma, axis=1)
+            gram, overlap = (sigma**2).sum(axis=1), sigma.sum(axis=1)
         else:
             overlap = np.abs(np.einsum("nij,nji->n", _dense(fixed), maps))
     probs, terms = gram / d, (overlap**2 + gram) / (d * (d + 1))
@@ -248,23 +255,20 @@ def _build_report(
 ) -> FidelityReport:
     """The one assembly of a report from per-outcome arrays, exact or Monte Carlo.
 
-    The strategy is ``product`` if any outcome has kind ``PRODUCT``, else
-    ``residual`` if any has kind ``RESIDUAL``, else ``conclusive-only``.
+    The conclusive outcomes and the strategy are the POVM's, read once per set.
     """
-    conclusive = p.kinds == CONCLUSIVE
-    present = np.bincount(p.kinds, minlength=RESIDUAL + 1)
-    strategy = "product" if present[PRODUCT] else "residual" if present[RESIDUAL] else "conclusive-only"
+    conclusive, rest, conclusive_flags, rest_flags, strategy = p._split
     probabilities = tuple(probs.tolist())
     f_con = float(terms[conclusive].sum())
-    f_inc = float(terms[~conclusive].sum())
+    f_inc = float(terms[rest].sum())
     return FidelityReport(
         lam=p.lam,
         strategy=strategy,
         corrections=corrections,
         probabilities=probabilities,
         fidelity_terms=tuple(terms.tolist()),
-        conclusive_probability=sum(compress(probabilities, conclusive.tolist())),
-        inconclusive_probability=sum(compress(probabilities, (~conclusive).tolist())),
+        conclusive_probability=sum(compress(probabilities, conclusive_flags)),
+        inconclusive_probability=sum(compress(probabilities, rest_flags)),
         f_conclusive=f_con,
         f_inconclusive=f_inc,
         f_total=f_con + f_inc,
@@ -328,7 +332,7 @@ def _sampling_tables(
     sigma = None
     if p.monomial is not None and not isinstance(fixed, np.ndarray):
         rows, b, sigma, weights = _maps(p, ch)
-        if fixed is not None and not np.all((fixed.cols == rows) | (b == 0)):
+        if fixed is not None and not ((fixed.cols == rows) | (b == 0)).all():
             sigma = None
     if sigma is None:
         maps, weights = _dense_maps(p, ch)

@@ -29,7 +29,7 @@ the fidelity engine treats them as distinct strategies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -42,17 +42,36 @@ from .weyl import UnitaryBasis, maximally_entangled_basis
 # Outcome kind codes, the values of ``PovmSet.kinds``.
 CONCLUSIVE, PRODUCT, RESIDUAL, REMAINDER = range(4)
 
+# The builders' outcome tables (``_outcome_table``) by name and id: (table, d,
+# its split for a kinds table).  The entry keeps its table alive, so no other
+# object takes the id.
+_BUILT: dict[tuple[str, int], tuple] = {}
 
-def _table(name: str, values, n: int) -> np.ndarray:
-    """``values`` as a read-only integer array of shape (n,); ``ShapeError`` otherwise."""
-    raw = np.asarray(values)
-    if raw.size and raw.dtype.kind not in "iu":
-        raise ShapeError(f"{name} must be integers, got dtype {raw.dtype}")
-    table = raw.astype(np.intp)
+
+def _readonly(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+def _table(name: str, values, n: int, d: int) -> tuple[np.ndarray, bool]:
+    """``values`` as a read-only integer array of shape (n,) and whether it is a built table of d.
+
+    ``ShapeError`` for a wrong dtype or length.
+    """
+    built = _BUILT.get((name, id(values)))
+    known = built is not None and built[1] == d
+    if known:
+        table = values
+    else:
+        raw = np.asarray(values)
+        if raw.size and raw.dtype.kind not in "iu":
+            raise ShapeError(f"{name} must be integers, got dtype {raw.dtype}")
+        table = raw.astype(np.intp)
+        table.setflags(write=False)
     if table.shape != (n,):
         raise ShapeError(f"expected {name} of shape {(n,)}, got {table.shape}")
-    table.setflags(write=False)
-    return table
+    return table, known
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -71,7 +90,10 @@ class PovmSet:
     read-only integer arrays, classify each element, remainder included (see
     the module docstring); ``ShapeError`` refuses a wrong length, an unknown
     kind, a label outside [0, d^2) and a kind ``REMAINDER`` on any outcome
-    but the remainder.  ``lam`` is the common conclusive weight.
+    but the remainder.  The builders pass tables cached per dimension and
+    checked when built: for those exact arrays the value scans are skipped;
+    lengths and the remainder's place are checked on every construction.
+    ``lam`` is the common conclusive weight.
     """
 
     d: int
@@ -99,16 +121,19 @@ class PovmSet:
             raise ShapeError(f"expected vectors of shape {want}, got {shape}")
         if remainder is not None and remainder.shape != (joint,):
             raise ShapeError(f"expected a remainder diagonal of shape {(joint,)}, got {remainder.shape}")
-        kinds = _table("kinds", kinds, n + (remainder is not None))
-        labels = _table("labels", labels, len(kinds))
-        # Outcomes 0..n-1 are the vectors and outcome n, if any, the remainder.  A
-        # negative entry wraps to a large unsigned one, so one max checks both ends.
-        if n and kinds[:n].view(np.uintp).max() >= REMAINDER:
-            codes = sorted(set(kinds[:n].tolist()))
-            raise ShapeError(f"vector outcomes need kinds CONCLUSIVE, PRODUCT or RESIDUAL, got {codes}")
+        kinds, built_kinds = _table("kinds", kinds, n + (remainder is not None), d)
+        labels, built_labels = _table("labels", labels, len(kinds), d)
+        # Outcomes 0..n-1 are the vectors and outcome n, if any, the remainder.
         if remainder is not None and kinds[n] != REMAINDER:
             raise ShapeError(f"a remainder diagonal needs the last kind REMAINDER, got {kinds[n]}")
-        if labels.size and labels.view(np.uintp).max() >= joint:
+        if remainder is None and n and kinds[n - 1] == REMAINDER:
+            raise ShapeError("a last kind REMAINDER needs a remainder diagonal")
+        # A built table passed both checks when it was written.  Elsewhere a
+        # negative entry wraps to a large unsigned one, so one max checks both ends.
+        if not built_kinds and n and kinds[:n].view(np.uintp).max() >= REMAINDER:
+            codes = sorted(set(kinds[:n].tolist()))
+            raise ShapeError(f"vector outcomes need kinds CONCLUSIVE, PRODUCT or RESIDUAL, got {codes}")
+        if not built_labels and labels.size and labels.view(np.uintp).max() >= joint:
             raise ShapeError(f"outcome labels must lie in [0, {joint}), got {labels.min()}..{labels.max()}")
         if remainder is not None:
             remainder.setflags(write=False)
@@ -117,9 +142,8 @@ class PovmSet:
             # The dense input is the view ``vectors`` returns.
             self.__dict__["vectors"] = vectors
             vectors = Monomial.scan(vectors.reshape(n, d, d))
-        fields = {"d": d, "kinds": kinds, "labels": labels, "lam": lam, "remainder": remainder, "monomial": vectors}
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+        # Frozen: the fields go straight into the instance dict.
+        self.__dict__.update(d=d, kinds=kinds, labels=labels, lam=lam, remainder=remainder, monomial=vectors)
 
     @cached_property
     def vectors(self) -> np.ndarray:
@@ -137,6 +161,12 @@ class PovmSet:
         dense.setflags(write=False)
         return dense
 
+    @cached_property
+    def _split(self) -> tuple:
+        """``_outcome_split`` of ``kinds``, read from its entry for a built table."""
+        built = _BUILT.get(("kinds", id(self.kinds)))
+        return _outcome_split(self.kinds) if built is None else built[2]
+
     @property
     def joint_dim(self) -> int:
         return self.d * self.d
@@ -151,7 +181,7 @@ class PovmSet:
 
 def lambda_max(ch: SchmidtChannel) -> float:
     """Largest conclusive weight keeping the remainder positive: d * min a^2."""
-    return float(ch.dim * np.min(ch.probs))
+    return float(ch.dim * ch.probs.min())
 
 
 def _remainder_weights(ch: SchmidtChannel, lam: float) -> np.ndarray:
@@ -172,7 +202,7 @@ def build_conclusive_povm(ch: SchmidtChannel, basis: UnitaryBasis, lam: float) -
     # The duals reject a singular channel before the weights divide by a_j^2.
     duals = dual_states(ch, basis)
     weights = _remainder_weights(ch, lam)
-    bad = np.nonzero(weights < -1e-12)[0]
+    bad = (weights < -1e-12).nonzero()[0]
     if bad.size:
         raise PositivityError(
             f"weight {lam} exceeds the positivity bound {lambda_max(ch)} "
@@ -180,21 +210,62 @@ def build_conclusive_povm(ch: SchmidtChannel, basis: UnitaryBasis, lam: float) -
         )
     # The remainder depends on the column index j only (clamp the
     # exact-boundary entries at zero).
-    diag = np.tile(np.clip(weights, 0.0, None), d)
+    diag = np.maximum(weights, 0.0)[_column_index(d)]
     scale = np.sqrt(lam)
     if isinstance(duals, Monomial):
         vectors = Monomial(duals.cols, scale * duals.values)
     else:
         vectors = scale * duals
-    kinds, labels = _conclusive_table(d * d)
+    kinds, labels = _outcome_table(d, REMAINDER)
     return PovmSet(d=d, vectors=vectors, kinds=kinds, labels=labels, lam=float(lam), remainder=diag)
 
 
-def _conclusive_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``kinds`` and ``labels`` of n conclusive outcomes alpha = 0, ..., n - 1, then the remainder."""
-    kinds, labels = np.full(n + 1, CONCLUSIVE), np.arange(n + 1)
-    kinds[n], labels[n] = REMAINDER, 0
+# Tables that depend on d alone are built on first use, once per d, read-only
+# and of O(d^2) entries.
+
+
+@cache
+def _outcome_table(d: int, tail: int) -> tuple[np.ndarray, np.ndarray]:
+    """``kinds`` and ``labels`` of d^2 conclusive outcomes alpha = 0, ..., d^2 - 1, then the tail.
+
+    The tail is the remainder (``tail`` = ``REMAINDER``, label 0) or d^2
+    pieces of kind ``tail``, piece k labelled k.  Both arrays are entered
+    in ``_BUILT``: their labels lie in [0, d^2) and ``REMAINDER`` comes last.
+    """
+    n, m = d * d, 1 if tail == REMAINDER else d * d
+    kinds = np.full(n + m, tail, dtype=np.intp)
+    kinds[:n] = CONCLUSIVE
+    labels = np.arange(n + m, dtype=np.intp) % n
+    _readonly(kinds, labels)
+    _BUILT["kinds", id(kinds)] = (kinds, d, _outcome_split(kinds))
+    _BUILT["labels", id(labels)] = (labels, d, None)
     return kinds, labels
+
+
+def _outcome_split(kinds: np.ndarray) -> tuple:
+    """The conclusive mask and its complement, as arrays and as tuples, and the strategy.
+
+    The strategy is ``product`` if any outcome has kind ``PRODUCT``, else
+    ``residual`` if any has kind ``RESIDUAL``, else ``conclusive-only``.
+    """
+    conclusive = kinds == CONCLUSIVE
+    rest = ~conclusive
+    present = np.bincount(kinds, minlength=RESIDUAL + 1)
+    strategy = "product" if present[PRODUCT] else "residual" if present[RESIDUAL] else "conclusive-only"
+    return _readonly(conclusive, rest) + (tuple(conclusive.tolist()), tuple(rest.tolist()), strategy)
+
+
+@cache
+def _column_index(d: int) -> np.ndarray:
+    """The column j = k mod d of each joint index k = i*d + j."""
+    return _readonly(np.arange(d * d, dtype=np.intp) % d)[0]
+
+
+@cache
+def _product_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per product piece k = i + d j: its slot k*d + i in a flat (d^2, d) array, j, and i*d + j."""
+    j, i = np.divmod(np.arange(d * d), d)
+    return _readonly(np.arange(d * d) * d + i, j, i * d + j)
 
 
 def _remainder(p: PovmSet) -> np.ndarray:
@@ -205,18 +276,23 @@ def _remainder(p: PovmSet) -> np.ndarray:
 
 
 def _refined(p: PovmSet, pieces: Monomial | np.ndarray, kind: int) -> PovmSet:
-    """``p`` with its remainder replaced by the rank-one ``pieces``: monomial if both are, else dense.
+    """``p`` with its remainder replaced by the d^2 rank-one ``pieces``: monomial if both are, else dense.
 
-    Piece k has kind ``kind`` and label k.
+    Piece k has kind ``kind`` and label k.  A set with a built table gets
+    the built refined one.
     """
     if p.monomial is not None and isinstance(pieces, Monomial):
         vectors = p.monomial.concat(pieces)
     else:
         dense = pieces.dense().reshape(len(pieces), -1) if isinstance(pieces, Monomial) else pieces
         vectors = np.concatenate([p.vectors, dense])
-    n = len(pieces)
-    kinds = np.concatenate([p.kinds[:-1], np.full(n, kind)])
-    labels = np.concatenate([p.labels[:-1], np.arange(n)])
+    conclusive_kinds, conclusive_labels = _outcome_table(p.d, REMAINDER)
+    if p.kinds is conclusive_kinds and p.labels is conclusive_labels:
+        kinds, labels = _outcome_table(p.d, kind)
+    else:
+        n = len(pieces)
+        kinds = np.concatenate([p.kinds[:-1], np.full(n, kind)])
+        labels = np.concatenate([p.labels[:-1], np.arange(n)])
     return PovmSet(d=p.d, vectors=vectors, kinds=kinds, labels=labels, lam=p.lam)
 
 
@@ -229,12 +305,12 @@ def refine_inconclusive_product(p: PovmSet) -> PovmSet:
     """
     diag = _remainder(p)
     d = p.d
-    j, i = np.divmod(np.arange(d * d), d)
+    slot, j, flat = _product_index(d)
     cols = np.zeros((d * d, d), dtype=np.intp)
     values = np.zeros((d * d, d), dtype=complex)
     # Piece i + d j has its one nonzero in row i, column j.
-    cols[np.arange(d * d), i] = j
-    values[np.arange(d * d), i] = np.sqrt(diag[i * d + j])
+    cols.reshape(-1)[slot] = j
+    values.reshape(-1)[slot] = np.sqrt(diag[flat])
     return _refined(p, Monomial(cols, values), PRODUCT)
 
 
@@ -304,7 +380,7 @@ def build_theta_povm(fam: ThetaPovmFamily) -> PovmSet:
     values = np.array(
         [[n * hi, n * lo], [n * hi, -n * lo], [n * lo, n * hi], [-n * lo, n * hi]], dtype=complex
     )
-    kinds, labels = _conclusive_table(4)
+    kinds, labels = _outcome_table(2, REMAINDER)
     w0 = max(1.0 - lam / (1.0 - ct), 0.0)
     w1 = max(1.0 - lam / (1.0 + ct), 0.0)
     return PovmSet(

@@ -538,35 +538,57 @@ class TestTeleport:
         digest = hashlib.sha256(transcript.read_bytes()).hexdigest()[:16]
         assert digest == TRANSCRIPT_DIGESTS[channel[1], strategy, workers]
 
-    @pytest.mark.parametrize("d, first_run", [(2, 99_000), (3, 0)])
-    def test_sink_writes_the_bytes_of_json_dumps(self, d, first_run):
-        # A block that starts at run 99,000, and an 18-outcome POVM whose
-        # labels take two digits and whose messages take 6 bits.
+    @pytest.mark.parametrize(
+        "d, first_run, cuts",
+        [
+            (2, 99_990, None),
+            (3, 0, (1, 13)),
+            (8, 0, None),
+        ],
+        ids=["d2-across-99999", "d3-run-0-alone-then-across-9", "d8-128-outcomes"],
+    )
+    def test_sink_writes_the_bytes_of_json_dumps(self, tmp_path, d, first_run, cuts):
+        # The simulated blocks, shifted to start at ``first_run`` or cut anew at ``cuts``:
+        # at 99,990 the first block crosses 99,999 -> 100,000; cut at (1, 13),
+        # run 0 is a block of its own and the next block runs 1..12 across 9 -> 10.
+        # At d = 8 the 128 outcome labels take up to three digits and a message 8 bits.
         basis = build_weyl_basis(d)
         ch = make_channel(np.sqrt(np.arange(1.0, d + 1) / np.sum(np.arange(1.0, d + 1))))
         p = refine_inconclusive_product(build_conclusive_povm(ch, basis, 0.5 * lambda_max(ch)))
         blocks = []
-        simulate(p, ch, basis, "paper", n_runs=5_000, rng=2, transcript=blocks.append)
-        stream = io.StringIO()
-        write = cli._transcript_sink(stream, p)
-        for b in blocks:
-            b["run_index"] = b["run_index"] + first_run
-            write(b)
+        simulate(p, ch, basis, "paper", n_runs=20_000, rng=2, transcript=blocks.append)
+        bits = blocks[0]["bits_sent"]
+        if cuts is None:
+            pieces = [(b["run_index"], b["outcome_alpha"], b["conclusive_flag"]) for b in blocks]
+        else:
+            keys = ("run_index", "outcome_alpha", "conclusive_flag")
+            columns = [np.concatenate([b[key] for b in blocks]) for key in keys]
+            pieces = list(zip(*(np.split(column, cuts) for column in columns)))
+        pieces = [(index + first_run, alpha, flag) for index, alpha, flag in pieces]
+        stream, path = io.StringIO(), tmp_path / "runs.jsonl"
+        with open(path, "w") as f:
+            sinks = [cli._transcript_sink(stream, p), cli._transcript_sink(f, p)]
+            for index, alpha, flag in pieces:
+                for write in sinks:
+                    write({"run_index": index, "outcome_alpha": alpha, "conclusive_flag": flag, "bits_sent": bits})
         want = "".join(
             json.dumps(
                 {
                     "run_index": int(i),
                     "outcome_alpha": int(a),
                     "conclusive_flag": int(c),
-                    "bits_sent": b["bits_sent"],
+                    "bits_sent": bits,
                 }
             )
             + "\n"
-            for b in blocks
-            for i, a, c in zip(b["run_index"], b["outcome_alpha"], b["conclusive_flag"])
+            for index, alpha, flag in pieces
+            for i, a, c in zip(index, alpha, flag)
         )
-        assert len(set(np.concatenate([b["outcome_alpha"] for b in blocks]).tolist())) == 2 * d * d
+        assert len(set(np.concatenate([alpha for _, alpha, _ in pieces]).tolist())) == 2 * d * d
+        if cuts is not None:
+            assert [len(index) for index, _, _ in pieces[:2]] == [1, 12]
         assert stream.getvalue() == want
+        assert path.read_bytes() == want.encode()
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
     @pytest.mark.parametrize("strategy", ["product", "residual"])

@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qteleport import fidelity, povm
 from qteleport.channel import make_channel, qubit_channel_from_cos_theta
 from qteleport.errors import PositivityError, ShapeError, SingularChannelError
 from qteleport.dilation import dilate, realized_povm
@@ -476,3 +481,85 @@ class TestOutcomeTable:
         # The same entries, well formed, are taken.
         PovmSet(d=2, vectors=p.monomial, kinds=kinds + [REMAINDER], labels=labels + [0], lam=p.lam,
                 remainder=diag)
+
+
+class TestPerDimensionTables:
+    """Tables that depend on d alone are built once per d, read-only, with O(d^2) entries."""
+
+    def test_builders_share_read_only_tables(self):
+        d = 3
+        basis = build_weyl_basis(d)
+        ch = random_channel(d, np.random.default_rng(8))
+        base = build_conclusive_povm(ch, basis, 0.2)
+        again = build_conclusive_povm(ch, basis, 0.1)
+        product, residual = refine_inconclusive_product(base), refine_inconclusive_residual(again, basis)
+        assert base.kinds is again.kinds and base.labels is again.labels
+        assert product.kinds is refine_inconclusive_product(again).kinds
+        assert residual.labels is refine_inconclusive_residual(base, basis).labels
+        tables = [
+            base.kinds, base.labels, product.kinds, product.labels, residual.kinds, residual.labels,
+            povm._column_index(d), *povm._product_index(d), fidelity._shifts(d).cols, fidelity._shifts(d).values,
+        ]
+        for table in tables:
+            with pytest.raises(ValueError):
+                table[0] = table[-1]
+        # The cached arrays are what every set of this dimension reads.
+        assert np.array_equal(base.remainder, np.tile(np.maximum(1.0 - 0.2 / (d * ch.probs), 0.0), d))
+
+    def test_a_copy_of_a_cached_table_is_checked_in_full(self):
+        d = 2
+        ch = qubit_channel_from_cos_theta(0.6)
+        p = refine_inconclusive_product(build_conclusive_povm(ch, build_weyl_basis(d), 0.5 * lambda_max(ch)))
+        # Equal in content, but distinct objects: each holds one bad entry.
+        labels = p.labels.copy()
+        labels[5] = d * d
+        kinds = p.kinds.copy()
+        kinds[1] = REMAINDER
+        for k, lab in ((p.kinds, labels), (p.kinds.copy(), labels), (kinds, p.labels)):
+            with pytest.raises(ShapeError):
+                PovmSet(d=d, vectors=p.monomial, kinds=k, labels=lab, lam=p.lam)
+        PovmSet(d=d, vectors=p.monomial, kinds=p.kinds.copy(), labels=p.labels.copy(), lam=p.lam)
+        # A cached table of another dimension is checked as any other: at d = 3
+        # the labels reach 8, outside [0, 4).
+        wide = build_conclusive_povm(random_channel(3, np.random.default_rng(2)), build_weyl_basis(3), 0.1)
+        with pytest.raises(ShapeError):
+            PovmSet(d=d, vectors=np.zeros((9, d * d)), kinds=wide.kinds, labels=wide.labels, lam=0.1,
+                    remainder=np.ones(d * d))
+        # A built labels table passed as kinds is no built kinds table: labels 4..8 are no kinds.
+        refined = refine_inconclusive_residual(wide, build_weyl_basis(3))
+        with pytest.raises(ShapeError):
+            PovmSet(d=3, vectors=refined.monomial, kinds=refined.labels, labels=refined.labels, lam=0.1)
+
+    def test_building_and_dropping_a_d64_set_leaves_under_1_mib(self):
+        # In a fresh process, so that the d = 64 caches fill inside the traced
+        # span.  One (d^2, d) intp array at d = 64 is 2 MiB: nothing O(d^3) may stay.
+        code = """
+import gc, tracemalloc
+import numpy as np
+from qteleport.channel import make_channel
+from qteleport.fidelity import report
+from qteleport.povm import build_conclusive_povm, lambda_max, refine_inconclusive_residual
+from qteleport.weyl import build_weyl_basis
+
+d = 64
+ch = make_channel(np.sqrt(np.arange(1.0, d + 1) / np.sum(np.arange(1.0, d + 1))))
+tracemalloc.start()
+start = tracemalloc.get_traced_memory()[0]
+basis = build_weyl_basis(d)
+p = refine_inconclusive_residual(build_conclusive_povm(ch, basis, lambda_max(ch)), basis)
+for corrections in ("auto", "paper"):
+    rep = report(p, ch, basis, corrections)
+del basis, p, rep
+gc.collect()
+print(tracemalloc.get_traced_memory()[0] - start)
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert 0 < int(done.stdout) < 2**20
