@@ -19,12 +19,13 @@ time; no dense element stack is built.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import SchmidtChannel
-from .errors import CapacityError, DecompositionError
+from .errors import CapacityError, DecompositionError, DomainError
 from .fidelity import channel_maps
 from .linalg import chunks
 from .povm import PovmSet
@@ -70,10 +71,14 @@ def dilate(p: PovmSet, ancilla_dim: int | None = None) -> DilationResult:
 
     Outcome a is assigned the a-th extended product-basis ket
     (lexicographic order), i.e. joint index a // ancilla_dim with ancilla
-    level a % ancilla_dim.
+    level a % ancilla_dim, an int (not a bool; ``DomainError``) of at least
+    d (``CapacityError``).
     """
     d = p.d
-    d_a = d if ancilla_dim is None else int(ancilla_dim)
+    d_a = d if ancilla_dim is None else ancilla_dim
+    if isinstance(d_a, bool) or not isinstance(d_a, numbers.Integral):
+        raise DomainError(f"ancilla dimension must be an integer, got {d_a!r}")
+    d_a = int(d_a)
     if d_a < d:
         raise CapacityError(
             f"ancilla dimension {d_a} below the minimum {d}; the extension "

@@ -19,9 +19,9 @@ moment E[phi phi^†] = I/d gives the outcome marginal Tr(M)/d, and given the
 outcome phi = E c has density proportional to phi^† M phi: an eigen-index k
 drawn with weight m_k, then |c|^2 ~ Dirichlet(1, ..., 2 at k, ..., 1) with
 uniform phases.  The run fidelity is |c^† G c|^2 / sum_k m_k |c_k|^2, with
-G = E^† V B E.  Since c^† G c = sum_k G_kk |c_k|^2 + c^† K c, the phases
-enter only through the off-diagonal part K: a run costs O(d), plus O(L^2)
-on the L indices that a nonzero K touches.
+G = E^† V B E.  ``simulate`` takes only corrections that make every G
+diagonal, so c^† G c = sum_k G_kk |c_k|^2: the phases never enter and a
+run costs O(d).
 
 The Monte Carlo works column-major: ``_sampling_tables`` writes every
 per-outcome number into the columns of one (rows, n_out) table, a block of
@@ -47,16 +47,17 @@ first checks the basis for unitarity (``DomainError``); on a monomial
 basis that is a check of |v|^2 = 1 on d entries per operator, and the
 corrections come as a ``Monomial`` too.  The exact report reads d entries
 of each V, for Tr(V B) = sum_i V[i, c_i] b_i, and so does the Monte
-Carlo when V_a B_a stays diagonal.  Dense POVMs (a realized Neumark
-extension) and dense bases (a conjugated one) keep dense paths: the exact
-report traces each V whole against B, sigma comes from an SVD without
-vectors, and only the Monte Carlo with explicit corrections on dense maps
-needs E, from eigh.
+Carlo, as the diagonal of V B.  Dense POVMs (a realized Neumark extension)
+and dense bases (a conjugated one) keep a dense exact report that traces
+each V whole against B; ``auto`` takes sigma from an SVD without vectors,
+and the Monte Carlo refuses fixed corrections that leave some V_a B_a
+off the diagonal (``DomainError``).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache
 from itertools import compress
@@ -114,11 +115,6 @@ def _dense_maps(p: PovmSet, ch: SchmidtChannel) -> tuple[np.ndarray, np.ndarray]
 def _paired(fixed: Monomial, rows: np.ndarray) -> np.ndarray:
     """V_a[i, rows_i] for every outcome a and index i: the entries that Tr(V_a B_a) pairs with b_i."""
     return np.where(fixed.cols == rows, fixed.values, 0)
-
-
-def _dense(ops: Monomial | np.ndarray) -> np.ndarray:
-    """The dense (n, d, d) form of a correction stack."""
-    return ops.dense() if isinstance(ops, Monomial) else ops
 
 
 @cache
@@ -237,7 +233,8 @@ def report(
             sigma = np.linalg.svd(maps, compute_uv=False)
             gram, overlap = (sigma**2).sum(axis=1), sigma.sum(axis=1)
         else:
-            overlap = np.abs(np.einsum("nij,nji->n", _dense(fixed), maps))
+            dense = fixed.dense() if isinstance(fixed, Monomial) else fixed
+            overlap = np.abs(np.einsum("nij,nji->n", dense, maps))
     probs, terms = gram / d, (overlap**2 + gram) / (d * (d + 1))
     return _build_report(p, corrections, probs, terms)
 
@@ -285,15 +282,15 @@ def transcript_bits(n_outcomes: int) -> int:
 
 
 # Monte Carlo rounds run in blocks of max(1, _BLOCK_ENTRIES // s) runs, where
-# s = 2d + 3 + 5d + 2L^2 is what one run holds: its row of uniforms and its
-# gathered table column (see ``_sampling_tables``; L is the live count, 0 for
-# every POVM the CLI builds).  That is about 256 KiB of per-run state; larger
-# blocks save little per-call overhead, and on glibc they make the allocator
-# return and re-fault the block's arrays on every block.  The size bounds
-# memory and transcript calls, nothing else: run r of a shard reads row r of
-# its (runs, 2d + 3) uniforms, numpy fills them in C order, each run's sums
-# are added in a fixed order and the report adds runs in order, so any size
-# gives the same report.
+# s = 7d + 3 is what one run holds: its row of 2d + 3 uniforms and its
+# gathered table column of 5d rows (see ``_sampling_tables``).  That is
+# about 256 KiB of per-run state; larger blocks save little per-call
+# overhead, and on glibc they make the allocator return and re-fault the
+# block's arrays on every block.  The size bounds memory and transcript
+# calls, nothing else: run r of a shard reads row r of its (runs, 2d + 3)
+# uniforms, numpy fills them in C order, each run's sums are added in a
+# fixed order and the report adds runs in order, so any size gives the
+# same report.
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -315,52 +312,36 @@ def _sampling_tables(
 
     ``fixed`` is what ``_corrections`` gives: every outcome's V_a, or None
     for the optimal corrections.  Returns cumulative Tr(M_a), the
-    eigenvalues m of each M_a = E diag(m) E^† (zero at rounding level),
-    shape (n, d), with their cumulative rows, the kernel's table and the
-    indices ``live`` that any nonzero entry of the off-diagonal parts K_a of
-    G_a = E^† V_a B_a E touches.  The table has one column per outcome and
-    5d + 2L^2 rows (L = ``live.size``): the d cumulative eigenweights; per
-    index j the four rows Re G_jj, Im G_jj, m_j and 1; then Re and Im of K_a
-    on ``live``, row-major.  m is sigma^2 in stable ascending order; on
-    monomial maps E is that sorting permutation.  There G_a = diag(sigma)
-    for the optimal corrections, and for monomial corrections that keep
-    V_a B_a diagonal, V_a[i, rows_i] != 0 wherever b_i != 0, as the paper's
-    do, G_jj = V_a[i, rows_i] b_i at i = order_j; ``live`` is empty.  Any
-    other corrections take the dense maps, with m and E from eigh.
+    eigenvalues m of each M_a (zero at rounding level), shape (n, d), with
+    their cumulative rows, and the kernel's table: one column per outcome,
+    the d cumulative eigenweights, then per index j the rows Re G_jj, Im
+    G_jj, m_j and 1 of the diagonal G_a = E^† V_a B_a E.  m is sigma^2 in
+    stable ascending order; on monomial maps E is that sorting permutation.
+    G_a = diag(sigma) for the optimal corrections.  Fixed ones must be
+    monomial, on monomial maps, with V_a[i, rows_i] != 0 wherever b_i != 0,
+    as the paper's are: then G_jj = V_a[i, rows_i] b_i at i = order_j.  Any
+    other fixed corrections raise ``DomainError``.
     """
     d = p.d
-    sigma = None
-    if p.monomial is not None and not isinstance(fixed, np.ndarray):
+    monomial = p.monomial is not None and not isinstance(fixed, np.ndarray)
+    if monomial:
         rows, b, sigma, weights = _maps(p, ch)
-        if fixed is not None and not ((fixed.cols == rows) | (b == 0)).all():
-            sigma = None
-    if sigma is None:
+    if fixed is not None and not (monomial and ((fixed.cols == rows) | (b == 0)).all()):
+        raise DomainError("simulate needs fixed corrections that keep every V_a B_a diagonal")
+    if not monomial:
         maps, weights = _dense_maps(p, ch)
-        sigma = np.linalg.svd(maps, compute_uv=False) if fixed is None else None
+        sigma = np.linalg.svd(maps, compute_uv=False)
     n = len(weights)
-    floor = d * np.finfo(float).eps
-    if sigma is None:
-        m, e = np.linalg.eigh(dagger(maps) @ maps)
-        k = dagger(e) @ _dense(fixed) @ maps @ e
-        g_diag = np.diagonal(k, axis1=1, axis2=2).copy()
-        # Off-diagonal entries at rounding level are floored, as m is.
-        scale = floor * np.abs(k).max(axis=(1, 2), keepdims=True)
-        k[:, np.arange(d), np.arange(d)] = 0.0
-        k[np.abs(k) <= scale] = 0.0
-        live = np.flatnonzero((k != 0).any(axis=(0, 1)) | (k != 0).any(axis=(0, 2)))
-        k_live = k[:, live[:, None], live].reshape(n, -1)
-    else:
-        order = np.argsort(sigma**2, axis=1, kind="stable")
-        g_diag = np.take_along_axis(sigma, order, axis=1)
-        m = g_diag**2
-        if fixed is not None:
-            g_diag = np.take_along_axis(_paired(fixed, rows) * b, order, axis=1)
-        live, k_live = np.empty(0, dtype=np.intp), np.empty((n, 0), dtype=complex)
-    m = np.where(m > floor * m[:, -1:], m, 0.0)
+    order = np.argsort(sigma**2, axis=1, kind="stable")
+    g_diag = np.take_along_axis(sigma, order, axis=1)
+    m = g_diag**2
+    if fixed is not None:
+        g_diag = np.take_along_axis(_paired(fixed, rows) * b, order, axis=1)
+    m = np.where(m > d * np.finfo(float).eps * m[:, -1:], m, 0.0)
     cum_m = np.cumsum(m, axis=1)
     per_index = np.stack([g_diag.real, g_diag.imag, m, np.ones_like(m)], axis=2).reshape(n, 4 * d)
-    table = np.concatenate([part.T for part in (cum_m, per_index, k_live.real, k_live.imag)])
-    return np.cumsum(weights), m, cum_m, table, live
+    table = np.concatenate([cum_m.T, per_index.T])
+    return np.cumsum(weights), m, cum_m, table
 
 
 def _simulate_block(tables: tuple, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -369,8 +350,11 @@ def _simulate_block(tables: tuple, rng: np.random.Generator, n: int) -> tuple[np
     No step reduces over an index axis in floating point (see the module
     docstring), so a run gets the same bits whatever n is.
     """
-    cum_w, m, _, table, live = tables
+    cum_w, m, _, table = tables
     d = m.shape[1]
+    # Columns d + 3 onward are the d phases, drawn but never read: G is
+    # diagonal.  They stay so that every stream, transcript and pinned
+    # digest is unchanged.
     u = rng.random((n, 2 * d + 3))
     alpha = np.searchsorted(cum_w[:-1], u[:, 0] * cum_w[-1], side="right")
     cols = table.take(alpha, axis=1)
@@ -383,25 +367,11 @@ def _simulate_block(tables: tuple, rng: np.random.Generator, n: int) -> tuple[np
     x.reshape(-1)[k * n + np.arange(n)] += x[d]
     # Scaled by x_j, index j's rows (Re G_jj, Im G_jj, m_j, 1) become the
     # terms of Re and Im of c^† G c, of sum_j m_j |c_j|^2 and of sum(x).
-    terms = cols[d : 5 * d].reshape(d, 4, n)
+    terms = cols[d:].reshape(d, 4, n)
     terms *= x[:d, None]
     acc = np.zeros((4, n))
     for row in terms:
         acc += row
-    if live.size:
-        # Add c^† K c on the live indices: (K c)_i = sum_j K_ij c_j, then
-        # sum_i conj(c_i) (K c)_i, real and imaginary parts apart.
-        size = live.size
-        c = np.sqrt(x[live]) * np.exp(2j * np.pi * u[:, d + 3 + live].T)
-        cr, ci = c.real, c.imag
-        kr, ki = cols[5 * d :].reshape(2, size, size, n)
-        prod = np.stack([kr * cr - ki * ci, kr * ci + ki * cr])
-        kc = np.zeros((2, size, n))
-        for j in range(size):
-            kc += prod[:, :, j]
-        q = np.stack([cr * kc[0] + ci * kc[1], cr * kc[1] - ci * kc[0]])
-        for i in range(size):
-            acc[:2] += q[:, i]
     re, im, mx, total = acc
     return alpha, (re**2 + im**2) / (mx * total)
 
@@ -430,18 +400,23 @@ def simulate(
     per-outcome sums, added in run order, outlive a block, so the block
     size changes no result.  ``transcript``, if given, is called once per
     block with the columns ``run_index``, ``outcome_alpha`` and
-    ``conclusive_flag`` (int arrays) and the scalar ``bits_sent``.  Any
-    refined POVM works, e.g. ``dilation.realized_povm`` for the run-by-run
-    check of a Neumark extension.
+    ``conclusive_flag`` (int arrays) and the scalar ``bits_sent``.  With
+    ``auto`` any refined POVM works, e.g. ``dilation.realized_povm`` for the
+    run-by-run check of a Neumark extension.  ``paper`` needs a monomial
+    POVM whose corrections keep every V_a B_a diagonal, as every POVM the
+    CLI builds does; any other input raises ``DomainError`` before any draw
+    (see ``_sampling_tables``), and so do ``n_runs`` or ``n_workers`` that
+    are not ints of at least 1 (a bool is not) and a negative int ``rng``.
     """
-    if n_runs < 1:
-        raise DomainError(f"need at least one run, got {n_runs}")
-    if n_workers < 1:
-        raise DomainError(f"need at least one worker, got {n_workers}")
+    for count, what in ((n_runs, "run"), (n_workers, "worker")):
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+            raise DomainError(f"need an integer count of at least one {what}, got {count!r}")
+    if isinstance(rng, numbers.Integral) and rng < 0:
+        raise DomainError(f"seed must be nonnegative, got {rng}")
     _check_evaluable(p, ch)
     tables = _sampling_tables(p, ch, _corrections(p, basis, corrections))
     n_out, d = p.n_outcomes, p.d
-    block = max(1, _BLOCK_ENTRIES // (2 * d + 3 + len(tables[3])))
+    block = max(1, _BLOCK_ENTRIES // (7 * d + 3))
     # The first k children of spawn(n) equal spawn(k), so dropping the shards
     # that would get no runs changes no result.
     n_shards = min(n_workers, n_runs)

@@ -9,7 +9,7 @@ import pytest
 
 from qteleport.channel import make_channel, qubit_channel_from_cos_theta
 from qteleport.dilation import dilate, dilated_channel_maps, outcome_probabilities, realized_povm
-from qteleport.errors import CapacityError, DecompositionError
+from qteleport.errors import CapacityError, DecompositionError, DomainError
 from qteleport.fidelity import channel_maps, report, simulate
 from qteleport.linalg import dagger, haar_random_ket
 from qteleport.povm import (
@@ -92,6 +92,20 @@ def test_rejects_small_ancilla():
     p = refine_inconclusive_product(build_conclusive_povm(ch, basis, 0.3))
     with pytest.raises(CapacityError, match="minimum"):
         dilate(p, ancilla_dim=2)
+    with pytest.raises(CapacityError, match="minimum"):
+        dilate(p, ancilla_dim=np.int64(2))
+
+
+@pytest.mark.parametrize("ancilla_dim", [2.5, 3.0, "3", True])
+def test_ancilla_dimension_must_be_an_int(ancilla_dim):
+    # Neither a float, even an integral one, a string nor a bool is truncated
+    # or converted to a dimension; numpy integers are ints.
+    basis = build_weyl_basis(3)
+    ch = make_channel(np.sqrt([0.5, 0.3, 0.2]))
+    p = refine_inconclusive_product(build_conclusive_povm(ch, basis, 0.3))
+    with pytest.raises(DomainError, match="integer"):
+        dilate(p, ancilla_dim=ancilla_dim)
+    assert type(dilate(p, ancilla_dim=np.int64(3)).ancilla_dim) is int
 
 
 def test_rejects_unrefined_set():
@@ -134,9 +148,10 @@ def test_dilated_monte_carlo_agrees_with_direct():
     basis = build_weyl_basis(2)
     ch = qubit_channel_from_cos_theta(0.6)
     p = build(2, ch, 0.4, "product", basis)
-    mc_ext = simulate(realized_povm(dilate(p), p), ch, basis, "paper", n_runs=40_000, rng=4)
-    mc_direct = simulate(p, ch, basis, "paper", n_runs=40_000, rng=5)
-    exact = report(p, ch, basis, "paper")
+    # The realized POVM is dense: with auto, its runs take sigma from an SVD.
+    mc_ext = simulate(realized_povm(dilate(p), p), ch, basis, "auto", n_runs=40_000, rng=4)
+    mc_direct = simulate(p, ch, basis, "auto", n_runs=40_000, rng=5)
+    exact = report(p, ch, basis, "auto")
     sigma = np.hypot(mc_ext.f_total_se, mc_direct.f_total_se)
     assert abs(mc_ext.f_total - mc_direct.f_total) <= 4 * sigma
     assert abs(mc_ext.f_total - exact.f_total) <= 4 * mc_ext.f_total_se

@@ -449,7 +449,8 @@ def shift_matrix(d):
 
 def correction_unitaries(p, basis):
     """The paper's fixed corrections as a dense (n, d, d) stack, from the library's builder."""
-    return fidelity._dense(fidelity._corrections(p, basis, "paper"))
+    fixed = fidelity._corrections(p, basis, "paper")
+    return fixed.dense() if isinstance(fixed, Monomial) else fixed
 
 
 def corrections_of(p, basis, maps, corrections):
@@ -689,18 +690,15 @@ class TestPatternPaperReport:
     def test_conjugated_corrections_on_a_pattern_stack(self, d):
         # A Weyl POVM with its paper corrections read from a conjugated
         # basis: the POVM stays monomial, but the basis is dense, so the
-        # report traces the dense corrections against the dense maps, and
-        # V_a B_a is not diagonal, so K_a is nonzero and the Monte Carlo
-        # reads phases on the live indices.
+        # report traces the dense corrections against the dense maps.
+        # V_a B_a is not diagonal, so ``simulate`` refuses this case (see
+        # TestBlockedKernel.test_off_diagonal_paper_is_refused_and_no_input_needs_eigh).
         p, ch, basis, maps, vs = maps_and_corrections(d, "conjugated", "paper", 600 + d, 0.5)
         assert p.monomial is not None and basis.monomial is None
-        assert tables_of(p, ch, fidelity._corrections(p, basis, "paper"))[4].size > 0
         probs, terms = avg_fidelity_term(maps, vs)
         rep = report(p, ch, basis, "paper")
         assert np.max(np.abs(np.subtract(rep.probabilities, probs))) <= 1e-15
         assert np.max(np.abs(np.subtract(rep.fidelity_terms, terms))) <= 1e-15
-        mc = simulate(p, ch, basis, "paper", n_runs=20_000, rng=d)
-        assert abs(mc.f_total - rep.f_total) <= 4 * mc.f_total_se
 
     @pytest.mark.parametrize("stack", ["rotated", "realized"])
     def test_dense_paper_report_checks_the_basis_once(self, monkeypatch, stack):
@@ -918,12 +916,33 @@ class TestSimulate:
         assert 0 <= cols["outcome_alpha"].min() and cols["outcome_alpha"].max() < 8
         np.testing.assert_array_equal(cols["conclusive_flag"], cols["outcome_alpha"] < 4)
 
-    def test_rejects_nonpositive_runs(self):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n_runs": 0},
+            {"n_runs": 10.5},
+            {"n_runs": 10.0},
+            {"n_runs": True},
+            {"n_runs": "10"},
+            {"n_workers": 0},
+            {"n_workers": 2.5},
+            {"n_workers": True},
+            {"rng": -1},
+        ],
+    )
+    def test_rejects_nonpositive_runs(self, kwargs):
+        # Counts must be ints of at least 1 and an int seed nonnegative;
+        # anything else is refused before any draw.
         basis = build_weyl_basis(2)
         ch = qubit_channel_from_cos_theta(0.6)
         p = refined(ch, basis, 0.4, "product")
+        calls = []
         with pytest.raises(DomainError):
-            simulate(p, ch, basis, "paper", n_runs=0)
+            simulate(p, ch, basis, "paper", **{"n_runs": 10, **kwargs}, transcript=calls.append)
+        assert calls == []
+        # numpy integers are ints.
+        rep = simulate(p, ch, basis, "paper", n_runs=np.int64(10), rng=np.int64(3), n_workers=np.int32(2))
+        assert rep.n_runs == 10
 
 
 def einsum_kernel(maps, vs, rng, n):
@@ -996,9 +1015,9 @@ def outcome_first_reference(maps, vs, rng, n):
     the eigen-index, d + 1 exponentials -log(1 - u) for the squared moduli
     and d phases.  Each run rebuilds its input phi = E c and evaluates
     |<phi|V B phi>|^2 / |B phi|^2 with einsum on the maps themselves.  E
-    comes from the kernel's batched eigh of B^† B: where M has a degenerate
-    eigenspace (conclusive elements have M proportional to I), another eigh
-    call may return other eigenvectors and so another input phi.
+    comes from a batched eigh of B^† B: where M has a degenerate eigenspace
+    (conclusive elements have M proportional to I), another eigh call may
+    return other eigenvectors and so another input phi.
     Returns the outcomes, eigen-indices and run fidelities.
     """
     n_out, d, _ = maps.shape
@@ -1028,11 +1047,11 @@ def maps_and_corrections(d, strategy, corrections, seed, share=0.8):
 
     Strategy "rotated" is the residual refinement with every vector
     multiplied by kron(Q, I), Q a seeded Haar unitary: still a complete
-    rank-one POVM, but one whose G_a = E^† V_a B_a E is not diagonal, so
-    runs take the kernel's off-diagonal path.  Strategy "conjugated" is the
-    residual refinement of the Weyl basis with its corrections read from a
-    seeded conjugated basis: the POVM stays monomial, but the basis is
-    dense and G_a is not diagonal either.
+    rank-one POVM, but a dense one, whose paper corrections leave G_a =
+    E^† V_a B_a E off the diagonal.  Strategy "conjugated" is the residual
+    refinement of the Weyl basis with its corrections read from a seeded
+    conjugated basis: the POVM stays monomial, but the basis is dense and
+    G_a is not diagonal either.  ``simulate`` takes both with ``auto`` only.
     """
     basis = build_weyl_basis(d)
     rng = np.random.default_rng(seed)
@@ -1058,13 +1077,26 @@ class FixedRows:
         return self.rows
 
 
-def tables_of(p, ch, fixed):
-    """The kernel's tables for the POVM's maps and the corrections ``fixed`` (None, or a stack)."""
-    return fidelity._sampling_tables(p, ch, fixed)
+def tables_of(p, ch, basis, corrections):
+    """The kernel's tables for the POVM's maps and a corrections mode, as ``simulate`` builds them."""
+    return fidelity._sampling_tables(p, ch, fidelity._corrections(p, basis, corrections))
 
 
-def kernel_block(p, ch, vs, rng, n):
-    return fidelity._simulate_block(tables_of(p, ch, vs), rng, n)
+def kernel_block(p, ch, basis, corrections, rng, n):
+    return fidelity._simulate_block(tables_of(p, ch, basis, corrections), rng, n)
+
+
+def refused(strategy, corrections):
+    """Whether ``simulate`` refuses the case: paper corrections that leave some V_a B_a off the diagonal."""
+    return corrections == "paper" and strategy in ("rotated", "conjugated")
+
+
+def assert_simulate_refuses(p, ch, basis, corrections, **kwargs):
+    """``simulate`` raises DomainError before any transcript call."""
+    calls = []
+    with pytest.raises(DomainError, match="diagonal"):
+        simulate(p, ch, basis, corrections, n_runs=100, rng=0, transcript=calls.append, **kwargs)
+    assert calls == []
 
 
 class TestBornRuleOracle:
@@ -1085,6 +1117,9 @@ class TestBornRuleOracle:
     @pytest.mark.parametrize("share", [0.5, 1.0])
     def test_kernels_agree_within_sigma(self, d, strategy, corrections, share):
         p, ch, basis, maps, vs = maps_and_corrections(d, strategy, corrections, 80 + d, share)
+        if refused(strategy, corrections):
+            assert_simulate_refuses(p, ch, basis, corrections)
+            return
         n = 10_000
         mc = simulate(p, ch, basis, corrections, n_runs=n, rng=d)
         probs, terms, prob_se, term_se, f_total, f_total_se = born_rule_estimates(maps, vs, n, 90 + d)
@@ -1104,16 +1139,25 @@ class TestBlockedKernel:
             (2, "rotated", "paper"),
             (3, "rotated", "paper"),
             (4, "rotated", "paper"),
+            (2, "rotated", "auto"),
+            (3, "rotated", "auto"),
+            (4, "rotated", "auto"),
         ],
     )
     def test_single_block_matches_einsum_oracle(self, d, strategy, corrections):
         # The oracle replays the documented draw order and evaluates every
-        # run on the maps themselves, not on the kernel's tables.
-        p, ch, _, maps, vs = maps_and_corrections(d, strategy, corrections, d)
-        live = tables_of(p, ch, vs)[4]
-        assert (live.size > 0) == (strategy == "rotated")
+        # run on the maps themselves, not on the kernel's tables; the
+        # rotated POVM is dense and takes its sigma from an SVD.  Its paper
+        # corrections leave G_a off the diagonal, and the kernel refuses
+        # to build their tables.
+        p, ch, basis, maps, vs = maps_and_corrections(d, strategy, corrections, d)
+        assert (p.monomial is None) == (strategy == "rotated")
+        if refused(strategy, corrections):
+            with pytest.raises(DomainError, match="diagonal"):
+                tables_of(p, ch, basis, corrections)
+            return
         n = 2_000
-        alpha, fid = kernel_block(p, ch, vs, np.random.default_rng(11), n)
+        alpha, fid = kernel_block(p, ch, basis, corrections, np.random.default_rng(11), n)
         want_alpha, _, want_fid = outcome_first_reference(maps, vs, np.random.default_rng(11), n)
         np.testing.assert_array_equal(alpha, want_alpha)
         assert np.max(np.abs(fid - want_fid)) <= 1e-12
@@ -1124,15 +1168,19 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
     def test_pattern_tables_match_the_eigh_reference(self, d, strategy, corrections, share):
         # Monomial tables (no eigh, no SVD; for auto no V at all, for paper
-        # d entries of each monomial V) and the tables of the rotated stack,
-        # which is dense (for auto only its singular values), replay the
+        # d entries of each monomial V) and the auto tables of the rotated
+        # stack, which is dense (only its singular values), replay the
         # reference's runs, whose eigenbasis comes from a batched eigh and
-        # whose auto corrections come from the SVD oracle.
+        # whose auto corrections come from the SVD oracle.  The rotated
+        # stack's paper corrections are refused.
         p, ch, basis, maps, vs = maps_and_corrections(d, strategy, corrections, 40 + d, share)
         assert (p.monomial is None) == (strategy == "rotated")
-        tables = tables_of(p, ch, fidelity._corrections(p, basis, corrections))
+        if refused(strategy, corrections):
+            with pytest.raises(DomainError, match="diagonal"):
+                tables_of(p, ch, basis, corrections)
+            return
         n = 2_000
-        alpha, fid = fidelity._simulate_block(tables, np.random.default_rng(d), n)
+        alpha, fid = kernel_block(p, ch, basis, corrections, np.random.default_rng(d), n)
         want_alpha, _, want_fid = outcome_first_reference(maps, vs, np.random.default_rng(d), n)
         np.testing.assert_array_equal(alpha, want_alpha)
         assert np.max(np.abs(fid - want_fid)) <= 1e-12
@@ -1225,7 +1273,7 @@ class TestBlockedKernel:
         vs = optimal_correction(maps)
         weights = np.sum(np.abs(maps) ** 2, axis=(1, 2))
         dead = np.flatnonzero(weights == 0)
-        tables = tables_of(p, ch, vs)
+        tables = tables_of(p, ch, basis, "auto")
         _, m, cum_m = tables[:3]
         if strategy == "product":
             np.testing.assert_array_equal(dead, np.arange(2 * d * d - d, 2 * d * d))
@@ -1244,7 +1292,7 @@ class TestBlockedKernel:
             assert np.all(m[a, k] > 0) and k[1] == d - 1
         # Whole runs: the kernel's eigen-indices are the reference's.
         n = 2_000
-        alpha, fid = kernel_block(p, ch, vs, np.random.default_rng(3), n)
+        alpha, fid = kernel_block(p, ch, basis, "auto", np.random.default_rng(3), n)
         want_alpha, k, want_fid = outcome_first_reference(maps, vs, np.random.default_rng(3), n)
         np.testing.assert_array_equal(alpha, want_alpha)
         assert np.max(np.abs(fid - want_fid)) <= 1e-12
@@ -1273,20 +1321,24 @@ class TestBlockedKernel:
         self, monkeypatch, d, strategy, corrections, share, n_workers
     ):
         # From one run per block to a whole shard per block: the same runs,
-        # the same transcript columns and a bit-identical report, also where
-        # the rotated stack, or the monomial POVM with conjugated-basis
-        # corrections, sends runs through the off-diagonal K.
+        # the same transcript columns and a bit-identical report, on the
+        # monomial POVMs and on the dense rotated one.  With auto the
+        # conjugated basis is never read; paper corrections on the rotated
+        # POVM or from the conjugated basis are refused at every block size.
         p, ch, basis, maps, vs = maps_and_corrections(d, strategy, corrections, 30 + d, share)
-        live = tables_of(p, ch, fidelity._corrections(p, basis, corrections))[4]
-        assert (live.size > 0) == (strategy in ("rotated", "conjugated") and corrections == "paper")
         results = []
         for entries in (1, 1 << 9, fidelity._BLOCK_ENTRIES, 1 << 30):
             monkeypatch.setattr(fidelity, "_BLOCK_ENTRIES", entries)
+            if refused(strategy, corrections):
+                assert_simulate_refuses(p, ch, basis, corrections, n_workers=n_workers)
+                continue
             blocks = []
             rep = simulate(p, ch, basis, corrections, 300, 17, n_workers, blocks.append)
             keys = ("run_index", "outcome_alpha", "conclusive_flag")
             cols = [np.concatenate([b[k] for b in blocks]) for k in keys]
             results.append((len(blocks), rep, cols))
+        if refused(strategy, corrections):
+            return
         assert results[0][0] == 300 and results[-1][0] == n_workers
         for _, rep, cols in results[1:]:
             assert rep == results[0][1]
@@ -1297,24 +1349,25 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("strategy", ["product", "residual"])
     def test_cli_povms_take_the_diagonal_path(self, d, strategy):
         # For every correction mode, lambda from 0 to lambda_max and a
-        # near-singular channel, the POVM is monomial and G_a is
-        # diagonal to rounding, so no run reads a phase.  The theta family
-        # is monomial too; realized, conjugated and rotated POVMs are
-        # not, and take the dense path.
+        # near-singular channel, the POVM is monomial and V_a B_a, with the
+        # dense oracle's corrections, is diagonal to rounding, so the
+        # kernel takes both modes.  The theta family is monomial too;
+        # realized, conjugated and rotated POVMs are not.
         basis = build_weyl_basis(d)
         probs = np.random.default_rng(d).random(d) + 0.1
         probs[-1] = 1e-8 * probs[:-1].sum()
+        off = ~np.eye(d, dtype=bool)
+        floor = d * np.finfo(float).eps
         for ch in (random_channel(d, np.random.default_rng(d)), make_channel(np.sqrt(probs / probs.sum()))):
             for share in (0.0, 0.5, 1.0):
                 p = refined(ch, basis, share * lambda_max(ch), strategy)
                 maps = channel_maps(p, ch)
                 assert p.monomial is not None, (ch.coeffs, share)
                 for corrections in ("auto", "paper"):
-                    vs = corrections_of(p, basis, maps, corrections)
-                    live = tables_of(p, ch, vs)[4]
-                    assert live.size == 0, (ch.coeffs, share, corrections)
-                assert tables_of(p, ch, None)[4].size == 0
-                assert tables_of(p, ch, fidelity._corrections(p, basis, "paper"))[4].size == 0
+                    vb = corrections_of(p, basis, maps, corrections) @ maps
+                    scale = np.abs(vb).max(axis=(1, 2))
+                    assert np.all(np.abs(vb[:, off]).max(axis=1) <= floor * scale), (ch.coeffs, share, corrections)
+                    assert tables_of(p, ch, basis, corrections)[3].shape == (5 * d, p.n_outcomes)
         if d == 2:
             for cc, ct in ((0.6, 0.6), (0.6, 0.0), (0.3, -0.5), (0.9, 0.2)):
                 ch2 = qubit_channel_from_cos_theta(cc)
@@ -1334,7 +1387,8 @@ class TestBlockedKernel:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_auto_runs_no_eigh_on_a_dense_stack(self, monkeypatch, d):
-        # The rotated POVM is dense; auto still needs only singular values.
+        # The rotated POVM is dense; auto still needs only singular values,
+        # and paper is refused without reaching eigh.
         p, ch, basis, _, _ = maps_and_corrections(d, "rotated", "auto", 60 + d)
 
         def refuse(*args, **kwargs):
@@ -1344,8 +1398,38 @@ class TestBlockedKernel:
         exact = report(p, ch, basis, "auto")
         mc = simulate(p, ch, basis, "auto", n_runs=20_000, rng=d)
         assert abs(mc.f_total - exact.f_total) <= 4 * mc.f_total_se
-        with pytest.raises(AssertionError, match="eigh called"):
+        with pytest.raises(DomainError, match="diagonal"):
             simulate(p, ch, basis, "paper", n_runs=10, rng=d)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_off_diagonal_paper_is_refused_and_no_input_needs_eigh(self, monkeypatch, d):
+        # Paper corrections on the realized Neumark POVM, from a conjugated
+        # basis, on the rotated POVM or from a monomial basis whose
+        # operators are rolled by one shift (the exact report takes it)
+        # leave some V_a B_a off the diagonal: refused before any draw and
+        # any transcript call.  What simulate takes runs without eigh:
+        # monomial POVMs with either mode, and dense ones with auto, which
+        # needs only singular values.
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        p, ch, basis, _, _ = maps_and_corrections(d, "product", "paper", 60 + d, 0.5)
+        rotated, _, _, _, _ = maps_and_corrections(d, "rotated", "paper", 60 + d, 0.5)
+        _, _, moved, _, _ = maps_and_corrections(d, "conjugated", "paper", 60 + d, 0.5)
+        realized = realized_povm(dilate(p), p)
+        w = basis.monomial
+        rolled = UnitaryBasis(d, Monomial(np.roll(w.cols, d, axis=0), np.roll(w.values, d, axis=0)))
+        report(p, ch, rolled, "paper")
+        for q, b in ((realized, basis), (p, moved), (rotated, basis), (p, rolled)):
+            calls = []
+            with pytest.raises(DomainError, match="diagonal"):
+                simulate(q, ch, b, "paper", n_runs=100, rng=0, transcript=calls.append)
+            assert calls == []
+        for q, corrections in ((p, "auto"), (p, "paper"), (realized, "auto"), (rotated, "auto")):
+            exact = report(q, ch, basis, corrections)
+            mc = simulate(q, ch, basis, corrections, n_runs=20_000, rng=d)
+            assert abs(mc.f_total - exact.f_total) <= 4 * mc.f_total_se
 
     def test_unknown_corrections_mode_is_refused(self):
         basis = build_weyl_basis(2)
@@ -1381,9 +1465,11 @@ class TestBlockedKernel:
             maps, vs = channel_maps(p, ch), None
         else:
             p, ch, basis, maps, vs = maps_and_corrections(d, strategy, corrections, 70 + d, share)
+        if refused(strategy, corrections):
+            assert_simulate_refuses(p, ch, basis, corrections)
+            return
         rep = simulate(p, ch, basis, corrections, n_runs=n_runs, rng=2)
-        tables = tables_of(p, ch, fidelity._corrections(p, basis, corrections))
-        _, fid = fidelity._simulate_block(tables, np.random.default_rng(2).spawn(1)[0], n_runs)
+        _, fid = kernel_block(p, ch, basis, corrections, np.random.default_rng(2).spawn(1)[0], n_runs)
         mean = math.fsum(fid) / n_runs
         want = math.sqrt(math.fsum((fid - mean) ** 2) / n_runs / n_runs)
         assert want > 0
