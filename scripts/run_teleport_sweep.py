@@ -5,7 +5,8 @@ Usage: run_teleport_sweep.py [cos_theta_c] [n_points]
 
 Shows the trade-off at a glance: the product split gains average fidelity
 with the weight while the residual split loses it, and the two meet at the
-positivity maximum for d=2.
+positivity maximum for d=2.  The whole sweep is one POVM stack over the
+weights, refined both ways, with one report call per strategy.
 """
 
 import sys
@@ -30,8 +31,8 @@ if __name__ == "__main__":
     top = lambda_max(channel)
     print(f"channel cos_theta_c={cos_theta_c}  lambda_max={top:.6f}")
     print(f"{'lambda':>10} {'f_product':>12} {'f_residual':>12}")
-    for lam in np.linspace(0.0, top, n_points):
-        base = build_conclusive_povm(channel, basis, lam)
-        f_prod = report(refine_inconclusive_product(base), channel, basis, "paper").f_total
-        f_res = report(refine_inconclusive_residual(base, basis), channel, basis, "auto").f_total
-        print(f"{lam:>10.6f} {f_prod:>12.8f} {f_res:>12.8f}")
+    base = build_conclusive_povm(channel, basis, np.linspace(0.0, top, n_points))
+    products = report(refine_inconclusive_product(base), channel, basis, "paper")
+    residuals = report(refine_inconclusive_residual(base, basis), channel, basis, "auto")
+    for lam, prod, res in zip(base.lam, products, residuals):
+        print(f"{lam:>10.6f} {prod.f_total:>12.8f} {res.f_total:>12.8f}")

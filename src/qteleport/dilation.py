@@ -72,8 +72,10 @@ def dilate(p: PovmSet, ancilla_dim: int | None = None) -> DilationResult:
     Outcome a is assigned the a-th extended product-basis ket
     (lexicographic order), i.e. joint index a // ancilla_dim with ancilla
     level a % ancilla_dim, an int (not a bool; ``DomainError``) of at least
-    d (``CapacityError``).
+    d (``CapacityError``).  A set with a member axis raises ``DomainError``.
     """
+    if p.members:
+        raise DomainError(f"dilate takes one POVM, got a stack of {p.members} members")
     d = p.d
     d_a = d if ancilla_dim is None else ancilla_dim
     if isinstance(d_a, bool) or not isinstance(d_a, numbers.Integral):

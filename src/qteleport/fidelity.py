@@ -52,16 +52,20 @@ and dense bases (a conjugated one) keep a dense exact report that traces
 each V whole against B; ``auto`` takes sigma from an SVD without vectors,
 and the Monte Carlo refuses fixed corrections that leave some V_a B_a
 off the diagonal (``DomainError``).
+
+The exact report maps a POVM's member axis (L weights, see ``PovmSet``)
+through each step, elementwise or reducing one outcome's own entries, so
+member k gets the bits of the single set at weight k.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cache
 from itertools import compress
-from typing import Callable
 
 import numpy as np
 
@@ -90,26 +94,26 @@ def _check_complete(excess: np.ndarray) -> None:
 
 
 def _maps(p: PovmSet, ch: SchmidtChannel) -> tuple[np.ndarray, ...]:
-    """(rows, b, sigma, Tr(B^† B)) of a monomial POVM's maps, once sum_a B_a^† B_a = I is checked.
+    """(rows, b, sigma, Tr(B^† B)) of a monomial POVM's maps, once sum_a B_a^† B_a = I is checked per member.
 
-    Column i of B_a holds b[a, i] in row rows[a, i]: with (cols, v) the
-    POVM's ``monomial``, rows = cols and b = conj(v) a_cols.  So B_a^† B_a =
-    diag(|b|^2), only the diagonal of the sum can differ from I, and the
-    singular values sigma are |b| in column order.
+    Column i of B_a holds b[..., a, i] in row rows[a, i]: with (cols, v)
+    the POVM's ``monomial``, rows = cols and b = conj(v) a_cols.  So B_a^†
+    B_a = diag(|b|^2), only the diagonal of the sum can differ from I, and
+    the singular values sigma are |b| in column order.
     """
     rows = p.monomial.cols
     b = np.conj(p.monomial.values) * ch.coeffs[rows]
     sigma = np.abs(b)
     sq = sigma**2
-    _check_complete(sq.sum(axis=0) - 1.0)
-    return rows, b, sigma, sq.sum(axis=1)
+    _check_complete(sq.sum(axis=-2) - 1.0)
+    return rows, b, sigma, sq.sum(axis=-1)
 
 
 def _dense_maps(p: PovmSet, ch: SchmidtChannel) -> tuple[np.ndarray, np.ndarray]:
-    """The dense maps of any POVM and each Tr(B^† B), once sum_a B_a^† B_a = I is checked."""
+    """The dense maps of any POVM and each Tr(B^† B), once sum_a B_a^† B_a = I is checked per member."""
     maps = channel_maps(p, ch)
-    _check_complete(np.einsum("nji,njk->ik", maps.conj(), maps) - np.eye(p.d))
-    return maps, (np.abs(maps) ** 2).sum(axis=(1, 2))
+    _check_complete(np.einsum("...nji,...njk->...ik", maps.conj(), maps) - np.eye(p.d))
+    return maps, (np.abs(maps) ** 2).sum(axis=(-2, -1))
 
 
 def _paired(fixed: Monomial, rows: np.ndarray) -> np.ndarray:
@@ -195,27 +199,27 @@ def _check_evaluable(p: PovmSet, ch: SchmidtChannel) -> None:
 
 
 def channel_maps(p: PovmSet, ch: SchmidtChannel) -> np.ndarray:
-    """Dense stack of the amplitude maps B of every element, shape (n, d, d)."""
+    """Dense stack of the amplitude maps B of every element, shape (n, d, d) or (L, n, d, d)."""
     _check_evaluable(p, ch)
     d = p.d
-    maps = np.conj(p.vectors.reshape(-1, d, d).transpose(0, 2, 1), order="C")
+    maps = np.conj(p.vectors.reshape(p.vectors.shape[:-1] + (d, d)).swapaxes(-1, -2), order="C")
     maps *= ch.coeffs[:, None]
     return maps
 
 
 def report(
     p: PovmSet, ch: SchmidtChannel, basis: UnitaryBasis, corrections: str = "auto"
-) -> FidelityReport:
-    """Exact Haar-average fidelity report for a refined POVM.
+) -> FidelityReport | list[FidelityReport]:
+    """Exact Haar-average fidelity report for a refined POVM; one per member for a set with a member axis.
 
-    Like ``simulate``, it first checks sum_a B_a^† B_a = I to 1e-10
-    (``ConsistencyError``), so an incomplete POVM gets no report.  One
-    reduction for every case: outcome a has probability Tr(B^† B)/d and
-    fidelity term (|Tr(V B)|^2 + Tr(B^† B)) / (d (d + 1)).  ``auto``
-    reads both traces from each map's singular values (see the module
-    docstring).  ``paper`` on monomial maps with a monomial basis reads d
-    entries of each fixed correction, V[i, rows_i] for Tr(V B) = sum_i
-    V[i, rows_i] b_i; otherwise it traces the whole dense correction
+    Like ``simulate``, it first checks sum_a B_a^† B_a = I to 1e-10 for
+    every member (``ConsistencyError``), so an incomplete POVM gets no
+    report.  One reduction for every case: outcome a has probability
+    Tr(B^† B)/d and fidelity term (|Tr(V B)|^2 + Tr(B^† B)) / (d (d + 1)).
+    ``auto`` reads both traces from each map's singular values (see the
+    module docstring).  ``paper`` on monomial maps with a monomial basis
+    reads d entries of each fixed correction, V[i, rows_i] for Tr(V B) =
+    sum_i V[i, rows_i] b_i; otherwise it traces the whole dense correction
     against the dense map.
     """
     _check_evaluable(p, ch)
@@ -224,22 +228,23 @@ def report(
     if p.monomial is not None and not isinstance(fixed, np.ndarray):
         rows, b, sigma, gram = _maps(p, ch)
         if fixed is None:
-            overlap = sigma.sum(axis=1)
+            overlap = sigma.sum(axis=-1)
         else:
-            overlap = np.abs((_paired(fixed, rows) * b).sum(axis=1))
+            overlap = np.abs((_paired(fixed, rows) * b).sum(axis=-1))
     else:
         maps, gram = _dense_maps(p, ch)
         if fixed is None:
             sigma = np.linalg.svd(maps, compute_uv=False)
-            gram, overlap = (sigma**2).sum(axis=1), sigma.sum(axis=1)
+            gram, overlap = (sigma**2).sum(axis=-1), sigma.sum(axis=-1)
         else:
             dense = fixed.dense() if isinstance(fixed, Monomial) else fixed
-            overlap = np.abs(np.einsum("nij,nji->n", dense, maps))
+            overlap = np.abs(np.einsum("nij,...nji->...n", dense, maps))
     probs, terms = gram / d, (overlap**2 + gram) / (d * (d + 1))
-    return _build_report(p, corrections, probs, terms)
+    reports = list(_build_reports(p, corrections, probs, terms))
+    return reports if p.members else reports[0]
 
 
-def _build_report(
+def _build_reports(
     p: PovmSet,
     corrections: str,
     probs: np.ndarray,
@@ -249,31 +254,36 @@ def _build_report(
     term_se: np.ndarray | None = None,
     n_runs: int | None = None,
     f_total_se: float | None = None,
-) -> FidelityReport:
-    """The one assembly of a report from per-outcome arrays, exact or Monte Carlo.
+) -> Iterator[FidelityReport]:
+    """The one assembly of reports from per-outcome arrays, exact or Monte Carlo: one per member, in order.
 
-    The conclusive outcomes and the strategy are the POVM's, read once per set.
+    ``probs`` and ``terms`` have shape (n,) or (L, n); the Monte Carlo
+    fields are a single set's.  The conclusive outcomes and the strategy are
+    the POVM's, read once per set.  Each total reduces one member's own
+    contiguous row, so it has the bits a single set's total has.
     """
     conclusive, rest, conclusive_flags, rest_flags, strategy = p._split
-    probabilities = tuple(probs.tolist())
-    f_con = float(terms[conclusive].sum())
-    f_inc = float(terms[rest].sum())
-    return FidelityReport(
-        lam=p.lam,
-        strategy=strategy,
-        corrections=corrections,
-        probabilities=probabilities,
-        fidelity_terms=tuple(terms.tolist()),
-        conclusive_probability=sum(compress(probabilities, conclusive_flags)),
-        inconclusive_probability=sum(compress(probabilities, rest_flags)),
-        f_conclusive=f_con,
-        f_inconclusive=f_inc,
-        f_total=f_con + f_inc,
-        probability_se=None if prob_se is None else tuple(prob_se.tolist()),
-        fidelity_term_se=None if term_se is None else tuple(term_se.tolist()),
-        n_runs=n_runs,
-        f_total_se=f_total_se,
-    )
+    terms = terms.reshape(-1, p.n_outcomes)
+    f_con, f_inc = map(np.add.reduce, terms[:, conclusive]), map(np.add.reduce, terms[:, rest])
+    columns = zip(np.atleast_1d(p.lam).tolist(), probs.reshape(terms.shape).tolist(), terms.tolist(), f_con, f_inc)
+    for lam, row, term_row, con, inc in columns:
+        probabilities, con, inc = tuple(row), float(con), float(inc)
+        yield FidelityReport(
+            lam=lam,
+            strategy=strategy,
+            corrections=corrections,
+            probabilities=probabilities,
+            fidelity_terms=tuple(term_row),
+            conclusive_probability=sum(compress(probabilities, conclusive_flags)),
+            inconclusive_probability=sum(compress(probabilities, rest_flags)),
+            f_conclusive=con,
+            f_inconclusive=inc,
+            f_total=con + inc,
+            probability_se=None if prob_se is None else tuple(prob_se.tolist()),
+            fidelity_term_se=None if term_se is None else tuple(term_se.tolist()),
+            n_runs=n_runs,
+            f_total_se=f_total_se,
+        )
 
 
 def transcript_bits(n_outcomes: int) -> int:
@@ -340,7 +350,10 @@ def _sampling_tables(
     m = np.where(m > d * np.finfo(float).eps * m[:, -1:], m, 0.0)
     cum_m = np.cumsum(m, axis=1)
     per_index = np.stack([g_diag.real, g_diag.imag, m, np.ones_like(m)], axis=2).reshape(n, 4 * d)
-    table = np.concatenate([cum_m.T, per_index.T])
+    # Filled in place to be C-ordered: on an F-ordered table ``take`` of whole
+    # columns strides across every row and costs up to 100x more.
+    table = np.empty((5 * d, n))
+    table[:d], table[d:] = cum_m.T, per_index.T
     return np.cumsum(weights), m, cum_m, table
 
 
@@ -406,13 +419,16 @@ def simulate(
     POVM whose corrections keep every V_a B_a diagonal, as every POVM the
     CLI builds does; any other input raises ``DomainError`` before any draw
     (see ``_sampling_tables``), and so do ``n_runs`` or ``n_workers`` that
-    are not ints of at least 1 (a bool is not) and a negative int ``rng``.
+    are not ints of at least 1 (a bool is not), a negative int ``rng`` and
+    a set with a member axis.
     """
     for count, what in ((n_runs, "run"), (n_workers, "worker")):
         if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
             raise DomainError(f"need an integer count of at least one {what}, got {count!r}")
     if isinstance(rng, numbers.Integral) and rng < 0:
         raise DomainError(f"seed must be nonnegative, got {rng}")
+    if p.members:
+        raise DomainError(f"simulate takes one POVM, got a stack of {p.members} members")
     _check_evaluable(p, ch)
     tables = _sampling_tables(p, ch, _corrections(p, basis, corrections))
     n_out, d = p.n_outcomes, p.d
@@ -449,7 +465,7 @@ def simulate(
     # Var(f) = Var(1 - f), and the moments of 1 - f do not cancel when the
     # run fidelities crowd near 1.
     var = float(loss_squares.sum()) - float(losses.sum()) ** 2
-    return _build_report(
+    [mc] = _build_reports(
         p,
         corrections,
         probs,
@@ -459,3 +475,4 @@ def simulate(
         n_runs=n_runs,
         f_total_se=math.sqrt(max(var, 0.0) / n_runs),
     )
+    return mc

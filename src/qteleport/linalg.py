@@ -45,10 +45,11 @@ class Monomial:
     Row i of matrix k holds ``values[k, i]`` in column ``cols[k, i]`` and is
     zero elsewhere; a zero value marks an all-zero row, whatever its column.
     Both arrays have shape (n, d) and are read-only; the values are stored
-    complex.  The nonzero values of one matrix must sit in distinct columns
-    in [0, d): ``scan`` and the builders of this package guarantee it, and
-    ``UnitaryBasis`` and ``PovmSet`` take it as given, since their monomial
-    checks (unit moduli, the diagonal of sum B^† B) rely on it.
+    complex; the values may have a leading member axis, (L, n, d): L stacks
+    sharing ``cols``.  The nonzero values of one matrix must sit in distinct
+    columns in [0, d): ``scan`` and the builders of this package guarantee
+    it, and ``UnitaryBasis`` and ``PovmSet`` take it as given, since their
+    monomial checks (unit moduli, the diagonal of sum B^† B) rely on it.
     """
 
     cols: np.ndarray
@@ -57,8 +58,8 @@ class Monomial:
     def __post_init__(self):
         cols = np.asarray(self.cols, dtype=np.intp)
         values = np.asarray(self.values, dtype=complex)
-        if values.ndim != 2 or cols.shape != values.shape:
-            raise ShapeError(f"cols {cols.shape} and values {values.shape} must be equal (n, d) shapes")
+        if values.ndim not in (2, 3) or cols.shape != values.shape[-2:]:
+            raise ShapeError(f"values {values.shape} need cols {cols.shape} (n, d) and at most one more axis")
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "values", values)
         for arr in (cols, values):
@@ -66,10 +67,10 @@ class Monomial:
 
     @property
     def d(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
     def __len__(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-2]
 
     @classmethod
     def scan(cls, dense: np.ndarray) -> Monomial | None:
@@ -84,16 +85,16 @@ class Monomial:
         return cls(nz.argmax(axis=2), dense.sum(axis=2))
 
     def dense(self) -> np.ndarray:
-        """The (n, d, d) stack, zero off the stored entries."""
-        n, d = self.values.shape
-        out = np.zeros((n, d, d), dtype=complex)
-        out[np.arange(n)[:, None], np.arange(d), self.cols] = self.values
+        """The (n, d, d) stack, zero off the stored entries; (L, n, d, d) with a member axis."""
+        n, d = self.cols.shape
+        out = np.zeros(self.values.shape + (d,), dtype=complex)
+        out[..., np.arange(n)[:, None], np.arange(d), self.cols] = self.values
         return out
 
     def concat(self, other: Monomial) -> Monomial:
-        """This stack followed by ``other``."""
+        """This stack followed by ``other``, member by member."""
         cols = np.concatenate([self.cols, other.cols])
-        return Monomial(cols, np.concatenate([self.values, other.values]))
+        return Monomial(cols, np.concatenate([self.values, other.values], axis=-2))
 
 
 def partial_trace(rho: np.ndarray, keep: int, dims: list[int] | tuple[int, ...]) -> np.ndarray:

@@ -24,10 +24,16 @@ stores them as a ``Monomial`` (d entries per vector), and dense vectors and
 elements are built only on demand, for checks and the dilation.  The two
 refinements sum to the same remainder but are inequivalent measurements;
 the fidelity engine treats them as distinct strategies.
+
+For a fixed channel and basis the column pattern does not depend on the
+weight lam, so the builders also take a 1-D array of L weights and return
+one set with a leading member axis: L POVMs sharing d, the outcome table
+and the columns.  One weight is the length-1 case, returned without it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -42,11 +48,6 @@ from .weyl import UnitaryBasis, maximally_entangled_basis
 # Outcome kind codes, the values of ``PovmSet.kinds``.
 CONCLUSIVE, PRODUCT, RESIDUAL, REMAINDER = range(4)
 
-# The builders' outcome tables (``_outcome_table``) by name and id: (table, d,
-# its split for a kinds table).  The entry keeps its table alive, so no other
-# object takes the id.
-_BUILT: dict[tuple[str, int], tuple] = {}
-
 
 def _readonly(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for array in arrays:
@@ -54,24 +55,16 @@ def _readonly(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _table(name: str, values, n: int, d: int) -> tuple[np.ndarray, bool]:
-    """``values`` as a read-only integer array of shape (n,) and whether it is a built table of d.
-
-    ``ShapeError`` for a wrong dtype or length.
-    """
-    built = _BUILT.get((name, id(values)))
-    known = built is not None and built[1] == d
-    if known:
-        table = values
-    else:
-        raw = np.asarray(values)
-        if raw.size and raw.dtype.kind not in "iu":
-            raise ShapeError(f"{name} must be integers, got dtype {raw.dtype}")
-        table = raw.astype(np.intp)
-        table.setflags(write=False)
+def _table(name: str, values, n: int) -> np.ndarray:
+    """Read-only (n,) intp ``values``, shared if already so; ``ShapeError`` for a wrong dtype or length."""
+    table = np.asarray(values)
+    if table.size and table.dtype.kind not in "iu":
+        raise ShapeError(f"{name} must be integers, got dtype {table.dtype}")
+    if table.dtype != np.intp or table.flags.writeable:
+        table = _readonly(table.astype(np.intp))[0]
     if table.shape != (n,):
         raise ShapeError(f"expected {name} of shape {(n,)}, got {table.shape}")
-    return table, known
+    return table
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -90,16 +83,18 @@ class PovmSet:
     read-only integer arrays, classify each element, remainder included (see
     the module docstring); ``ShapeError`` refuses a wrong length, an unknown
     kind, a label outside [0, d^2) and a kind ``REMAINDER`` on any outcome
-    but the remainder.  The builders pass tables cached per dimension and
-    checked when built: for those exact arrays the value scans are skipped;
-    lengths and the remainder's place are checked on every construction.
-    ``lam`` is the common conclusive weight.
+    but the remainder.  A read-only intp table, such as the builders' tables
+    cached per dimension, is shared rather than copied.  ``lam`` is the
+    common conclusive weight.  A monomial set may carry a member axis of
+    length ``members`` (None without one): ``monomial.values`` (L, n, d),
+    ``remainder`` (L, d^2) and ``lam`` a read-only (L,) array, and so do
+    ``vectors`` and ``elements``; the rest is shared.
     """
 
     d: int
     kinds: np.ndarray
     labels: np.ndarray
-    lam: float
+    lam: float | np.ndarray
     remainder: np.ndarray | None
     monomial: Monomial | None
 
@@ -109,34 +104,38 @@ class PovmSet:
         vectors: Monomial | np.ndarray,
         kinds: np.ndarray,
         labels: np.ndarray,
-        lam: float,
+        lam: float | np.ndarray,
         remainder: np.ndarray | None = None,
     ):
         joint = d * d
         given = isinstance(vectors, Monomial)
         shape = vectors.values.shape if given else vectors.shape
-        n = shape[0] if shape else 0
-        want = (n, d) if given else (n, joint)
+        # The member axis, if any: () or (L,).
+        lead = shape[:-2] if given else ()
+        n = shape[-2] if given else shape[0] if shape else 0
+        want = lead + (n, d) if given else (n, joint)
         if shape != want:
             raise ShapeError(f"expected vectors of shape {want}, got {shape}")
-        if remainder is not None and remainder.shape != (joint,):
-            raise ShapeError(f"expected a remainder diagonal of shape {(joint,)}, got {remainder.shape}")
-        kinds, built_kinds = _table("kinds", kinds, n + (remainder is not None), d)
-        labels, built_labels = _table("labels", labels, len(kinds), d)
+        if np.shape(lam) != lead:
+            raise ShapeError(f"expected weights of shape {lead}, got {np.shape(lam)}")
+        if remainder is not None and remainder.shape != lead + (joint,):
+            raise ShapeError(f"expected a remainder diagonal of shape {lead + (joint,)}, got {remainder.shape}")
+        kinds = _table("kinds", kinds, n + (remainder is not None))
+        labels = _table("labels", labels, len(kinds))
         # Outcomes 0..n-1 are the vectors and outcome n, if any, the remainder.
         if remainder is not None and kinds[n] != REMAINDER:
             raise ShapeError(f"a remainder diagonal needs the last kind REMAINDER, got {kinds[n]}")
         if remainder is None and n and kinds[n - 1] == REMAINDER:
             raise ShapeError("a last kind REMAINDER needs a remainder diagonal")
-        # A built table passed both checks when it was written.  Elsewhere a
-        # negative entry wraps to a large unsigned one, so one max checks both ends.
-        if not built_kinds and n and kinds[:n].view(np.uintp).max() >= REMAINDER:
+        # A negative entry wraps to a large unsigned one, so one max checks both ends.
+        if n and kinds[:n].view(np.uintp).max() >= REMAINDER:
             codes = sorted(set(kinds[:n].tolist()))
             raise ShapeError(f"vector outcomes need kinds CONCLUSIVE, PRODUCT or RESIDUAL, got {codes}")
-        if not built_labels and labels.size and labels.view(np.uintp).max() >= joint:
+        if labels.size and labels.view(np.uintp).max() >= joint:
             raise ShapeError(f"outcome labels must lie in [0, {joint}), got {labels.min()}..{labels.max()}")
         if remainder is not None:
             remainder.setflags(write=False)
+        lam = _readonly(np.array(lam, dtype=float))[0] if lead else lam
         if not given:
             vectors.setflags(write=False)
             # The dense input is the view ``vectors`` returns.
@@ -147,25 +146,30 @@ class PovmSet:
 
     @cached_property
     def vectors(self) -> np.ndarray:
-        """Dense vectors, shape (n, d^2), built on first use from ``monomial``."""
-        dense = self.monomial.dense().reshape(len(self.monomial), -1)
+        """Dense vectors, shape (n, d^2) or (L, n, d^2), built on first use from ``monomial``."""
+        dense = self.monomial.dense().reshape(self.monomial.values.shape[:-1] + (-1,))
         dense.setflags(write=False)
         return dense
 
     @cached_property
     def elements(self) -> np.ndarray:
-        """Dense elements, shape (n, d^2, d^2), built on first use (checks only)."""
-        dense = np.einsum("ki,kj->kij", self.vectors, self.vectors.conj())
+        """Dense elements, shape (n, d^2, d^2) or (L, n, d^2, d^2), built on first use (checks only)."""
+        dense = np.einsum("...ki,...kj->...kij", self.vectors, self.vectors.conj())
         if self.remainder is not None:
-            dense = np.concatenate([dense, np.diag(self.remainder).astype(complex)[None]])
+            diag = self.remainder[..., None, None, :] * np.eye(self.joint_dim)
+            dense = np.concatenate([dense, diag], axis=-3)
         dense.setflags(write=False)
         return dense
 
     @cached_property
     def _split(self) -> tuple:
-        """``_outcome_split`` of ``kinds``, read from its entry for a built table."""
-        built = _BUILT.get(("kinds", id(self.kinds)))
-        return _outcome_split(self.kinds) if built is None else built[2]
+        """``_outcome_split`` of ``kinds``."""
+        return _outcome_split(self.kinds)
+
+    @property
+    def members(self) -> int | None:
+        """The length L of the member axis, or None for a single set."""
+        return len(self.lam) if np.ndim(self.lam) else None
 
     @property
     def joint_dim(self) -> int:
@@ -184,40 +188,51 @@ def lambda_max(ch: SchmidtChannel) -> float:
     return float(ch.dim * ch.probs.min())
 
 
-def _remainder_weights(ch: SchmidtChannel, lam: float) -> np.ndarray:
-    """Diagonal remainder weights per column index j: 1 - lam / (d a_j^2)."""
-    return 1.0 - lam / (ch.dim * ch.probs)
+def _one_or_all(one: bool, lams: np.ndarray, *stacks: np.ndarray) -> tuple:
+    """The weights and per-member stacks as built, or, for one weight, its float and member 0 of each."""
+    if one:
+        return (float(lams[0]), *(stack[0] for stack in stacks))
+    return (lams, *stacks)
 
 
-def build_conclusive_povm(ch: SchmidtChannel, basis: UnitaryBasis, lam: float) -> PovmSet:
+def build_conclusive_povm(ch: SchmidtChannel, basis: UnitaryBasis, lam) -> PovmSet:
     """d^2 conclusive elements lam |dual_a><dual_a| plus the diagonal remainder.
 
     The weights are equal across outcomes; each conclusive outcome then
     occurs with Haar-average probability lam / d^2 and identifies its
-    measurement state exactly.
+    measurement state exactly.  ``lam`` is one weight, or a non-empty 1-D
+    array of them for a set with a member axis, which needs a monomial
+    basis; ``ShapeError`` otherwise.
     """
     d = ch.dim
-    if not lam >= 0:  # also rejects NaN
-        raise PositivityError(f"weight must be nonnegative, got {lam}")
+    one = np.ndim(lam) == 0
+    lams = np.array(lam, dtype=float, ndmin=1)
+    if lams.ndim != 1 or not lams.size:
+        raise ShapeError(f"need one weight or a non-empty 1-D array of weights, got shape {np.shape(lam)}")
+    negative = lams[~(lams >= 0)]  # also rejects NaN
+    if negative.size:
+        raise PositivityError(f"weight must be nonnegative, got {negative[0]}")
     # The duals reject a singular channel before the weights divide by a_j^2.
     duals = dual_states(ch, basis)
-    weights = _remainder_weights(ch, lam)
-    bad = (weights < -1e-12).nonzero()[0]
+    monomial = isinstance(duals, Monomial)
+    if not one and not monomial:
+        raise ShapeError("a stack of weights needs a monomial basis")
+    # Remainder weights per member and column index j: 1 - lam / (d a_j^2).
+    weights = 1.0 - lams[:, None] / (d * ch.probs)
+    member, bad = (weights < -1e-12).nonzero()
     if bad.size:
         raise PositivityError(
-            f"weight {lam} exceeds the positivity bound {lambda_max(ch)} "
-            f"(remainder entry negative for column j={bad.tolist()})"
+            f"weight {lams[member[0]]} exceeds the positivity bound {lambda_max(ch)} "
+            f"(remainder entry negative for column j={bad[member == member[0]].tolist()})"
         )
     # The remainder depends on the column index j only (clamp the
     # exact-boundary entries at zero).
-    diag = np.maximum(weights, 0.0)[_column_index(d)]
-    scale = np.sqrt(lam)
-    if isinstance(duals, Monomial):
-        vectors = Monomial(duals.cols, scale * duals.values)
-    else:
-        vectors = scale * duals
+    diag = np.maximum(weights, 0.0)[:, _column_index(d)]
+    scale = np.sqrt(lams)[:, None, None]
     kinds, labels = _outcome_table(d, REMAINDER)
-    return PovmSet(d=d, vectors=vectors, kinds=kinds, labels=labels, lam=float(lam), remainder=diag)
+    lam, values, diag = _one_or_all(one, lams, scale * (duals.values if monomial else duals), diag)
+    vectors = Monomial(duals.cols, values) if monomial else values
+    return PovmSet(d=d, vectors=vectors, kinds=kinds, labels=labels, lam=lam, remainder=diag)
 
 
 # Tables that depend on d alone are built on first use, once per d, read-only
@@ -229,17 +244,13 @@ def _outcome_table(d: int, tail: int) -> tuple[np.ndarray, np.ndarray]:
     """``kinds`` and ``labels`` of d^2 conclusive outcomes alpha = 0, ..., d^2 - 1, then the tail.
 
     The tail is the remainder (``tail`` = ``REMAINDER``, label 0) or d^2
-    pieces of kind ``tail``, piece k labelled k.  Both arrays are entered
-    in ``_BUILT``: their labels lie in [0, d^2) and ``REMAINDER`` comes last.
+    pieces of kind ``tail``, piece k labelled k.
     """
     n, m = d * d, 1 if tail == REMAINDER else d * d
     kinds = np.full(n + m, tail, dtype=np.intp)
     kinds[:n] = CONCLUSIVE
     labels = np.arange(n + m, dtype=np.intp) % n
-    _readonly(kinds, labels)
-    _BUILT["kinds", id(kinds)] = (kinds, d, _outcome_split(kinds))
-    _BUILT["labels", id(labels)] = (labels, d, None)
-    return kinds, labels
+    return _readonly(kinds, labels)
 
 
 def _outcome_split(kinds: np.ndarray) -> tuple:
@@ -269,7 +280,7 @@ def _product_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _remainder(p: PovmSet) -> np.ndarray:
-    """The remainder diagonal of an unrefined set."""
+    """The remainder diagonal of an unrefined set, (d^2,) or (L, d^2)."""
     if p.remainder is None:
         raise DecompositionError("POVM has no remainder element to refine")
     return p.remainder
@@ -278,8 +289,8 @@ def _remainder(p: PovmSet) -> np.ndarray:
 def _refined(p: PovmSet, pieces: Monomial | np.ndarray, kind: int) -> PovmSet:
     """``p`` with its remainder replaced by the d^2 rank-one ``pieces``: monomial if both are, else dense.
 
-    Piece k has kind ``kind`` and label k.  A set with a built table gets
-    the built refined one.
+    Piece k has kind ``kind`` and label k; the member axis, if any, maps
+    through.  A set with a built table gets the built refined one.
     """
     if p.monomial is not None and isinstance(pieces, Monomial):
         vectors = p.monomial.concat(pieces)
@@ -307,10 +318,10 @@ def refine_inconclusive_product(p: PovmSet) -> PovmSet:
     d = p.d
     slot, j, flat = _product_index(d)
     cols = np.zeros((d * d, d), dtype=np.intp)
-    values = np.zeros((d * d, d), dtype=complex)
+    values = np.zeros(diag.shape[:-1] + (d * d, d), dtype=complex)
     # Piece i + d j has its one nonzero in row i, column j.
     cols.reshape(-1)[slot] = j
-    values.reshape(-1)[slot] = np.sqrt(diag[flat])
+    values.reshape(diag.shape[:-1] + (-1,))[..., slot] = np.sqrt(diag[..., flat])
     return _refined(p, Monomial(cols, values), PRODUCT)
 
 
@@ -323,16 +334,18 @@ def refine_inconclusive_residual(p: PovmSet, basis: UnitaryBasis) -> PovmSet:
     entrywise; entries of R below 1e-12 count as zero.  On a monomial
     basis, e_a[i*d + j] = U_a[i, j] / sqrt(d) is nonzero in one column j
     per row i, and so is the piece.  Piece a has kind ``RESIDUAL`` and
-    label a.
+    label a.  A set with a member axis needs a monomial basis.
     """
     diag = _remainder(p)
     d = p.d
     root = np.sqrt(np.where(diag < 1e-12, 0.0, diag))
     u = basis.monomial
     if u is None:
+        if p.members:
+            raise ShapeError("a set with a member axis needs a monomial basis")
         pieces = root * maximally_entangled_basis(basis)
     else:
-        pieces = Monomial(u.cols, root[np.arange(d) * d + u.cols] * (u.values / np.sqrt(d)))
+        pieces = Monomial(u.cols, root[..., np.arange(d) * d + u.cols] * (u.values / np.sqrt(d)))
     return _refined(p, pieces, RESIDUAL)
 
 
@@ -348,7 +361,7 @@ class ThetaPovmFamily:
 
     cos_theta_c: float
     cos_theta: float
-    lam: float
+    lam: float | np.ndarray
 
     def __post_init__(self):
         if not -1.0 < self.cos_theta < 1.0:
@@ -362,32 +375,31 @@ class ThetaPovmFamily:
             )
 
 
-def build_theta_povm(fam: ThetaPovmFamily) -> PovmSet:
+def build_theta_povm(fam: ThetaPovmFamily | Sequence[ThetaPovmFamily]) -> PovmSet:
     """Four rank-one elements with relative overlap cos_theta, plus remainder.
 
     At cos_theta = cos_theta_c this reproduces the conclusive POVM of the
     family's channel element-for-element; at cos_theta = 0 the four states
-    become Bell projectors scaled by lam.
+    become Bell projectors scaled by lam.  A non-empty sequence of families
+    that share one ``cos_theta_c`` (``ShapeError`` otherwise) gives one set
+    with a member axis, member k built from family k.
     """
-    ct = fam.cos_theta
-    lam = fam.lam
+    one = isinstance(fam, ThetaPovmFamily)
+    fams = [fam] if one else list(fam)
+    if len({f.cos_theta_c for f in fams}) != 1:
+        raise ShapeError("a stack of theta families needs at least one family and one cos_theta_c")
+    ct = np.array([f.cos_theta for f in fams])
+    lams = np.array([f.lam for f in fams], dtype=float)
     n = 1.0 / np.sqrt(2.0 - 2.0 * ct * ct)
     hi = np.sqrt(1.0 + ct)
     lo = np.sqrt(1.0 - ct)
     # Row i, column j of state k holds its component on |ij>: |00> and |11>
     # for the first two states, |01> and |10> for the last two.
     cols = np.array([[0, 1], [0, 1], [1, 0], [1, 0]])
-    values = np.array(
-        [[n * hi, n * lo], [n * hi, -n * lo], [n * lo, n * hi], [-n * lo, n * hi]], dtype=complex
-    )
+    values = np.stack([n * hi, n * lo, n * hi, -n * lo, n * lo, n * hi, -n * lo, n * hi], axis=1).astype(complex)
+    w0 = np.maximum(1.0 - lams / (1.0 - ct), 0.0)
+    w1 = np.maximum(1.0 - lams / (1.0 + ct), 0.0)
+    scaled = np.sqrt(lams)[:, None, None] * values.reshape(-1, 4, 2)
+    lam, values, remainder = _one_or_all(one, lams, scaled, np.stack([w0, w1, w0, w1], axis=1))
     kinds, labels = _outcome_table(2, REMAINDER)
-    w0 = max(1.0 - lam / (1.0 - ct), 0.0)
-    w1 = max(1.0 - lam / (1.0 + ct), 0.0)
-    return PovmSet(
-        d=2,
-        vectors=Monomial(cols, np.sqrt(lam) * values),
-        kinds=kinds,
-        labels=labels,
-        lam=float(lam),
-        remainder=np.array([w0, w1, w0, w1]),
-    )
+    return PovmSet(d=2, vectors=Monomial(cols, values), kinds=kinds, labels=labels, lam=lam, remainder=remainder)

@@ -96,42 +96,36 @@ def _channel_checks(d: int, basis: UnitaryBasis, rng: np.random.Generator) -> li
     ]
 
 
-def _povm_checks(
-    d: int, basis: UnitaryBasis, rng: np.random.Generator, n_channels: int
-) -> list[CheckResult]:
+def _povm_checks(d: int, basis: UnitaryBasis, rng: np.random.Generator, n_channels: int) -> list[CheckResult]:
     eye = np.eye(d * d)
     comp = psd = ident = prob_res = inc_res = rem_res = split_res = 0.0
     for _ in range(n_channels):
         ch = _random_channel(d, rng)
         states = basis_states(ch, basis)
         lmax = lambda_max(ch)
-        for lam in (0.0, lmax / 2, lmax):
-            p = build_conclusive_povm(ch, basis, lam)
-            comp = max(comp, float(np.max(np.abs(p.elements.sum(axis=0) - eye))))
-            psd = max(psd, -float(np.linalg.eigvalsh(p.elements)[:, 0].min()), 0.0)
-            born = np.einsum("ai,nij,aj->na", states.conj(), p.elements[: d * d], states).real
-            diag = np.diag(born).copy()
-            off = born - np.diag(diag)
-            scale = max(float(np.min(diag)), 1e-300) if lam > 0 else 1.0
-            ident = max(ident, float(np.max(np.abs(off))) / scale)
-            analytic = np.diag(
-                np.tile(np.clip(1.0 - lam / (d * ch.probs), 0.0, None), d)
-            )
-            rem_res = max(
-                rem_res, float(np.max(np.abs(p.elements[-1] - analytic)))
-            )
-            res = refine_inconclusive_residual(p, basis)
-            for refined in (refine_inconclusive_product(p), res):
-                comp = max(
-                    comp, float(np.max(np.abs(refined.elements.sum(axis=0) - eye)))
-                )
-                psd = max(psd, -float(np.linalg.eigvalsh(refined.elements)[:, 0].min()))
-                rep = report(refined, ch, basis, "auto")
-                conclusive = np.array(rep.probabilities)[refined.kinds == CONCLUSIVE]
-                prob_res = max(prob_res, float(np.max(np.abs(conclusive - lam / d**2))))
+        # One POVM stack per channel: the dense oracles run once per stack.
+        lams = np.array([0.0, lmax / 2, lmax])
+        p = build_conclusive_povm(ch, basis, lams)
+        comp = max(comp, float(np.max(np.abs(p.elements.sum(axis=1) - eye))))
+        psd = max(psd, -float(np.linalg.eigvalsh(p.elements)[..., 0].min()), 0.0)
+        born = np.einsum("ai,lnij,aj->lna", states.conj(), p.elements[:, : d * d], states).real
+        diag = np.diagonal(born, axis1=1, axis2=2)
+        off = np.where(eye == 1, 0.0, born)
+        scale = np.where(lams > 0, np.maximum(diag.min(axis=1), 1e-300), 1.0)
+        ident = max(ident, float(np.max(np.abs(off).max(axis=(1, 2)) / scale)))
+        analytic = np.tile(np.clip(1.0 - lams[:, None] / (d * ch.probs), 0.0, None), d)[:, :, None] * eye
+        rem_res = max(rem_res, float(np.max(np.abs(p.elements[:, -1] - analytic))))
+        res = refine_inconclusive_residual(p, basis)
+        for refined in (refine_inconclusive_product(p), res):
+            comp = max(comp, float(np.max(np.abs(refined.elements.sum(axis=1) - eye))))
+            psd = max(psd, -float(np.linalg.eigvalsh(refined.elements)[..., 0].min()))
+            reps = report(refined, ch, basis, "auto")
+            conclusive = np.array([rep.probabilities for rep in reps])[:, refined.kinds == CONCLUSIVE]
+            prob_res = max(prob_res, float(np.max(np.abs(conclusive - lams[:, None] / d**2))))
+            for rep, lam in zip(reps, lams.tolist()):
                 inc_res = max(inc_res, abs(rep.inconclusive_probability - (1.0 - lam)))
-            pieces = res.elements[d * d :].sum(axis=0)
-            split_res = max(split_res, float(np.max(np.abs(pieces - p.elements[-1]))))
+        pieces = res.elements[:, d * d :].sum(axis=1)
+        split_res = max(split_res, float(np.max(np.abs(pieces - p.elements[:, -1]))))
     return [
         _check(f"povm d={d} completeness", comp, 1e-10),
         _check(f"povm d={d} positivity", psd, 1e-10),
@@ -143,62 +137,44 @@ def _povm_checks(
     ]
 
 
-def _engine_checks(
-    d: int, basis: UnitaryBasis, rng: np.random.Generator, n_channels: int
-) -> list[CheckResult]:
+def _engine_checks(d: int, basis: UnitaryBasis, rng: np.random.Generator, n_channels: int) -> list[CheckResult]:
     eye = np.eye(d)
-    res_formula = prod_formula = map_comp = corr_opt = invariance = 0.0
-    monotone = 0.0
+    res_formula = prod_formula = map_comp = corr_opt = invariance = monotone = 0.0
     for _ in range(n_channels):
         ch = _random_channel(d, rng)
         lmax = lambda_max(ch)
-        for lam in (0.0, lmax / 2, lmax):
-            p = build_conclusive_povm(ch, basis, lam)
-            residual = refine_inconclusive_residual(p, basis)
-            product = refine_inconclusive_product(p)
-            rr = report(residual, ch, basis, "auto")
-            rp = report(product, ch, basis, "paper")
-            res_formula = max(
-                res_formula, abs(rr.f_total - optimal_average_fidelity(d, ch.probs, lam))
-            )
-            prod_formula = max(
-                prod_formula, abs(rp.f_total - product_strategy_fidelity(d, lam))
-            )
-            maps = channel_maps(residual, ch)
-            total = np.einsum("nij,nik->jk", maps.conj(), maps)
-            map_comp = max(map_comp, float(np.max(np.abs(total - eye))))
-            for k in np.flatnonzero(residual.kinds == CONCLUSIVE):
-                nuclear = float(np.sum(np.linalg.svd(maps[k], compute_uv=False)))
-                fixed = abs(np.trace(basis.ops[residual.labels[k]] @ maps[k]))
-                corr_opt = max(corr_opt, abs(fixed - nuclear))
+        # One POVM stack per channel for the three checked weights.
+        lams = np.array([0.0, lmax / 2, lmax])
+        p = build_conclusive_povm(ch, basis, lams)
+        residual = refine_inconclusive_residual(p, basis)
+        rr = report(residual, ch, basis, "auto")
+        rp = report(refine_inconclusive_product(p), ch, basis, "paper")
+        for lam, res_rep, prod_rep in zip(lams.tolist(), rr, rp):
+            res_formula = max(res_formula, abs(res_rep.f_total - optimal_average_fidelity(d, ch.probs, lam)))
+            prod_formula = max(prod_formula, abs(prod_rep.f_total - product_strategy_fidelity(d, lam)))
+        maps = channel_maps(residual, ch)
+        total = np.einsum("lnij,lnik->ljk", maps.conj(), maps)
+        map_comp = max(map_comp, float(np.max(np.abs(total - eye))))
+        conclusive = residual.kinds == CONCLUSIVE
+        nuclear = np.linalg.svd(maps[:, conclusive], compute_uv=False).sum(axis=-1)
+        ops = basis.ops[residual.labels[conclusive]]
+        fixed = np.abs(np.trace(ops @ maps[:, conclusive], axis1=-2, axis2=-1))
+        corr_opt = max(corr_opt, float(np.max(np.abs(fixed - nuclear))))
         # Product fidelity grows with the conclusive weight, residual
         # fidelity shrinks (the certainty-vs-average trade-off); check both
-        # directions on a 20-point weight grid.
-        previous = {"product": -np.inf, "residual": np.inf}
-        for lam in np.linspace(0.0, lmax, 20):
-            p = build_conclusive_povm(ch, basis, lam)
-            for label, refined in (
-                ("product", refine_inconclusive_product(p)),
-                ("residual", refine_inconclusive_residual(p, basis)),
-            ):
-                f = report(refined, ch, basis, "auto").f_total
-                if label == "product":
-                    monotone = max(monotone, previous[label] - f)
-                else:
-                    monotone = max(monotone, f - previous[label])
-                previous[label] = f
+        # directions on a 20-point weight grid, one stack per strategy.
+        grid = build_conclusive_povm(ch, basis, np.linspace(0.0, lmax, 20))
+        f_prod, f_res = (
+            np.array([rep.f_total for rep in report(refined, ch, basis, "auto")])
+            for refined in (refine_inconclusive_product(grid), refine_inconclusive_residual(grid, basis))
+        )
+        monotone = max(monotone, float(np.max(f_prod[:-1] - f_prod[1:])), float(np.max(f_res[1:] - f_res[:-1])))
     ch = _random_channel(d, rng)
     lam = lambda_max(ch) / 2
     moved = conjugated_basis(basis, haar_random_unitary(d, rng), haar_random_unitary(d, rng))
-    for stock_refine, moved_refine in (
-        (refine_inconclusive_product, refine_inconclusive_product),
-        (
-            lambda q: refine_inconclusive_residual(q, basis),
-            lambda q: refine_inconclusive_residual(q, moved),
-        ),
-    ):
-        f0 = report(stock_refine(build_conclusive_povm(ch, basis, lam)), ch, basis, "auto").f_total
-        f1 = report(moved_refine(build_conclusive_povm(ch, moved, lam)), ch, moved, "auto").f_total
+    for refine in (lambda q, _: refine_inconclusive_product(q), refine_inconclusive_residual):
+        f0 = report(refine(build_conclusive_povm(ch, basis, lam), basis), ch, basis, "auto").f_total
+        f1 = report(refine(build_conclusive_povm(ch, moved, lam), moved), ch, moved, "auto").f_total
         invariance = max(invariance, abs(f0 - f1))
     checks = [
         _check(f"engine d={d} residual split matches closed form", res_formula, 1e-9),
@@ -213,26 +189,18 @@ def _engine_checks(
         for cc in (0.0, 0.3, 0.6, 0.9):
             ch2 = qubit_channel_from_cos_theta(cc)
             lmax = lambda_max(ch2)
-            for lam in (0.0, lmax / 2, lmax):
-                p = refine_inconclusive_product(build_conclusive_povm(ch2, basis, lam))
-                rp = report(p, ch2, basis, "paper")
+            lams = np.array([0.0, lmax / 2, lmax])
+            p = build_conclusive_povm(ch2, basis, lams)
+            for lam, rp in zip(lams.tolist(), report(refine_inconclusive_product(p), ch2, basis, "paper")):
                 split = max(split, abs(rp.f_inconclusive - 2.0 * (1.0 - lam) / 3.0))
                 split = max(split, abs(rp.f_total - qubit_average_fidelity(lam)))
-            r0 = report(
-                refine_inconclusive_residual(build_conclusive_povm(ch2, basis, 0.0), basis),
-                ch2,
-                basis,
-                "auto",
-            )
+            # Member 0 has weight 0.
+            r0 = report(refine_inconclusive_residual(p, basis), ch2, basis, "auto")[0]
             fs = max(fs, abs(r0.f_total - best_orthogonal_fidelity(ch2.probs)))
-            for ct in np.arange(0.0, 0.951, 0.05):
-                lam = 1.0 - abs(ct)
-                fam = ThetaPovmFamily(cc, float(ct), lam)
-                tp = refine_inconclusive_product(build_theta_povm(fam))
-                rt = report(tp, ch2, basis, "auto")
-                theta_res = max(
-                    theta_res, abs(rt.f_total - relaxed_angle_fidelity(cc, float(ct), lam))
-                )
+            fams = [ThetaPovmFamily(cc, float(ct), 1.0 - abs(ct)) for ct in np.arange(0.0, 0.951, 0.05)]
+            thetas = report(refine_inconclusive_product(build_theta_povm(fams)), ch2, basis, "auto")
+            for fam, rt in zip(fams, thetas):
+                theta_res = max(theta_res, abs(rt.f_total - relaxed_angle_fidelity(cc, fam.cos_theta, fam.lam)))
         rejected = 0.0
         try:
             ThetaPovmFamily(0.6, 0.5, 1.0 - 0.5 + 1e-3)
@@ -292,19 +260,15 @@ def _monte_carlo_check(rng_seed: int) -> list[CheckResult]:
 
 
 def _strategy_discrepancy() -> list[CheckResult]:
-    basis3 = build_weyl_basis(3)
-    ch3 = make_channel(np.sqrt([0.5, 0.3, 0.2]))
-    lam3 = lambda_max(ch3)
-    p3 = build_conclusive_povm(ch3, basis3, lam3)
-    f_prod = report(refine_inconclusive_product(p3), ch3, basis3, "paper").f_total
-    f_res = report(refine_inconclusive_residual(p3, basis3), ch3, basis3, "auto").f_total
+    # Product (paper corrections) and residual (auto) fidelity at the optimal weight.
+    fids = []
+    for ch in (make_channel(np.sqrt([0.5, 0.3, 0.2])), qubit_channel_from_cos_theta(0.6)):
+        basis = build_weyl_basis(ch.dim)
+        p = build_conclusive_povm(ch, basis, lambda_max(ch))
+        product = report(refine_inconclusive_product(p), ch, basis, "paper").f_total
+        fids.append((product, report(refine_inconclusive_residual(p, basis), ch, basis, "auto").f_total))
+    (f_prod, f_res), (g_prod, g_res) = fids
     gap = f_res - f_prod
-    basis2 = build_weyl_basis(2)
-    ch2 = qubit_channel_from_cos_theta(0.6)
-    lam2 = lambda_max(ch2)
-    p2 = build_conclusive_povm(ch2, basis2, lam2)
-    g_prod = report(refine_inconclusive_product(p2), ch2, basis2, "paper").f_total
-    g_res = report(refine_inconclusive_residual(p2, basis2), ch2, basis2, "auto").f_total
     return [
         _check(
             "strategies differ at d=3 optimal weight",

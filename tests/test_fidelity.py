@@ -1130,6 +1130,18 @@ class TestBornRuleOracle:
 
 
 class TestBlockedKernel:
+    @pytest.mark.parametrize("d", [2, 4, 6, 16])
+    @pytest.mark.parametrize("source", ["monomial", "realized"])
+    def test_kernel_table_is_c_ordered(self, d, source):
+        # The block gathers whole columns with ``take``; on an F-ordered
+        # table each column strides across all 5d rows.
+        p, ch, basis, _, _ = maps_and_corrections(d, "residual", "auto", 30 + d)
+        if source == "realized":
+            p = realized_povm(dilate(p), p)
+            assert p.monomial is None
+        table = tables_of(p, ch, basis, "auto")[-1]
+        assert table.shape == (5 * d, p.n_outcomes) and table.flags.c_contiguous
+
     @pytest.mark.parametrize(
         "d, strategy, corrections",
         [
