@@ -35,7 +35,7 @@ import numpy as np
 
 from .channel import SchmidtChannel, make_channel, qubit_channel_from_cos_theta
 from .errors import QTeleportError
-from .fidelity import FidelityReport, report, simulate, transcript_bits
+from .fidelity import MAX_WORKERS, FidelityReport, report, simulate, transcript_bits
 from .formulas import channel_from_entropy, qubit_average_fidelity, relaxed_angle_fidelity
 from .povm import (
     CONCLUSIVE,
@@ -360,6 +360,8 @@ def _workers() -> int:
         n_workers = 0
     if n_workers < 1:
         raise _usage_error(f"{WORKERS_ENV} must be a positive integer, got {workers!r}")
+    if n_workers > MAX_WORKERS:
+        raise _usage_error(f"{WORKERS_ENV}={n_workers} exceeds the ceiling of {MAX_WORKERS} workers")
     return n_workers
 
 

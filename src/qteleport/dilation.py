@@ -20,7 +20,7 @@ time; no dense element stack is built.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,8 +106,9 @@ def dilate(p: PovmSet, ancilla_dim: int | None = None) -> DilationResult:
     u_ext = np.zeros((ext, ext), dtype=complex)
     u_ext[:n, dest[:n]] = q
     u_ext[np.arange(n, ext), dest[n:]] = 1.0
-    dil = DilationResult(d=d, ancilla_dim=d_a, u_ext=u_ext, residuals=np.empty(0))
-    return replace(dil, residuals=_residuals(realized_povm(dil, p).vectors, p.vectors))
+    # Conjugated, the rows of U on the inputs (s, 0) are the realized vectors (see ``realized_povm``).
+    residuals = _residuals(u_ext[:n, ::d_a].conj(), p.vectors)
+    return DilationResult(d=d, ancilla_dim=d_a, u_ext=u_ext, residuals=residuals)
 
 
 def _residuals(realized: np.ndarray, wanted: np.ndarray) -> np.ndarray:
@@ -144,7 +145,7 @@ def outcome_probabilities(dil: DilationResult, p: PovmSet, state12: np.ndarray) 
     is found with the squared amplitude of extended ket a in
     U (state (x) |0>_anc).
     """
-    return np.abs(realized_povm(dil, p).vectors.conj() @ state12) ** 2
+    return np.abs(np.ascontiguousarray(dil.u_ext[: p.n_outcomes, :: dil.ancilla_dim]) @ state12) ** 2
 
 
 def dilated_channel_maps(dil: DilationResult, p: PovmSet, ch: SchmidtChannel) -> np.ndarray:

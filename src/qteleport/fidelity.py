@@ -45,13 +45,14 @@ diag(|b|^2) and sigma_i = |b_i|, with no SVD, no eigh and no (n, d, d)
 stack.  The paper's corrections have one builder, ``_corrections``, which
 first checks the basis for unitarity (``DomainError``); on a monomial
 basis that is a check of |v|^2 = 1 on d entries per operator, and the
-corrections come as a ``Monomial`` too.  The exact report reads d entries
-of each V, for Tr(V B) = sum_i V[i, c_i] b_i, and so does the Monte
-Carlo, as the diagonal of V B.  Dense POVMs (a realized Neumark extension)
-and dense bases (a conjugated one) keep a dense exact report that traces
-each V whole against B; ``auto`` takes sigma from an SVD without vectors,
-and the Monte Carlo refuses fixed corrections that leave some V_a B_a
-off the diagonal (``DomainError``).
+corrections come as a ``Monomial`` too.  One reader, ``_outcomes``, sets
+up the exact report and the Monte Carlo alike: per outcome
+gram = Tr(B^† B), overlap = |Tr(V B)|, sigma, and g, the diagonal of V B,
+from d entries of each V as g_i = V[i, c_i] b_i.  Dense POVMs (a realized
+Neumark extension) and dense bases (a conjugated one) trace each V whole
+against B; ``auto`` takes sigma from an SVD without vectors.  The Monte
+Carlo draws outcomes with the report's own gram as weights and refuses
+fixed corrections that leave some V_a B_a off the diagonal (``DomainError``).
 
 The exact report maps a POVM's member axis (L weights, see ``PovmSet``)
 through each step, elementwise or reducing one outcome's own entries, so
@@ -70,7 +71,7 @@ from itertools import compress
 import numpy as np
 
 from .channel import SchmidtChannel
-from .errors import ConsistencyError, DecompositionError, DomainError, ShapeError
+from .errors import CapacityError, ConsistencyError, DecompositionError, DomainError, ShapeError
 from .linalg import Monomial, chunks, dagger
 from .povm import CONCLUSIVE, PRODUCT, PovmSet
 from .weyl import UnitaryBasis
@@ -107,18 +108,6 @@ def _maps(p: PovmSet, ch: SchmidtChannel) -> tuple[np.ndarray, ...]:
     sq = sigma**2
     _check_complete(sq.sum(axis=-2) - 1.0)
     return rows, b, sigma, sq.sum(axis=-1)
-
-
-def _dense_maps(p: PovmSet, ch: SchmidtChannel) -> tuple[np.ndarray, np.ndarray]:
-    """The dense maps of any POVM and each Tr(B^† B), once sum_a B_a^† B_a = I is checked per member."""
-    maps = channel_maps(p, ch)
-    _check_complete(np.einsum("...nji,...njk->...ik", maps.conj(), maps) - np.eye(p.d))
-    return maps, (np.abs(maps) ** 2).sum(axis=(-2, -1))
-
-
-def _paired(fixed: Monomial, rows: np.ndarray) -> np.ndarray:
-    """V_a[i, rows_i] for every outcome a and index i: the entries that Tr(V_a B_a) pairs with b_i."""
-    return np.where(fixed.cols == rows, fixed.values, 0)
 
 
 @cache
@@ -207,38 +196,46 @@ def channel_maps(p: PovmSet, ch: SchmidtChannel) -> np.ndarray:
     return maps
 
 
+def _outcomes(p: PovmSet, ch: SchmidtChannel, basis: UnitaryBasis, corrections: str) -> tuple:
+    """(gram, overlap, sigma, g) per outcome, after the evaluability, basis and completeness checks, in that order.
+
+    Completeness is sum_a B_a^† B_a = I to 1e-10 for every member
+    (``ConsistencyError``).  sigma is in column order on monomial maps, and
+    g, the diagonal of V B, in the same order: sigma for ``auto``, None if
+    some V_a B_a is off the diagonal.  ``paper`` on dense maps or a dense
+    basis traces each dense V against B and gives sigma = g = None.
+    """
+    _check_evaluable(p, ch)
+    fixed = _corrections(p, basis, corrections)
+    if p.monomial is not None and not isinstance(fixed, np.ndarray):
+        rows, b, sigma, gram = _maps(p, ch)
+        if fixed is None:
+            return gram, sigma.sum(axis=-1), sigma, sigma
+        hit = fixed.cols == rows
+        g = np.where(hit, fixed.values, 0) * b
+        return gram, np.abs(g.sum(axis=-1)), sigma, g if (hit | (b == 0)).all() else None
+    maps = channel_maps(p, ch)
+    _check_complete(np.einsum("...nji,...njk->...ik", maps.conj(), maps) - np.eye(p.d))
+    if fixed is None:
+        sigma = np.linalg.svd(maps, compute_uv=False)
+        return (sigma**2).sum(axis=-1), sigma.sum(axis=-1), sigma, sigma
+    dense = fixed.dense() if isinstance(fixed, Monomial) else fixed
+    overlap = np.abs(np.einsum("nij,...nji->...n", dense, maps))
+    return (np.abs(maps) ** 2).sum(axis=(-2, -1)), overlap, None, None
+
+
 def report(
     p: PovmSet, ch: SchmidtChannel, basis: UnitaryBasis, corrections: str = "auto"
 ) -> FidelityReport | list[FidelityReport]:
     """Exact Haar-average fidelity report for a refined POVM; one per member for a set with a member axis.
 
-    Like ``simulate``, it first checks sum_a B_a^† B_a = I to 1e-10 for
-    every member (``ConsistencyError``), so an incomplete POVM gets no
-    report.  One reduction for every case: outcome a has probability
-    Tr(B^† B)/d and fidelity term (|Tr(V B)|^2 + Tr(B^† B)) / (d (d + 1)).
-    ``auto`` reads both traces from each map's singular values (see the
-    module docstring).  ``paper`` on monomial maps with a monomial basis
-    reads d entries of each fixed correction, V[i, rows_i] for Tr(V B) =
-    sum_i V[i, rows_i] b_i; otherwise it traces the whole dense correction
-    against the dense map.
+    Like ``simulate``, it reads every outcome through ``_outcomes``, so an
+    incomplete POVM gets no report (``ConsistencyError``).  Outcome a has
+    probability Tr(B^† B)/d and fidelity term (|Tr(V B)|^2 + Tr(B^† B)) /
+    (d (d + 1)).
     """
-    _check_evaluable(p, ch)
-    fixed = _corrections(p, basis, corrections)
+    gram, overlap, _, _ = _outcomes(p, ch, basis, corrections)
     d = p.d
-    if p.monomial is not None and not isinstance(fixed, np.ndarray):
-        rows, b, sigma, gram = _maps(p, ch)
-        if fixed is None:
-            overlap = sigma.sum(axis=-1)
-        else:
-            overlap = np.abs((_paired(fixed, rows) * b).sum(axis=-1))
-    else:
-        maps, gram = _dense_maps(p, ch)
-        if fixed is None:
-            sigma = np.linalg.svd(maps, compute_uv=False)
-            gram, overlap = (sigma**2).sum(axis=-1), sigma.sum(axis=-1)
-        else:
-            dense = fixed.dense() if isinstance(fixed, Monomial) else fixed
-            overlap = np.abs(np.einsum("nij,...nji->...n", dense, maps))
     probs, terms = gram / d, (overlap**2 + gram) / (d * (d + 1))
     reports = list(_build_reports(p, corrections, probs, terms))
     return reports if p.members else reports[0]
@@ -303,6 +300,10 @@ def transcript_bits(n_outcomes: int) -> int:
 # same report.
 _BLOCK_ENTRIES = 1 << 15
 
+# The ceiling on the shard count min(n_workers, n_runs): every shard spawns a
+# generator and runs at least one block, which buys nothing past the cores.
+MAX_WORKERS = 1024
+
 
 def _draw_outcomes(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Index per run: the number of cumulative weights (total excluded) <= u.
@@ -315,46 +316,30 @@ def _draw_outcomes(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.count_nonzero(u >= cum[:-1], axis=0)
 
 
-def _sampling_tables(
-    p: PovmSet, ch: SchmidtChannel, fixed: Monomial | np.ndarray | None
-) -> tuple[np.ndarray, ...]:
-    """Set-up of the outcome-first draw for M_a = B_a^† B_a, after checking sum_a M_a = I.
+def _sampling_tables(gram: np.ndarray, sigma: np.ndarray | None, g: np.ndarray | None) -> tuple[np.ndarray, ...]:
+    """Set-up of the outcome-first draw from ``_outcomes``: (cumulative Tr(M_a), the kernel's table).
 
-    ``fixed`` is what ``_corrections`` gives: every outcome's V_a, or None
-    for the optimal corrections.  Returns cumulative Tr(M_a), the
-    eigenvalues m of each M_a (zero at rounding level), shape (n, d), with
-    their cumulative rows, and the kernel's table: one column per outcome,
-    the d cumulative eigenweights, then per index j the rows Re G_jj, Im
-    G_jj, m_j and 1 of the diagonal G_a = E^† V_a B_a E.  m is sigma^2 in
-    stable ascending order; on monomial maps E is that sorting permutation.
-    G_a = diag(sigma) for the optimal corrections.  Fixed ones must be
-    monomial, on monomial maps, with V_a[i, rows_i] != 0 wherever b_i != 0,
-    as the paper's are: then G_jj = V_a[i, rows_i] b_i at i = order_j.  Any
-    other fixed corrections raise ``DomainError``.
+    M_a = B_a^† B_a has eigenvalues m = sigma^2, taken in stable ascending
+    order (zero at rounding level); on monomial maps E is that sorting
+    permutation, and G_a = E^† V_a B_a E is g in the same order.  The
+    table has one column per outcome: the d cumulative eigenweights, then
+    per index j the rows Re G_jj, Im G_jj, m_j and 1.  Fixed corrections
+    that leave some V_a B_a off the diagonal (g is None) raise
+    ``DomainError``; the paper's, on monomial maps, keep it diagonal.
     """
-    d = p.d
-    monomial = p.monomial is not None and not isinstance(fixed, np.ndarray)
-    if monomial:
-        rows, b, sigma, weights = _maps(p, ch)
-    if fixed is not None and not (monomial and ((fixed.cols == rows) | (b == 0)).all()):
+    if g is None:
         raise DomainError("simulate needs fixed corrections that keep every V_a B_a diagonal")
-    if not monomial:
-        maps, weights = _dense_maps(p, ch)
-        sigma = np.linalg.svd(maps, compute_uv=False)
-    n = len(weights)
+    n, d = sigma.shape
     order = np.argsort(sigma**2, axis=1, kind="stable")
-    g_diag = np.take_along_axis(sigma, order, axis=1)
-    m = g_diag**2
-    if fixed is not None:
-        g_diag = np.take_along_axis(_paired(fixed, rows) * b, order, axis=1)
+    m = np.take_along_axis(sigma, order, axis=1) ** 2
+    g = np.take_along_axis(g, order, axis=1)
     m = np.where(m > d * np.finfo(float).eps * m[:, -1:], m, 0.0)
-    cum_m = np.cumsum(m, axis=1)
-    per_index = np.stack([g_diag.real, g_diag.imag, m, np.ones_like(m)], axis=2).reshape(n, 4 * d)
+    per_index = np.stack([g.real, g.imag, m, np.ones_like(m)], axis=2).reshape(n, 4 * d)
     # Filled in place to be C-ordered: on an F-ordered table ``take`` of whole
     # columns strides across every row and costs up to 100x more.
     table = np.empty((5 * d, n))
-    table[:d], table[d:] = cum_m.T, per_index.T
-    return np.cumsum(weights), m, cum_m, table
+    table[:d], table[d:] = np.cumsum(m, axis=1).T, per_index.T
+    return np.cumsum(gram), table
 
 
 def _simulate_block(tables: tuple, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -363,8 +348,8 @@ def _simulate_block(tables: tuple, rng: np.random.Generator, n: int) -> tuple[np
     No step reduces over an index axis in floating point (see the module
     docstring), so a run gets the same bits whatever n is.
     """
-    cum_w, m, _, table = tables
-    d = m.shape[1]
+    cum_w, table = tables
+    d = len(table) // 5
     # Columns d + 3 onward are the d phases, drawn but never read: G is
     # diagonal.  They stay so that every stream, transcript and pinned
     # digest is unchanged.
@@ -419,23 +404,29 @@ def simulate(
     POVM whose corrections keep every V_a B_a diagonal, as every POVM the
     CLI builds does; any other input raises ``DomainError`` before any draw
     (see ``_sampling_tables``), and so do ``n_runs`` or ``n_workers`` that
-    are not ints of at least 1 (a bool is not), a negative int ``rng`` and
-    a set with a member axis.
+    are not ints of at least 1 (a bool is not), an ``rng`` that is not
+    None, a nonnegative int or a ``Generator`` (a bool, float or str is
+    not), and a set with a member axis.  More than ``MAX_WORKERS`` shards
+    raise ``CapacityError``, before any generator is spawned.
     """
     for count, what in ((n_runs, "run"), (n_workers, "worker")):
         if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
             raise DomainError(f"need an integer count of at least one {what}, got {count!r}")
+    # The first k children of spawn(n) equal spawn(k), so dropping the shards
+    # that would get no runs changes no result.
+    n_shards = min(n_workers, n_runs)
+    if n_shards > MAX_WORKERS:
+        raise CapacityError(f"{n_shards} shards exceed the ceiling of {MAX_WORKERS}")
+    if isinstance(rng, bool) or not (rng is None or isinstance(rng, (numbers.Integral, np.random.Generator))):
+        raise DomainError(f"seed must be None, an int or a numpy Generator, got {rng!r}")
     if isinstance(rng, numbers.Integral) and rng < 0:
         raise DomainError(f"seed must be nonnegative, got {rng}")
     if p.members:
         raise DomainError(f"simulate takes one POVM, got a stack of {p.members} members")
-    _check_evaluable(p, ch)
-    tables = _sampling_tables(p, ch, _corrections(p, basis, corrections))
+    gram, _, sigma, g = _outcomes(p, ch, basis, corrections)
+    tables = _sampling_tables(gram, sigma, g)
     n_out, d = p.n_outcomes, p.d
     block = max(1, _BLOCK_ENTRIES // (7 * d + 3))
-    # The first k children of spawn(n) equal spawn(k), so dropping the shards
-    # that would get no runs changes no result.
-    n_shards = min(n_workers, n_runs)
     shares = [n_runs // n_shards + (1 if w < n_runs % n_shards else 0) for w in range(n_shards)]
     conclusive_flag = (p.kinds == CONCLUSIVE).astype(np.int64)
     # Per outcome: runs, then the sums of f, f^2, 1 - f and (1 - f)^2.

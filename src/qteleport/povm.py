@@ -356,14 +356,17 @@ class ThetaPovmFamily:
     ``cos_theta_c`` fixes the channel; ``cos_theta`` sets the overlap of the
     four measurement states (equal to cos_theta_c for the conclusive set,
     0 for orthogonal measurement).  Positivity requires
-    0 <= lam <= 1 - |cos_theta|.
+    0 <= lam <= 1 - |cos_theta|.  ``lam`` is one number (``ShapeError``
+    otherwise); a stack of weights is a sequence of families.
     """
 
     cos_theta_c: float
     cos_theta: float
-    lam: float | np.ndarray
+    lam: float
 
     def __post_init__(self):
+        if np.ndim(self.lam):
+            raise ShapeError(f"weight must be one number, got shape {np.shape(self.lam)}; stack families instead")
         if not -1.0 < self.cos_theta < 1.0:
             raise PositivityError(f"cos_theta must lie in (-1, 1), got {self.cos_theta}")
         if not -1.0 < self.cos_theta_c < 1.0:

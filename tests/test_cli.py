@@ -202,6 +202,15 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage error: QTELEPORT_WORKERS") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("runs", ["0", "10"])
+    def test_workers_env_above_the_ceiling(self, capsys, monkeypatch, runs):
+        monkeypatch.setenv("QTELEPORT_WORKERS", str(fidelity.MAX_WORKERS + 1))
+        with pytest.raises(SystemExit) as info:
+            main(["teleport", "--runs", runs])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err == f"usage error: QTELEPORT_WORKERS={fidelity.MAX_WORKERS + 1} exceeds the ceiling of {fidelity.MAX_WORKERS} workers\n"
+
     @pytest.mark.parametrize(
         "argv", [["teleport", "--d", "-3"], ["teleport", "--d", "0"], ["verify", "--d", "1"], ["verify", "--d", "-2"]]
     )

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qteleport.channel import make_channel, qubit_channel_from_cos_theta
+from qteleport import dilation
 from qteleport.dilation import dilate, dilated_channel_maps, outcome_probabilities, realized_povm
 from qteleport.errors import CapacityError, DecompositionError, DomainError
 from qteleport.fidelity import channel_maps, report, simulate
@@ -167,11 +168,33 @@ def test_realized_povm_is_the_measured_povm(strategy):
     assert np.array_equal(realized.kinds, p.kinds) and np.array_equal(realized.labels, p.labels)
     assert realized.lam == p.lam and realized.is_refined()
     assert np.max(np.abs(realized.vectors - p.vectors)) <= 1e-14
-    # The residuals and the dilated maps are read through it.
+    # The residuals are its elements', and the dilated maps are read through it.
     np.testing.assert_array_equal(
         dil.residuals, np.max(np.abs(realized.elements - p.elements), axis=(1, 2))
     )
     np.testing.assert_array_equal(dilated_channel_maps(dil, p, ch), channel_maps(realized, ch))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("strategy", ["product", "residual"])
+def test_residuals_and_probabilities_read_the_rows_without_a_realized_povm(monkeypatch, d, strategy):
+    # ``dilate`` and ``outcome_probabilities`` read U's rows straight; their
+    # bits are those read through ``realized_povm``, built here only as the oracle.
+    basis = build_weyl_basis(d)
+    ch = random_channel(d, np.random.default_rng(90 + d))
+    p = build(d, ch, 0.5 * lambda_max(ch), strategy, basis)
+    state = haar_random_ket(d * d, np.random.default_rng(d))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("realized PovmSet built")
+
+    with monkeypatch.context() as m:
+        m.setattr(dilation, "PovmSet", refuse)
+        dil = dilate(p)
+        probs = outcome_probabilities(dil, p, state)
+    realized = realized_povm(dil, p)
+    assert dil.residuals.tobytes() == dilation._residuals(realized.vectors, p.vectors).tobytes()
+    assert probs.tobytes() == (np.abs(realized.vectors.conj() @ state) ** 2).tobytes()
 
 
 @pytest.mark.parametrize("d", range(2, 7))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qteleport.channel import make_channel, qubit_channel_from_cos_theta
-from qteleport.errors import ConsistencyError, DecompositionError, DomainError, ShapeError
+from qteleport.errors import CapacityError, ConsistencyError, DecompositionError, DomainError, ShapeError
 from qteleport import fidelity
 from qteleport.fidelity import channel_maps, report, simulate, transcript_bits
 from qteleport.dilation import dilate, realized_povm
@@ -616,16 +616,17 @@ class TestPatternPaperReport:
         p = refined(ch, basis, 0.5 * lambda_max(ch), strategy)
         want = report(p, ch, basis, "auto").f_total
         asked = []
-        paired = fidelity._paired
+        outcomes = fidelity._outcomes
 
-        def counted(fixed, rows):
-            asked.append(rows.shape)
-            return paired(fixed, rows)
+        def counted(*args):
+            out = outcomes(*args)
+            asked.append(out[3].shape)
+            return out
 
         def refuse(*args):
             raise AssertionError("dense stack built")
 
-        monkeypatch.setattr(fidelity, "_paired", counted)
+        monkeypatch.setattr(fidelity, "_outcomes", counted)
         monkeypatch.setattr(Monomial, "dense", refuse)
         monkeypatch.setattr(fidelity, "channel_maps", refuse)
         assert report(p, ch, basis, "paper").f_total == pytest.approx(want, abs=1e-12)
@@ -928,11 +929,14 @@ class TestSimulate:
             {"n_workers": 2.5},
             {"n_workers": True},
             {"rng": -1},
+            {"rng": True},
+            {"rng": 1.5},
+            {"rng": "3"},
         ],
     )
     def test_rejects_nonpositive_runs(self, kwargs):
-        # Counts must be ints of at least 1 and an int seed nonnegative;
-        # anything else is refused before any draw.
+        # Counts must be ints of at least 1 and a seed None, a nonnegative
+        # int or a Generator; anything else is refused before any draw.
         basis = build_weyl_basis(2)
         ch = qubit_channel_from_cos_theta(0.6)
         p = refined(ch, basis, 0.4, "product")
@@ -943,6 +947,26 @@ class TestSimulate:
         # numpy integers are ints.
         rep = simulate(p, ch, basis, "paper", n_runs=np.int64(10), rng=np.int64(3), n_workers=np.int32(2))
         assert rep.n_runs == 10
+        assert simulate(p, ch, basis, "paper", n_runs=10, rng=np.random.default_rng(3)) == simulate(
+            p, ch, basis, "paper", n_runs=10, rng=3
+        )
+
+    def test_shard_count_above_the_ceiling_is_refused_before_any_generator(self, monkeypatch):
+        # min(n_workers, n_runs) shards, each with its own generator: one
+        # past the ceiling is refused before the master generator is made.
+        basis = build_weyl_basis(2)
+        ch = qubit_channel_from_cos_theta(0.6)
+        p = refined(ch, basis, 0.4, "product")
+
+        def refuse(*args):
+            raise AssertionError("generator made")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        over = fidelity.MAX_WORKERS + 1
+        calls = []
+        with pytest.raises(CapacityError, match=f"{over} shards"):
+            simulate(p, ch, basis, "paper", n_runs=over, n_workers=over, transcript=calls.append)
+        assert calls == []
 
 
 def einsum_kernel(maps, vs, rng, n):
@@ -1078,8 +1102,9 @@ class FixedRows:
 
 
 def tables_of(p, ch, basis, corrections):
-    """The kernel's tables for the POVM's maps and a corrections mode, as ``simulate`` builds them."""
-    return fidelity._sampling_tables(p, ch, fidelity._corrections(p, basis, corrections))
+    """The kernel's (cum_w, table) for the POVM's maps and a corrections mode, as ``simulate`` builds them."""
+    gram, _, sigma, g = fidelity._outcomes(p, ch, basis, corrections)
+    return fidelity._sampling_tables(gram, sigma, g)
 
 
 def kernel_block(p, ch, basis, corrections, rng, n):
@@ -1272,6 +1297,20 @@ class TestBlockedKernel:
                 simulate(bad, ch, basis, "auto", n_runs=100, rng=0, transcript=calls.append)
         assert calls == []
 
+    def test_incomplete_dense_povm_with_paper_is_refused_as_incomplete(self):
+        # Both paths read one set-up, which checks completeness before the
+        # Monte Carlo refuses paper corrections on a dense POVM.
+        ch = make_channel(np.sqrt([0.5, 0.3, 0.2]))
+        basis = build_weyl_basis(3)
+        p = refined(ch, basis, 0.4, "residual")
+        vectors = realized_povm(dilate(p), p).vectors.copy()
+        vectors[4] *= 1.001
+        bad = PovmSet(d=3, vectors=vectors, kinds=p.kinds, labels=p.labels, lam=p.lam)
+        assert bad.monomial is None
+        for run in (report, simulate):
+            with pytest.raises(ConsistencyError, match="identity"):
+                run(bad, ch, basis, "paper")
+
     @pytest.mark.parametrize("strategy", ["product", "residual"])
     def test_lambda_max_draws_no_zero_outcome_or_eigen_index(self, strategy):
         # At lambda_max the product pieces of the smallest column vanish and
@@ -1286,7 +1325,8 @@ class TestBlockedKernel:
         weights = np.sum(np.abs(maps) ** 2, axis=(1, 2))
         dead = np.flatnonzero(weights == 0)
         tables = tables_of(p, ch, basis, "auto")
-        _, m, cum_m = tables[:3]
+        # The table's first d rows are the cumulative eigenweights; m_j is row d + 4j + 2.
+        cum_m, m = tables[1][:d].T, tables[1][d + 2 :: 4].T
         if strategy == "product":
             np.testing.assert_array_equal(dead, np.arange(2 * d * d - d, 2 * d * d))
         else:
@@ -1379,7 +1419,7 @@ class TestBlockedKernel:
                     vb = corrections_of(p, basis, maps, corrections) @ maps
                     scale = np.abs(vb).max(axis=(1, 2))
                     assert np.all(np.abs(vb[:, off]).max(axis=1) <= floor * scale), (ch.coeffs, share, corrections)
-                    assert tables_of(p, ch, basis, corrections)[3].shape == (5 * d, p.n_outcomes)
+                    assert tables_of(p, ch, basis, corrections)[1].shape == (5 * d, p.n_outcomes)
         if d == 2:
             for cc, ct in ((0.6, 0.6), (0.6, 0.0), (0.3, -0.5), (0.9, 0.2)):
                 ch2 = qubit_channel_from_cos_theta(cc)

@@ -128,6 +128,10 @@ def test_stack_arguments_are_checked():
         build_theta_povm([ThetaPovmFamily(0.6, 0.3, 0.1), ThetaPovmFamily(0.5, 0.3, 0.1)])
     with pytest.raises(ShapeError):
         build_theta_povm([])
+    # A family's weight is one number; a stack of weights is a sequence of families.
+    with pytest.raises(ShapeError, match=r"shape \(2,\)"):
+        ThetaPovmFamily(0.6, 0.3, np.array([0.1, 0.2]))
+    assert build_theta_povm(ThetaPovmFamily(0.6, 0.3, np.float64(0.1))).lam == 0.1
     # A PovmSet takes the weights and the remainder with the values' member axis.
     p = build_conclusive_povm(ch, basis, [0.1, 0.2])
     for lam, remainder in ((0.1, p.remainder), (p.lam[:1], p.remainder), (p.lam, p.remainder[0])):
