@@ -60,7 +60,11 @@ def make_channel(coeffs) -> SchmidtChannel:
     Coefficients must be real, finite, nonnegative and already normalized to
     sum(a_i^2) = 1 within 1e-9 (the copy stored is renormalized exactly).
     """
-    arr = np.asarray(coeffs, dtype=float)
+    arr = np.asarray(coeffs)
+    # The float cast would drop imaginary parts with only a warning.
+    if np.iscomplexobj(arr):
+        raise NormalizationError(f"coefficients must be real, got {arr}")
+    arr = np.asarray(arr, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ShapeError(f"need a 1-D array of at least 2 coefficients, got shape {arr.shape}")
     # Every comparison with NaN is false, so the checks below would pass it.

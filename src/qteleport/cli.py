@@ -129,7 +129,7 @@ def _check_channel_flags(args: argparse.Namespace) -> None:
     """
     if args.coeffs is not None:
         try:
-            args.coeffs = [float(tok) for tok in args.coeffs.split(",") if tok != ""]
+            args.coeffs = [float(tok) for tok in args.coeffs.split(",")]
         except ValueError as exc:
             raise _usage_error(f"bad --coeffs: {exc}")
     if args.lam == "max":
@@ -304,7 +304,7 @@ def _teleport_columns(p: PovmSet, exact: FidelityReport, mc: FidelityReport | No
 
 
 def _transcript_sink(stream, p: PovmSet):
-    """Write each Monte Carlo block of ``p`` as JSONL, one ``json.dumps(record)`` line per run.
+    """Write each Monte Carlo block of ``p`` as JSONL bytes, one ``json.dumps(record)`` line per run.
 
     All fields are nonnegative ints, so each outcome's line is fixed but for
     the run index.  Row a of a byte table holds ``{"run_index": ``, a field
@@ -313,6 +313,7 @@ def _transcript_sink(stream, p: PovmSet):
     outcome, writes each run index into the field as right-aligned ASCII
     digits (places above its leading digit stay zero), and drops every zero
     byte.  The flag is 1 for kind ``CONCLUSIVE``, as ``simulate`` sets it.
+    ``stream`` is binary, so each line ends in exactly one ``\n`` byte.
     """
     bits = transcript_bits(p.n_outcomes)
     tails = [
@@ -347,7 +348,7 @@ def _transcript_sink(stream, p: PovmSet):
         # A place above the leading digit stays a zero byte; the units digit always shows.
         digits[:-1] *= index >= places[:-1]
         lines[:, head.size : head.size + len(places)] = digits.T
-        stream.write(lines.tobytes().replace(b"\0", b"").decode("ascii"))
+        stream.write(lines.tobytes().replace(b"\0", b""))
 
     return write
 
@@ -400,7 +401,7 @@ def cmd_teleport(args: argparse.Namespace) -> int:
         mc = None
         if args.runs > 0:
             with (
-                open(args.transcript, "w") if args.transcript is not None else contextlib.nullcontext()
+                open(args.transcript, "wb") if args.transcript is not None else contextlib.nullcontext()
             ) as stream:
                 mc = simulate(
                     refined,

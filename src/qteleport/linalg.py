@@ -47,9 +47,11 @@ class Monomial:
     Both arrays have shape (n, d) and are read-only; the values are stored
     complex; the values may have a leading member axis, (L, n, d): L stacks
     sharing ``cols``.  The nonzero values of one matrix must sit in distinct
-    columns in [0, d): ``scan`` and the builders of this package guarantee
-    it, and ``UnitaryBasis`` and ``PovmSet`` take it as given, since their
-    monomial checks (unit moduli, the diagonal of sum B^† B) rely on it.
+    columns in [0, d): the builders of this package guarantee it, and
+    ``UnitaryBasis`` and ``PovmSet`` take it as given, since their monomial
+    checks (unit moduli, the diagonal of sum B^† B) rely on it.  Nothing
+    converts a dense stack to this form: a stack is monomial because it was
+    built so, never because its values happen to fit.
     """
 
     cols: np.ndarray
@@ -71,18 +73,6 @@ class Monomial:
 
     def __len__(self) -> int:
         return self.values.shape[-2]
-
-    @classmethod
-    def scan(cls, dense: np.ndarray) -> Monomial | None:
-        """The monomial form of a dense (n, d, d) stack, or None if it has none.
-
-        Judged on exact zeros; an all-zero row gets column 0 and value 0.
-        """
-        nz = dense != 0
-        if max(np.count_nonzero(nz, axis=axis).max(initial=0) for axis in (1, 2)) > 1:
-            return None
-        # With one nonzero per row, the row sum is that value, exactly.
-        return cls(nz.argmax(axis=2), dense.sum(axis=2))
 
     def dense(self) -> np.ndarray:
         """The (n, d, d) stack, zero off the stored entries; (L, n, d, d) with a member axis."""
@@ -149,8 +139,11 @@ def von_neumann_entropy(rho: np.ndarray, trace_tol: float = 1e-8) -> float:
     at or below zero contribute nothing (0 log 0 := 0).
     """
     rho = np.asarray(rho)
+    if not np.isfinite(rho).all():
+        raise NormalizationError("density operator has a non-finite entry")
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > trace_tol:
+    # Written so that a NaN trace fails it too.
+    if not abs(tr - 1.0) <= trace_tol:
         raise NormalizationError(f"trace {tr!r} deviates from 1 by more than {trace_tol}")
     vals = np.linalg.eigvalsh(rho)
     if vals[0] < -1e-10:

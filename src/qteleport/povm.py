@@ -73,11 +73,10 @@ class PovmSet:
 
     Rank-one element k is |w_k><w_k|.  The vectors are given as a
     ``Monomial`` of n (d, d) matrices, row i of matrix k holding w_k[i*d + j]
-    in column j, or as a dense (n, d^2) array; a dense array whose vectors
-    have at most one nonzero per such row and column is scanned into
-    ``monomial`` once, here, and any other (e.g. a realized Neumark
-    extension) leaves ``monomial`` None.  ``vectors`` and ``elements`` read
-    the dense forms back, read-only, built on first use.  An unrefined set
+    in column j, stored as ``monomial``; or as a dense (n, d^2) array (e.g.
+    a realized Neumark extension), stored as the ``vectors`` view with
+    ``monomial`` None, whatever its values.  ``vectors`` and ``elements``
+    read the dense forms back, read-only, built on first use.  An unrefined set
     carries its diagonal remainder as ``remainder`` (shape (d^2,)), which is
     the last element; it is ``None`` once refined.  ``kinds`` and ``labels``,
     read-only integer arrays, classify each element, remainder included (see
@@ -140,9 +139,9 @@ class PovmSet:
             vectors.setflags(write=False)
             # The dense input is the view ``vectors`` returns.
             self.__dict__["vectors"] = vectors
-            vectors = Monomial.scan(vectors.reshape(n, d, d))
         # Frozen: the fields go straight into the instance dict.
-        self.__dict__.update(d=d, kinds=kinds, labels=labels, lam=lam, remainder=remainder, monomial=vectors)
+        monomial = vectors if given else None
+        self.__dict__.update(d=d, kinds=kinds, labels=labels, lam=lam, remainder=remainder, monomial=monomial)
 
     @cached_property
     def vectors(self) -> np.ndarray:

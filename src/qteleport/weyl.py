@@ -14,12 +14,13 @@ phase-insensitive combinations.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import DomainError, ShapeError
 from .linalg import Monomial, dagger
 
 
@@ -28,11 +29,11 @@ class UnitaryBasis:
     """An ordered set of d^2 unitaries satisfying the orthogonality relations.
 
     Built from ``ops``: a ``Monomial`` stack of d^2 operators, as
-    :func:`build_weyl_basis` gives, or a dense (d^2, d, d) array.  A dense
-    array with one nonzero per row and column is scanned into ``monomial``
-    once, here; any other (see :func:`conjugated_basis`) leaves ``monomial``
-    None.  Element alpha = m*d + n is X^m Z^n for the stock construction,
-    but any set satisfying the relations above is admissible.
+    :func:`build_weyl_basis` gives, stored as ``monomial``; or a dense
+    (d^2, d, d) array (see :func:`conjugated_basis`), stored as the
+    read-only ``ops`` view with ``monomial`` None, whatever its values.
+    Element alpha = m*d + n is X^m Z^n for the stock construction, but any
+    set satisfying the relations above is admissible.
     """
 
     dim: int
@@ -47,9 +48,8 @@ class UnitaryBasis:
             ops.setflags(write=False)
             # The dense input is the view ``ops`` returns.
             self.__dict__["ops"] = ops
-            ops = Monomial.scan(ops)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "monomial", ops)
+        object.__setattr__(self, "monomial", ops if given else None)
 
     @cached_property
     def ops(self) -> np.ndarray:
@@ -68,6 +68,8 @@ def build_weyl_basis(d: int) -> UnitaryBasis:
     product rounds the phases, and rebuilding yields bit-identical
     operators on any BLAS.
     """
+    if not isinstance(d, numbers.Integral) or isinstance(d, bool):
+        raise DomainError(f"dimension must be an integer, got {d!r}")
     if d < 2:
         raise ShapeError(f"dimension must be at least 2, got {d}")
     k = np.arange(d)

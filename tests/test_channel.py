@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,14 @@ class TestMakeChannel:
             make_channel([bad, 1.0])
         with pytest.raises(NormalizationError, match="finite"):
             make_channel([0.6, 0.8, bad])
+
+    @pytest.mark.parametrize("coeffs", [np.array([0.6 + 0.5j, 0.8]), [0.6, 0.8 + 0j], [0.6 + 0.5j, 0.8]])
+    def test_rejects_complex_before_the_float_cast(self, coeffs):
+        # The cast would keep the real parts and only warn.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NormalizationError, match="real"):
+                make_channel(coeffs)
 
     def test_ket_layout(self):
         ch = make_channel(np.sqrt([0.5, 0.3, 0.2]))

@@ -253,6 +253,15 @@ class TestUsageErrors:
         assert echo.startswith(f"# command={command}")
         assert usage.startswith("usage error: coefficients must be finite")
 
+    @pytest.mark.parametrize("command", ["teleport", "verify"])
+    @pytest.mark.parametrize("coeffs", ["0.6,,0.8", "0.6,0.8,", ",0.6,0.8", ""])
+    def test_empty_coefficient_token_is_one_usage_line(self, capsys, command, coeffs):
+        # An empty token is unparsable like any other, not dropped.
+        with pytest.raises(SystemExit) as info:
+            main([command, "--coeffs", coeffs, "--runs", "10"][: 3 if command == "verify" else 5])
+        assert info.value.code == 2
+        assert capsys.readouterr().err == "usage error: bad --coeffs: could not convert string to float: ''\n"
+
     @pytest.mark.parametrize("argv", [["teleport", "--seed", "-1", "--runs", "10"], ["verify", "--seed", "-1"]])
     def test_negative_seed(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
@@ -574,8 +583,8 @@ class TestTeleport:
             columns = [np.concatenate([b[key] for b in blocks]) for key in keys]
             pieces = list(zip(*(np.split(column, cuts) for column in columns)))
         pieces = [(index + first_run, alpha, flag) for index, alpha, flag in pieces]
-        stream, path = io.StringIO(), tmp_path / "runs.jsonl"
-        with open(path, "w") as f:
+        stream, path = io.BytesIO(), tmp_path / "runs.jsonl"
+        with open(path, "wb") as f:
             sinks = [cli._transcript_sink(stream, p), cli._transcript_sink(f, p)]
             for index, alpha, flag in pieces:
                 for write in sinks:
@@ -596,7 +605,7 @@ class TestTeleport:
         assert len(set(np.concatenate([alpha for _, alpha, _ in pieces]).tolist())) == 2 * d * d
         if cuts is not None:
             assert [len(index) for index, _, _ in pieces[:2]] == [1, 12]
-        assert stream.getvalue() == want
+        assert stream.getvalue() == want.encode()
         assert path.read_bytes() == want.encode()
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8])

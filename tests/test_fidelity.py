@@ -576,9 +576,11 @@ class TestRankOneEngine:
 
 
 def scaled_basis(basis, alpha, factor):
-    ops = basis.ops.copy()
+    """``basis`` with operator alpha scaled by ``factor``, in the basis's own form."""
+    u = basis.monomial
+    ops = basis.ops.copy() if u is None else u.values.copy()
     ops[alpha] *= factor
-    return UnitaryBasis(dim=basis.dim, ops=ops)
+    return UnitaryBasis(dim=basis.dim, ops=ops if u is None else Monomial(u.cols, ops))
 
 
 class TestPatternPaperReport:
@@ -740,15 +742,20 @@ class TestPatternPaperReport:
 
     @pytest.mark.parametrize("strategy", ["product", "residual"])
     def test_real_valued_basis_gives_complex_corrections(self, strategy):
-        # The d = 2 Weyl operators are real; stored as real arrays, their
+        # The d = 2 Weyl operators are real; given as real values, their
         # corrections still come out complex, as the Monte Carlo scales them
-        # by complex map entries in place.
+        # by complex map entries in place.  The Monte Carlo takes the
+        # monomial form; the dense real array gets the same exact report.
         d = 2
-        basis = UnitaryBasis(dim=d, ops=build_weyl_basis(d).ops.real.copy())
+        weyl = build_weyl_basis(d).monomial
+        basis = UnitaryBasis(dim=d, ops=Monomial(weyl.cols, weyl.values.real.copy()))
+        dense = UnitaryBasis(dim=d, ops=build_weyl_basis(d).ops.real.copy())
         ch = random_channel(d, np.random.default_rng(12))
         p = refined(ch, basis, 0.5 * lambda_max(ch), strategy)
         assert correction_unitaries(p, basis).dtype == complex
+        assert correction_unitaries(p, dense).dtype == complex
         exact = report(p, ch, basis, "paper")
+        assert report(p, ch, dense, "paper").f_total == pytest.approx(exact.f_total, abs=1e-15)
         mc = simulate(p, ch, basis, "paper", n_runs=4000, rng=3)
         assert abs(mc.f_total - exact.f_total) <= 4 * mc.f_total_se
 
@@ -784,7 +791,9 @@ class TestPatternPaperReport:
         # One phase of a Weyl basis scaled by 1 + 1e-9 is refused by report
         # and simulate, by 1 + 1e-12 accepted, with the basis given as a
         # Monomial or as the same dense array; the dense max|V^† V - I| <=
-        # 1e-10 check gives the same verdicts on the same operators.
+        # 1e-10 check gives the same verdicts on the same operators.  The
+        # dense array stays dense, so simulate refuses its accepted case too,
+        # as it refuses paper corrections from any dense basis.
         basis = build_weyl_basis(d)
         ch = random_channel(d, np.random.default_rng(d))
         p = refined(ch, basis, 0.5 * lambda_max(ch), strategy)
@@ -794,17 +803,17 @@ class TestPatternPaperReport:
             values[alpha, d // 2] *= factor
             scaled = Monomial(basis.monomial.cols, values)
             moved = UnitaryBasis(dim=d, ops=scaled if form == "monomial" else scaled.dense())
-            assert moved.monomial is not None and np.array_equal(moved.ops, scaled.dense())
+            assert (moved.monomial is None) == (form == "dense") and np.array_equal(moved.ops, scaled.dense())
             try:
                 fidelity._check_unitary(moved.ops)
                 assert accepted
             except DomainError:
                 assert not accepted
             for run in (report, lambda *args: simulate(*args, n_runs=10, rng=0)):
-                if accepted:
+                if accepted and (run is report or form == "monomial"):
                     run(p, ch, moved, "paper")
                 else:
-                    with pytest.raises(DomainError, match="not unitary"):
+                    with pytest.raises(DomainError, match="diagonal" if accepted else "not unitary"):
                         run(p, ch, moved, "paper")
 
     @pytest.mark.parametrize("d", [12, 16])

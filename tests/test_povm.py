@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qteleport import fidelity, povm
 from qteleport.channel import make_channel, qubit_channel_from_cos_theta
-from qteleport.errors import PositivityError, ShapeError, SingularChannelError
+from qteleport.errors import DomainError, PositivityError, ShapeError, SingularChannelError
 from qteleport.dilation import dilate, realized_povm
 from qteleport.povm import (
     CONCLUSIVE,
@@ -26,7 +26,7 @@ from qteleport.povm import (
     refine_inconclusive_product,
     refine_inconclusive_residual,
 )
-from qteleport.weyl import build_weyl_basis, maximally_entangled_basis
+from qteleport.weyl import UnitaryBasis, build_weyl_basis, maximally_entangled_basis
 
 
 def random_channel(d, rng):
@@ -282,19 +282,42 @@ class TestMonomialViews:
         assert p.monomial is not None
         assert np.array_equal(p.vectors, np.sqrt(lam) * dense_theta_states(ct))
 
-    def test_dense_input_is_scanned_once(self):
-        # A dense array with the monomial structure is stored as a Monomial
-        # and read back as the very array given; one without it stays dense.
-        d = 3
-        p = refine_inconclusive_product(build_conclusive_povm(random_channel(d, np.random.default_rng(1)),
-                                                              build_weyl_basis(d), 0.2))
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("strategy", ["product", "residual"])
+    def test_dense_input_stays_dense(self, d, strategy):
+        # A dense array is stored as the very array given, read-only, with
+        # no monomial form, even where its values have the monomial
+        # structure; a monomial form is only ever the one a builder made.
+        weyl = build_weyl_basis(d)
+        ch = random_channel(d, np.random.default_rng(d))
+        lam = 0.5 * lambda_max(ch)
+        ops = np.array(weyl.ops)
+        basis = UnitaryBasis(dim=d, ops=ops)
+        assert basis.monomial is None and basis.ops is ops and not ops.flags.writeable
+        p = build_conclusive_povm(ch, weyl, lam)
+        p = refine_inconclusive_product(p) if strategy == "product" else refine_inconclusive_residual(p, weyl)
         vectors = np.array(p.vectors)
         q = PovmSet(d=d, vectors=vectors, kinds=p.kinds, labels=p.labels, lam=p.lam)
-        assert q.vectors is vectors and not vectors.flags.writeable
-        assert np.array_equal(q.monomial.dense().reshape(len(vectors), -1), vectors)
-        rotated = PovmSet(d=d, vectors=vectors @ np.kron(np.eye(d), [[0.6, 0.8, 0], [-0.8, 0.6, 0], [0, 0, 1]]),
-                          kinds=p.kinds, labels=p.labels, lam=p.lam)
-        assert rotated.monomial is None
+        assert q.monomial is None and q.vectors is vectors and not vectors.flags.writeable
+        # The dense builders from the dense basis make the same vectors.
+        r = build_conclusive_povm(ch, basis, lam)
+        r = refine_inconclusive_product(r) if strategy == "product" else refine_inconclusive_residual(r, basis)
+        assert r.monomial is None and np.max(np.abs(r.vectors - p.vectors)) <= 1e-15
+        # The dense branch reports the monomial set's numbers in both modes.
+        for corrections in ("auto", "paper"):
+            want = fidelity.report(p, ch, weyl, corrections)
+            for got in (fidelity.report(q, ch, weyl, corrections), fidelity.report(r, ch, basis, corrections)):
+                assert np.max(np.abs(np.subtract(got.fidelity_terms, want.fidelity_terms))) <= 1e-15
+                assert np.max(np.abs(np.subtract(got.probabilities, want.probabilities))) <= 1e-15
+        # The Monte Carlo runs the dense set with optimal corrections and
+        # refuses the paper's before any draw, as on any dense input.
+        mc = fidelity.simulate(r, ch, basis, "auto", n_runs=4000, rng=3)
+        assert abs(mc.f_total - fidelity.report(p, ch, weyl, "auto").f_total) <= 4 * mc.f_total_se
+        calls = []
+        for s, b in ((q, weyl), (r, basis), (p, basis)):
+            with pytest.raises(DomainError, match="diagonal"):
+                fidelity.simulate(s, ch, b, "paper", n_runs=10, rng=0, transcript=calls.append)
+        assert calls == []
 
 
 class TestProductRefinement:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qteleport.errors import ShapeError
+from qteleport.errors import DomainError, ShapeError
 from qteleport.linalg import haar_random_unitary
 from qteleport.weyl import (
     build_weyl_basis,
@@ -136,6 +136,16 @@ def test_rebuild_is_bit_identical():
 def test_rejects_dimension_one():
     with pytest.raises(ShapeError):
         build_weyl_basis(1)
+
+
+@pytest.mark.parametrize("d", [2.5, 3.0, "3", True, None, np.float64(3)])
+def test_rejects_a_non_integer_dimension(d):
+    with pytest.raises(DomainError, match="integer"):
+        build_weyl_basis(d)
+
+
+def test_numpy_integer_dimension_is_accepted():
+    assert build_weyl_basis(np.int64(3)).ops.tobytes() == build_weyl_basis(3).ops.tobytes()
 
 
 class TestEntangledBasis:
