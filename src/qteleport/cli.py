@@ -35,7 +35,7 @@ import numpy as np
 
 from .channel import SchmidtChannel, make_channel, qubit_channel_from_cos_theta
 from .errors import QTeleportError
-from .fidelity import MAX_WORKERS, FidelityReport, report, simulate, transcript_bits
+from .fidelity import MAX_RUNS, MAX_WORKERS, FidelityReport, report, simulate, transcript_bits
 from .formulas import channel_from_entropy, qubit_average_fidelity, relaxed_angle_fidelity
 from .povm import (
     CONCLUSIVE,
@@ -50,6 +50,10 @@ from .verify import run_battery
 from .weyl import build_weyl_basis
 
 WORKERS_ENV = "QTELEPORT_WORKERS"
+# Runs whose transcript lines are built as one byte string: at under 128
+# bytes a line, each of a slice's byte strings stays below glibc's default
+# mmap threshold, so no slice maps and unmaps its memory.
+TRANSCRIPT_SLICE = 1 << 10
 
 FIGURE_ENTROPIES = (0.0, 0.19, 0.55, 1.0)
 FIGURE_GRID = tuple(k / 100 for k in range(100))  # cos_theta in [0, 0.99]
@@ -203,9 +207,18 @@ def _csv_field(value) -> str:
 
 
 def _csv_cells(column) -> Iterator[str]:
-    """The CSV cells of one column: one ``%.12g`` map over a column of floats only, else ``_csv_field``."""
+    """The CSV cells of one column, as ``_csv_field`` writes them.
+
+    A column of floats only is one ``%.12g`` map, one of None only is empty
+    cells and one of ints only is ``str`` of each; any other goes cell by
+    cell through ``_csv_field``.
+    """
     if all(map(isinstance, column, repeat(float))):
         return map("%.12g".__mod__, column)
+    if column.count(None) == len(column):
+        return repeat("", len(column))
+    if all(map(isinstance, column, repeat(int))):
+        return map(str, column)
     return map(_csv_field, column)
 
 
@@ -309,11 +322,13 @@ def _transcript_sink(stream, p: PovmSet):
     All fields are nonnegative ints, so each outcome's line is fixed but for
     the run index.  Row a of a byte table holds ``{"run_index": ``, a field
     of zero bytes as wide as the block's largest run index, then outcome
-    a's tail, zero-padded to the longest tail.  A block takes its rows by
-    outcome, writes each run index into the field as right-aligned ASCII
-    digits (places above its leading digit stay zero), and drops every zero
-    byte.  The flag is 1 for kind ``CONCLUSIVE``, as ``simulate`` sets it.
-    ``stream`` is binary, so each line ends in exactly one ``\n`` byte.
+    a's tail, zero-padded to the longest tail.  A block writes its run
+    indices as right-aligned ASCII digits (places above the leading digit
+    stay zero) into digit rows kept from block to block; then, a slice of
+    ``TRANSCRIPT_SLICE`` runs at a time, it takes their rows by outcome,
+    copies the digits into the field and drops every zero byte.  The flag
+    is 1 for kind ``CONCLUSIVE``, as ``simulate`` sets it.  ``stream`` is
+    binary, so each line ends in exactly one ``\n`` byte.
     """
     bits = transcript_bits(p.n_outcomes)
     tails = [
@@ -333,22 +348,39 @@ def _transcript_sink(stream, p: PovmSet):
         table = np.concatenate([np.broadcast_to(head, (len(tails), head.size)), field, tails], axis=1)
         return table, 10 ** np.arange(width - 1, -1, -1)[:, None]
 
+    held = {}
+
+    def scratch(dtype, size: int) -> np.ndarray:
+        """A flat buffer of ``size`` items of ``dtype``, reused from block to block and reallocated only to grow."""
+        buffer = held.get(dtype)
+        if buffer is None or buffer.size < size:
+            buffer = held[dtype] = np.empty(size, dtype)
+        return buffer[:size]
+
     def write(block: dict) -> None:
-        index = block["run_index"]
+        index, alpha = block["run_index"], block["outcome_alpha"]
         table, places = rows(len(str(index.max())))
-        lines = table.take(block["outcome_alpha"], axis=0)
+        width, n = len(places), index.size
         # One row of digits per place, units last, by repeated division by 10.
-        digits = np.empty((len(places), index.size), np.int8)
-        quotient = index
+        quotient, next_quotient, rest = scratch(np.int64, 3 * n).reshape(3, n)
+        np.copyto(quotient, index)
+        digits = scratch(np.int8, width * n).reshape(width, n)
         for row in digits[::-1]:
-            next_quotient = quotient // 10
-            np.subtract(quotient, 10 * next_quotient, out=row)
-            quotient = next_quotient
+            np.floor_divide(quotient, 10, out=next_quotient)
+            np.multiply(next_quotient, -10, out=rest)
+            rest += quotient
+            row[...] = rest
+            quotient, next_quotient = next_quotient, quotient
         digits += ord("0")
         # A place above the leading digit stays a zero byte; the units digit always shows.
-        digits[:-1] *= index >= places[:-1]
-        lines[:, head.size : head.size + len(places)] = digits.T
-        stream.write(lines.tobytes().replace(b"\0", b""))
+        shown = scratch(np.bool_, (width - 1) * n).reshape(-1, n)
+        digits[:-1] *= np.greater_equal(index, places[:-1], out=shown)
+        # The lines are built a fixed slice of runs at a time, so no byte string grows with the block.
+        for start in range(0, n, TRANSCRIPT_SLICE):
+            part = slice(start, start + TRANSCRIPT_SLICE)
+            lines = table.take(alpha[part], axis=0)
+            lines[:, head.size : head.size + width] = digits[:, part].T
+            stream.write(lines.tobytes().replace(b"\0", b""))
 
     return write
 
@@ -370,6 +402,8 @@ def cmd_teleport(args: argparse.Namespace) -> int:
     _check_channel_flags(args)
     if args.runs < 0:
         raise _usage_error(f"--runs must be nonnegative, got {args.runs}")
+    if args.runs > MAX_RUNS:
+        raise _usage_error(f"--runs {args.runs} exceeds the ceiling of {MAX_RUNS} runs")
     _check_seed(args.seed)
     if (
         args.out is not None
@@ -398,21 +432,20 @@ def cmd_teleport(args: argparse.Namespace) -> int:
         else:
             refined = refine_inconclusive_residual(base, basis)
         exact = report(refined, channel, basis, args.corrections)
-        mc = None
-        if args.runs > 0:
-            with (
-                open(args.transcript, "wb") if args.transcript is not None else contextlib.nullcontext()
-            ) as stream:
-                mc = simulate(
-                    refined,
-                    channel,
-                    basis,
-                    args.corrections,
-                    n_runs=args.runs,
-                    rng=args.seed,
-                    n_workers=n_workers,
-                    transcript=None if stream is None else _transcript_sink(stream, refined),
-                )
+        # A given transcript is opened, and so emptied, even at --runs 0.
+        with (
+            open(args.transcript, "wb") if args.transcript is not None else contextlib.nullcontext()
+        ) as stream:
+            mc = None if args.runs == 0 else simulate(
+                refined,
+                channel,
+                basis,
+                args.corrections,
+                n_runs=args.runs,
+                rng=args.seed,
+                n_workers=n_workers,
+                transcript=None if stream is None else _transcript_sink(stream, refined),
+            )
     except QTeleportError as exc:
         raise _usage_error(str(exc))
     _write_table(args.out, args.fmt, TELEPORT_HEADER, _teleport_columns(refined, exact, mc))

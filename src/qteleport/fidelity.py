@@ -24,11 +24,13 @@ diagonal, so c^† G c = sum_k G_kk |c_k|^2: the phases never enter and a
 run costs O(d).
 
 The Monte Carlo works column-major: ``_sampling_tables`` writes every
-per-outcome number into the columns of one (rows, n_out) table, a block of
-runs gathers its drawn outcomes' columns with one ``take``, and each sum
-over an eigen-index k is a chain of vector adds over (k, run) rows in the
-order of k.  A run's arithmetic is then fixed whatever the block length,
-and the per-row overhead of short reductions over k is gone.
+per-outcome number into the columns of one (rows, n_out) table, with no
+Im G_kk rows when all of them are 0.0, a block of runs gathers its drawn
+outcomes' columns with one ``take``, and each sum over an eigen-index k
+is a chain of vector adds over (k, run) rows in the order of k.  A run's
+arithmetic is then fixed whatever the block length, and the per-row
+overhead of short reductions over k is gone.  Every other block-sized
+array is a view of buffers that one ``simulate`` call allocates once.
 
 The optimal V is the adjoint polar factor of B, so V B = (B^† B)^{1/2} = E
 diag(sqrt m) E^†: G is diagonal, |Tr(V B)| is the sum of B's singular
@@ -289,20 +291,25 @@ def transcript_bits(n_outcomes: int) -> int:
 
 
 # Monte Carlo rounds run in blocks of max(1, _BLOCK_ENTRIES // s) runs, where
-# s = 7d + 3 is what one run holds: its row of 2d + 3 uniforms and its
-# gathered table column of 5d rows (see ``_sampling_tables``).  That is
-# about 256 KiB of per-run state; larger blocks save little per-call
-# overhead, and on glibc they make the allocator return and re-fault the
-# block's arrays on every block.  The size bounds memory and transcript
-# calls, nothing else: run r of a shard reads row r of its (runs, 2d + 3)
-# uniforms, numpy fills them in C order, each run's sums are added in a
-# fixed order and the report adds runs in order, so any size gives the
-# same report.
-_BLOCK_ENTRIES = 1 << 15
+# s = 7d + 3 is about what one run holds: its row of 2d + 3 uniforms, its
+# d + 1 exponentials and its gathered table column of at most 4d rows (see
+# ``_sampling_tables``).  That is about 512 KiB of per-run state.  Each
+# ``simulate`` call allocates its block buffers once, so no block re-faults
+# them; larger blocks save a few per-call overheads but cost peak memory,
+# and ``searchsorted`` costs more per run as its queries spread over more
+# cache lines.  The size bounds memory and transcript calls, nothing else:
+# run r of a shard reads row r of its (runs, 2d + 3) uniforms, numpy fills
+# them in C order, each run's sums are added in a fixed order and the
+# report adds runs in order, so any size gives the same report.
+_BLOCK_ENTRIES = 1 << 16
 
 # The ceiling on the shard count min(n_workers, n_runs): every shard spawns a
 # generator and runs at least one block, which buys nothing past the cores.
 MAX_WORKERS = 1024
+
+# The ceiling on the run count: each outcome's run count is a float64 sum of
+# whole runs, exact up to 2**53.
+MAX_RUNS = 2**53
 
 
 def _draw_outcomes(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -316,16 +323,17 @@ def _draw_outcomes(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.count_nonzero(u >= cum[:-1], axis=0)
 
 
-def _sampling_tables(gram: np.ndarray, sigma: np.ndarray | None, g: np.ndarray | None) -> tuple[np.ndarray, ...]:
-    """Set-up of the outcome-first draw from ``_outcomes``: (cumulative Tr(M_a), the kernel's table).
+def _sampling_tables(gram: np.ndarray, sigma: np.ndarray | None, g: np.ndarray | None) -> tuple:
+    """Set-up of the outcome-first draw from ``_outcomes``: (cumulative Tr(M_a), the kernel's table, its parts).
 
     M_a = B_a^† B_a has eigenvalues m = sigma^2, taken in stable ascending
     order (zero at rounding level); on monomial maps E is that sorting
     permutation, and G_a = E^† V_a B_a E is g in the same order.  The
     table has one column per outcome: the d cumulative eigenweights, then
-    per index j the rows Re G_jj, Im G_jj, m_j and 1.  Fixed corrections
-    that leave some V_a B_a off the diagonal (g is None) raise
-    ``DomainError``; the paper's, on monomial maps, keep it diagonal.
+    per index j the parts (Re G_jj, m_j), or (Re G_jj, Im G_jj, m_j) when
+    some G_jj has a nonzero imaginary part; ``parts`` is their count.
+    Fixed corrections that leave some V_a B_a off the diagonal (g is None)
+    raise ``DomainError``; the paper's, on monomial maps, keep it diagonal.
     """
     if g is None:
         raise DomainError("simulate needs fixed corrections that keep every V_a B_a diagonal")
@@ -334,44 +342,72 @@ def _sampling_tables(gram: np.ndarray, sigma: np.ndarray | None, g: np.ndarray |
     m = np.take_along_axis(sigma, order, axis=1) ** 2
     g = np.take_along_axis(g, order, axis=1)
     m = np.where(m > d * np.finfo(float).eps * m[:, -1:], m, 0.0)
-    per_index = np.stack([g.real, g.imag, m, np.ones_like(m)], axis=2).reshape(n, 4 * d)
+    parts = [g.real, g.imag, m] if g.imag.any() else [g.real, m]
     # Filled in place to be C-ordered: on an F-ordered table ``take`` of whole
     # columns strides across every row and costs up to 100x more.
-    table = np.empty((5 * d, n))
-    table[:d], table[d:] = np.cumsum(m, axis=1).T, per_index.T
-    return np.cumsum(gram), table
+    table = np.empty(((1 + len(parts)) * d, n))
+    table[:d], table[d:] = np.cumsum(m, axis=1).T, np.stack(parts, axis=2).reshape(n, -1).T
+    return np.cumsum(gram), table, len(parts)
 
 
-def _simulate_block(tables: tuple, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _block_buffers(d: int, runs: int) -> tuple[np.ndarray, ...]:
+    """Buffers for blocks of up to ``runs`` runs, allocated once per ``simulate`` call.
+
+    They are the flat uniforms and exponentials, three per-run rows (the
+    fidelities and two scratch rows) and the run offsets 0, ..., runs - 1.
+    """
+    return np.empty(runs * (2 * d + 3)), np.empty(runs * (d + 1)), np.empty((3, runs)), np.arange(runs)
+
+
+def _simulate_block(tables: tuple, rng: np.random.Generator, n: int, buffers: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Run n protocol rounds, one row of 2d + 3 uniforms each; returns (outcome, fidelity) arrays.
 
+    Every block-sized array but the gathered columns and the outcomes is a
+    C-contiguous view of ``buffers`` (see ``_block_buffers``), written with
+    ``out=``; the fidelities are such a view, valid until the next block.
     No step reduces over an index axis in floating point (see the module
     docstring), so a run gets the same bits whatever n is.
     """
-    cum_w, table = tables
-    d = len(table) // 5
+    cum_w, table, parts = tables
+    d = len(table) // (parts + 1)
+    flat_u, flat_x, rows, ramp = buffers
+    fid, scaled = rows[0, :n], rows[1, :n]
     # Columns d + 3 onward are the d phases, drawn but never read: G is
     # diagonal.  They stay so that every stream, transcript and pinned
     # digest is unchanged.
-    u = rng.random((n, 2 * d + 3))
-    alpha = np.searchsorted(cum_w[:-1], u[:, 0] * cum_w[-1], side="right")
+    u = flat_u[: n * (2 * d + 3)].reshape(n, 2 * d + 3)
+    rng.random(out=u)
+    np.multiply(u[:, 0], cum_w[-1], out=scaled)
+    alpha = np.searchsorted(cum_w[:-1], scaled, side="right")
     cols = table.take(alpha, axis=1)
-    k = _draw_outcomes(cols[:d], u[:, 1] * cols[d - 1])
+    k = _draw_outcomes(cols[:d], np.multiply(u[:, 1], cols[d - 1], out=scaled))
     # Unnormalized Dirichlet(1, ..., 2 at k, ..., 1) from d + 1 exponentials
     # -log(1 - u), one row per index: |c|^2 = x / sum(x).  Row k of run r
     # is entry k * n + r of the flat x.
-    x = np.negative(u[:, 2 : d + 3].T, order="C")
+    x = flat_x[: n * (d + 1)].reshape(d + 1, n)
+    np.negative(u[:, 2 : d + 3].T, out=x)
     np.negative(np.log1p(x, out=x), out=x)
-    x.reshape(-1)[k * n + np.arange(n)] += x[d]
-    # Scaled by x_j, index j's rows (Re G_jj, Im G_jj, m_j, 1) become the
-    # terms of Re and Im of c^† G c, of sum_j m_j |c_j|^2 and of sum(x).
-    terms = cols[d:].reshape(d, 4, n)
+    k *= n
+    k += ramp[:n]
+    x.reshape(-1)[k] += x[d]
+    # Scaled by x_j, index j's parts become the terms of Re and Im of c^† G
+    # c and of sum_j m_j |c_j|^2, summed in the order of j into index 0's
+    # rows; sum(x) is summed beside them.  Each sum starts at its j = 0 term,
+    # not at 0.0, which can change only the sign of a zero Re or Im, and
+    # those are squared.  Where every Im G_jj is 0.0 its row would add 0.0
+    # to Re^2, so leaving it out changes no bit either.
+    terms = cols[d:].reshape(d, parts, n)
     terms *= x[:d, None]
-    acc = np.zeros((4, n))
-    for row in terms:
-        acc += row
-    re, im, mx, total = acc
-    return alpha, (re**2 + im**2) / (mx * total)
+    acc, total = terms[0], fid
+    np.copyto(total, x[0])
+    for j in range(1, d):
+        acc += terms[j]
+        total += x[j]
+    np.square(acc[:-1], out=acc[:-1])
+    for row in acc[1:-1]:
+        acc[0] += row
+    np.multiply(acc[-1], total, out=scaled)
+    return alpha, np.divide(acc[0], scaled, out=fid)
 
 
 def simulate(
@@ -412,6 +448,8 @@ def simulate(
     for count, what in ((n_runs, "run"), (n_workers, "worker")):
         if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
             raise DomainError(f"need an integer count of at least one {what}, got {count!r}")
+    if n_runs > MAX_RUNS:
+        raise CapacityError(f"{n_runs} runs exceed the ceiling of {MAX_RUNS}")
     # The first k children of spawn(n) equal spawn(k), so dropping the shards
     # that would get no runs changes no result.
     n_shards = min(n_workers, n_runs)
@@ -426,8 +464,10 @@ def simulate(
     gram, _, sigma, g = _outcomes(p, ch, basis, corrections)
     tables = _sampling_tables(gram, sigma, g)
     n_out, d = p.n_outcomes, p.d
-    block = max(1, _BLOCK_ENTRIES // (7 * d + 3))
     shares = [n_runs // n_shards + (1 if w < n_runs % n_shards else 0) for w in range(n_shards)]
+    block = min(max(1, _BLOCK_ENTRIES // (7 * d + 3)), shares[0])
+    buffers = _block_buffers(d, block)
+    square, loss = buffers[2][1:]
     conclusive_flag = (p.kinds == CONCLUSIVE).astype(np.int64)
     # Per outcome: runs, then the sums of f, f^2, 1 - f and (1 - f)^2.
     sums = np.zeros((5, n_out))
@@ -435,13 +475,12 @@ def simulate(
     for stream, share in zip(np.random.default_rng(rng).spawn(n_shards), shares):
         for start in range(0, share, block):
             size = min(block, share - start)
-            alpha, fid = _simulate_block(tables, stream, size)
+            alpha, fid = _simulate_block(tables, stream, size, buffers)
             sums[0] += np.bincount(alpha, minlength=n_out)
             np.add.at(sums[1], alpha, fid)
-            np.add.at(sums[2], alpha, fid * fid)
-            loss = 1.0 - fid
-            np.add.at(sums[3], alpha, loss)
-            np.add.at(sums[4], alpha, loss * loss)
+            np.add.at(sums[2], alpha, np.multiply(fid, fid, out=square[:size]))
+            np.add.at(sums[3], alpha, np.subtract(1.0, fid, out=loss[:size]))
+            np.add.at(sums[4], alpha, np.multiply(loss[:size], loss[:size], out=square[:size]))
             if transcript is not None:
                 transcript(
                     {

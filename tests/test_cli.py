@@ -301,6 +301,24 @@ class TestUsageErrors:
             main(["figure1", "--out", "/nonexistent-dir/fig.csv"])
         assert info.value.code == 2
 
+    def test_runs_above_the_ceiling_is_refused_before_anything_is_built(self, capsys, monkeypatch):
+        # Per-outcome run counts are exact up to 2**53; above that nothing is built or echoed.
+        monkeypatch.setattr(cli, "build_weyl_basis", mock.Mock(side_effect=AssertionError("built")))
+        with pytest.raises(SystemExit) as info:
+            main(["teleport", "--d", "2", "--runs", "100000000000000000000"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err == f"usage error: --runs 100000000000000000000 exceeds the ceiling of {2**53} runs\n"
+
+    def test_unwritable_transcript_at_zero_runs(self, capsys, tmp_path, monkeypatch):
+        # The transcript is opened whenever it is given, not only when there are runs.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["teleport", "--d", "2", "--runs", "0", "--transcript", "nodir/x.jsonl"])
+        assert info.value.code == 2
+        echo, message = capsys.readouterr().err.splitlines()
+        assert echo.startswith("# command=teleport") and message.startswith("i/o error: ")
+
 
 class TestSubcommandFlags:
     CHANNEL = ["--d", "--coeffs", "--entropy", "--cos-theta-c", "--lambda"]
@@ -640,6 +658,31 @@ class TestTeleport:
         assert code == 0
         assert ("mc" in seen) == (runs > 0)
         assert out == per_cell_teleport_text(seen["povm"], seen["exact"], seen.get("mc"), fmt)
+
+    def test_transcript_at_zero_runs_is_emptied(self, capsys, tmp_path):
+        # An earlier run's transcript is not left in place beside a report with no runs.
+        transcript = tmp_path / "old.jsonl"
+        run(capsys, "teleport", "--d", "2", "--runs", "50", "--transcript", str(transcript))
+        assert transcript.read_bytes().count(b"\n") == 50
+        code, _, _ = run(capsys, "teleport", "--d", "2", "--runs", "0", "--transcript", str(transcript))
+        assert code == 0 and transcript.read_bytes() == b""
+
+    @pytest.mark.parametrize(
+        "column", [(None,) * 5, (0, 1, -7, 12345, True), (), (1.5, None), (3, ""), ("a,b", None)]
+    )
+    def test_csv_cells_are_the_per_cell_fields(self, monkeypatch, column):
+        # All-None and all-int columns are formatted whole, with no per-cell call.
+        calls, per_cell = [], cli._csv_field
+
+        def field(value):
+            calls.append(value)
+            return per_cell(value)
+
+        want = [per_cell(value) for value in column]
+        monkeypatch.setattr(cli, "_csv_field", field)
+        assert list(cli._csv_cells(column)) == want
+        whole = all(isinstance(v, float) for v in column) or all(v is None for v in column)
+        assert calls == ([] if whole or all(isinstance(v, int) for v in column) else list(column))
 
     def test_jsonl_report(self, capsys, tmp_path):
         out = tmp_path / "report.jsonl"

@@ -914,8 +914,8 @@ class TestSimulate:
         p = refined(ch, basis, 0.4, "product")
         blocks = []
         simulate(p, ch, basis, "paper", n_runs=10_000, rng=1, transcript=blocks.append)
-        # 2**15 entries over 2d + 3 + 5d = 17 per run: 1927 runs per block.
-        assert [len(b["run_index"]) for b in blocks] == [1927] * 5 + [365]
+        # 2**16 entries over 7d + 3 = 17 per run: 3855 runs per block.
+        assert [len(b["run_index"]) for b in blocks] == [3855] * 2 + [2290]
         assert transcript_bits(p.n_outcomes) == 4  # ceil(log2(8)) + 1
         for b in blocks:
             assert set(b) == {"run_index", "outcome_alpha", "conclusive_flag", "bits_sent"}
@@ -976,6 +976,53 @@ class TestSimulate:
         with pytest.raises(CapacityError, match=f"{over} shards"):
             simulate(p, ch, basis, "paper", n_runs=over, n_workers=over, transcript=calls.append)
         assert calls == []
+
+    def test_run_count_above_the_ceiling_is_refused_before_any_generator(self, monkeypatch):
+        # Per-outcome run counts are float64 sums, exact up to 2**53 runs.
+        basis = build_weyl_basis(2)
+        ch = qubit_channel_from_cos_theta(0.6)
+        p = refined(ch, basis, 0.4, "product")
+
+        def refuse(*args):
+            raise AssertionError("generator made")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert fidelity.MAX_RUNS == 2**53
+        calls = []
+        with pytest.raises(CapacityError, match=f"{2**53 + 1} runs exceed the ceiling of {2**53}"):
+            simulate(p, ch, basis, "paper", n_runs=2**53 + 1, transcript=calls.append)
+        assert calls == []
+
+    def test_kept_transcript_blocks_are_not_overwritten(self, monkeypatch):
+        # The blocks reuse the call's buffers, but the columns handed to the
+        # transcript are each block's own: kept blocks read as one block does.
+        basis = build_weyl_basis(2)
+        ch = qubit_channel_from_cos_theta(0.6)
+        p = refined(ch, basis, 0.4, "residual")
+        blocks, whole = [], []
+        simulate(p, ch, basis, "auto", n_runs=10_000, rng=3, n_workers=2, transcript=blocks.append)
+        monkeypatch.setattr(fidelity, "_BLOCK_ENTRIES", 1 << 30)
+        simulate(p, ch, basis, "auto", n_runs=10_000, rng=3, n_workers=2, transcript=whole.append)
+        assert len(blocks) > len(whole) == 2
+        for key in ("run_index", "outcome_alpha", "conclusive_flag"):
+            np.testing.assert_array_equal(
+                np.concatenate([b[key] for b in blocks]), np.concatenate([b[key] for b in whole])
+            )
+
+    @pytest.mark.parametrize("d", [2, 16])
+    def test_peak_memory_does_not_grow_with_the_run_count(self, d):
+        # The block buffers belong to the call and are sized by the block,
+        # so ten times the runs leaves the tracemalloc peak where it was.
+        p, ch, basis, _, _ = maps_and_corrections(d, "residual", "auto", 60 + d)
+        peaks = []
+        for n_runs in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                simulate(p, ch, basis, "auto", n_runs=n_runs, rng=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0]
 
 
 def einsum_kernel(maps, vs, rng, n):
@@ -1105,19 +1152,20 @@ class FixedRows:
     def __init__(self, rows):
         self.rows = rows
 
-    def random(self, shape):
-        assert shape == self.rows.shape
-        return self.rows
+    def random(self, *, out):
+        assert out.shape == self.rows.shape
+        out[...] = self.rows
+        return out
 
 
 def tables_of(p, ch, basis, corrections):
-    """The kernel's (cum_w, table) for the POVM's maps and a corrections mode, as ``simulate`` builds them."""
+    """The kernel's (cum_w, table, parts) for the POVM's maps and a corrections mode, as ``simulate`` builds them."""
     gram, _, sigma, g = fidelity._outcomes(p, ch, basis, corrections)
     return fidelity._sampling_tables(gram, sigma, g)
 
 
 def kernel_block(p, ch, basis, corrections, rng, n):
-    return fidelity._simulate_block(tables_of(p, ch, basis, corrections), rng, n)
+    return fidelity._simulate_block(tables_of(p, ch, basis, corrections), rng, n, fidelity._block_buffers(p.d, n))
 
 
 def refused(strategy, corrections):
@@ -1168,13 +1216,32 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("source", ["monomial", "realized"])
     def test_kernel_table_is_c_ordered(self, d, source):
         # The block gathers whole columns with ``take``; on an F-ordered
-        # table each column strides across all 5d rows.
+        # table each column strides across all 3d rows.  ``auto`` has real
+        # G_jj, so each index j holds two parts, Re G_jj and m_j.
         p, ch, basis, _, _ = maps_and_corrections(d, "residual", "auto", 30 + d)
         if source == "realized":
             p = realized_povm(dilate(p), p)
             assert p.monomial is None
-        table = tables_of(p, ch, basis, "auto")[-1]
-        assert table.shape == (5 * d, p.n_outcomes) and table.flags.c_contiguous
+        _, table, parts = tables_of(p, ch, basis, "auto")
+        assert parts == 2 and table.shape == (3 * d, p.n_outcomes) and table.flags.c_contiguous
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_a_zero_imaginary_row_changes_no_bit(self, d):
+        # Where every Im G_jj is 0.0 the table holds (Re G_jj, m_j) per index;
+        # the same table with a row of zeros put back as Im G_jj gives the
+        # same outcomes and bit-identical fidelities, since re^2 + 0.0 = re^2.
+        p, ch, basis, _, _ = maps_and_corrections(d, "residual", "auto", 20 + d)
+        cum_w, table, parts = tables_of(p, ch, basis, "auto")
+        assert parts == 2
+        re, m = table[d:].reshape(d, 2, -1).transpose(1, 0, 2)
+        with_im = np.concatenate([table[:d], np.stack([re, np.zeros_like(re), m], axis=1).reshape(3 * d, -1)])
+        n = 3_000
+        runs = [
+            fidelity._simulate_block(tables, np.random.default_rng(5), n, fidelity._block_buffers(d, n))
+            for tables in ((cum_w, table, 2), (cum_w, with_im, 3))
+        ]
+        np.testing.assert_array_equal(runs[0][0], runs[1][0])
+        np.testing.assert_array_equal(runs[0][1], runs[1][1])
 
     @pytest.mark.parametrize(
         "d, strategy, corrections",
@@ -1334,8 +1401,9 @@ class TestBlockedKernel:
         weights = np.sum(np.abs(maps) ** 2, axis=(1, 2))
         dead = np.flatnonzero(weights == 0)
         tables = tables_of(p, ch, basis, "auto")
-        # The table's first d rows are the cumulative eigenweights; m_j is row d + 4j + 2.
-        cum_m, m = tables[1][:d].T, tables[1][d + 2 :: 4].T
+        # The table's first d rows are the cumulative eigenweights; m_j is the last of index j's parts.
+        parts = tables[2]
+        cum_m, m = tables[1][:d].T, tables[1][d + parts - 1 :: parts].T
         if strategy == "product":
             np.testing.assert_array_equal(dead, np.arange(2 * d * d - d, 2 * d * d))
         else:
@@ -1345,7 +1413,7 @@ class TestBlockedKernel:
         r = np.array([0.0, np.nextafter(1.0, 0.0)])
         rows = np.full((2, 2 * d + 3), 0.5)
         rows[:, 0] = rows[:, 1] = r
-        alpha, fid = fidelity._simulate_block(tables, FixedRows(rows), 2)
+        alpha, fid = fidelity._simulate_block(tables, FixedRows(rows), 2, fidelity._block_buffers(d, 2))
         assert np.all(weights[alpha] > 0) and alpha[1] == 2 * d * d - 1 - dead.size
         assert np.all(np.isfinite(fid))
         for a in np.flatnonzero(weights):
@@ -1388,7 +1456,7 @@ class TestBlockedKernel:
         # POVM or from the conjugated basis are refused at every block size.
         p, ch, basis, maps, vs = maps_and_corrections(d, strategy, corrections, 30 + d, share)
         results = []
-        for entries in (1, 1 << 9, fidelity._BLOCK_ENTRIES, 1 << 30):
+        for entries in (1, 1 << 9, 1 << 15, fidelity._BLOCK_ENTRIES, 1 << 30):
             monkeypatch.setattr(fidelity, "_BLOCK_ENTRIES", entries)
             if refused(strategy, corrections):
                 assert_simulate_refuses(p, ch, basis, corrections, n_workers=n_workers)
@@ -1428,7 +1496,9 @@ class TestBlockedKernel:
                     vb = corrections_of(p, basis, maps, corrections) @ maps
                     scale = np.abs(vb).max(axis=(1, 2))
                     assert np.all(np.abs(vb[:, off]).max(axis=1) <= floor * scale), (ch.coeffs, share, corrections)
-                    assert tables_of(p, ch, basis, corrections)[1].shape == (5 * d, p.n_outcomes)
+                    _, table, parts = tables_of(p, ch, basis, corrections)
+                    assert table.shape == ((1 + parts) * d, p.n_outcomes)
+                    assert parts == 2 if corrections == "auto" else parts in (2, 3)
         if d == 2:
             for cc, ct in ((0.6, 0.6), (0.6, 0.0), (0.3, -0.5), (0.9, 0.2)):
                 ch2 = qubit_channel_from_cos_theta(cc)
