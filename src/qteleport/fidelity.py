@@ -67,7 +67,6 @@ import math
 import numbers
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import cache
 from itertools import compress
 
 import numpy as np
@@ -112,13 +111,6 @@ def _maps(p: PovmSet, ch: SchmidtChannel) -> tuple[np.ndarray, ...]:
     return rows, b, sigma, sq.sum(axis=-1)
 
 
-@cache
-def _shifts(d: int) -> Monomial:
-    """The shifts X^m, m = 0, ..., d - 1: row i of X^m holds 1 in column (i - m) mod d."""
-    k = np.arange(d)
-    return Monomial((k[None, :] - k[:, None]) % d, np.ones((d, d)))
-
-
 def _corrections(p: PovmSet, basis: UnitaryBasis, corrections: str) -> Monomial | np.ndarray | None:
     """The paper's fixed correction of every outcome, after checking the basis; None for ``auto``.
 
@@ -137,12 +129,11 @@ def _corrections(p: PovmSet, basis: UnitaryBasis, corrections: str) -> Monomial 
     d = p.d
     if basis.dim != d:
         raise ShapeError(f"basis dimension {basis.dim} does not match POVM dimension {d}")
-    if not p.is_refined():
-        raise DecompositionError("fixed corrections need a refined POVM")
     j, i = np.divmod(p.labels, d)
     index = np.where(p.kinds == PRODUCT, d * d + (i - j) % d, p.labels)
-    # X^m is at index d^2 + m.
-    shifts = _shifts(d)
+    # X^m is at index d^2 + m: row i of X^m holds 1 in column (i - m) mod d.
+    k = np.arange(d)
+    shifts = Monomial((k[None, :] - k[:, None]) % d, np.ones((d, d)))
     u = basis.monomial
     if u is None:
         _check_unitary(basis.ops)

@@ -67,10 +67,6 @@ class Monomial:
         for arr in (cols, values):
             arr.setflags(write=False)
 
-    @property
-    def d(self) -> int:
-        return self.values.shape[-1]
-
     def __len__(self) -> int:
         return self.values.shape[-2]
 

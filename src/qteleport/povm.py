@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -56,12 +56,11 @@ def _readonly(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _table(name: str, values, n: int) -> np.ndarray:
-    """Read-only (n,) intp ``values``, shared if already so; ``ShapeError`` for a wrong dtype or length."""
+    """A read-only (n,) intp copy of ``values``; ``ShapeError`` for a wrong dtype or length."""
     table = np.asarray(values)
     if table.size and table.dtype.kind not in "iu":
         raise ShapeError(f"{name} must be integers, got dtype {table.dtype}")
-    if table.dtype != np.intp or table.flags.writeable:
-        table = _readonly(table.astype(np.intp))[0]
+    table = _readonly(table.astype(np.intp))[0]
     if table.shape != (n,):
         raise ShapeError(f"expected {name} of shape {(n,)}, got {table.shape}")
     return table
@@ -82,12 +81,12 @@ class PovmSet:
     read-only integer arrays, classify each element, remainder included (see
     the module docstring); ``ShapeError`` refuses a wrong length, an unknown
     kind, a label outside [0, d^2) and a kind ``REMAINDER`` on any outcome
-    but the remainder.  A read-only intp table, such as the builders' tables
-    cached per dimension, is shared rather than copied.  ``lam`` is the
-    common conclusive weight.  A monomial set may carry a member axis of
-    length ``members`` (None without one): ``monomial.values`` (L, n, d),
-    ``remainder`` (L, d^2) and ``lam`` a read-only (L,) array, and so do
-    ``vectors`` and ``elements``; the rest is shared.
+    but the remainder.  The set stores its own read-only intp copy of each
+    table, so no two sets share one.  ``lam`` is the common conclusive
+    weight.  A monomial set may carry a member axis of length ``members``
+    (None without one): ``monomial.values`` (L, n, d), ``remainder``
+    (L, d^2) and ``lam`` a read-only (L,) array, and so do ``vectors`` and
+    ``elements``; the rest is shared by the members.
     """
 
     d: int
@@ -226,30 +225,19 @@ def build_conclusive_povm(ch: SchmidtChannel, basis: UnitaryBasis, lam) -> PovmS
         )
     # The remainder depends on the column index j only (clamp the
     # exact-boundary entries at zero).
-    diag = np.maximum(weights, 0.0)[:, _column_index(d)]
+    diag = np.maximum(weights, 0.0)[:, np.arange(d * d) % d]
     scale = np.sqrt(lams)[:, None, None]
-    kinds, labels = _outcome_table(d, REMAINDER)
+    kinds, labels = _conclusive_table(d * d)
     lam, values, diag = _one_or_all(one, lams, scale * (duals.values if monomial else duals), diag)
     vectors = Monomial(duals.cols, values) if monomial else values
     return PovmSet(d=d, vectors=vectors, kinds=kinds, labels=labels, lam=lam, remainder=diag)
 
 
-# Tables that depend on d alone are built on first use, once per d, read-only
-# and of O(d^2) entries.
-
-
-@cache
-def _outcome_table(d: int, tail: int) -> tuple[np.ndarray, np.ndarray]:
-    """``kinds`` and ``labels`` of d^2 conclusive outcomes alpha = 0, ..., d^2 - 1, then the tail.
-
-    The tail is the remainder (``tail`` = ``REMAINDER``, label 0) or d^2
-    pieces of kind ``tail``, piece k labelled k.
-    """
-    n, m = d * d, 1 if tail == REMAINDER else d * d
-    kinds = np.full(n + m, tail, dtype=np.intp)
-    kinds[:n] = CONCLUSIVE
-    labels = np.arange(n + m, dtype=np.intp) % n
-    return _readonly(kinds, labels)
+def _conclusive_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``kinds`` and ``labels`` of n conclusive outcomes alpha = 0, ..., n - 1, then the remainder (label 0)."""
+    kinds = np.full(n + 1, CONCLUSIVE)
+    kinds[n] = REMAINDER
+    return kinds, np.arange(n + 1) % n
 
 
 def _outcome_split(kinds: np.ndarray) -> tuple:
@@ -265,19 +253,6 @@ def _outcome_split(kinds: np.ndarray) -> tuple:
     return _readonly(conclusive, rest) + (tuple(conclusive.tolist()), tuple(rest.tolist()), strategy)
 
 
-@cache
-def _column_index(d: int) -> np.ndarray:
-    """The column j = k mod d of each joint index k = i*d + j."""
-    return _readonly(np.arange(d * d, dtype=np.intp) % d)[0]
-
-
-@cache
-def _product_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per product piece k = i + d j: its slot k*d + i in a flat (d^2, d) array, j, and i*d + j."""
-    j, i = np.divmod(np.arange(d * d), d)
-    return _readonly(np.arange(d * d) * d + i, j, i * d + j)
-
-
 def _remainder(p: PovmSet) -> np.ndarray:
     """The remainder diagonal of an unrefined set, (d^2,) or (L, d^2)."""
     if p.remainder is None:
@@ -288,21 +263,17 @@ def _remainder(p: PovmSet) -> np.ndarray:
 def _refined(p: PovmSet, pieces: Monomial | np.ndarray, kind: int) -> PovmSet:
     """``p`` with its remainder replaced by the d^2 rank-one ``pieces``: monomial if both are, else dense.
 
-    Piece k has kind ``kind`` and label k; the member axis, if any, maps
-    through.  A set with a built table gets the built refined one.
+    Piece k has kind ``kind`` and label k, appended to ``p``'s table in
+    place of the remainder's entry; the member axis, if any, maps through.
     """
     if p.monomial is not None and isinstance(pieces, Monomial):
         vectors = p.monomial.concat(pieces)
     else:
         dense = pieces.dense().reshape(len(pieces), -1) if isinstance(pieces, Monomial) else pieces
         vectors = np.concatenate([p.vectors, dense])
-    conclusive_kinds, conclusive_labels = _outcome_table(p.d, REMAINDER)
-    if p.kinds is conclusive_kinds and p.labels is conclusive_labels:
-        kinds, labels = _outcome_table(p.d, kind)
-    else:
-        n = len(pieces)
-        kinds = np.concatenate([p.kinds[:-1], np.full(n, kind)])
-        labels = np.concatenate([p.labels[:-1], np.arange(n)])
+    n = len(pieces)
+    kinds = np.concatenate([p.kinds[:-1], np.full(n, kind)])
+    labels = np.concatenate([p.labels[:-1], np.arange(n)])
     return PovmSet(d=p.d, vectors=vectors, kinds=kinds, labels=labels, lam=p.lam)
 
 
@@ -315,12 +286,13 @@ def refine_inconclusive_product(p: PovmSet) -> PovmSet:
     """
     diag = _remainder(p)
     d = p.d
-    slot, j, flat = _product_index(d)
+    k = np.arange(d * d)
+    j, i = np.divmod(k, d)
     cols = np.zeros((d * d, d), dtype=np.intp)
     values = np.zeros(diag.shape[:-1] + (d * d, d), dtype=complex)
-    # Piece i + d j has its one nonzero in row i, column j.
-    cols.reshape(-1)[slot] = j
-    values.reshape(diag.shape[:-1] + (-1,))[..., slot] = np.sqrt(diag[..., flat])
+    # Piece k = i + d j has its one nonzero in row i, column j.
+    cols[k, i] = j
+    values[..., k, i] = np.sqrt(diag[..., i * d + j])
     return _refined(p, Monomial(cols, values), PRODUCT)
 
 
@@ -403,5 +375,5 @@ def build_theta_povm(fam: ThetaPovmFamily | Sequence[ThetaPovmFamily]) -> PovmSe
     w1 = np.maximum(1.0 - lams / (1.0 + ct), 0.0)
     scaled = np.sqrt(lams)[:, None, None] * values.reshape(-1, 4, 2)
     lam, values, remainder = _one_or_all(one, lams, scaled, np.stack([w0, w1, w0, w1], axis=1))
-    kinds, labels = _outcome_table(2, REMAINDER)
+    kinds, labels = _conclusive_table(4)
     return PovmSet(d=2, vectors=Monomial(cols, values), kinds=kinds, labels=labels, lam=lam, remainder=remainder)

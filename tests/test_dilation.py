@@ -166,6 +166,8 @@ def test_realized_povm_is_the_measured_povm(strategy):
     dil = dilate(p)
     realized = realized_povm(dil, p)
     assert np.array_equal(realized.kinds, p.kinds) and np.array_equal(realized.labels, p.labels)
+    # Equal tables, but the realized set's own copies.
+    assert not np.shares_memory(realized.kinds, p.kinds) and not np.shares_memory(realized.labels, p.labels)
     assert realized.lam == p.lam and realized.is_refined()
     assert np.max(np.abs(realized.vectors - p.vectors)) <= 1e-14
     # The residuals are its elements', and the dilated maps are read through it.

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qteleport import fidelity, povm
+from qteleport import fidelity
 from qteleport.channel import make_channel, qubit_channel_from_cos_theta
 from qteleport.errors import DomainError, PositivityError, ShapeError, SingularChannelError
 from qteleport.dilation import dilate, realized_povm
@@ -507,27 +507,41 @@ class TestOutcomeTable:
 
 
 class TestPerDimensionTables:
-    """Tables that depend on d alone are built once per d, read-only, with O(d^2) entries."""
+    """Tables that depend on d alone: read-only, O(d^2) entries, and owned by the set that reads them."""
 
-    def test_builders_share_read_only_tables(self):
+    def test_each_set_owns_its_read_only_tables(self):
         d = 3
         basis = build_weyl_basis(d)
         ch = random_channel(d, np.random.default_rng(8))
         base = build_conclusive_povm(ch, basis, 0.2)
         again = build_conclusive_povm(ch, basis, 0.1)
         product, residual = refine_inconclusive_product(base), refine_inconclusive_residual(again, basis)
-        assert base.kinds is again.kinds and base.labels is again.labels
-        assert product.kinds is refine_inconclusive_product(again).kinds
-        assert residual.labels is refine_inconclusive_residual(base, basis).labels
-        tables = [
-            base.kinds, base.labels, product.kinds, product.labels, residual.kinds, residual.labels,
-            povm._column_index(d), *povm._product_index(d), fidelity._shifts(d).cols, fidelity._shifts(d).values,
+        pairs = [
+            (base, again),
+            (product, refine_inconclusive_product(again)),
+            (residual, refine_inconclusive_residual(base, basis)),
         ]
-        for table in tables:
-            with pytest.raises(ValueError):
-                table[0] = table[-1]
-        # The cached arrays are what every set of this dimension reads.
+        for one, other in pairs:
+            for table, twin in ((one.kinds, other.kinds), (one.labels, other.labels)):
+                assert np.array_equal(table, twin) and table is not twin
+                assert not np.shares_memory(table, twin)
+                with pytest.raises(ValueError):
+                    table[0] = table[-1]
         assert np.array_equal(base.remainder, np.tile(np.maximum(1.0 - 0.2 / (d * ch.probs), 0.0), d))
+
+    def test_writing_into_one_sets_table_leaves_later_sets_unchanged(self):
+        d = 3
+        basis = build_weyl_basis(d)
+        ch = random_channel(d, np.random.default_rng(8))
+        lam = 0.5 * lambda_max(ch)
+        p = refine_inconclusive_residual(build_conclusive_povm(ch, basis, lam), basis)
+        before = fidelity.report(p, ch, basis)
+        p.kinds.setflags(write=True)
+        p.kinds[0] = PRODUCT
+        later = refine_inconclusive_residual(build_conclusive_povm(ch, basis, lam), basis)
+        assert later.kinds[0] == CONCLUSIVE
+        rep = fidelity.report(later, ch, basis)
+        assert rep.strategy == "residual" and rep == before
 
     def test_a_copy_of_a_cached_table_is_checked_in_full(self):
         d = 2
@@ -542,7 +556,7 @@ class TestPerDimensionTables:
             with pytest.raises(ShapeError):
                 PovmSet(d=d, vectors=p.monomial, kinds=k, labels=lab, lam=p.lam)
         PovmSet(d=d, vectors=p.monomial, kinds=p.kinds.copy(), labels=p.labels.copy(), lam=p.lam)
-        # A cached table of another dimension is checked as any other: at d = 3
+        # A built table of another dimension is checked as any other: at d = 3
         # the labels reach 8, outside [0, 4).
         wide = build_conclusive_povm(random_channel(3, np.random.default_rng(2)), build_weyl_basis(3), 0.1)
         with pytest.raises(ShapeError):
@@ -553,26 +567,28 @@ class TestPerDimensionTables:
         with pytest.raises(ShapeError):
             PovmSet(d=3, vectors=refined.monomial, kinds=refined.labels, labels=refined.labels, lam=0.1)
 
-    def test_building_and_dropping_a_d64_set_leaves_under_1_mib(self):
-        # In a fresh process, so that the d = 64 caches fill inside the traced
-        # span.  One (d^2, d) intp array at d = 64 is 2 MiB: nothing O(d^3) may stay.
+    def test_building_and_dropping_sets_up_to_d64_leaves_under_64_kib(self):
+        # In a fresh process, so that nothing built before the traced span
+        # hides what it keeps.  One (d^2,) intp table at d = 64 is 32 KiB and
+        # one (d^2, d) intp array 2 MiB: no table may outlive the sets.
         code = """
 import gc, tracemalloc
 import numpy as np
 from qteleport.channel import make_channel
 from qteleport.fidelity import report
-from qteleport.povm import build_conclusive_povm, lambda_max, refine_inconclusive_residual
+from qteleport.povm import build_conclusive_povm, lambda_max, refine_inconclusive_product, refine_inconclusive_residual
 from qteleport.weyl import build_weyl_basis
 
-d = 64
-ch = make_channel(np.sqrt(np.arange(1.0, d + 1) / np.sum(np.arange(1.0, d + 1))))
 tracemalloc.start()
 start = tracemalloc.get_traced_memory()[0]
-basis = build_weyl_basis(d)
-p = refine_inconclusive_residual(build_conclusive_povm(ch, basis, lambda_max(ch)), basis)
-for corrections in ("auto", "paper"):
-    rep = report(p, ch, basis, corrections)
-del basis, p, rep
+for d in (16, 32, 48, 64):
+    ch = make_channel(np.sqrt(np.arange(1.0, d + 1) / np.sum(np.arange(1.0, d + 1))))
+    basis = build_weyl_basis(d)
+    base = build_conclusive_povm(ch, basis, lambda_max(ch))
+    for p in (refine_inconclusive_product(base), refine_inconclusive_residual(base, basis)):
+        for corrections in ("auto", "paper"):
+            rep = report(p, ch, basis, corrections)
+del ch, basis, base, p, rep
 gc.collect()
 print(tracemalloc.get_traced_memory()[0] - start)
 """
@@ -585,4 +601,4 @@ print(tracemalloc.get_traced_memory()[0] - start)
             timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        assert 0 < int(done.stdout) < 2**20
+        assert int(done.stdout) < 2**16

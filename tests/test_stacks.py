@@ -60,7 +60,7 @@ def test_each_member_report_equals_the_single_report(d, strategy, corrections):
 @pytest.mark.parametrize("d", [2, 3])
 def test_members_hold_the_single_sets(d):
     # Values, remainders and the dense views of member k are those of the
-    # single set; the outcome table and the columns are shared.
+    # single set; the outcome table is equal and the columns are shared.
     rng = np.random.default_rng(d)
     basis = build_weyl_basis(d)
     ch = random_channel(d, rng)
@@ -76,7 +76,8 @@ def test_members_hold_the_single_sets(d):
             assert stack.remainder[k].tobytes() == single.remainder.tobytes()
             assert stack.elements[k].tobytes() == single.elements.tobytes()
             one = refine(single, basis)
-            assert refined.kinds is one.kinds and refined.labels is one.labels
+            for table, single_table in ((refined.kinds, one.kinds), (refined.labels, one.labels)):
+                assert np.array_equal(table, single_table) and not table.flags.writeable
             assert np.array_equal(refined.monomial.cols, one.monomial.cols)
             assert refined.monomial.values[k].tobytes() == one.monomial.values.tobytes()
             assert refined.vectors[k].tobytes() == one.vectors.tobytes()
