@@ -32,7 +32,7 @@ if __name__ == "__main__":
     print(f"channel cos_theta_c={cos_theta_c}  lambda_max={top:.6f}")
     print(f"{'lambda':>10} {'f_product':>12} {'f_residual':>12}")
     base = build_conclusive_povm(channel, basis, np.linspace(0.0, top, n_points))
-    products = report(refine_inconclusive_product(base), channel, basis, "paper")
-    residuals = report(refine_inconclusive_residual(base, basis), channel, basis, "auto")
+    products = report(refine_inconclusive_product(base), channel, basis, "paper").f_total
+    residuals = report(refine_inconclusive_residual(base, basis), channel, basis, "auto").f_total
     for lam, prod, res in zip(base.lam, products, residuals):
-        print(f"{lam:>10.6f} {prod.f_total:>12.8f} {res.f_total:>12.8f}")
+        print(f"{lam:>10.6f} {prod:>12.8f} {res:>12.8f}")

@@ -28,8 +28,6 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterator
-from itertools import repeat
 
 import numpy as np
 
@@ -190,53 +188,42 @@ def _resolve_channel(args: argparse.Namespace) -> SchmidtChannel:
     return make_channel(np.full(args.d, 1.0 / np.sqrt(args.d)))
 
 
-def _csv_field(value) -> str:
-    """``value`` as one CSV cell, as ``csv.writer`` writes it.
-
-    A float has 12 significant digits, None is empty, and anything else is
-    ``str`` of it, quoted if it holds a comma, quote or newline.
-    """
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    if value is None:
-        return ""
-    text = str(value)
-    if "," in text or '"' in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
+# json.dumps writes a finite float as float.__repr__ does, and these as here.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _csv_cells(column) -> Iterator[str]:
-    """The CSV cells of one column, as ``_csv_field`` writes them.
-
-    A column of floats only is one ``%.12g`` map, one of None only is empty
-    cells and one of ints only is ``str`` of each; any other goes cell by
-    cell through ``_csv_field``.
-    """
-    if all(map(isinstance, column, repeat(float))):
-        return map("%.12g".__mod__, column)
-    if column.count(None) == len(column):
-        return repeat("", len(column))
-    if all(map(isinstance, column, repeat(int))):
-        return map(str, column)
-    return map(_csv_field, column)
+def _json_floats(values: np.ndarray) -> list[str]:
+    """A float column as JSON literals, each as ``json.dumps`` writes it."""
+    cells = list(map(float.__repr__, values.tolist()))
+    return cells if np.isfinite(values).all() else list(map(_JSON_NONFINITE.get, cells, cells))
 
 
-def _write_table(path: str | None, fmt: str, header: tuple[str, ...], columns: list) -> None:
-    """Write the table ``columns`` (equal-length, in ``header`` order) to ``path``, or to stdout if None.
+# Per format, how cells are written a column at a time: a float column (CSV
+# at 12 significant digits), a text cell with the text in place of %s, and
+# a number left out.  Every text written is letters, digits, underscores
+# and commas, so none needs escaping.
+_CELLS = {
+    "csv": (lambda values: list(map("%.12g".__mod__, values.tolist())), "%s", ""),
+    "jsonl": (_json_floats, '"%s"', "null"),
+}
 
-    CSV has a header line and then one line per row, each cell formatted
-    a column at a time by ``_csv_cells``.  JSON lines have one object per
-    row with full-precision floats and null.
+
+def _write_table(path: str | None, fmt: str, header: tuple[str, ...], columns: list[list[str]]) -> None:
+    """Write the cells ``columns`` (equal-length, in ``header`` order) to ``path``, or to stdout if None.
+
+    A row is the join of its cells: in CSV with commas, after a header
+    line; in JSON lines as the object of ``header``'s keys and the row's
+    cells, as ``json.dumps`` writes it.
     """
     with (
         open(path, "w", newline="") if path is not None else contextlib.nullcontext(sys.stdout)
     ) as stream:
         if fmt == "csv":
-            lines = map(",".join, zip(*map(_csv_cells, columns)))
-            stream.write("\n".join([",".join(map(_csv_field, header)), *lines]) + "\n")
+            lines = [",".join(header), *map(",".join, zip(*columns))]
         else:
-            stream.writelines(json.dumps(dict(zip(header, row))) + "\n" for row in zip(*columns))
+            row = "{" + ", ".join(f"{json.dumps(key)}: %s" for key in header) + "}"
+            lines = map(row.__mod__, zip(*columns))
+        stream.write("\n".join(lines) + "\n")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -269,51 +256,62 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _figure_rows() -> list[tuple]:
+def _figure_columns(fmt: str) -> list[list[str]]:
+    """The ``figure1`` cells in ``FIGURE_HEADER`` order: per entropy, the curve over the grid, then its arrow."""
     rows = []
     for s in FIGURE_ENTROPIES:
         channel, cos_theta_c = channel_from_entropy(s)
         for ct in FIGURE_GRID:
             rows.append((s, ct, relaxed_angle_fidelity(cos_theta_c, ct, 1.0 - ct), 0))
         rows.append((s, cos_theta_c, qubit_average_fidelity(lambda_max(channel)), 1))
-    return rows
+    *numbers, arrows = zip(*rows)
+    return [*(_CELLS[fmt][0](np.array(column)) for column in numbers), list(map(str, arrows))]
 
 
 def cmd_figure1(args: argparse.Namespace) -> int:
     _echo("command=figure1", f"format={args.fmt}")
-    _write_table(args.out, args.fmt, FIGURE_HEADER, list(zip(*_figure_rows())))
+    _write_table(args.out, args.fmt, FIGURE_HEADER, _figure_columns(args.fmt))
     return 0
 
 
-def _teleport_columns(p: PovmSet, exact: FidelityReport, mc: FidelityReport | None) -> list[tuple]:
-    """The teleport table in ``TELEPORT_HEADER`` order: one row per outcome of ``p``, then the three totals.
+def _teleport_columns(p: PovmSet, exact: FidelityReport, mc: FidelityReport | None, fmt: str) -> list[list[str]]:
+    """The teleport cells in ``TELEPORT_HEADER`` order: one row per outcome of ``p``, then the three totals.
 
-    An outcome's ``detail`` is its label alpha, or "i,j" for the product piece i + d j.
+    An outcome's ``kind`` and ``detail`` come from the POVM's table: the
+    detail is its label alpha, or "i,j" for the product piece i + d j.  A
+    number column is one array, the report's column with its three totals
+    appended; the total rows leave the other columns blank.
     """
-    n, d = p.n_outcomes, p.d
-    kinds = tuple(map(KIND_NAMES.__getitem__, p.kinds.tolist()))
-    details = tuple(
-        f"{label % d},{label // d}" if kind == PRODUCT else str(label)
-        for kind, label in zip(p.kinds.tolist(), p.labels.tolist())
-    )
-    columns = [tuple(range(n)), kinds, details, exact.probabilities, exact.fidelity_terms]
+    floats, text, empty = _CELLS[fmt]
+    n = p.n_outcomes
+    j, i = np.divmod(p.labels, p.d)
+    names = [text % name for name in KIND_NAMES + ("total_conclusive", "total_inconclusive", "total")]
+    plain = text % "{0}"
+    # "i,j" holds a comma, so CSV quotes it too.
+    details = [
+        ('"{1},{2}"' if kind == PRODUCT else plain).format(*cell)
+        for kind, *cell in zip(p.kinds.tolist(), p.labels.tolist(), i.tolist(), j.tolist())
+    ]
+    blank = [text % ""] * 3
+
+    def numbers(rep: FidelityReport) -> tuple[list[str], list[str]]:
+        """The probability and fidelity-term cells of ``rep``, each column with its totals."""
+        probs = (rep.conclusive_probability, rep.inconclusive_probability, 1.0)
+        terms = (rep.f_conclusive, rep.f_inconclusive, rep.f_total)
+        return floats(np.append(rep.probabilities, probs)), floats(np.append(rep.fidelity_terms, terms))
+
+    columns = [
+        [*map(str, range(n)), *blank],
+        [*map(names.__getitem__, p.kinds.tolist()), *names[-3:]],
+        details + blank,
+        *numbers(exact),
+    ]
     if mc is None:
-        columns += [(None,) * n] * 4
-    else:
-        columns += [mc.probabilities, mc.probability_se, mc.fidelity_terms, mc.fidelity_term_se]
-    totals = [
-        ("total_conclusive", exact.conclusive_probability, exact.f_conclusive,
-         mc.conclusive_probability if mc else None, mc.f_conclusive if mc else None, None),
-        ("total_inconclusive", exact.inconclusive_probability, exact.f_inconclusive,
-         mc.inconclusive_probability if mc else None, mc.f_inconclusive if mc else None, None),
-        ("total", 1.0, exact.f_total,
-         1.0 if mc else None, mc.f_total if mc else None, mc.f_total_se if mc else None),
-    ]
-    rows = [
-        ("", kind, "", prob, fid, mc_prob, None, mc_fid, mc_fid_se)
-        for kind, prob, fid, mc_prob, mc_fid, mc_fid_se in totals
-    ]
-    return [column + total for column, total in zip(columns, zip(*rows))]
+        return columns + [[empty] * (n + 3)] * 4
+    mc_probs, mc_terms = numbers(mc)
+    prob_se, term_se = floats(mc.probability_se), floats(np.append(mc.fidelity_term_se, mc.f_total_se))
+    # Of the total rows, only the last has a standard error, that of f_total.
+    return columns + [mc_probs, prob_se + [empty] * 3, mc_terms, [*term_se[:n], empty, empty, term_se[n]]]
 
 
 def _transcript_sink(stream, p: PovmSet):
@@ -448,7 +446,7 @@ def cmd_teleport(args: argparse.Namespace) -> int:
             )
     except QTeleportError as exc:
         raise _usage_error(str(exc))
-    _write_table(args.out, args.fmt, TELEPORT_HEADER, _teleport_columns(refined, exact, mc))
+    _write_table(args.out, args.fmt, TELEPORT_HEADER, _teleport_columns(refined, exact, mc, args.fmt))
     return 0
 
 

@@ -44,47 +44,39 @@ both refinements and the theta family inherit that, so ``PovmSet`` stores
 them as a ``Monomial`` and ``_maps`` reads each map's column i as one value
 b_i = conj(v_i) a_{c_i} in row c_i, from d entries per outcome.  Then M =
 diag(|b|^2) and sigma_i = |b_i|, with no SVD, no eigh and no (n, d, d)
-stack.  The paper's corrections have one builder, ``_corrections``, which
-first checks the basis for unitarity (``DomainError``); on a monomial
-basis that is a check of |v|^2 = 1 on d entries per operator, and the
-corrections come as a ``Monomial`` too.  One reader, ``_outcomes``, sets
-up the exact report and the Monte Carlo alike: per outcome
+stack.  The paper's corrections have one builder, ``_corrections``: it
+takes a monomial basis only, checks it for unitarity as |v|^2 = 1 on d
+entries per operator (``DomainError``), and gives the corrections as a
+``Monomial`` too.  One reader, ``_outcomes``,
+sets up the exact report and the Monte Carlo alike: per outcome
 gram = Tr(B^† B), overlap = |Tr(V B)|, sigma, and g, the diagonal of V B,
-from d entries of each V as g_i = V[i, c_i] b_i.  Dense POVMs (a realized
-Neumark extension) and dense bases (a conjugated one) trace each V whole
-against B; ``auto`` takes sigma from an SVD without vectors.  The Monte
-Carlo draws outcomes with the report's own gram as weights and refuses
-fixed corrections that leave some V_a B_a off the diagonal (``DomainError``).
+from d entries of each V as g_i = V[i, c_i] b_i.  A dense POVM (a realized
+Neumark extension) takes ``auto`` only, with sigma from an SVD without
+vectors; ``paper`` on a dense POVM or a dense basis (a conjugated one) is
+refused (``DomainError``) before any map is read.  The Monte Carlo draws
+outcomes with the report's own gram as weights and refuses fixed
+corrections that leave some V_a B_a off the diagonal (``DomainError``).
 
 The exact report maps a POVM's member axis (L weights, see ``PovmSet``)
-through each step, elementwise or reducing one outcome's own entries, so
-member k gets the bits of the single set at weight k.
+through each step, elementwise or reducing one outcome's or one member's
+own entries, so row k of a stack's report has the bits of the single set
+at weight k.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Callable, Iterator
-from dataclasses import dataclass
-from itertools import compress
+from collections.abc import Callable
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .channel import SchmidtChannel
 from .errors import CapacityError, ConsistencyError, DecompositionError, DomainError, ShapeError
-from .linalg import Monomial, chunks, dagger
+from .linalg import Monomial
 from .povm import CONCLUSIVE, PRODUCT, PovmSet
 from .weyl import UnitaryBasis
-
-
-def _check_unitary(ops: np.ndarray) -> None:
-    """Raise ``DomainError`` if an op is off unitary by more than 1e-10, reading bounded chunks."""
-    d = ops.shape[-1]
-    for part in chunks(len(ops), d * d):
-        v = ops[part]
-        if np.max(np.abs(dagger(v) @ v - np.eye(d))) > 1e-10:
-            raise DomainError("correction operator is not unitary")
 
 
 def _check_complete(excess: np.ndarray) -> None:
@@ -111,16 +103,15 @@ def _maps(p: PovmSet, ch: SchmidtChannel) -> tuple[np.ndarray, ...]:
     return rows, b, sigma, sq.sum(axis=-1)
 
 
-def _corrections(p: PovmSet, basis: UnitaryBasis, corrections: str) -> Monomial | np.ndarray | None:
+def _corrections(p: PovmSet, basis: UnitaryBasis, corrections: str) -> Monomial | None:
     """The paper's fixed correction of every outcome, after checking the basis; None for ``auto``.
 
     V_a is ``basis.ops[alpha]`` for a conclusive or residual outcome with
     label alpha, and for the product piece with label i + d j the shift X^m
     with m = (i - j) mod d, as in ``build_weyl_basis(d).ops[m * d]``.  A
     monomial basis is unitary exactly when every value has unit modulus,
-    checked to 1e-10 in |v|^2, and gives a ``Monomial`` stack; a dense basis
-    is checked as V^† V = I to 1e-10 and gives a dense (n, d, d) stack.
-    Either fault raises ``DomainError``.
+    checked to 1e-10 in |v|^2.  A dense basis, and a basis that fails the
+    check, raise ``DomainError``.
     """
     if corrections == "auto":
         return None
@@ -129,46 +120,52 @@ def _corrections(p: PovmSet, basis: UnitaryBasis, corrections: str) -> Monomial 
     d = p.d
     if basis.dim != d:
         raise ShapeError(f"basis dimension {basis.dim} does not match POVM dimension {d}")
+    u = basis.monomial
+    if u is None:
+        raise DomainError("paper corrections need a monomial basis, got a dense one")
+    if np.abs(np.abs(u.values) ** 2 - 1.0).max() > 1e-10:
+        raise DomainError("correction operator is not unitary")
     j, i = np.divmod(p.labels, d)
     index = np.where(p.kinds == PRODUCT, d * d + (i - j) % d, p.labels)
     # X^m is at index d^2 + m: row i of X^m holds 1 in column (i - m) mod d.
     k = np.arange(d)
-    shifts = Monomial((k[None, :] - k[:, None]) % d, np.ones((d, d)))
-    u = basis.monomial
-    if u is None:
-        _check_unitary(basis.ops)
-        return np.concatenate([basis.ops, shifts.dense()])[index]
-    if np.abs(np.abs(u.values) ** 2 - 1.0).max() > 1e-10:
-        raise DomainError("correction operator is not unitary")
-    both = u.concat(shifts)
+    both = u.concat(Monomial((k[None, :] - k[:, None]) % d, np.ones((d, d))))
     return Monomial(both.cols[index], both.values[index])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FidelityReport:
-    """Haar-average fidelity split into conclusive and inconclusive parts.
+    """Haar-average fidelity split into conclusive and inconclusive parts: one report per call.
 
-    Per-outcome numbers are columns in outcome order, tuples of floats so
-    that reports compare with ``==``; the standard-error columns are None
-    for an exact report.  The POVM's ``kinds`` classify the outcomes; the
-    two probability totals are sums over those columns, conclusive outcomes
-    and the rest, in outcome order.
+    The per-outcome columns are read-only float arrays in outcome order
+    that follow the POVM's member axis: shape (n,) for a single set and
+    (L, n) for a stack.  ``lam`` and the totals follow the same axis: a
+    float for a single set, a read-only (L,) array for a stack.  The
+    standard-error columns are None for an exact report.  The POVM's
+    ``kinds`` classify the outcomes; the two probability totals add a row's
+    conclusive entries and the rest one after another, in outcome order.
+    Two reports are equal when every field is, arrays entry for entry.
     """
 
-    lam: float
+    lam: float | np.ndarray
     strategy: str
     corrections: str
-    probabilities: tuple[float, ...]
-    fidelity_terms: tuple[float, ...]
-    conclusive_probability: float
-    inconclusive_probability: float
-    f_conclusive: float
-    f_inconclusive: float
-    f_total: float
-    probability_se: tuple[float, ...] | None = None
-    fidelity_term_se: tuple[float, ...] | None = None
+    probabilities: np.ndarray
+    fidelity_terms: np.ndarray
+    conclusive_probability: float | np.ndarray
+    inconclusive_probability: float | np.ndarray
+    f_conclusive: float | np.ndarray
+    f_inconclusive: float | np.ndarray
+    f_total: float | np.ndarray
+    probability_se: np.ndarray | None = None
+    fidelity_term_se: np.ndarray | None = None
     n_runs: int | None = None
     f_total_se: float | None = None
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FidelityReport) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
 
 
 def _check_evaluable(p: PovmSet, ch: SchmidtChannel) -> None:
@@ -195,85 +192,67 @@ def _outcomes(p: PovmSet, ch: SchmidtChannel, basis: UnitaryBasis, corrections: 
     Completeness is sum_a B_a^† B_a = I to 1e-10 for every member
     (``ConsistencyError``).  sigma is in column order on monomial maps, and
     g, the diagonal of V B, in the same order: sigma for ``auto``, None if
-    some V_a B_a is off the diagonal.  ``paper`` on dense maps or a dense
-    basis traces each dense V against B and gives sigma = g = None.
+    some V_a B_a is off the diagonal.  Dense maps take ``auto`` only, with
+    sigma from an SVD; ``paper`` on them raises ``DomainError`` before the
+    completeness check.
     """
     _check_evaluable(p, ch)
     fixed = _corrections(p, basis, corrections)
-    if p.monomial is not None and not isinstance(fixed, np.ndarray):
-        rows, b, sigma, gram = _maps(p, ch)
-        if fixed is None:
-            return gram, sigma.sum(axis=-1), sigma, sigma
-        hit = fixed.cols == rows
-        g = np.where(hit, fixed.values, 0) * b
-        return gram, np.abs(g.sum(axis=-1)), sigma, g if (hit | (b == 0)).all() else None
-    maps = channel_maps(p, ch)
-    _check_complete(np.einsum("...nji,...njk->...ik", maps.conj(), maps) - np.eye(p.d))
-    if fixed is None:
+    if p.monomial is None:
+        if fixed is not None:
+            raise DomainError("paper corrections need a monomial POVM, got a dense one")
+        maps = channel_maps(p, ch)
+        _check_complete(np.einsum("...nji,...njk->...ik", maps.conj(), maps) - np.eye(p.d))
         sigma = np.linalg.svd(maps, compute_uv=False)
         return (sigma**2).sum(axis=-1), sigma.sum(axis=-1), sigma, sigma
-    dense = fixed.dense() if isinstance(fixed, Monomial) else fixed
-    overlap = np.abs(np.einsum("nij,...nji->...n", dense, maps))
-    return (np.abs(maps) ** 2).sum(axis=(-2, -1)), overlap, None, None
+    rows, b, sigma, gram = _maps(p, ch)
+    if fixed is None:
+        return gram, sigma.sum(axis=-1), sigma, sigma
+    hit = fixed.cols == rows
+    g = np.where(hit, fixed.values, 0) * b
+    return gram, np.abs(g.sum(axis=-1)), sigma, g if (hit | (b == 0)).all() else None
 
 
-def report(
-    p: PovmSet, ch: SchmidtChannel, basis: UnitaryBasis, corrections: str = "auto"
-) -> FidelityReport | list[FidelityReport]:
-    """Exact Haar-average fidelity report for a refined POVM; one per member for a set with a member axis.
+def report(p: PovmSet, ch: SchmidtChannel, basis: UnitaryBasis, corrections: str = "auto") -> FidelityReport:
+    """Exact Haar-average fidelity report for a refined POVM, one for the whole member axis.
 
     Like ``simulate``, it reads every outcome through ``_outcomes``, so an
-    incomplete POVM gets no report (``ConsistencyError``).  Outcome a has
+    incomplete POVM gets no report (``ConsistencyError``) and ``paper`` on a
+    dense POVM or basis none either (``DomainError``).  Outcome a has
     probability Tr(B^† B)/d and fidelity term (|Tr(V B)|^2 + Tr(B^† B)) /
     (d (d + 1)).
     """
     gram, overlap, _, _ = _outcomes(p, ch, basis, corrections)
     d = p.d
-    probs, terms = gram / d, (overlap**2 + gram) / (d * (d + 1))
-    reports = list(_build_reports(p, corrections, probs, terms))
-    return reports if p.members else reports[0]
+    return _build_report(p, corrections, gram / d, (overlap**2 + gram) / (d * (d + 1)))
 
 
-def _build_reports(
-    p: PovmSet,
-    corrections: str,
-    probs: np.ndarray,
-    terms: np.ndarray,
-    *,
-    prob_se: np.ndarray | None = None,
-    term_se: np.ndarray | None = None,
-    n_runs: int | None = None,
-    f_total_se: float | None = None,
-) -> Iterator[FidelityReport]:
-    """The one assembly of reports from per-outcome arrays, exact or Monte Carlo: one per member, in order.
+def _frozen(x):
+    """One number as a float, an array read-only."""
+    if np.ndim(x) == 0:
+        return float(x)
+    x.setflags(write=False)
+    return x
 
-    ``probs`` and ``terms`` have shape (n,) or (L, n); the Monte Carlo
-    fields are a single set's.  The conclusive outcomes and the strategy are
-    the POVM's, read once per set.  Each total reduces one member's own
-    contiguous row, so it has the bits a single set's total has.
+
+def _build_report(p: PovmSet, corrections: str, probs: np.ndarray, terms: np.ndarray, **mc) -> FidelityReport:
+    """The one assembly of a report from per-outcome arrays of shape (n,) or (L, n), exact or Monte Carlo.
+
+    The arrays given become the columns; ``mc`` holds a single set's Monte
+    Carlo fields.  The f totals reduce each member's row of conclusive
+    terms, and of the rest, with ``np.add.reduce``; the probability totals
+    add a row's entries one after another, as builtin ``sum`` does.  A
+    single set's report is then the stack's row at its weight, bit for bit.
     """
-    conclusive, rest, conclusive_flags, rest_flags, strategy = p._split
-    terms = terms.reshape(-1, p.n_outcomes)
-    f_con, f_inc = map(np.add.reduce, terms[:, conclusive]), map(np.add.reduce, terms[:, rest])
-    columns = zip(np.atleast_1d(p.lam).tolist(), probs.reshape(terms.shape).tolist(), terms.tolist(), f_con, f_inc)
-    for lam, row, term_row, con, inc in columns:
-        probabilities, con, inc = tuple(row), float(con), float(inc)
-        yield FidelityReport(
-            lam=lam,
-            strategy=strategy,
-            corrections=corrections,
-            probabilities=probabilities,
-            fidelity_terms=tuple(term_row),
-            conclusive_probability=sum(compress(probabilities, conclusive_flags)),
-            inconclusive_probability=sum(compress(probabilities, rest_flags)),
-            f_conclusive=con,
-            f_inconclusive=inc,
-            f_total=con + inc,
-            probability_se=None if prob_se is None else tuple(prob_se.tolist()),
-            fidelity_term_se=None if term_se is None else tuple(term_se.tolist()),
-            n_runs=n_runs,
-            f_total_se=f_total_se,
-        )
+    conclusive, rest, strategy = p._split
+    # ``compress`` keeps each row C-contiguous: boolean indexing makes an
+    # F-ordered copy, which the reduction would add column by column.
+    f_con, f_inc = (np.add.reduce(terms.compress(mask, axis=-1), axis=-1) for mask in (conclusive, rest))
+    # x + 0.0 is x for every x but -0.0, and no probability is -0.0, so the
+    # zeros in place of the other outcomes change no bit of the running sum.
+    p_con, p_inc = (np.cumsum(np.where(mask, probs, 0.0), axis=-1)[..., -1] for mask in (conclusive, rest))
+    numbers = (probs, terms, p_con, p_inc, f_con, f_inc, f_con + f_inc)
+    return FidelityReport(_frozen(p.lam), strategy, corrections, *map(_frozen, numbers), **mc)
 
 
 def transcript_bits(n_outcomes: int) -> int:
@@ -428,9 +407,9 @@ def simulate(
     ``conclusive_flag`` (int arrays) and the scalar ``bits_sent``.  With
     ``auto`` any refined POVM works, e.g. ``dilation.realized_povm`` for the
     run-by-run check of a Neumark extension.  ``paper`` needs a monomial
-    POVM whose corrections keep every V_a B_a diagonal, as every POVM the
-    CLI builds does; any other input raises ``DomainError`` before any draw
-    (see ``_sampling_tables``), and so do ``n_runs`` or ``n_workers`` that
+    POVM and basis whose corrections keep every V_a B_a diagonal, as every
+    POVM the CLI builds does; any other input raises ``DomainError`` before
+    any draw (see ``_outcomes`` and ``_sampling_tables``), and so do ``n_runs`` or ``n_workers`` that
     are not ints of at least 1 (a bool is not), an ``rng`` that is not
     None, a nonnegative int or a ``Generator`` (a bool, float or str is
     not), and a set with a member axis.  More than ``MAX_WORKERS`` shards
@@ -486,14 +465,13 @@ def simulate(
     # Var(f) = Var(1 - f), and the moments of 1 - f do not cancel when the
     # run fidelities crowd near 1.
     var = float(loss_squares.sum()) - float(losses.sum()) ** 2
-    [mc] = _build_reports(
+    return _build_report(
         p,
         corrections,
         probs,
         terms,
-        prob_se=np.sqrt(np.maximum(probs * (1.0 - probs), 0.0) / n_runs),
-        term_se=np.sqrt(np.maximum(squares - terms * terms, 0.0) / n_runs),
+        probability_se=_frozen(np.sqrt(np.maximum(probs * (1.0 - probs), 0.0) / n_runs)),
+        fidelity_term_se=_frozen(np.sqrt(np.maximum(squares - terms * terms, 0.0) / n_runs)),
         n_runs=n_runs,
         f_total_se=math.sqrt(max(var, 0.0) / n_runs),
     )
-    return mc

@@ -241,7 +241,7 @@ def _conclusive_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _outcome_split(kinds: np.ndarray) -> tuple:
-    """The conclusive mask and its complement, as arrays and as tuples, and the strategy.
+    """The conclusive mask, its complement and the strategy.
 
     The strategy is ``product`` if any outcome has kind ``PRODUCT``, else
     ``residual`` if any has kind ``RESIDUAL``, else ``conclusive-only``.
@@ -250,7 +250,7 @@ def _outcome_split(kinds: np.ndarray) -> tuple:
     rest = ~conclusive
     present = np.bincount(kinds, minlength=RESIDUAL + 1)
     strategy = "product" if present[PRODUCT] else "residual" if present[RESIDUAL] else "conclusive-only"
-    return _readonly(conclusive, rest) + (tuple(conclusive.tolist()), tuple(rest.tolist()), strategy)
+    return _readonly(conclusive, rest) + (strategy,)
 
 
 def _remainder(p: PovmSet) -> np.ndarray:

@@ -119,11 +119,10 @@ def _povm_checks(d: int, basis: UnitaryBasis, rng: np.random.Generator, n_channe
         for refined in (refine_inconclusive_product(p), res):
             comp = max(comp, float(np.max(np.abs(refined.elements.sum(axis=1) - eye))))
             psd = max(psd, -float(np.linalg.eigvalsh(refined.elements)[..., 0].min()))
-            reps = report(refined, ch, basis, "auto")
-            conclusive = np.array([rep.probabilities for rep in reps])[:, refined.kinds == CONCLUSIVE]
+            rep = report(refined, ch, basis, "auto")
+            conclusive = rep.probabilities[:, refined.kinds == CONCLUSIVE]
             prob_res = max(prob_res, float(np.max(np.abs(conclusive - lams[:, None] / d**2))))
-            for rep, lam in zip(reps, lams.tolist()):
-                inc_res = max(inc_res, abs(rep.inconclusive_probability - (1.0 - lam)))
+            inc_res = max(inc_res, float(np.max(np.abs(rep.inconclusive_probability - (1.0 - lams)))))
         pieces = res.elements[:, d * d :].sum(axis=1)
         split_res = max(split_res, float(np.max(np.abs(pieces - p.elements[:, -1]))))
     return [
@@ -147,11 +146,11 @@ def _engine_checks(d: int, basis: UnitaryBasis, rng: np.random.Generator, n_chan
         lams = np.array([0.0, lmax / 2, lmax])
         p = build_conclusive_povm(ch, basis, lams)
         residual = refine_inconclusive_residual(p, basis)
-        rr = report(residual, ch, basis, "auto")
-        rp = report(refine_inconclusive_product(p), ch, basis, "paper")
-        for lam, res_rep, prod_rep in zip(lams.tolist(), rr, rp):
-            res_formula = max(res_formula, abs(res_rep.f_total - optimal_average_fidelity(d, ch.probs, lam)))
-            prod_formula = max(prod_formula, abs(prod_rep.f_total - product_strategy_fidelity(d, lam)))
+        f_res = report(residual, ch, basis, "auto").f_total
+        f_prod = report(refine_inconclusive_product(p), ch, basis, "paper").f_total
+        for lam, res, prod in zip(lams.tolist(), f_res.tolist(), f_prod.tolist()):
+            res_formula = max(res_formula, abs(res - optimal_average_fidelity(d, ch.probs, lam)))
+            prod_formula = max(prod_formula, abs(prod - product_strategy_fidelity(d, lam)))
         maps = channel_maps(residual, ch)
         total = np.einsum("lnij,lnik->ljk", maps.conj(), maps)
         map_comp = max(map_comp, float(np.max(np.abs(total - eye))))
@@ -165,7 +164,7 @@ def _engine_checks(d: int, basis: UnitaryBasis, rng: np.random.Generator, n_chan
         # directions on a 20-point weight grid, one stack per strategy.
         grid = build_conclusive_povm(ch, basis, np.linspace(0.0, lmax, 20))
         f_prod, f_res = (
-            np.array([rep.f_total for rep in report(refined, ch, basis, "auto")])
+            report(refined, ch, basis, "auto").f_total
             for refined in (refine_inconclusive_product(grid), refine_inconclusive_residual(grid, basis))
         )
         monotone = max(monotone, float(np.max(f_prod[:-1] - f_prod[1:])), float(np.max(f_res[1:] - f_res[:-1])))
@@ -191,16 +190,17 @@ def _engine_checks(d: int, basis: UnitaryBasis, rng: np.random.Generator, n_chan
             lmax = lambda_max(ch2)
             lams = np.array([0.0, lmax / 2, lmax])
             p = build_conclusive_povm(ch2, basis, lams)
-            for lam, rp in zip(lams.tolist(), report(refine_inconclusive_product(p), ch2, basis, "paper")):
-                split = max(split, abs(rp.f_inconclusive - 2.0 * (1.0 - lam) / 3.0))
-                split = max(split, abs(rp.f_total - qubit_average_fidelity(lam)))
+            rp = report(refine_inconclusive_product(p), ch2, basis, "paper")
+            for lam, f_inc, f_total in zip(lams.tolist(), rp.f_inconclusive.tolist(), rp.f_total.tolist()):
+                split = max(split, abs(f_inc - 2.0 * (1.0 - lam) / 3.0))
+                split = max(split, abs(f_total - qubit_average_fidelity(lam)))
             # Member 0 has weight 0.
-            r0 = report(refine_inconclusive_residual(p, basis), ch2, basis, "auto")[0]
-            fs = max(fs, abs(r0.f_total - best_orthogonal_fidelity(ch2.probs)))
+            f0 = report(refine_inconclusive_residual(p, basis), ch2, basis, "auto").f_total[0]
+            fs = max(fs, abs(f0 - best_orthogonal_fidelity(ch2.probs)))
             fams = [ThetaPovmFamily(cc, float(ct), 1.0 - abs(ct)) for ct in np.arange(0.0, 0.951, 0.05)]
-            thetas = report(refine_inconclusive_product(build_theta_povm(fams)), ch2, basis, "auto")
-            for fam, rt in zip(fams, thetas):
-                theta_res = max(theta_res, abs(rt.f_total - relaxed_angle_fidelity(cc, fam.cos_theta, fam.lam)))
+            thetas = report(refine_inconclusive_product(build_theta_povm(fams)), ch2, basis, "auto").f_total
+            for fam, f_theta in zip(fams, thetas.tolist()):
+                theta_res = max(theta_res, abs(f_theta - relaxed_angle_fidelity(cc, fam.cos_theta, fam.lam)))
         rejected = 0.0
         try:
             ThetaPovmFamily(0.6, 0.5, 1.0 - 0.5 + 1e-3)

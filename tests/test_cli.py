@@ -667,22 +667,11 @@ class TestTeleport:
         code, _, _ = run(capsys, "teleport", "--d", "2", "--runs", "0", "--transcript", str(transcript))
         assert code == 0 and transcript.read_bytes() == b""
 
-    @pytest.mark.parametrize(
-        "column", [(None,) * 5, (0, 1, -7, 12345, True), (), (1.5, None), (3, ""), ("a,b", None)]
-    )
-    def test_csv_cells_are_the_per_cell_fields(self, monkeypatch, column):
-        # All-None and all-int columns are formatted whole, with no per-cell call.
-        calls, per_cell = [], cli._csv_field
-
-        def field(value):
-            calls.append(value)
-            return per_cell(value)
-
-        want = [per_cell(value) for value in column]
-        monkeypatch.setattr(cli, "_csv_field", field)
-        assert list(cli._csv_cells(column)) == want
-        whole = all(isinstance(v, float) for v in column) or all(v is None for v in column)
-        assert calls == ([] if whole or all(isinstance(v, int) for v in column) else list(column))
+    def test_json_floats_are_written_as_json_dumps_writes_them(self):
+        # Non-finite numbers included, though no report holds one.
+        values = np.array([0.1, -0.0, 1e-300, 2.0**60, math.nan, math.inf, -math.inf])
+        assert cli._CELLS["jsonl"][0](values) == [json.dumps(v) for v in values.tolist()]
+        assert cli._CELLS["csv"][0](values) == [f"{v:.12g}" for v in values.tolist()]
 
     def test_jsonl_report(self, capsys, tmp_path):
         out = tmp_path / "report.jsonl"

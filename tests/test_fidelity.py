@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ import pytest
 from qteleport.channel import make_channel, qubit_channel_from_cos_theta
 from qteleport.errors import CapacityError, ConsistencyError, DecompositionError, DomainError, ShapeError
 from qteleport import fidelity
-from qteleport.fidelity import channel_maps, report, simulate, transcript_bits
+from qteleport.fidelity import FidelityReport, channel_maps, report, simulate, transcript_bits
 from qteleport.dilation import dilate, realized_povm
 from qteleport.formulas import (
     best_orthogonal_fidelity,
@@ -15,7 +16,7 @@ from qteleport.formulas import (
     product_strategy_fidelity,
     qubit_average_fidelity,
 )
-from qteleport.linalg import CHUNK_ENTRIES, Monomial, dagger, haar_random_ket, haar_random_unitary
+from qteleport.linalg import CHUNK_ENTRIES, Monomial, chunks, dagger, haar_random_ket, haar_random_unitary
 from qteleport.povm import (
     CONCLUSIVE,
     PRODUCT,
@@ -268,8 +269,7 @@ class TestExactReport:
         rep = report(p, ch, basis, "paper")
         assert rep.probability_se is None and rep.fidelity_term_se is None
         for col in (rep.probabilities, rep.fidelity_terms):
-            assert type(col) is tuple and len(col) == p.n_outcomes
-            assert all(type(x) is float for x in col)
+            assert col.shape == (p.n_outcomes,) and col.dtype == float and not col.flags.writeable
         assert type(rep.conclusive_probability) is float and type(rep.inconclusive_probability) is float
         assert rep.conclusive_probability == sum(rep.probabilities[:9])
         assert rep.inconclusive_probability == sum(rep.probabilities[9:])
@@ -278,8 +278,7 @@ class TestExactReport:
         assert mc.conclusive_probability == sum(mc.probabilities[:9])
         assert mc.inconclusive_probability == sum(mc.probabilities[9:])
         for col in (mc.probabilities, mc.probability_se, mc.fidelity_terms, mc.fidelity_term_se):
-            assert type(col) is tuple and len(col) == p.n_outcomes
-            assert all(type(x) is float for x in col)
+            assert col.shape == (p.n_outcomes,) and col.dtype == float and not col.flags.writeable
 
     def test_amplitude_map_completeness(self):
         basis = build_weyl_basis(3)
@@ -436,7 +435,7 @@ def avg_fidelity_term(b, v):
     d = b.shape[-1]
     if b.shape[-2:] != (d, d) or v.shape != b.shape:
         raise ShapeError(f"correction shape {v.shape} does not match {b.shape}")
-    fidelity._check_unitary(v.reshape(-1, d, d))
+    check_unitary(v.reshape(-1, d, d))
     gram = np.sum(np.abs(b) ** 2, axis=(-2, -1))
     trace = np.einsum("...ij,...ji->...", v, b)
     return gram / d, (np.abs(trace) ** 2 + gram) / (d * (d + 1))
@@ -447,10 +446,31 @@ def shift_matrix(d):
     return np.roll(np.eye(d, dtype=complex), 1, axis=0)
 
 
+def check_unitary(ops):
+    """Raise ``DomainError`` if some op is off unitary, max|V^† V - I| > 1e-10, reading bounded chunks."""
+    d = ops.shape[-1]
+    for part in chunks(len(ops), d * d):
+        v = ops[part]
+        if np.max(np.abs(dagger(v) @ v - np.eye(d))) > 1e-10:
+            raise DomainError("correction operator is not unitary")
+
+
 def correction_unitaries(p, basis):
-    """The paper's fixed corrections as a dense (n, d, d) stack, from the library's builder."""
-    fixed = fidelity._corrections(p, basis, "paper")
-    return fixed.dense() if isinstance(fixed, Monomial) else fixed
+    """The paper's fixed corrections as a dense (n, d, d) stack.
+
+    From the library's builder on a monomial basis; on a dense one, which
+    the library refuses, by the same rule here (``basis.ops[alpha]`` for a
+    conclusive or residual outcome, X^((i - j) mod d) for the product piece
+    i + d j), checked by ``check_unitary``.
+    """
+    if basis.monomial is not None:
+        return fidelity._corrections(p, basis, "paper").dense()
+    d = p.d
+    j, i = np.divmod(p.labels, d)
+    shifts = [np.linalg.matrix_power(shift_matrix(d), m) for m in range(d)]
+    ops = np.concatenate([basis.ops, shifts])[np.where(p.kinds == PRODUCT, d * d + (i - j) % d, p.labels)]
+    check_unitary(ops)
+    return ops
 
 
 def corrections_of(p, basis, maps, corrections):
@@ -483,6 +503,65 @@ def random_stack(d, n, rng):
     maps[0] = 0.0  # degenerate: every unitary is optimal, the phase rule picks one
     maps[1] = np.diag(rng.random(d))  # real PSD: the identity is optimal
     return maps
+
+
+def three_reports():
+    """An exact report of a single set, a Monte Carlo one and an exact one of a 3-member stack."""
+    basis = build_weyl_basis(3)
+    ch = random_channel(3, np.random.default_rng(37))
+    p = refined(ch, basis, 0.5 * lambda_max(ch), "product")
+    stack = refine_inconclusive_residual(build_conclusive_povm(ch, basis, [0.0, 0.1, 0.2]), basis)
+    mc = simulate(p, ch, basis, "paper", n_runs=500, rng=2)
+    return report(p, ch, basis, "paper"), mc, report(stack, ch, basis, "auto")
+
+
+class TestReportType:
+    """One ``FidelityReport`` per call: read-only array columns over the member axis and an exact ``==``."""
+
+    def test_shapes_follow_the_member_axis(self):
+        exact, mc, stacked = three_reports()
+        n = len(exact.probabilities)
+        for rep in (exact, mc):
+            assert rep.probabilities.shape == rep.fidelity_terms.shape == (n,)
+            totals = (rep.lam, rep.conclusive_probability, rep.inconclusive_probability, rep.f_conclusive)
+            assert all(type(x) is float for x in totals + (rep.f_inconclusive, rep.f_total))
+        assert mc.probability_se.shape == mc.fidelity_term_se.shape == (n,)
+        assert stacked.probabilities.shape == stacked.fidelity_terms.shape == (3, 2 * 9)
+        for total in (stacked.lam, stacked.conclusive_probability, stacked.inconclusive_probability):
+            assert total.shape == (3,)
+        for total in (stacked.f_conclusive, stacked.f_inconclusive, stacked.f_total):
+            assert total.shape == (3,)
+
+    def test_every_column_is_read_only(self):
+        for rep in three_reports():
+            for field in dataclasses.fields(rep):
+                value = getattr(rep, field.name)
+                if isinstance(value, np.ndarray):
+                    with pytest.raises(ValueError, match="read-only"):
+                        value.reshape(-1)[0] = 0.5
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(rep, field.name, value)
+
+    def test_one_ulp_in_any_number_makes_reports_unequal(self):
+        for rep in three_reports():
+            assert rep == dataclasses.replace(rep)
+            numbers = [f.name for f in dataclasses.fields(rep) if isinstance(getattr(rep, f.name), (float, np.ndarray))]
+            assert len(numbers) == (11 if rep.n_runs else 8)
+            for name in numbers:
+                value = getattr(rep, name)
+                if isinstance(value, float):
+                    moved = math.nextafter(value, math.inf)
+                else:
+                    moved = value.copy()
+                    moved.reshape(-1)[-1] = np.nextafter(moved.reshape(-1)[-1], np.inf)
+                assert rep != dataclasses.replace(rep, **{name: moved}), name
+
+    def test_a_report_is_unequal_to_what_is_not_a_report(self):
+        exact, mc, stacked = three_reports()
+        assert exact != mc and exact != stacked
+        for other in (None, 0.0, exact.f_total, exact.probabilities, dataclasses.astuple(exact), "report"):
+            assert exact != other and not (exact == other)
+        assert FidelityReport.__hash__ is None
 
 
 class TestStackedEngine:
@@ -641,24 +720,27 @@ class TestPatternPaperReport:
     @pytest.mark.parametrize("d", [2, 3, 5])
     @pytest.mark.parametrize("strategy", ["product", "residual"])
     def test_non_unitary_basis_operator_is_refused_on_both_paths(self, d, strategy):
+        # The realized Neumark POVM is dense: it gets no paper corrections
+        # from any basis.
         basis = build_weyl_basis(d)
         ch = random_channel(d, np.random.default_rng(500 + d))
         p = refined(ch, basis, 0.5 * lambda_max(ch), strategy)
         realized = realized_povm(dilate(p), p)
         assert p.monomial is not None and realized.monomial is None
         bad = scaled_basis(basis, d + 1, 0.5)
-        for q in (p, realized):
-            report(q, ch, basis, "paper")
+        report(p, ch, basis, "paper")
+        for run in (report, lambda *args: simulate(*args, n_runs=10, rng=0)):
             with pytest.raises(DomainError, match="not unitary"):
-                report(q, ch, bad, "paper")
-            with pytest.raises(DomainError, match="not unitary"):
-                simulate(q, ch, bad, "paper", n_runs=10, rng=0)
+                run(p, ch, bad, "paper")
+            with pytest.raises(DomainError, match="dense"):
+                run(realized, ch, basis, "paper")
 
     @pytest.mark.parametrize("alpha", [0, 100, 255])
     def test_every_chunk_of_the_check_is_read(self, alpha):
-        # At d = 16 the check of a dense basis runs in several chunks; a bad
-        # operator in any of them is refused by the report, by the Monte
-        # Carlo, by the corrections' builder and by the dense oracle's check.
+        # At d = 16 the oracle's check of a dense basis runs in several
+        # chunks; a bad operator in any of them is refused by the oracle's
+        # corrections and by its stack check, as the report and the Monte
+        # Carlo refuse any dense basis.
         self.refuse_bad_operator(alpha, "dense")
 
     @pytest.mark.parametrize("alpha", [0, 100, 255])
@@ -690,62 +772,54 @@ class TestPatternPaperReport:
             avg_fidelity_term(channel_maps(p, ch), vs)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
-    def test_conjugated_corrections_on_a_pattern_stack(self, d):
+    def test_conjugated_corrections_on_a_pattern_stack_are_refused(self, monkeypatch, d):
         # A Weyl POVM with its paper corrections read from a conjugated
         # basis: the POVM stays monomial, but the basis is dense, so the
-        # report traces the dense corrections against the dense maps.
-        # V_a B_a is not diagonal, so ``simulate`` refuses this case (see
-        # TestBlockedKernel.test_off_diagonal_paper_is_refused_and_no_input_needs_eigh).
-        p, ch, basis, maps, vs = maps_and_corrections(d, "conjugated", "paper", 600 + d, 0.5)
+        # report and the Monte Carlo refuse it before any map is read.
+        p, ch, basis, _, _ = maps_and_corrections(d, "conjugated", "auto", 600 + d, 0.5)
         assert p.monomial is not None and basis.monomial is None
-        probs, terms = avg_fidelity_term(maps, vs)
-        rep = report(p, ch, basis, "paper")
-        assert np.max(np.abs(np.subtract(rep.probabilities, probs))) <= 1e-15
-        assert np.max(np.abs(np.subtract(rep.fidelity_terms, terms))) <= 1e-15
+        self.refuse_dense_paper(monkeypatch, p, ch, basis, "monomial basis")
 
     @pytest.mark.parametrize("stack", ["rotated", "realized"])
-    def test_dense_paper_report_checks_the_basis_once(self, monkeypatch, stack):
-        # On dense maps, report traces the whole corrections against the
-        # maps, and the terms are the dense oracle's bit for bit.  A
-        # monomial basis gets no V^† V check, only its unit moduli ...
-        self.dense_paper_report(monkeypatch, stack, "monomial")
-
-    @pytest.mark.parametrize("stack", ["rotated", "realized"])
-    def test_dense_basis_gets_the_chunked_check_once(self, monkeypatch, stack):
-        # ... and a dense basis gets the chunked V^† V check, once.
-        self.dense_paper_report(monkeypatch, stack, "dense")
-
-    def dense_paper_report(self, monkeypatch, stack, form):
+    @pytest.mark.parametrize("form", ["monomial", "dense"])
+    def test_paper_on_a_dense_povm_is_refused(self, monkeypatch, stack, form):
+        # A dense POVM (a rotated one, or the realized Neumark POVM) gets no
+        # paper report from a monomial basis or a dense one; it still gets
+        # the auto report.
         d = 4
-        p, ch, basis, maps, _ = maps_and_corrections(d, "rotated", "paper", 80)
+        p, ch, basis, _, _ = maps_and_corrections(d, "rotated", "auto", 80)
         if stack == "realized":
             q = refined(ch, basis, 0.5 * lambda_max(ch), "product")
             p = realized_povm(dilate(q), q)
-            maps = channel_maps(p, ch)
         if form == "dense":
             rng = np.random.default_rng(81)
             basis = conjugated_basis(basis, haar_random_unitary(d, rng), haar_random_unitary(d, rng))
         assert p.monomial is None and (basis.monomial is None) == (form == "dense")
-        probs, terms = avg_fidelity_term(maps, correction_unitaries(p, basis))
-        checked = []
-        check = fidelity._check_unitary
+        probs, terms = avg_fidelity_term(channel_maps(p, ch), optimal_correction(channel_maps(p, ch)))
+        rep = report(p, ch, basis, "auto")
+        assert np.max(np.abs(rep.probabilities - probs)) <= 1e-15
+        assert np.max(np.abs(rep.fidelity_terms - terms)) <= 1e-12
+        self.refuse_dense_paper(monkeypatch, p, ch, basis, "monomial basis" if form == "dense" else "monomial POVM")
 
-        def counted(ops):
-            checked.append(ops.shape)
-            return check(ops)
+    def refuse_dense_paper(self, monkeypatch, p, ch, basis, message):
+        def refuse(*args):
+            raise AssertionError("maps read")
 
-        monkeypatch.setattr(fidelity, "_check_unitary", counted)
-        rep = report(p, ch, basis, "paper")
-        assert checked == ([basis.ops.shape] if form == "dense" else [])
-        assert np.array(rep.probabilities).tobytes() == probs.tobytes()
-        assert np.array(rep.fidelity_terms).tobytes() == terms.tobytes()
+        monkeypatch.setattr(fidelity, "channel_maps", refuse)
+        monkeypatch.setattr(fidelity, "_maps", refuse)
+        calls = []
+        with pytest.raises(DomainError, match=message):
+            report(p, ch, basis, "paper")
+        with pytest.raises(DomainError, match=message):
+            simulate(p, ch, basis, "paper", n_runs=10, rng=0, transcript=calls.append)
+        assert calls == []
 
     @pytest.mark.parametrize("strategy", ["product", "residual"])
     def test_real_valued_basis_gives_complex_corrections(self, strategy):
         # The d = 2 Weyl operators are real; given as real values, their
         # corrections still come out complex, as the Monte Carlo scales them
-        # by complex map entries in place.  The Monte Carlo takes the
-        # monomial form; the dense real array gets the same exact report.
+        # by complex map entries in place.  Both paths take the monomial
+        # form and refuse the dense real array.
         d = 2
         weyl = build_weyl_basis(d).monomial
         basis = UnitaryBasis(dim=d, ops=Monomial(weyl.cols, weyl.values.real.copy()))
@@ -755,7 +829,8 @@ class TestPatternPaperReport:
         assert correction_unitaries(p, basis).dtype == complex
         assert correction_unitaries(p, dense).dtype == complex
         exact = report(p, ch, basis, "paper")
-        assert report(p, ch, dense, "paper").f_total == pytest.approx(exact.f_total, abs=1e-15)
+        with pytest.raises(DomainError, match="dense"):
+            report(p, ch, dense, "paper")
         mc = simulate(p, ch, basis, "paper", n_runs=4000, rng=3)
         assert abs(mc.f_total - exact.f_total) <= 4 * mc.f_total_se
 
@@ -789,11 +864,10 @@ class TestPatternPaperReport:
     @pytest.mark.parametrize("strategy", ["product", "residual"])
     def test_unit_modulus_check_refuses_what_the_dense_check_refused(self, d, form, strategy):
         # One phase of a Weyl basis scaled by 1 + 1e-9 is refused by report
-        # and simulate, by 1 + 1e-12 accepted, with the basis given as a
-        # Monomial or as the same dense array; the dense max|V^† V - I| <=
-        # 1e-10 check gives the same verdicts on the same operators.  The
-        # dense array stays dense, so simulate refuses its accepted case too,
-        # as it refuses paper corrections from any dense basis.
+        # and simulate, by 1 + 1e-12 accepted; the oracle's dense
+        # max|V^† V - I| <= 1e-10 check gives the same verdicts on the same
+        # operators.  Given as the same dense array, the basis stays dense,
+        # and both paths refuse it whatever its values.
         basis = build_weyl_basis(d)
         ch = random_channel(d, np.random.default_rng(d))
         p = refined(ch, basis, 0.5 * lambda_max(ch), strategy)
@@ -805,15 +879,15 @@ class TestPatternPaperReport:
             moved = UnitaryBasis(dim=d, ops=scaled if form == "monomial" else scaled.dense())
             assert (moved.monomial is None) == (form == "dense") and np.array_equal(moved.ops, scaled.dense())
             try:
-                fidelity._check_unitary(moved.ops)
+                check_unitary(moved.ops)
                 assert accepted
             except DomainError:
                 assert not accepted
             for run in (report, lambda *args: simulate(*args, n_runs=10, rng=0)):
-                if accepted and (run is report or form == "monomial"):
+                if accepted and form == "monomial":
                     run(p, ch, moved, "paper")
                 else:
-                    with pytest.raises(DomainError, match="diagonal" if accepted else "not unitary"):
+                    with pytest.raises(DomainError, match="dense" if form == "dense" else "not unitary"):
                         run(p, ch, moved, "paper")
 
     @pytest.mark.parametrize("d", [12, 16])
@@ -873,7 +947,7 @@ class TestSimulate:
         a = simulate(p, ch, basis, "auto", n_runs=2_000, rng=42, n_workers=3)
         b = simulate(p, ch, basis, "auto", n_runs=2_000, rng=42, n_workers=3)
         assert a.f_total == b.f_total
-        assert a.probabilities == b.probabilities
+        assert np.array_equal(a.probabilities, b.probabilities)
 
     def test_surplus_workers_spawn_no_empty_shards(self):
         basis = build_weyl_basis(2)
@@ -1169,14 +1243,14 @@ def kernel_block(p, ch, basis, corrections, rng, n):
 
 
 def refused(strategy, corrections):
-    """Whether ``simulate`` refuses the case: paper corrections that leave some V_a B_a off the diagonal."""
+    """Whether ``simulate`` refuses the case: paper corrections on a dense POVM or from a dense basis."""
     return corrections == "paper" and strategy in ("rotated", "conjugated")
 
 
 def assert_simulate_refuses(p, ch, basis, corrections, **kwargs):
     """``simulate`` raises DomainError before any transcript call."""
     calls = []
-    with pytest.raises(DomainError, match="diagonal"):
+    with pytest.raises(DomainError, match="dense"):
         simulate(p, ch, basis, corrections, n_runs=100, rng=0, transcript=calls.append, **kwargs)
     assert calls == []
 
@@ -1261,12 +1335,11 @@ class TestBlockedKernel:
         # The oracle replays the documented draw order and evaluates every
         # run on the maps themselves, not on the kernel's tables; the
         # rotated POVM is dense and takes its sigma from an SVD.  Its paper
-        # corrections leave G_a off the diagonal, and the kernel refuses
-        # to build their tables.
+        # corrections are refused before any table is built.
         p, ch, basis, maps, vs = maps_and_corrections(d, strategy, corrections, d)
         assert (p.monomial is None) == (strategy == "rotated")
         if refused(strategy, corrections):
-            with pytest.raises(DomainError, match="diagonal"):
+            with pytest.raises(DomainError, match="dense"):
                 tables_of(p, ch, basis, corrections)
             return
         n = 2_000
@@ -1289,7 +1362,7 @@ class TestBlockedKernel:
         p, ch, basis, maps, vs = maps_and_corrections(d, strategy, corrections, 40 + d, share)
         assert (p.monomial is None) == (strategy == "rotated")
         if refused(strategy, corrections):
-            with pytest.raises(DomainError, match="diagonal"):
+            with pytest.raises(DomainError, match="dense"):
                 tables_of(p, ch, basis, corrections)
             return
         n = 2_000
@@ -1373,9 +1446,9 @@ class TestBlockedKernel:
                 simulate(bad, ch, basis, "auto", n_runs=100, rng=0, transcript=calls.append)
         assert calls == []
 
-    def test_incomplete_dense_povm_with_paper_is_refused_as_incomplete(self):
-        # Both paths read one set-up, which checks completeness before the
-        # Monte Carlo refuses paper corrections on a dense POVM.
+    def test_incomplete_dense_povm_with_paper_is_refused_as_dense(self):
+        # Both paths read one set-up, which refuses paper corrections on a
+        # dense POVM before it reads the maps, so before completeness.
         ch = make_channel(np.sqrt([0.5, 0.3, 0.2]))
         basis = build_weyl_basis(3)
         p = refined(ch, basis, 0.4, "residual")
@@ -1384,7 +1457,7 @@ class TestBlockedKernel:
         bad = PovmSet(d=3, vectors=vectors, kinds=p.kinds, labels=p.labels, lam=p.lam)
         assert bad.monomial is None
         for run in (report, simulate):
-            with pytest.raises(ConsistencyError, match="identity"):
+            with pytest.raises(DomainError, match="dense"):
                 run(bad, ch, basis, "paper")
 
     @pytest.mark.parametrize("strategy", ["product", "residual"])
@@ -1519,7 +1592,7 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_auto_runs_no_eigh_on_a_dense_stack(self, monkeypatch, d):
         # The rotated POVM is dense; auto still needs only singular values,
-        # and paper is refused without reaching eigh.
+        # and paper is refused before any map is read.
         p, ch, basis, _, _ = maps_and_corrections(d, "rotated", "auto", 60 + d)
 
         def refuse(*args, **kwargs):
@@ -1529,18 +1602,18 @@ class TestBlockedKernel:
         exact = report(p, ch, basis, "auto")
         mc = simulate(p, ch, basis, "auto", n_runs=20_000, rng=d)
         assert abs(mc.f_total - exact.f_total) <= 4 * mc.f_total_se
-        with pytest.raises(DomainError, match="diagonal"):
+        with pytest.raises(DomainError, match="dense"):
             simulate(p, ch, basis, "paper", n_runs=10, rng=d)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_off_diagonal_paper_is_refused_and_no_input_needs_eigh(self, monkeypatch, d):
         # Paper corrections on the realized Neumark POVM, from a conjugated
-        # basis, on the rotated POVM or from a monomial basis whose
-        # operators are rolled by one shift (the exact report takes it)
-        # leave some V_a B_a off the diagonal: refused before any draw and
-        # any transcript call.  What simulate takes runs without eigh:
-        # monomial POVMs with either mode, and dense ones with auto, which
-        # needs only singular values.
+        # basis or on the rotated POVM are refused as dense, and from a
+        # monomial basis whose operators are rolled by one shift (the exact
+        # report takes it) they leave some V_a B_a off the diagonal: all are
+        # refused before any draw and any transcript call.  What simulate
+        # takes runs without eigh: monomial POVMs with either mode, and
+        # dense ones with auto, which needs only singular values.
         def refuse(*args, **kwargs):
             raise AssertionError("eigh called")
 
@@ -1552,9 +1625,10 @@ class TestBlockedKernel:
         w = basis.monomial
         rolled = UnitaryBasis(d, Monomial(np.roll(w.cols, d, axis=0), np.roll(w.values, d, axis=0)))
         report(p, ch, rolled, "paper")
-        for q, b in ((realized, basis), (p, moved), (rotated, basis), (p, rolled)):
+        cases = ((realized, basis, "dense"), (p, moved, "dense"), (rotated, basis, "dense"), (p, rolled, "diagonal"))
+        for q, b, why in cases:
             calls = []
-            with pytest.raises(DomainError, match="diagonal"):
+            with pytest.raises(DomainError, match=why):
                 simulate(q, ch, b, "paper", n_runs=100, rng=0, transcript=calls.append)
             assert calls == []
         for q, corrections in ((p, "auto"), (p, "paper"), (realized, "auto"), (rotated, "auto")):

@@ -303,20 +303,20 @@ class TestMonomialViews:
         r = build_conclusive_povm(ch, basis, lam)
         r = refine_inconclusive_product(r) if strategy == "product" else refine_inconclusive_residual(r, basis)
         assert r.monomial is None and np.max(np.abs(r.vectors - p.vectors)) <= 1e-15
-        # The dense branch reports the monomial set's numbers in both modes.
-        for corrections in ("auto", "paper"):
-            want = fidelity.report(p, ch, weyl, corrections)
-            for got in (fidelity.report(q, ch, weyl, corrections), fidelity.report(r, ch, basis, corrections)):
-                assert np.max(np.abs(np.subtract(got.fidelity_terms, want.fidelity_terms))) <= 1e-15
-                assert np.max(np.abs(np.subtract(got.probabilities, want.probabilities))) <= 1e-15
-        # The Monte Carlo runs the dense set with optimal corrections and
-        # refuses the paper's before any draw, as on any dense input.
+        # The dense branch reports the monomial set's numbers with optimal
+        # corrections; the report and the Monte Carlo refuse the paper's on
+        # any dense input, before any draw.
+        want = fidelity.report(p, ch, weyl, "auto")
+        for got in (fidelity.report(q, ch, weyl, "auto"), fidelity.report(r, ch, basis, "auto")):
+            assert np.max(np.abs(np.subtract(got.fidelity_terms, want.fidelity_terms))) <= 1e-15
+            assert np.max(np.abs(np.subtract(got.probabilities, want.probabilities))) <= 1e-15
         mc = fidelity.simulate(r, ch, basis, "auto", n_runs=4000, rng=3)
-        assert abs(mc.f_total - fidelity.report(p, ch, weyl, "auto").f_total) <= 4 * mc.f_total_se
+        assert abs(mc.f_total - want.f_total) <= 4 * mc.f_total_se
         calls = []
         for s, b in ((q, weyl), (r, basis), (p, basis)):
-            with pytest.raises(DomainError, match="diagonal"):
-                fidelity.simulate(s, ch, b, "paper", n_runs=10, rng=0, transcript=calls.append)
+            for run in (fidelity.report, lambda *a: fidelity.simulate(*a, n_runs=10, rng=0, transcript=calls.append)):
+                with pytest.raises(DomainError, match="dense"):
+                    run(s, ch, b, "paper")
         assert calls == []
 
 

@@ -1,5 +1,8 @@
 """POVM stacks over the conclusive weight: member k is the single set at weight k, bit for bit."""
 
+import dataclasses
+import functools
+import operator
 import tracemalloc
 
 import numpy as np
@@ -8,9 +11,10 @@ import pytest
 from qteleport.channel import make_channel, qubit_channel_from_cos_theta
 from qteleport.dilation import dilate
 from qteleport.errors import DomainError, PositivityError, ShapeError
-from qteleport.fidelity import channel_maps, report, simulate
+from qteleport.fidelity import FidelityReport, channel_maps, report, simulate
 from qteleport.linalg import Monomial, haar_random_unitary
 from qteleport.povm import (
+    CONCLUSIVE,
     PovmSet,
     ThetaPovmFamily,
     build_conclusive_povm,
@@ -38,6 +42,26 @@ def weights(ch, rng):
     return np.concatenate([[0.0, top], rng.random(3) * top, np.linspace(0.0, top, 6)])
 
 
+def assert_row_is_the_report(stacked, k, single):
+    """Row k of a stack's report holds the single set's report bit for bit; the other fields are equal."""
+    for field in dataclasses.fields(FidelityReport):
+        got, want = getattr(stacked, field.name), getattr(single, field.name)
+        if isinstance(got, np.ndarray):
+            assert got[k].tobytes() == np.asarray(want, dtype=float).tobytes(), field.name
+        else:
+            assert got == want, field.name
+
+
+def assert_totals_are_the_row_loops(rep, k, conclusive):
+    """Row k's totals, bit for bit: probabilities added one after another from 0.0, terms by one 1-D reduce."""
+    for mask, prob, term in (
+        (conclusive, rep.conclusive_probability, rep.f_conclusive),
+        (~conclusive, rep.inconclusive_probability, rep.f_inconclusive),
+    ):
+        assert prob[k] == functools.reduce(operator.add, rep.probabilities[k][mask].tolist(), 0.0)
+        assert term[k] == np.add.reduce(np.ascontiguousarray(rep.fidelity_terms[k][mask]))
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
 @pytest.mark.parametrize("strategy", ["product", "residual"])
 @pytest.mark.parametrize("corrections", ["auto", "paper"])
@@ -50,11 +74,12 @@ def test_each_member_report_equals_the_single_report(d, strategy, corrections):
         lams = weights(ch, rng)
         stack = refine(build_conclusive_povm(ch, basis, lams), basis)
         assert stack.members == len(lams)
-        reports = report(stack, ch, basis, corrections)
-        assert len(reports) == len(lams)
-        for lam, rep in zip(lams.tolist(), reports):
+        rep = report(stack, ch, basis, corrections)
+        assert rep.probabilities.shape == (len(lams), stack.n_outcomes) and rep.f_total.shape == lams.shape
+        for k, lam in enumerate(lams.tolist()):
             single = refine(build_conclusive_povm(ch, basis, lam), basis)
-            assert rep == report(single, ch, basis, corrections)
+            assert_row_is_the_report(rep, k, report(single, ch, basis, corrections))
+            assert_totals_are_the_row_loops(rep, k, stack.kinds == CONCLUSIVE)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -84,14 +109,16 @@ def test_members_hold_the_single_sets(d):
             assert maps[k].tobytes() == channel_maps(one, ch).tobytes()
 
 
-def test_a_length_one_stack_is_a_list_of_one():
+def test_a_length_one_stack_reports_one_row():
     basis = build_weyl_basis(3)
     ch = random_channel(3, np.random.default_rng(4))
     lam = 0.5 * lambda_max(ch)
     stack = refine_inconclusive_residual(build_conclusive_povm(ch, basis, [lam]), basis)
     single = refine_inconclusive_residual(build_conclusive_povm(ch, basis, lam), basis)
     assert stack.members == 1 and stack.monomial.values.shape == (1, 18, 3)
-    assert report(stack, ch, basis, "paper") == [report(single, ch, basis, "paper")]
+    rep = report(stack, ch, basis, "paper")
+    assert rep.probabilities.shape == (1, 18) and rep.f_total.shape == (1,)
+    assert_row_is_the_report(rep, 0, report(single, ch, basis, "paper"))
 
 
 @pytest.mark.parametrize("cos_theta_c", [0.0, 0.6, 0.9])
@@ -104,9 +131,9 @@ def test_each_theta_member_equals_the_single_family(cos_theta_c):
     assert stack.members == len(fams)
     for strategy, refine in REFINEMENTS.items():
         for corrections in ("auto", "paper"):
-            reports = report(refine(stack, basis), ch, basis, corrections)
-            for fam, rep in zip(fams, reports):
-                assert rep == report(refine(build_theta_povm(fam), basis), ch, basis, corrections)
+            rep = report(refine(stack, basis), ch, basis, corrections)
+            for k, fam in enumerate(fams):
+                assert_row_is_the_report(rep, k, report(refine(build_theta_povm(fam), basis), ch, basis, corrections))
 
 
 def test_stack_arguments_are_checked():
