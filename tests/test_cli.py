@@ -673,6 +673,39 @@ class TestTeleport:
         assert cli._CELLS["jsonl"][0](values) == [json.dumps(v) for v in values.tolist()]
         assert cli._CELLS["csv"][0](values) == [f"{v:.12g}" for v in values.tolist()]
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_a_written_table_reads_back_cell_for_cell(self, tmp_path, fmt):
+        # Each kind of cell (count, text, quoted "i,j", float, empty) as the
+        # csv and json modules read it back.
+        floats, text, empty = cli._CELLS[fmt]
+        values = np.array([0.1, 1e-300, 2.0**60])
+        columns = [
+            ["0", "1", "2"],
+            [text % "conclusive", text % "total", text % ""],
+            ['"1,2"', text % "7", text % ""],
+            floats(values),
+            [empty, *floats(values[:2])],
+        ]
+        out = tmp_path / f"table.{fmt}"
+        header = ("outcome", "kind", "detail", "p", "se")
+        cli._write_table(str(out), fmt, header, columns)
+        if fmt == "csv":
+            rows = list(csv.reader(io.StringIO(out.read_text())))
+            assert rows[0] == list(header)
+            assert rows[1:] == [
+                ["0", "conclusive", "1,2", "0.1", ""],
+                ["1", "total", "7", "1e-300", "0.1"],
+                ["2", "", "", "1.15292150461e+18", "1e-300"],
+            ]
+        else:
+            rows = [json.loads(line) for line in out.read_text().splitlines()]
+            assert [list(row) for row in rows] == [list(header)] * 3
+            assert [tuple(row.values()) for row in rows] == [
+                (0, "conclusive", "1,2", 0.1, None),
+                (1, "total", "7", 1e-300, 0.1),
+                (2, "", "", 2.0**60, 1e-300),
+            ]
+
     def test_jsonl_report(self, capsys, tmp_path):
         out = tmp_path / "report.jsonl"
         run(capsys, "teleport", "--d", "3", "--out", str(out), "--format", "jsonl")
