@@ -12,11 +12,11 @@ Subcommands, each taking only the flags it reads:
                   with a Monte Carlo estimate and a classical transcript.
                   Flags: those of ``verify``, plus ``--strategy``,
                   ``--corrections``, ``--runs``, ``--out``, ``--format`` and
-                  ``--transcript``.  Only this command reads
-                  ``QTELEPORT_WORKERS``.
+                  ``--transcript``.
 
 Exit codes: 0 ok, 1 check failure, 2 usage/config error.  Numbers in CSV
 output carry 12 significant digits so regression diffs stay meaningful.
+A seed fixes every Monte Carlo result; no command reads the environment.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .channel import SchmidtChannel, make_channel, qubit_channel_from_cos_theta
 from .errors import QTeleportError
-from .fidelity import MAX_RUNS, MAX_WORKERS, FidelityReport, report, simulate, transcript_bits
+from .fidelity import MAX_RUNS, FidelityReport, report, simulate, transcript_bits
 from .formulas import channel_from_entropy, qubit_average_fidelity, relaxed_angle_fidelity
 from .povm import (
     CONCLUSIVE,
@@ -47,7 +47,6 @@ from .povm import (
 from .verify import run_battery
 from .weyl import build_weyl_basis
 
-WORKERS_ENV = "QTELEPORT_WORKERS"
 # Runs whose transcript lines are built as one byte string: at under 128
 # bytes a line, each of a slice's byte strings stays below glibc's default
 # mmap threshold, so no slice maps and unmaps its memory.
@@ -383,19 +382,6 @@ def _transcript_sink(stream, p: PovmSet):
     return write
 
 
-def _workers() -> int:
-    workers = os.environ.get(WORKERS_ENV, "1")
-    try:
-        n_workers = int(workers)
-    except ValueError:
-        n_workers = 0
-    if n_workers < 1:
-        raise _usage_error(f"{WORKERS_ENV} must be a positive integer, got {workers!r}")
-    if n_workers > MAX_WORKERS:
-        raise _usage_error(f"{WORKERS_ENV}={n_workers} exceeds the ceiling of {MAX_WORKERS} workers")
-    return n_workers
-
-
 def cmd_teleport(args: argparse.Namespace) -> int:
     _check_channel_flags(args)
     if args.runs < 0:
@@ -409,7 +395,6 @@ def cmd_teleport(args: argparse.Namespace) -> int:
         and os.path.realpath(args.out) == os.path.realpath(args.transcript)
     ):
         raise _usage_error(f"--out and --transcript name the same file {args.out!r}")
-    n_workers = _workers()
     _echo(
         "command=teleport",
         *_channel_echo(args),
@@ -418,7 +403,6 @@ def cmd_teleport(args: argparse.Namespace) -> int:
         f"runs={args.runs}",
         f"seed={args.seed}",
         f"format={args.fmt}",
-        f"workers={n_workers}",
     )
     try:
         channel = _resolve_channel(args)
@@ -441,7 +425,6 @@ def cmd_teleport(args: argparse.Namespace) -> int:
                 args.corrections,
                 n_runs=args.runs,
                 rng=args.seed,
-                n_workers=n_workers,
                 transcript=None if stream is None else _transcript_sink(stream, refined),
             )
     except QTeleportError as exc:

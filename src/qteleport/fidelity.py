@@ -80,10 +80,10 @@ from .weyl import UnitaryBasis
 
 
 def _check_complete(excess: np.ndarray) -> None:
-    """Raise ``ConsistencyError`` unless ``excess`` = sum_a B_a^† B_a - I is within 1e-10 of 0."""
+    """Raise ``ConsistencyError`` unless ``excess`` = sum_a B_a^† B_a - I is within 1e-10 of 0 (a NaN is not)."""
     # Array methods skip numpy's Python wrappers; verify makes hundreds of reports.
     residual = float(np.abs(excess).max())
-    if residual > 1e-10:
+    if not residual <= 1e-10:
         raise ConsistencyError(f"sum of B^† B differs from the identity by {residual:.3e} > 1e-10")
 
 
@@ -110,8 +110,8 @@ def _corrections(p: PovmSet, basis: UnitaryBasis, corrections: str) -> Monomial 
     label alpha, and for the product piece with label i + d j the shift X^m
     with m = (i - j) mod d, as in ``build_weyl_basis(d).ops[m * d]``.  A
     monomial basis is unitary exactly when every value has unit modulus,
-    checked to 1e-10 in |v|^2.  A dense basis, and a basis that fails the
-    check, raise ``DomainError``.
+    checked to 1e-10 in |v|^2 (a NaN fails).  A dense basis, and a basis
+    that fails the check, raise ``DomainError``.
     """
     if corrections == "auto":
         return None
@@ -123,7 +123,7 @@ def _corrections(p: PovmSet, basis: UnitaryBasis, corrections: str) -> Monomial 
     u = basis.monomial
     if u is None:
         raise DomainError("paper corrections need a monomial basis, got a dense one")
-    if np.abs(np.abs(u.values) ** 2 - 1.0).max() > 1e-10:
+    if not np.abs(np.abs(u.values) ** 2 - 1.0).max() <= 1e-10:
         raise DomainError("correction operator is not unitary")
     j, i = np.divmod(p.labels, d)
     index = np.where(p.kinds == PRODUCT, d * d + (i - j) % d, p.labels)
@@ -268,14 +268,10 @@ def transcript_bits(n_outcomes: int) -> int:
 # them; larger blocks save a few per-call overheads but cost peak memory,
 # and ``searchsorted`` costs more per run as its queries spread over more
 # cache lines.  The size bounds memory and transcript calls, nothing else:
-# run r of a shard reads row r of its (runs, 2d + 3) uniforms, numpy fills
+# run r reads row r of the stream's (runs, 2d + 3) uniforms, numpy fills
 # them in C order, each run's sums are added in a fixed order and the
 # report adds runs in order, so any size gives the same report.
 _BLOCK_ENTRIES = 1 << 16
-
-# The ceiling on the shard count min(n_workers, n_runs): every shard spawns a
-# generator and runs at least one block, which buys nothing past the cores.
-MAX_WORKERS = 1024
 
 # The ceiling on the run count: each outcome's run count is a float64 sum of
 # whole runs, exact up to 2**53.
@@ -387,7 +383,6 @@ def simulate(
     corrections: str = "auto",
     n_runs: int = 10_000,
     rng: int | np.random.Generator | None = 0,
-    n_workers: int = 1,
     transcript: Callable[[dict], None] | None = None,
 ) -> FidelityReport:
     """Monte Carlo protocol simulation with standard errors.
@@ -397,34 +392,27 @@ def simulate(
     run fidelity; sum_a B_a^† B_a = I is checked to 1e-10 before any draw
     (``ConsistencyError``), and so, for ``paper``, is every basis operator's
     unitarity, by ``_corrections`` as for the exact report (``DomainError``).
-    Runs are sharded across ``min(n_workers, n_runs)`` chunks, each owning
-    an independent generator spawned from the master seed, so the merged
-    totals are reproducible for a fixed seed and shard count.  Each shard
-    runs in blocks that bound memory (see ``_BLOCK_ENTRIES``); only
-    per-outcome sums, added in run order, outlive a block, so the block
-    size changes no result.  ``transcript``, if given, is called once per
-    block with the columns ``run_index``, ``outcome_alpha`` and
-    ``conclusive_flag`` (int arrays) and the scalar ``bits_sent``.  With
-    ``auto`` any refined POVM works, e.g. ``dilation.realized_povm`` for the
-    run-by-run check of a Neumark extension.  ``paper`` needs a monomial
-    POVM and basis whose corrections keep every V_a B_a diagonal, as every
-    POVM the CLI builds does; any other input raises ``DomainError`` before
-    any draw (see ``_outcomes`` and ``_sampling_tables``), and so do ``n_runs`` or ``n_workers`` that
-    are not ints of at least 1 (a bool is not), an ``rng`` that is not
-    None, a nonnegative int or a ``Generator`` (a bool, float or str is
-    not), and a set with a member axis.  More than ``MAX_WORKERS`` shards
-    raise ``CapacityError``, before any generator is spawned.
+    A seed fixes every Monte Carlo result: all runs read one stream, the
+    one child ``spawn(1)`` of ``np.random.default_rng(rng)``, in blocks that
+    bound memory (see ``_BLOCK_ENTRIES``); only per-outcome sums, added in
+    run order, outlive a block, so the block size changes no result.
+    ``transcript``, if given, is called once per block with the columns
+    ``run_index``, ``outcome_alpha`` and ``conclusive_flag`` (int arrays)
+    and the scalar ``bits_sent``.  With ``auto`` any refined POVM works,
+    e.g. ``dilation.realized_povm`` for the run-by-run check of a Neumark
+    extension.  ``paper`` needs a monomial POVM and basis whose corrections
+    keep every V_a B_a diagonal, as every POVM the CLI builds does; any
+    other input raises ``DomainError`` before any draw (see ``_outcomes``
+    and ``_sampling_tables``), and so do an ``n_runs`` that is not an int
+    of at least 1 (a bool is not), an ``rng`` that is not None, a
+    nonnegative int or a ``Generator`` (a bool, float or str is not), and a
+    set with a member axis.  More than ``MAX_RUNS`` runs raise
+    ``CapacityError``, before any generator is made.
     """
-    for count, what in ((n_runs, "run"), (n_workers, "worker")):
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-            raise DomainError(f"need an integer count of at least one {what}, got {count!r}")
+    if isinstance(n_runs, bool) or not isinstance(n_runs, numbers.Integral) or n_runs < 1:
+        raise DomainError(f"need an integer count of at least one run, got {n_runs!r}")
     if n_runs > MAX_RUNS:
         raise CapacityError(f"{n_runs} runs exceed the ceiling of {MAX_RUNS}")
-    # The first k children of spawn(n) equal spawn(k), so dropping the shards
-    # that would get no runs changes no result.
-    n_shards = min(n_workers, n_runs)
-    if n_shards > MAX_WORKERS:
-        raise CapacityError(f"{n_shards} shards exceed the ceiling of {MAX_WORKERS}")
     if isinstance(rng, bool) or not (rng is None or isinstance(rng, (numbers.Integral, np.random.Generator))):
         raise DomainError(f"seed must be None, an int or a numpy Generator, got {rng!r}")
     if isinstance(rng, numbers.Integral) and rng < 0:
@@ -434,33 +422,31 @@ def simulate(
     gram, _, sigma, g = _outcomes(p, ch, basis, corrections)
     tables = _sampling_tables(gram, sigma, g)
     n_out, d = p.n_outcomes, p.d
-    shares = [n_runs // n_shards + (1 if w < n_runs % n_shards else 0) for w in range(n_shards)]
-    block = min(max(1, _BLOCK_ENTRIES // (7 * d + 3)), shares[0])
+    block = min(max(1, _BLOCK_ENTRIES // (7 * d + 3)), n_runs)
     buffers = _block_buffers(d, block)
     square, loss = buffers[2][1:]
     conclusive_flag = (p.kinds == CONCLUSIVE).astype(np.int64)
     # Per outcome: runs, then the sums of f, f^2, 1 - f and (1 - f)^2.
     sums = np.zeros((5, n_out))
-    run_index = 0
-    for stream, share in zip(np.random.default_rng(rng).spawn(n_shards), shares):
-        for start in range(0, share, block):
-            size = min(block, share - start)
-            alpha, fid = _simulate_block(tables, stream, size, buffers)
-            sums[0] += np.bincount(alpha, minlength=n_out)
-            np.add.at(sums[1], alpha, fid)
-            np.add.at(sums[2], alpha, np.multiply(fid, fid, out=square[:size]))
-            np.add.at(sums[3], alpha, np.subtract(1.0, fid, out=loss[:size]))
-            np.add.at(sums[4], alpha, np.multiply(loss[:size], loss[:size], out=square[:size]))
-            if transcript is not None:
-                transcript(
-                    {
-                        "run_index": np.arange(run_index, run_index + size),
-                        "outcome_alpha": alpha,
-                        "conclusive_flag": conclusive_flag[alpha],
-                        "bits_sent": transcript_bits(n_out),
-                    }
-                )
-            run_index += size
+    # Runs read spawn(1)'s one child, not the master generator: every pinned transcript was drawn from it.
+    (stream,) = np.random.default_rng(rng).spawn(1)
+    for start in range(0, n_runs, block):
+        size = min(block, n_runs - start)
+        alpha, fid = _simulate_block(tables, stream, size, buffers)
+        sums[0] += np.bincount(alpha, minlength=n_out)
+        np.add.at(sums[1], alpha, fid)
+        np.add.at(sums[2], alpha, np.multiply(fid, fid, out=square[:size]))
+        np.add.at(sums[3], alpha, np.subtract(1.0, fid, out=loss[:size]))
+        np.add.at(sums[4], alpha, np.multiply(loss[:size], loss[:size], out=square[:size]))
+        if transcript is not None:
+            transcript(
+                {
+                    "run_index": np.arange(start, start + size),
+                    "outcome_alpha": alpha,
+                    "conclusive_flag": conclusive_flag[alpha],
+                    "bits_sent": transcript_bits(n_out),
+                }
+            )
     probs, terms, squares, losses, loss_squares = sums / n_runs
     # Var(f) = Var(1 - f), and the moments of 1 - f do not cancel when the
     # run fidelities crowd near 1.

@@ -4,7 +4,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import re
 import tracemalloc
 from unittest import mock
@@ -193,24 +192,6 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage error: --lambda must be finite") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
-    def test_bad_workers_env(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("QTELEPORT_WORKERS", value)
-        with pytest.raises(SystemExit) as info:
-            main(["teleport", "--runs", "10"])
-        assert info.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage error: QTELEPORT_WORKERS") and err.count("\n") == 1
-
-    @pytest.mark.parametrize("runs", ["0", "10"])
-    def test_workers_env_above_the_ceiling(self, capsys, monkeypatch, runs):
-        monkeypatch.setenv("QTELEPORT_WORKERS", str(fidelity.MAX_WORKERS + 1))
-        with pytest.raises(SystemExit) as info:
-            main(["teleport", "--runs", runs])
-        assert info.value.code == 2
-        err = capsys.readouterr().err
-        assert err == f"usage error: QTELEPORT_WORKERS={fidelity.MAX_WORKERS + 1} exceeds the ceiling of {fidelity.MAX_WORKERS} workers\n"
-
     @pytest.mark.parametrize(
         "argv", [["teleport", "--d", "-3"], ["teleport", "--d", "0"], ["verify", "--d", "1"], ["verify", "--d", "-2"]]
     )
@@ -381,12 +362,6 @@ class TestSubcommandFlags:
         assert [code for code, _, _ in alone] == [0, 0, 2, 2, 0, 0, 0, 0, 0, 0, 0]
         assert shared == alone
 
-    def test_only_teleport_reads_workers_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("QTELEPORT_WORKERS", "abc")
-        code, _, err = run(capsys, "figure1", "--format", "jsonl")
-        assert code == 0
-        assert err == "# command=figure1 format=jsonl\n"
-
 
 class TestFigure1:
     def test_csv_contract(self, capsys, tmp_path):
@@ -444,21 +419,15 @@ class TestFigure1:
 
 
 # sha256 prefixes of the JSONL transcripts of 5000 ``teleport`` runs at seed 31,
-# keyed by channel, strategy and shard count; the outcome draws, and so the
-# transcripts, do not depend on the correction mode.
+# keyed by channel and strategy; the outcome draws, and so the transcripts,
+# do not depend on the correction mode.
 TRANSCRIPT_DIGESTS = {
-    ("0.6", "product", "1"): "9e5b6d28e3f184d8",
-    ("0.6", "product", "2"): "954639a96ebb24b2",
-    ("0.6", "residual", "1"): "9868abe0549d3544",
-    ("0.6", "residual", "2"): "0373b613613a79c4",
-    ("0.6,0.64,0.48", "product", "1"): "93c1c6910278ba87",
-    ("0.6,0.64,0.48", "product", "2"): "91b2e754432bc630",
-    ("0.6,0.64,0.48", "residual", "1"): "2c3fbe883539dc73",
-    ("0.6,0.64,0.48", "residual", "2"): "eaae59a2c75e01ab",
-    ("0.5,0.5,0.4,0.4,0.3,0.3", "product", "1"): "1147772c5af71f28",
-    ("0.5,0.5,0.4,0.4,0.3,0.3", "product", "2"): "ea7e64a46092ffbf",
-    ("0.5,0.5,0.4,0.4,0.3,0.3", "residual", "1"): "959443189eb147a3",
-    ("0.5,0.5,0.4,0.4,0.3,0.3", "residual", "2"): "1cd5d16b599d66b1",
+    ("0.6", "product"): "9e5b6d28e3f184d8",
+    ("0.6", "residual"): "9868abe0549d3544",
+    ("0.6,0.64,0.48", "product"): "93c1c6910278ba87",
+    ("0.6,0.64,0.48", "residual"): "2c3fbe883539dc73",
+    ("0.5,0.5,0.4,0.4,0.3,0.3", "product"): "1147772c5af71f28",
+    ("0.5,0.5,0.4,0.4,0.3,0.3", "residual"): "959443189eb147a3",
 }
 
 
@@ -549,6 +518,26 @@ class TestTeleport:
         )
         assert transcript.read_bytes() == want.encode()
 
+    def test_teleport_output_does_not_depend_on_the_environment(self, capsys, monkeypatch, tmp_path):
+        # A seed fixes every Monte Carlo result: a variable that once set a
+        # shard count, unset or set to any value, changes no byte.
+        outputs = []
+        for value in (None, "2", "abc", "1025"):
+            if value is None:
+                monkeypatch.delenv("QTELEPORT_WORKERS", raising=False)
+            else:
+                monkeypatch.setenv("QTELEPORT_WORKERS", value)
+            out, transcript = tmp_path / f"r-{value}.csv", tmp_path / f"t-{value}.jsonl"
+            argv = ["teleport", "--d", "3", "--strategy", "product", "--corrections", "paper"]
+            argv += ["--runs", "20000", "--seed", "5", "--transcript", str(transcript)]
+            code, stdout, err = run(capsys, *argv)
+            code_out, _, _ = run(capsys, *argv[:-2], "--out", str(out))
+            assert code == code_out == 0
+            outputs.append((stdout, err, out.read_bytes(), transcript.read_bytes()))
+        assert outputs[0][3].count(b"\n") == 20_000
+        assert outputs[0][1].endswith(" format=csv\n")
+        assert outputs[1:] == outputs[:1] * 3
+
     @pytest.mark.parametrize(
         "channel",
         [
@@ -560,19 +549,15 @@ class TestTeleport:
     )
     @pytest.mark.parametrize("strategy", ["product", "residual"])
     @pytest.mark.parametrize("corrections", ["auto", "paper"])
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_transcripts_keep_their_recorded_digests(
-        self, capsys, monkeypatch, tmp_path, channel, strategy, corrections, workers
-    ):
-        # The draw contract: a seed and a shard count fix every run's outcome,
-        # so these transcripts stay byte-identical however the kernel computes.
+    def test_transcripts_keep_their_recorded_digests(self, capsys, tmp_path, channel, strategy, corrections):
+        # The draw contract: a seed fixes every run's outcome, so these
+        # transcripts stay byte-identical however the kernel computes.
         transcript = tmp_path / "runs.jsonl"
-        monkeypatch.setenv("QTELEPORT_WORKERS", workers)
         argv = ["teleport", *channel, "--strategy", strategy, "--corrections", corrections]
         code, _, _ = run(capsys, *argv, "--runs", "5000", "--seed", "31", "--transcript", str(transcript))
         assert code == 0
         digest = hashlib.sha256(transcript.read_bytes()).hexdigest()[:16]
-        assert digest == TRANSCRIPT_DIGESTS[channel[1], strategy, workers]
+        assert digest == TRANSCRIPT_DIGESTS[channel[1], strategy]
 
     @pytest.mark.parametrize(
         "d, first_run, cuts",
@@ -740,7 +725,6 @@ class TestTeleport:
 
 COEFF = st.sampled_from([0.0, -0.0, -0.5, math.nan, math.inf, -math.inf]) | st.floats(-1.5, 1.5)
 LAMBDA_TOKEN = st.floats(-0.5, 1.5).map(repr) | st.sampled_from(["max", "nan", "inf", "-1", "lots", ""])
-WORKERS = st.sampled_from(["1", "2", "7", "0", "abc", ""])
 MISSING_DIR = "/nonexistent-dir"
 
 
@@ -790,10 +774,9 @@ def exit_code_and_stderr(argv):
 
 class TestArgvProperty:
     @settings(max_examples=80, deadline=None)
-    @given(argv=teleport_argv(), workers=WORKERS)
-    def test_exit_code_is_0_1_or_2(self, argv, workers):
-        with mock.patch.dict(os.environ, {"QTELEPORT_WORKERS": workers}):
-            code, err = exit_code_and_stderr(argv)
+    @given(argv=teleport_argv())
+    def test_exit_code_is_0_1_or_2(self, argv):
+        code, err = exit_code_and_stderr(argv)
         assert code in (0, 1, 2)
         assert "Traceback" not in err
 

@@ -727,11 +727,15 @@ class TestPatternPaperReport:
         p = refined(ch, basis, 0.5 * lambda_max(ch), strategy)
         realized = realized_povm(dilate(p), p)
         assert p.monomial is not None and realized.monomial is None
-        bad = scaled_basis(basis, d + 1, 0.5)
+        # One NaN value has no unit modulus either.
+        values = basis.monomial.values.copy()
+        values[d + 1, d // 2] = np.nan
+        nan_basis = UnitaryBasis(dim=d, ops=Monomial(basis.monomial.cols, values))
         report(p, ch, basis, "paper")
         for run in (report, lambda *args: simulate(*args, n_runs=10, rng=0)):
-            with pytest.raises(DomainError, match="not unitary"):
-                run(p, ch, bad, "paper")
+            for bad in (scaled_basis(basis, d + 1, 0.5), nan_basis):
+                with pytest.raises(DomainError, match="not unitary"):
+                    run(p, ch, bad, "paper")
             with pytest.raises(DomainError, match="dense"):
                 run(realized, ch, basis, "paper")
 
@@ -944,24 +948,10 @@ class TestSimulate:
         basis = build_weyl_basis(2)
         ch = qubit_channel_from_cos_theta(0.5)
         p = refined(ch, basis, 0.2, "residual")
-        a = simulate(p, ch, basis, "auto", n_runs=2_000, rng=42, n_workers=3)
-        b = simulate(p, ch, basis, "auto", n_runs=2_000, rng=42, n_workers=3)
+        a = simulate(p, ch, basis, "auto", n_runs=2_000, rng=42)
+        b = simulate(p, ch, basis, "auto", n_runs=2_000, rng=42)
         assert a.f_total == b.f_total
         assert np.array_equal(a.probabilities, b.probabilities)
-
-    def test_surplus_workers_spawn_no_empty_shards(self):
-        basis = build_weyl_basis(2)
-        ch = qubit_channel_from_cos_theta(0.5)
-        p = refined(ch, basis, 0.2, "residual")
-        want = simulate(p, ch, basis, "auto", n_runs=3, rng=42, n_workers=3)
-        tracemalloc.start()
-        try:
-            got = simulate(p, ch, basis, "auto", n_runs=3, rng=42, n_workers=10**5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got == want
-        assert peak < 2**20
 
     def test_exact_agreement_random_configs(self):
         rng = np.random.default_rng(13)
@@ -1008,9 +998,6 @@ class TestSimulate:
             {"n_runs": 10.0},
             {"n_runs": True},
             {"n_runs": "10"},
-            {"n_workers": 0},
-            {"n_workers": 2.5},
-            {"n_workers": True},
             {"rng": -1},
             {"rng": True},
             {"rng": 1.5},
@@ -1028,28 +1015,11 @@ class TestSimulate:
             simulate(p, ch, basis, "paper", **{"n_runs": 10, **kwargs}, transcript=calls.append)
         assert calls == []
         # numpy integers are ints.
-        rep = simulate(p, ch, basis, "paper", n_runs=np.int64(10), rng=np.int64(3), n_workers=np.int32(2))
+        rep = simulate(p, ch, basis, "paper", n_runs=np.int64(10), rng=np.int64(3))
         assert rep.n_runs == 10
         assert simulate(p, ch, basis, "paper", n_runs=10, rng=np.random.default_rng(3)) == simulate(
             p, ch, basis, "paper", n_runs=10, rng=3
         )
-
-    def test_shard_count_above_the_ceiling_is_refused_before_any_generator(self, monkeypatch):
-        # min(n_workers, n_runs) shards, each with its own generator: one
-        # past the ceiling is refused before the master generator is made.
-        basis = build_weyl_basis(2)
-        ch = qubit_channel_from_cos_theta(0.6)
-        p = refined(ch, basis, 0.4, "product")
-
-        def refuse(*args):
-            raise AssertionError("generator made")
-
-        monkeypatch.setattr(np.random, "default_rng", refuse)
-        over = fidelity.MAX_WORKERS + 1
-        calls = []
-        with pytest.raises(CapacityError, match=f"{over} shards"):
-            simulate(p, ch, basis, "paper", n_runs=over, n_workers=over, transcript=calls.append)
-        assert calls == []
 
     def test_run_count_above_the_ceiling_is_refused_before_any_generator(self, monkeypatch):
         # Per-outcome run counts are float64 sums, exact up to 2**53 runs.
@@ -1074,10 +1044,10 @@ class TestSimulate:
         ch = qubit_channel_from_cos_theta(0.6)
         p = refined(ch, basis, 0.4, "residual")
         blocks, whole = [], []
-        simulate(p, ch, basis, "auto", n_runs=10_000, rng=3, n_workers=2, transcript=blocks.append)
+        simulate(p, ch, basis, "auto", n_runs=10_000, rng=3, transcript=blocks.append)
         monkeypatch.setattr(fidelity, "_BLOCK_ENTRIES", 1 << 30)
-        simulate(p, ch, basis, "auto", n_runs=10_000, rng=3, n_workers=2, transcript=whole.append)
-        assert len(blocks) > len(whole) == 2
+        simulate(p, ch, basis, "auto", n_runs=10_000, rng=3, transcript=whole.append)
+        assert len(blocks) > len(whole) == 1
         for key in ("run_index", "outcome_alpha", "conclusive_flag"):
             np.testing.assert_array_equal(
                 np.concatenate([b[key] for b in blocks]), np.concatenate([b[key] for b in whole])
@@ -1247,11 +1217,11 @@ def refused(strategy, corrections):
     return corrections == "paper" and strategy in ("rotated", "conjugated")
 
 
-def assert_simulate_refuses(p, ch, basis, corrections, **kwargs):
+def assert_simulate_refuses(p, ch, basis, corrections):
     """``simulate`` raises DomainError before any transcript call."""
     calls = []
     with pytest.raises(DomainError, match="dense"):
-        simulate(p, ch, basis, corrections, n_runs=100, rng=0, transcript=calls.append, **kwargs)
+        simulate(p, ch, basis, corrections, n_runs=100, rng=0, transcript=calls.append)
     assert calls == []
 
 
@@ -1372,23 +1342,19 @@ class TestBlockedKernel:
         assert np.max(np.abs(fid - want_fid)) <= 1e-12
 
     def test_blocks_follow_the_documented_draw_order(self, monkeypatch):
-        # Run r of a shard reads row r of the shard stream's uniforms, so a
-        # shard cut into several blocks replays as one draw of all its rows.
+        # Run r reads row r of the uniforms of the one stream spawned from the
+        # seed, so runs cut into several blocks replay as one draw of all rows.
         d = 3
         p, ch, basis, maps, vs = maps_and_corrections(d, "product", "auto", 5)
         monkeypatch.setattr(fidelity, "_BLOCK_ENTRIES", 1 << 10)
         n_runs = 487
         blocks = []
-        rep = simulate(p, ch, basis, "auto", n_runs=n_runs, rng=8, n_workers=2, transcript=blocks.append)
-        want_alpha, want_fid = [], []
-        for stream, share in zip(np.random.default_rng(8).spawn(2), (n_runs - n_runs // 2, n_runs // 2)):
-            alpha, _, fid = outcome_first_reference(maps, vs, stream, share)
-            want_alpha.append(alpha)
-            want_fid.append(fid)
+        rep = simulate(p, ch, basis, "auto", n_runs=n_runs, rng=8, transcript=blocks.append)
+        (stream,) = np.random.default_rng(8).spawn(1)
+        want_alpha, _, fid = outcome_first_reference(maps, vs, stream, n_runs)
         assert len(blocks) >= 6
         alpha = np.concatenate([b["outcome_alpha"] for b in blocks])
-        np.testing.assert_array_equal(alpha, np.concatenate(want_alpha))
-        fid = np.concatenate(want_fid)
+        np.testing.assert_array_equal(alpha, want_alpha)
         assert rep.f_total == pytest.approx(fid.mean(), abs=1e-12)
         terms = np.bincount(alpha, weights=fid, minlength=p.n_outcomes) / n_runs
         assert np.max(np.abs(np.subtract(rep.fidelity_terms, terms))) <= 1e-12
@@ -1397,8 +1363,8 @@ class TestBlockedKernel:
         d = 4
         p, ch, basis, maps, vs = maps_and_corrections(d, "residual", "auto", 9)
         n_runs = 1637
-        a = simulate(p, ch, basis, "auto", n_runs=n_runs, rng=21, n_workers=3)
-        b = simulate(p, ch, basis, "auto", n_runs=n_runs, rng=21, n_workers=3)
+        a = simulate(p, ch, basis, "auto", n_runs=n_runs, rng=21)
+        b = simulate(p, ch, basis, "auto", n_runs=n_runs, rng=21)
         assert a == b
         # The POVM a Neumark extension realizes goes through the same
         # aggregator: its maps equal the direct ones to rounding, so the
@@ -1423,11 +1389,13 @@ class TestBlockedKernel:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
-    @pytest.mark.parametrize("case", ["scaled-vector", "non-unitary-basis"])
+    @pytest.mark.parametrize("case", ["scaled-vector", "non-unitary-basis", "nan-monomial", "nan-dense"])
     @pytest.mark.parametrize("run", ["report", "simulate"])
     def test_incomplete_povm_is_refused_before_any_draw(self, run, case):
         # report and simulate refuse the same POVMs: an exact report of one
-        # would have probabilities summing to 1.002 or 2.0.
+        # would have probabilities summing to 1.002 or 2.0.  One NaN value,
+        # in a monomial or a dense set, is refused too, not read as a NaN
+        # report, a finite Monte Carlo estimate or numpy's LinAlgError.
         ch = make_channel(np.sqrt([0.5, 0.3, 0.2]))
         basis = build_weyl_basis(3)
         if case == "scaled-vector":
@@ -1435,6 +1403,17 @@ class TestBlockedKernel:
             vectors = p.vectors.copy()
             vectors[4] *= 1.001
             bad = PovmSet(d=3, vectors=vectors, kinds=p.kinds, labels=p.labels, lam=p.lam)
+        elif case == "nan-monomial":
+            p = refined(ch, basis, 0.4, "residual")
+            values = p.monomial.values.copy()
+            values[4, 1] = np.nan
+            bad = PovmSet(d=3, vectors=Monomial(p.monomial.cols, values), kinds=p.kinds, labels=p.labels, lam=p.lam)
+        elif case == "nan-dense":
+            p = refined(ch, basis, 0.4, "residual")
+            vectors = realized_povm(dilate(p), p).vectors.copy()
+            vectors[4, 1] = np.nan
+            bad = PovmSet(d=3, vectors=vectors, kinds=p.kinds, labels=p.labels, lam=p.lam)
+            assert bad.monomial is None
         else:
             basis = conjugated_basis(basis, np.diag([1.0, 2.0, 1.0]), np.eye(3))
             bad = refined(ch, basis, 0.1, "residual")
@@ -1518,11 +1497,8 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("strategy", ["product", "residual", "rotated", "conjugated"])
     @pytest.mark.parametrize("corrections", ["auto", "paper"])
     @pytest.mark.parametrize("share", [0.5, 1.0])
-    @pytest.mark.parametrize("n_workers", [1, 3])
-    def test_results_do_not_depend_on_block_size(
-        self, monkeypatch, d, strategy, corrections, share, n_workers
-    ):
-        # From one run per block to a whole shard per block: the same runs,
+    def test_results_do_not_depend_on_block_size(self, monkeypatch, d, strategy, corrections, share):
+        # From one run per block to all runs in one block: the same runs,
         # the same transcript columns and a bit-identical report, on the
         # monomial POVMs and on the dense rotated one.  With auto the
         # conjugated basis is never read; paper corrections on the rotated
@@ -1532,16 +1508,16 @@ class TestBlockedKernel:
         for entries in (1, 1 << 9, 1 << 15, fidelity._BLOCK_ENTRIES, 1 << 30):
             monkeypatch.setattr(fidelity, "_BLOCK_ENTRIES", entries)
             if refused(strategy, corrections):
-                assert_simulate_refuses(p, ch, basis, corrections, n_workers=n_workers)
+                assert_simulate_refuses(p, ch, basis, corrections)
                 continue
             blocks = []
-            rep = simulate(p, ch, basis, corrections, 300, 17, n_workers, blocks.append)
+            rep = simulate(p, ch, basis, corrections, 300, 17, blocks.append)
             keys = ("run_index", "outcome_alpha", "conclusive_flag")
             cols = [np.concatenate([b[k] for b in blocks]) for k in keys]
             results.append((len(blocks), rep, cols))
         if refused(strategy, corrections):
             return
-        assert results[0][0] == 300 and results[-1][0] == n_workers
+        assert results[0][0] == 300 and results[-1][0] == 1
         for _, rep, cols in results[1:]:
             assert rep == results[0][1]
             for got, want in zip(cols, results[0][2]):
@@ -1659,7 +1635,7 @@ class TestBlockedKernel:
         ],
     )
     def test_total_standard_error_matches_a_two_pass_reference(self, d, strategy, corrections, share, n_runs, rel):
-        # The run fidelities are replayed from the kernel on the shard's
+        # The run fidelities are replayed from the kernel on the seed's one
         # stream, then centred on their math.fsum mean before squaring.  On
         # the maximally entangled channel every run has fidelity 1 to
         # rounding, where a one-pass sum(f^2) - sum(f)^2 cancels to 0.
