@@ -362,6 +362,16 @@ class TestSubcommandFlags:
         assert [code for code, _, _ in alone] == [0, 0, 2, 2, 0, 0, 0, 0, 0, 0, 0]
         assert shared == alone
 
+    @pytest.mark.parametrize(
+        "argv", [["figure1", "--format", "jsonl"], ["verify", "--d", "2", "--seed", "3"]], ids=["figure1", "verify"]
+    )
+    def test_no_subcommand_reads_workers_env(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("QTELEPORT_WORKERS", raising=False)
+        want = run(capsys, *argv)
+        monkeypatch.setenv("QTELEPORT_WORKERS", "abc")
+        assert run(capsys, *argv) == want
+        assert want[0] == 0 and want[2].startswith(f"# command={argv[0]} ")
+
 
 class TestFigure1:
     def test_csv_contract(self, capsys, tmp_path):
@@ -428,6 +438,17 @@ TRANSCRIPT_DIGESTS = {
     ("0.6,0.64,0.48", "residual"): "2c3fbe883539dc73",
     ("0.5,0.5,0.4,0.4,0.3,0.3", "product"): "1147772c5af71f28",
     ("0.5,0.5,0.4,0.4,0.3,0.3", "residual"): "959443189eb147a3",
+}
+
+# The same at 7919 runs, a prime count whose last block is ragged at every d:
+# the runs a block boundary splits still read their rows of the one stream.
+RAGGED_TRANSCRIPT_DIGESTS = {
+    ("0.6", "product"): "c669a5b3cc4d30c7",
+    ("0.6", "residual"): "0c44e5e544d18103",
+    ("0.6,0.64,0.48", "product"): "4f5598ee3de157e7",
+    ("0.6,0.64,0.48", "residual"): "523fd7ad937d36c4",
+    ("0.5,0.5,0.4,0.4,0.3,0.3", "product"): "19334878cd00ab4f",
+    ("0.5,0.5,0.4,0.4,0.3,0.3", "residual"): "abb7dc0c736a8ee3",
 }
 
 
@@ -518,25 +539,25 @@ class TestTeleport:
         )
         assert transcript.read_bytes() == want.encode()
 
-    def test_teleport_output_does_not_depend_on_the_environment(self, capsys, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("value", ["2", "abc", "1025", "0", "-2", ""])
+    def test_teleport_output_does_not_depend_on_the_environment(self, capsys, monkeypatch, tmp_path, value):
         # A seed fixes every Monte Carlo result: a variable that once set a
-        # shard count, unset or set to any value, changes no byte.
-        outputs = []
-        for value in (None, "2", "abc", "1025"):
-            if value is None:
-                monkeypatch.delenv("QTELEPORT_WORKERS", raising=False)
-            else:
-                monkeypatch.setenv("QTELEPORT_WORKERS", value)
-            out, transcript = tmp_path / f"r-{value}.csv", tmp_path / f"t-{value}.jsonl"
+        # shard count, set to any value, changes no byte of what unset gives.
+        def outputs(tag):
+            out, transcript = tmp_path / f"r-{tag}.csv", tmp_path / f"t-{tag}.jsonl"
             argv = ["teleport", "--d", "3", "--strategy", "product", "--corrections", "paper"]
             argv += ["--runs", "20000", "--seed", "5", "--transcript", str(transcript)]
             code, stdout, err = run(capsys, *argv)
             code_out, _, _ = run(capsys, *argv[:-2], "--out", str(out))
             assert code == code_out == 0
-            outputs.append((stdout, err, out.read_bytes(), transcript.read_bytes()))
-        assert outputs[0][3].count(b"\n") == 20_000
-        assert outputs[0][1].endswith(" format=csv\n")
-        assert outputs[1:] == outputs[:1] * 3
+            return stdout, err, out.read_bytes(), transcript.read_bytes()
+
+        monkeypatch.delenv("QTELEPORT_WORKERS", raising=False)
+        want = outputs("unset")
+        assert want[3].count(b"\n") == 20_000
+        assert want[1].endswith(" format=csv\n")
+        monkeypatch.setenv("QTELEPORT_WORKERS", value)
+        assert outputs("set") == want
 
     @pytest.mark.parametrize(
         "channel",
@@ -549,15 +570,17 @@ class TestTeleport:
     )
     @pytest.mark.parametrize("strategy", ["product", "residual"])
     @pytest.mark.parametrize("corrections", ["auto", "paper"])
-    def test_transcripts_keep_their_recorded_digests(self, capsys, tmp_path, channel, strategy, corrections):
+    @pytest.mark.parametrize("runs", ["5000", "7919"])
+    def test_transcripts_keep_their_recorded_digests(self, capsys, tmp_path, channel, strategy, corrections, runs):
         # The draw contract: a seed fixes every run's outcome, so these
         # transcripts stay byte-identical however the kernel computes.
         transcript = tmp_path / "runs.jsonl"
         argv = ["teleport", *channel, "--strategy", strategy, "--corrections", corrections]
-        code, _, _ = run(capsys, *argv, "--runs", "5000", "--seed", "31", "--transcript", str(transcript))
+        code, _, _ = run(capsys, *argv, "--runs", runs, "--seed", "31", "--transcript", str(transcript))
         assert code == 0
         digest = hashlib.sha256(transcript.read_bytes()).hexdigest()[:16]
-        assert digest == TRANSCRIPT_DIGESTS[channel[1], strategy]
+        digests = TRANSCRIPT_DIGESTS if runs == "5000" else RAGGED_TRANSCRIPT_DIGESTS
+        assert digest == digests[channel[1], strategy]
 
     @pytest.mark.parametrize(
         "d, first_run, cuts",

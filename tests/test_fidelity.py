@@ -1021,6 +1021,18 @@ class TestSimulate:
             p, ch, basis, "paper", n_runs=10, rng=3
         )
 
+    def test_takes_no_worker_count(self):
+        # One stream per seed: there is no shard count to pass, by name or
+        # as a seventh positional argument, which is the transcript sink.
+        basis = build_weyl_basis(2)
+        ch = qubit_channel_from_cos_theta(0.6)
+        p = refined(ch, basis, 0.4, "product")
+        with pytest.raises(TypeError, match="n_workers"):
+            simulate(p, ch, basis, "paper", n_runs=10, rng=0, n_workers=1)
+        blocks = []
+        assert simulate(p, ch, basis, "paper", 10, 0, blocks.append) == simulate(p, ch, basis, "paper", 10, 0)
+        assert len(blocks) == 1
+
     def test_run_count_above_the_ceiling_is_refused_before_any_generator(self, monkeypatch):
         # Per-outcome run counts are float64 sums, exact up to 2**53 runs.
         basis = build_weyl_basis(2)
@@ -1497,12 +1509,15 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("strategy", ["product", "residual", "rotated", "conjugated"])
     @pytest.mark.parametrize("corrections", ["auto", "paper"])
     @pytest.mark.parametrize("share", [0.5, 1.0])
-    def test_results_do_not_depend_on_block_size(self, monkeypatch, d, strategy, corrections, share):
+    @pytest.mark.parametrize("n_runs", [300, 257])
+    def test_results_do_not_depend_on_block_size(self, monkeypatch, d, strategy, corrections, share, n_runs):
         # From one run per block to all runs in one block: the same runs,
         # the same transcript columns and a bit-identical report, on the
-        # monomial POVMs and on the dense rotated one.  With auto the
-        # conjugated basis is never read; paper corrections on the rotated
-        # POVM or from the conjugated basis are refused at every block size.
+        # monomial POVMs and on the dense rotated one.  The prime run count
+        # leaves a ragged last block wherever a block holds more than one run
+        # and fewer than all.  With auto the conjugated basis is never read;
+        # paper corrections on the rotated POVM or from the conjugated basis
+        # are refused at every block size.
         p, ch, basis, maps, vs = maps_and_corrections(d, strategy, corrections, 30 + d, share)
         results = []
         for entries in (1, 1 << 9, 1 << 15, fidelity._BLOCK_ENTRIES, 1 << 30):
@@ -1511,13 +1526,13 @@ class TestBlockedKernel:
                 assert_simulate_refuses(p, ch, basis, corrections)
                 continue
             blocks = []
-            rep = simulate(p, ch, basis, corrections, 300, 17, blocks.append)
+            rep = simulate(p, ch, basis, corrections, n_runs, 17, blocks.append)
             keys = ("run_index", "outcome_alpha", "conclusive_flag")
             cols = [np.concatenate([b[k] for b in blocks]) for k in keys]
             results.append((len(blocks), rep, cols))
         if refused(strategy, corrections):
             return
-        assert results[0][0] == 300 and results[-1][0] == 1
+        assert results[0][0] == n_runs and results[-1][0] == 1
         for _, rep, cols in results[1:]:
             assert rep == results[0][1]
             for got, want in zip(cols, results[0][2]):
