@@ -32,6 +32,21 @@ arithmetic is then fixed whatever the block length, and the per-row
 overhead of short reductions over k is gone.  Every other block-sized
 array is a view of buffers that one ``simulate`` call allocates once.
 
+Column 0 of a run's uniforms picks the outcome: with the cumulative
+weights cum_w and the key x = u_0 cum_w[-1], it is the count of edges
+cum_w[:-1] <= x, ``np.searchsorted(cum_w[:-1], x, side="right")``.  As
+x < cum_w[-1], no outcome of weight 0 is drawn.  ``_guided_draw`` reads
+it from a guide (Chen and Asau 1974) of G = 32 n buckets: x lies in
+bucket f(x) = int(min(x s, G - 1)), s = G / cum_w[-1].  f never
+decreases as x grows, since x s is a correctly rounded product with s >
+0, then a min, then the truncation of a nonnegative float.  So an edge in
+a bucket below f(x) is below x, and an edge in a bucket above it is above
+x.  A bucket that holds no edge stores the count of edges below it, the
+outcome of each of its keys; a bucket that holds one stores -1, and its
+keys, at most one in 32, take the binary search.  Either way the outcome
+is the binary search's, for repeated edges (zero weights), keys equal to
+an edge and the clipped top bucket alike.
+
 The optimal V is the adjoint polar factor of B, so V B = (B^† B)^{1/2} = E
 diag(sqrt m) E^†: G is diagonal, |Tr(V B)| is the sum of B's singular
 values sigma and Tr(B^† B) = sum sigma^2.  ``auto`` reads only sigma and
@@ -265,13 +280,18 @@ def transcript_bits(n_outcomes: int) -> int:
 # d + 1 exponentials and its gathered table column of at most 4d rows (see
 # ``_sampling_tables``).  That is about 512 KiB of per-run state.  Each
 # ``simulate`` call allocates its block buffers once, so no block re-faults
-# them; larger blocks save a few per-call overheads but cost peak memory,
-# and ``searchsorted`` costs more per run as its queries spread over more
-# cache lines.  The size bounds memory and transcript calls, nothing else:
-# run r reads row r of the stream's (runs, 2d + 3) uniforms, numpy fills
-# them in C order, each run's sums are added in a fixed order and the
-# report adds runs in order, so any size gives the same report.
+# them; larger blocks save a few per-call overheads but cost peak memory.
+# The size bounds memory and transcript calls, nothing else: run r reads
+# row r of the stream's (runs, 2d + 3) uniforms, numpy fills them in C
+# order, each run's sums are added in a fixed order and the report adds
+# runs in order, so any size gives the same report.
 _BLOCK_ENTRIES = 1 << 16
+
+# Buckets of the outcome guide per outcome (see ``_outcome_guide``).  The
+# buckets are equally wide and at most n - 1 of the n times this many hold
+# an edge, so at most one key in this many needs the binary search.  The
+# guide holds 8 bytes per bucket.
+_GUIDE_BUCKETS = 32
 
 # The ceiling on the run count: each outcome's run count is a float64 sum of
 # whole runs, exact up to 2**53.
@@ -290,14 +310,15 @@ def _draw_outcomes(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _sampling_tables(gram: np.ndarray, sigma: np.ndarray | None, g: np.ndarray | None) -> tuple:
-    """Set-up of the outcome-first draw from ``_outcomes``: (cumulative Tr(M_a), the kernel's table, its parts).
+    """Set-up of the outcome-first draw from ``_outcomes``: (cumulative Tr(M_a), the table, its parts, the guide).
 
     M_a = B_a^† B_a has eigenvalues m = sigma^2, taken in stable ascending
     order (zero at rounding level); on monomial maps E is that sorting
     permutation, and G_a = E^† V_a B_a E is g in the same order.  The
     table has one column per outcome: the d cumulative eigenweights, then
     per index j the parts (Re G_jj, m_j), or (Re G_jj, Im G_jj, m_j) when
-    some G_jj has a nonzero imaginary part; ``parts`` is their count.
+    some G_jj has a nonzero imaginary part; ``parts`` is their count.  The
+    guide (see ``_outcome_guide``) settles most outcome draws in one read.
     Fixed corrections that leave some V_a B_a off the diagonal (g is None)
     raise ``DomainError``; the paper's, on monomial maps, keep it diagonal.
     """
@@ -313,7 +334,49 @@ def _sampling_tables(gram: np.ndarray, sigma: np.ndarray | None, g: np.ndarray |
     # columns strides across every row and costs up to 100x more.
     table = np.empty(((1 + len(parts)) * d, n))
     table[:d], table[d:] = np.cumsum(m, axis=1).T, np.stack(parts, axis=2).reshape(n, -1).T
-    return np.cumsum(gram), table, len(parts)
+    cum_w = np.cumsum(gram)
+    return cum_w, table, len(parts), _outcome_guide(cum_w)
+
+
+def _buckets(x: np.ndarray, cum_w: np.ndarray, size: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Bucket int(min(x * s, size - 1)) of each x, with s = size / cum_w[-1]; ``out`` takes x * s.
+
+    Each step is monotone: a correctly rounded product with a positive s,
+    a min and the truncation of a nonnegative float.  So a larger x never
+    gets a lower bucket.
+    """
+    scaled = np.multiply(x, size / cum_w[-1], out=out)
+    return np.minimum(scaled, size - 1, out=scaled).astype(np.intp)
+
+
+def _outcome_guide(cum_w: np.ndarray) -> np.ndarray:
+    """The outcome draw's guide over ``_GUIDE_BUCKETS`` buckets per outcome (see ``_buckets``).
+
+    Entry b is the count of edges cum_w[:-1] in buckets below b, which is
+    the outcome of every key in bucket b, or -1 where some edge lies in
+    bucket b itself and only a binary search decides.
+    """
+    size = _GUIDE_BUCKETS * cum_w.size
+    edges = _buckets(cum_w[:-1], cum_w, size)
+    # The n - 1 edges are sorted, and so are their buckets: buckets
+    # edges[k - 1] + 1 to edges[k] hold k, reading edges[-1] as -1 and
+    # edges[n - 1] as size - 1.
+    guide = np.repeat(np.arange(cum_w.size), np.diff(edges, prepend=-1, append=size - 1))
+    guide[edges] = -1
+    return guide
+
+
+def _guided_draw(cum_w: np.ndarray, guide: np.ndarray, keys: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Outcome per key, the count of edges cum_w[:-1] <= key: ``np.searchsorted(cum_w[:-1], keys, side="right")``.
+
+    One guide read settles a key whose bucket holds no edge; the others,
+    at most one in ``_GUIDE_BUCKETS``, take the binary search.  ``out`` is
+    scratch of the keys' length.
+    """
+    alpha = guide.take(_buckets(keys, cum_w, guide.size, out=out))
+    unsettled = np.flatnonzero(alpha < 0)
+    alpha[unsettled] = np.searchsorted(cum_w[:-1], keys[unsettled], side="right")
+    return alpha
 
 
 def _block_buffers(d: int, runs: int) -> tuple[np.ndarray, ...]:
@@ -334,17 +397,16 @@ def _simulate_block(tables: tuple, rng: np.random.Generator, n: int, buffers: tu
     No step reduces over an index axis in floating point (see the module
     docstring), so a run gets the same bits whatever n is.
     """
-    cum_w, table, parts = tables
+    cum_w, table, parts, guide = tables
     d = len(table) // (parts + 1)
     flat_u, flat_x, rows, ramp = buffers
-    fid, scaled = rows[0, :n], rows[1, :n]
+    fid, scaled, spare = rows[:, :n]
     # Columns d + 3 onward are the d phases, drawn but never read: G is
     # diagonal.  They stay so that every stream, transcript and pinned
     # digest is unchanged.
     u = flat_u[: n * (2 * d + 3)].reshape(n, 2 * d + 3)
     rng.random(out=u)
-    np.multiply(u[:, 0], cum_w[-1], out=scaled)
-    alpha = np.searchsorted(cum_w[:-1], scaled, side="right")
+    alpha = _guided_draw(cum_w, guide, np.multiply(u[:, 0], cum_w[-1], out=scaled), spare)
     cols = table.take(alpha, axis=1)
     k = _draw_outcomes(cols[:d], np.multiply(u[:, 1], cols[d - 1], out=scaled))
     # Unnormalized Dirichlet(1, ..., 2 at k, ..., 1) from d + 1 exponentials

@@ -451,6 +451,28 @@ RAGGED_TRANSCRIPT_DIGESTS = {
     ("0.5,0.5,0.4,0.4,0.3,0.3", "residual"): "abb7dc0c736a8ee3",
 }
 
+# The same at 16 and 32 dimensions (512 and 2,048 outcomes), keyed by d, lambda
+# and strategy, on the channel a_i^2 = (d + 1 - i) / (d (d + 1) / 2) of
+# ``falling_coeffs``.  At lambda 0 every conclusive outcome has weight 0, and at
+# lambda max the product pieces of the smallest coefficient vanish: runs of
+# equal cumulative weights that the outcome draw must never pick.  Recorded
+# with the binary-search draw that the guided draw replaced.
+LARGE_D_TRANSCRIPT_DIGESTS = {
+    (16, "max", "product"): "3d7c584fdec416a1",
+    (16, "max", "residual"): "df53bb497b93a3e9",
+    (16, "0", "product"): "965d3a0e987280b6",
+    (16, "0", "residual"): "0177582c1e9da7eb",
+    (32, "max", "product"): "7c1a1fd02cf490e6",
+    (32, "max", "residual"): "5835931582870ec7",
+    (32, "0", "product"): "ba90f7d4d5b75826",
+    (32, "0", "residual"): "72ab82cf96feeb44",
+}
+
+
+def falling_coeffs(d):
+    """The --coeffs token of the channel a_i = sqrt((d + 1 - i) / (d (d + 1) / 2)), i = 1..d."""
+    return ",".join(map(repr, np.sqrt(np.arange(d, 0, -1) / (d * (d + 1) / 2)).tolist()))
+
 
 class TestTeleport:
     def test_product_strategy_total(self, capsys, tmp_path):
@@ -581,6 +603,24 @@ class TestTeleport:
         digest = hashlib.sha256(transcript.read_bytes()).hexdigest()[:16]
         digests = TRANSCRIPT_DIGESTS if runs == "5000" else RAGGED_TRANSCRIPT_DIGESTS
         assert digest == digests[channel[1], strategy]
+
+    @pytest.mark.parametrize("d", [16, 32])
+    @pytest.mark.parametrize("lam", ["max", "0"])
+    @pytest.mark.parametrize("strategy", ["product", "residual"])
+    @pytest.mark.parametrize("corrections", ["auto", "paper"])
+    def test_large_d_transcripts_keep_their_recorded_digests(self, capsys, tmp_path, d, lam, strategy, corrections):
+        # Guides of 16,384 and 65,536 buckets with runs of zero-weight
+        # outcomes: the transcripts stay those the binary search drew, and at
+        # lambda 0 no run is conclusive.
+        transcript = tmp_path / "runs.jsonl"
+        argv = ["teleport", "--coeffs", falling_coeffs(d), "--lambda", lam, "--strategy", strategy]
+        argv += ["--corrections", corrections, "--runs", "5000", "--seed", "31", "--transcript", str(transcript)]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        data = transcript.read_bytes()
+        assert hashlib.sha256(data).hexdigest()[:16] == LARGE_D_TRANSCRIPT_DIGESTS[d, lam, strategy]
+        if lam == "0":
+            assert data.count(b'"conclusive_flag": 1') == 0
 
     @pytest.mark.parametrize(
         "d, first_run, cuts",

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qteleport.channel import make_channel, qubit_channel_from_cos_theta
 from qteleport.errors import CapacityError, ConsistencyError, DecompositionError, DomainError, ShapeError
@@ -1215,7 +1217,7 @@ class FixedRows:
 
 
 def tables_of(p, ch, basis, corrections):
-    """The kernel's (cum_w, table, parts) for the POVM's maps and a corrections mode, as ``simulate`` builds them."""
+    """The kernel's (cum_w, table, parts, guide) for the POVM's maps and a corrections mode, as in ``simulate``."""
     gram, _, sigma, g = fidelity._outcomes(p, ch, basis, corrections)
     return fidelity._sampling_tables(gram, sigma, g)
 
@@ -1278,7 +1280,7 @@ class TestBlockedKernel:
         if source == "realized":
             p = realized_povm(dilate(p), p)
             assert p.monomial is None
-        _, table, parts = tables_of(p, ch, basis, "auto")
+        _, table, parts, _ = tables_of(p, ch, basis, "auto")
         assert parts == 2 and table.shape == (3 * d, p.n_outcomes) and table.flags.c_contiguous
 
     @pytest.mark.parametrize("d", [2, 3, 8])
@@ -1287,14 +1289,14 @@ class TestBlockedKernel:
         # the same table with a row of zeros put back as Im G_jj gives the
         # same outcomes and bit-identical fidelities, since re^2 + 0.0 = re^2.
         p, ch, basis, _, _ = maps_and_corrections(d, "residual", "auto", 20 + d)
-        cum_w, table, parts = tables_of(p, ch, basis, "auto")
+        cum_w, table, parts, guide = tables_of(p, ch, basis, "auto")
         assert parts == 2
         re, m = table[d:].reshape(d, 2, -1).transpose(1, 0, 2)
         with_im = np.concatenate([table[:d], np.stack([re, np.zeros_like(re), m], axis=1).reshape(3 * d, -1)])
         n = 3_000
         runs = [
             fidelity._simulate_block(tables, np.random.default_rng(5), n, fidelity._block_buffers(d, n))
-            for tables in ((cum_w, table, 2), (cum_w, with_im, 3))
+            for tables in ((cum_w, table, 2, guide), (cum_w, with_im, 3, guide))
         ]
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         np.testing.assert_array_equal(runs[0][1], runs[1][1])
@@ -1560,7 +1562,7 @@ class TestBlockedKernel:
                     vb = corrections_of(p, basis, maps, corrections) @ maps
                     scale = np.abs(vb).max(axis=(1, 2))
                     assert np.all(np.abs(vb[:, off]).max(axis=1) <= floor * scale), (ch.coeffs, share, corrections)
-                    _, table, parts = tables_of(p, ch, basis, corrections)
+                    _, table, parts, _ = tables_of(p, ch, basis, corrections)
                     assert table.shape == ((1 + parts) * d, p.n_outcomes)
                     assert parts == 2 if corrections == "auto" else parts in (2, 3)
         if d == 2:
@@ -1688,3 +1690,127 @@ class TestBlockedKernel:
         np.testing.assert_array_equal(alpha, [3, 3])
         np.testing.assert_array_equal(fidelity._draw_outcomes(cum.T, np.zeros(2)), [0, 0])
         np.testing.assert_array_equal(fidelity._draw_outcomes(cum.T, cum[:, 1]), [2, 2])
+
+
+def searched(cum_w, keys):
+    """The binary-search outcome draw that the guide must reproduce key for key."""
+    return np.searchsorted(cum_w[:-1], keys, side="right")
+
+
+def edge_keys(cum_w):
+    """Every edge cum_w[:-1], both float neighbours of each, 0.0 and the largest key below the total.
+
+    Keys outside [0, total) are dropped: a run's key is r * total with 0 <= r < 1.
+    """
+    edges = cum_w[:-1]
+    keys = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    keys = np.append(keys, [0.0, np.nextafter(cum_w[-1], 0.0)])
+    return keys[(keys >= 0.0) & (keys < cum_w[-1])]
+
+
+def guided(cum_w, keys):
+    """The guided draw of ``keys`` from the guide ``simulate`` builds for ``cum_w``."""
+    guide = fidelity._outcome_guide(cum_w)
+    assert guide.size == fidelity._GUIDE_BUCKETS * cum_w.size
+    return fidelity._guided_draw(cum_w, guide, keys, np.empty(keys.size))
+
+
+class TestGuidedOutcomeDraw:
+    """The guided outcome draw against ``np.searchsorted`` over the cumulative weights."""
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    @pytest.mark.parametrize("strategy", ["product", "residual"])
+    @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
+    def test_povm_weights_at_every_edge(self, d, strategy, share):
+        # At lambda 0 all d^2 conclusive weights are 0, so the first d^2
+        # edges repeat 0.0; at lambda max the product pieces of the smallest
+        # column vanish, so the last edges repeat the total.  No key in
+        # [0, total) draws a zero-weight outcome.
+        p, ch, basis, _, _ = maps_and_corrections(d, strategy, "auto", 90 + d, share)
+        cum_w, _, _, guide = tables_of(p, ch, basis, "auto")
+        weights = np.diff(cum_w, prepend=0.0)
+        if share == 0.0:
+            assert np.all(weights[p.kinds == CONCLUSIVE] == 0)
+        if share == 1.0 and strategy == "product":
+            assert np.any(weights == 0)
+        keys = np.concatenate([edge_keys(cum_w), np.random.default_rng(d).random(5_000) * cum_w[-1]])
+        alpha = fidelity._guided_draw(cum_w, guide, keys, np.empty(keys.size))
+        np.testing.assert_array_equal(alpha, searched(cum_w, keys))
+        assert np.all(weights[alpha] > 0)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            np.logspace(-300, 0, 301),
+            np.logspace(0, -300, 301),
+            np.r_[np.full(40, 1e-12), 1.0, np.full(40, 1e-12)],
+            np.r_[1.0, 2.0, np.zeros(6)],
+            np.r_[np.zeros(6), 1.0, 0.0, 2.0],
+            np.r_[5e-324, 1.0, 5e-324],
+            np.ones(8192),
+        ],
+        ids=[
+            "rising-1e-300-to-1",
+            "falling-1-to-1e-300",
+            "one-holds-nearly-all",
+            "trailing-zeros",
+            "leading-zeros",
+            "subnormal",
+            "8192-equal",
+        ],
+    )
+    def test_edge_cases_of_the_buckets(self, weights):
+        # Rising or falling from 1e-300 to 1, most edges share bucket 0 or the
+        # clipped top bucket; trailing zero weights put edges at the total
+        # itself, in the top bucket.
+        cum_w = np.cumsum(weights)
+        keys = np.concatenate([edge_keys(cum_w), np.random.default_rng(1).random(5_000) * cum_w[-1]])
+        alpha = guided(cum_w, keys)
+        np.testing.assert_array_equal(alpha, searched(cum_w, keys))
+        assert np.all(weights[alpha] > 0)
+
+    def test_guide_entries(self):
+        # A settled bucket holds the count of edges in lower buckets; each
+        # bucket that holds an edge, repeated edges counted once, reads -1.
+        cum_w = np.cumsum([0.0, 0.0, 1.0, 3.0, 0.0, 4.0])
+        guide = fidelity._outcome_guide(cum_w)
+        assert guide.size == 6 * fidelity._GUIDE_BUCKETS
+        edges = fidelity._buckets(cum_w[:-1], cum_w, guide.size)
+        np.testing.assert_array_equal(edges, (cum_w[:-1] * (guide.size / 8.0)).astype(int))
+        np.testing.assert_array_equal(np.flatnonzero(guide < 0), np.unique(edges))
+        settled = np.flatnonzero(guide >= 0)
+        np.testing.assert_array_equal(guide[settled], np.searchsorted(edges, settled))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 1e6, allow_subnormal=True)), min_size=1, max_size=300
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_binary_search_on_any_weights(self, weights, seed):
+        cum_w = np.cumsum(weights)
+        assume(cum_w[-1] >= 1e-300)
+        keys = np.concatenate([edge_keys(cum_w), np.random.default_rng(seed).random(200) * cum_w[-1]])
+        np.testing.assert_array_equal(guided(cum_w, keys), searched(cum_w, keys))
+
+    @pytest.mark.parametrize("share", [0.0, 1.0])
+    @pytest.mark.parametrize("strategy", ["product", "residual"])
+    def test_kernel_block_draws_what_the_binary_search_draws(self, strategy, share):
+        # The kernel itself, fed preset uniforms: column 0 at r = 0, the
+        # largest double below 1 and r = edge / total with both its float
+        # neighbours, so that the keys r * total fall on and around the edges.
+        d = 3
+        p, ch, basis, _, _ = maps_and_corrections(d, strategy, "auto", 7, share)
+        tables = tables_of(p, ch, basis, "auto")
+        cum_w = tables[0]
+        r = cum_w[:-1] / cum_w[-1]
+        r = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], r, np.nextafter(r, 0.0), np.nextafter(r, 1.0)])
+        r = r[(r >= 0.0) & (r < 1.0)]
+        n = r.size
+        rows = np.full((n, 2 * d + 3), 0.5)
+        rows[:, 0] = r
+        alpha, fid = fidelity._simulate_block(tables, FixedRows(rows), n, fidelity._block_buffers(d, n))
+        np.testing.assert_array_equal(alpha, searched(cum_w, r * cum_w[-1]))
+        assert np.all(np.diff(cum_w, prepend=0.0)[alpha] > 0)
+        assert np.all(np.isfinite(fid))
