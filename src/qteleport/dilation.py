@@ -114,8 +114,8 @@ def dilate(p: PovmSet, ancilla_dim: int | None = None) -> DilationResult:
 def _residuals(realized: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     """max|v_a v_a^† - w_a w_a^†| per outcome, from the vectors in bounded chunks.
 
-    Each entry is the product ``PovmSet.elements`` forms, so the result
-    equals the dense comparison bit for bit without holding either stack.
+    Each entry is the einsum product v_i conj(v_j), so the result equals the
+    comparison of full element stacks bit for bit without holding either.
     """
     n, joint = wanted.shape
     out = np.empty(n)

@@ -20,8 +20,8 @@ the outcomes: ``kinds`` holds ``CONCLUSIVE``, ``PRODUCT``, ``RESIDUAL`` or
 ``REMAINDER`` per outcome, and ``labels`` the basis index alpha (conclusive
 and residual), the piece index i + d j (product) or 0 (remainder).  Every
 vector built here has, for each i, at most one nonzero w[i*d + j]: the set
-stores them as a ``Monomial`` (d entries per vector), and dense vectors and
-elements are built only on demand, for checks and the dilation.  The two
+stores them as a ``Monomial`` (d entries per vector), and dense vectors
+are built only on demand, for checks and the dilation.  The two
 refinements sum to the same remainder but are inequivalent measurements;
 the fidelity engine treats them as distinct strategies.
 
@@ -74,10 +74,10 @@ class PovmSet:
     ``Monomial`` of n (d, d) matrices, row i of matrix k holding w_k[i*d + j]
     in column j, stored as ``monomial``; or as a dense (n, d^2) array (e.g.
     a realized Neumark extension), stored as the ``vectors`` view with
-    ``monomial`` None, whatever its values.  ``vectors`` and ``elements``
-    read the dense forms back, read-only, built on first use.  An unrefined set
-    carries its diagonal remainder as ``remainder`` (shape (d^2,)), which is
-    the last element; it is ``None`` once refined.  ``kinds`` and ``labels``,
+    ``monomial`` None, whatever its values.  ``vectors`` reads the dense
+    form back, read-only, built on first use.  An unrefined set carries its
+    diagonal remainder as ``remainder`` (shape (d^2,)), which is the last
+    element; it is ``None`` once refined.  ``kinds`` and ``labels``,
     read-only integer arrays, classify each element, remainder included (see
     the module docstring); ``ShapeError`` refuses a wrong length, an unknown
     kind, a label outside [0, d^2) and a kind ``REMAINDER`` on any outcome
@@ -85,8 +85,8 @@ class PovmSet:
     table, so no two sets share one.  ``lam`` is the common conclusive
     weight.  A monomial set may carry a member axis of length ``members``
     (None without one): ``monomial.values`` (L, n, d), ``remainder``
-    (L, d^2) and ``lam`` a read-only (L,) array, and so do ``vectors`` and
-    ``elements``; the rest is shared by the members.
+    (L, d^2) and ``lam`` a read-only (L,) array, and so does ``vectors``;
+    the rest is shared by the members.
     """
 
     d: int
@@ -146,16 +146,6 @@ class PovmSet:
     def vectors(self) -> np.ndarray:
         """Dense vectors, shape (n, d^2) or (L, n, d^2), built on first use from ``monomial``."""
         dense = self.monomial.dense().reshape(self.monomial.values.shape[:-1] + (-1,))
-        dense.setflags(write=False)
-        return dense
-
-    @cached_property
-    def elements(self) -> np.ndarray:
-        """Dense elements, shape (n, d^2, d^2) or (L, n, d^2, d^2), built on first use (checks only)."""
-        dense = np.einsum("...ki,...kj->...kij", self.vectors, self.vectors.conj())
-        if self.remainder is not None:
-            diag = self.remainder[..., None, None, :] * np.eye(self.joint_dim)
-            dense = np.concatenate([dense, diag], axis=-3)
         dense.setflags(write=False)
         return dense
 

@@ -5,6 +5,14 @@ table stays diff-able.  The battery also prints the strategy-discrepancy
 section: the product and residual splits of the same remainder give
 different Haar-average fidelities in general (they coincide for d = 2 at
 the optimal weight), and both numbers are reported rather than reconciled.
+
+The POVM checks are dense but read the set as stored, the vectors W
+(element k is |w_k><w_k|) and the remainder diagonal R: completeness is
+``_outer_sum`` = W^T conj(W) plus diag(R) minus I; positivity is -min R,
+each |w><w| being positive; the identification ratio reads |W S^+|^2 for
+the states S, the remainder form R, and the residual split the pieces'
+``_outer_sum`` against diag(R).  The dilation's direct probabilities are
+|conj(W) s|^2, the entangled-basis completeness the kets' ``_outer_sum``.
 """
 
 from __future__ import annotations
@@ -50,6 +58,11 @@ def _check(name: str, residual: float, tolerance: float, note: str = "") -> Chec
     return CheckResult(name, float(residual), tolerance, bool(residual <= tolerance), note)
 
 
+def _outer_sum(w: np.ndarray) -> np.ndarray:
+    """sum_k |w_k><w_k| over the rows of ``w``, (n, D) or (L, n, D), as one product: (D, D) or (L, D, D)."""
+    return np.swapaxes(w, -1, -2) @ w.conj()
+
+
 def _random_channel(d: int, rng: np.random.Generator) -> SchmidtChannel:
     probs = rng.random(d) + 0.1
     return make_channel(np.sqrt(probs / probs.sum()))
@@ -58,9 +71,8 @@ def _random_channel(d: int, rng: np.random.Generator) -> SchmidtChannel:
 def _basis_checks(d: int, basis: UnitaryBasis) -> list[CheckResult]:
     unit, trace_res, comp_res = orthogonality_residuals(basis)
     kets = maximally_entangled_basis(basis)
-    gram = kets.conj() @ kets.T
-    me_gram = np.max(np.abs(gram - np.eye(d * d)))
-    me_comp = np.max(np.abs(sum(np.outer(k, k.conj()) for k in kets) - np.eye(d * d)))
+    me_gram = np.max(np.abs(kets.conj() @ kets.T - np.eye(d * d)))
+    me_comp = np.max(np.abs(_outer_sum(kets) - np.eye(d * d)))
     return [
         _check(f"weyl d={d} unitarity", unit, 1e-12),
         _check(f"weyl d={d} pairwise trace orthogonality", trace_res, 1e-10),
@@ -106,25 +118,25 @@ def _povm_checks(d: int, basis: UnitaryBasis, rng: np.random.Generator, n_channe
         # One POVM stack per channel: the dense oracles run once per stack.
         lams = np.array([0.0, lmax / 2, lmax])
         p = build_conclusive_povm(ch, basis, lams)
-        comp = max(comp, float(np.max(np.abs(p.elements.sum(axis=1) - eye))))
-        psd = max(psd, -float(np.linalg.eigvalsh(p.elements)[..., 0].min()), 0.0)
-        born = np.einsum("ai,lnij,aj->lna", states.conj(), p.elements[:, : d * d], states).real
+        remainder = p.remainder[:, :, None] * eye
+        comp = max(comp, float(np.max(np.abs(_outer_sum(p.vectors) + remainder - eye))))
+        psd = max(psd, -float(p.remainder.min()), 0.0)
+        born = np.abs(p.vectors[:, : d * d] @ states.conj().T) ** 2
         diag = np.diagonal(born, axis1=1, axis2=2)
         off = np.where(eye == 1, 0.0, born)
         scale = np.where(lams > 0, np.maximum(diag.min(axis=1), 1e-300), 1.0)
-        ident = max(ident, float(np.max(np.abs(off).max(axis=(1, 2)) / scale)))
-        analytic = np.tile(np.clip(1.0 - lams[:, None] / (d * ch.probs), 0.0, None), d)[:, :, None] * eye
-        rem_res = max(rem_res, float(np.max(np.abs(p.elements[:, -1] - analytic))))
+        ident = max(ident, float(np.max(off.max(axis=(1, 2)) / scale)))
+        analytic = np.tile(np.clip(1.0 - lams[:, None] / (d * ch.probs), 0.0, None), d)
+        rem_res = max(rem_res, float(np.max(np.abs(p.remainder - analytic))))
         res = refine_inconclusive_residual(p, basis)
         for refined in (refine_inconclusive_product(p), res):
-            comp = max(comp, float(np.max(np.abs(refined.elements.sum(axis=1) - eye))))
-            psd = max(psd, -float(np.linalg.eigvalsh(refined.elements)[..., 0].min()))
+            comp = max(comp, float(np.max(np.abs(_outer_sum(refined.vectors) - eye))))
             rep = report(refined, ch, basis, "auto")
             conclusive = rep.probabilities[:, refined.kinds == CONCLUSIVE]
             prob_res = max(prob_res, float(np.max(np.abs(conclusive - lams[:, None] / d**2))))
             inc_res = max(inc_res, float(np.max(np.abs(rep.inconclusive_probability - (1.0 - lams)))))
-        pieces = res.elements[:, d * d :].sum(axis=1)
-        split_res = max(split_res, float(np.max(np.abs(pieces - p.elements[:, -1]))))
+        pieces = _outer_sum(res.vectors[:, d * d :])
+        split_res = max(split_res, float(np.max(np.abs(pieces - remainder))))
     return [
         _check(f"povm d={d} completeness", comp, 1e-10),
         _check(f"povm d={d} positivity", psd, 1e-10),
@@ -229,7 +241,7 @@ def _dilation_checks(d: int, basis: UnitaryBasis, rng: np.random.Generator) -> l
         for _ in range(5):
             state = haar_random_ket(d * d, rng)
             via_ext = outcome_probabilities(dil, refined, state)
-            direct = np.einsum("i,nij,j->n", state.conj(), refined.elements, state).real
+            direct = np.abs(refined.vectors.conj() @ state) ** 2
             prob_res = max(prob_res, float(np.max(np.abs(via_ext - direct))))
         maps_ext = dilated_channel_maps(dil, refined, ch)
         maps_direct = channel_maps(refined, ch)
@@ -287,19 +299,16 @@ def _strategy_discrepancy() -> list[CheckResult]:
 
 def _configured_checks(channel: SchmidtChannel, lam: float | None) -> list[CheckResult]:
     d = channel.dim
-    basis = build_weyl_basis(d)
     value = lambda_max(channel) if lam is None else lam
     name = f"configured channel d={d} lam={value:g} positivity"
     try:
-        p = build_conclusive_povm(channel, basis, value)
+        p = build_conclusive_povm(channel, build_weyl_basis(d), value)
     except QTeleportError as exc:
         return [CheckResult(name, float("inf"), 1e-10, False, str(exc))]
-    eye = np.eye(d * d)
-    comp = float(np.max(np.abs(p.elements.sum(axis=0) - eye)))
-    psd = -float(np.linalg.eigvalsh(p.elements)[:, 0].min())
+    comp = float(np.max(np.abs(_outer_sum(p.vectors) + np.diag(p.remainder) - np.eye(d * d))))
     return [
         # 0.0 first: max keeps the first of equal values, so -0.0 never prints.
-        _check(name, max(0.0, psd), 1e-10),
+        _check(name, max(0.0, -float(p.remainder.min())), 1e-10),
         _check(f"configured channel d={d} completeness", comp, 1e-10),
     ]
 

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import dense_elements
 from qteleport.channel import basis_states, make_channel, qubit_channel_from_cos_theta
 from qteleport.dilation import dilate, outcome_probabilities, realized_povm
 from qteleport.errors import PositivityError
@@ -66,10 +67,10 @@ def test_criterion_1_povm_structure():
             states = basis_states(ch, basis)
             for lam in lam_grid(ch):
                 p = build_conclusive_povm(ch, basis, lam)
-                assert np.max(np.abs(p.elements.sum(axis=0) - eye)) <= 1e-10
-                assert min(np.linalg.eigvalsh(el)[0] for el in p.elements) >= -1e-10
+                assert np.max(np.abs(dense_elements(p).sum(axis=0) - eye)) <= 1e-10
+                assert min(np.linalg.eigvalsh(el)[0] for el in dense_elements(p)) >= -1e-10
                 born = np.einsum(
-                    "ai,nij,aj->na", states.conj(), p.elements[: d * d], states
+                    "ai,nij,aj->na", states.conj(), dense_elements(p)[: d * d], states
                 ).real
                 off = born - np.diag(np.diag(born))
                 if lam > 0:
@@ -279,7 +280,7 @@ def test_criterion_7_neumark_dilation():
                 state = haar_random_ket(d * d, rng)
                 via_ext = outcome_probabilities(dil, refined, state)
                 direct = np.einsum(
-                    "i,nij,j->n", state.conj(), refined.elements, state
+                    "i,nij,j->n", state.conj(), dense_elements(refined), state
                 ).real
                 assert np.max(np.abs(via_ext - direct)) <= 1e-10
             mc_ext = simulate(

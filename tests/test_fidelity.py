@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_elements
 from qteleport.channel import make_channel, qubit_channel_from_cos_theta
 from qteleport.errors import CapacityError, ConsistencyError, DecompositionError, DomainError, ShapeError
 from qteleport import fidelity
@@ -140,8 +141,8 @@ class TestOutcomeChannel:
         ch = random_channel(d, rng)
         p = refined(ch, basis, 0.7 * lambda_max(ch), strategy)
         maps = channel_maps(p, ch)
-        for k in range(p.n_outcomes):
-            want = eigh_map(p.elements[k], ch)
+        for k, element in enumerate(dense_elements(p)):
+            want = eigh_map(element, ch)
             # Equal up to one phase: |<want, B>| = |want| |B| and equal norms.
             norm = np.sum(np.abs(want) ** 2)
             assert abs(np.sum(np.abs(maps[k]) ** 2) - norm) <= 1e-12
@@ -637,7 +638,7 @@ class TestRankOneEngine:
         p = refined(ch, basis, 0.4, strategy)
         report(p, ch, basis, "auto")
         simulate(p, ch, basis, "paper", n_runs=500, rng=1)
-        assert "elements" not in vars(p)
+        assert "vectors" not in vars(p)
 
     def test_exact_report_at_d16_is_small(self):
         d = 16
@@ -653,7 +654,7 @@ class TestRankOneEngine:
             tracemalloc.stop()
         assert abs(rep.f_total - optimal_average_fidelity(d, ch.probs, lam)) <= 1e-9
         assert peak < 64 * 2**20
-        assert "elements" not in vars(p)
+        assert "vectors" not in vars(p)
 
 
 def scaled_basis(basis, alpha, factor):

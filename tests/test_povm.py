@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_elements
 from qteleport import fidelity
 from qteleport.channel import make_channel, qubit_channel_from_cos_theta
 from qteleport.errors import DomainError, PositivityError, ShapeError, SingularChannelError
@@ -35,11 +36,11 @@ def random_channel(d, rng):
 
 
 def completeness_residual(p):
-    return np.max(np.abs(p.elements.sum(axis=0) - np.eye(p.joint_dim)))
+    return np.max(np.abs(dense_elements(p).sum(axis=0) - np.eye(p.joint_dim)))
 
 
 def min_eigenvalue(p):
-    return min(float(np.linalg.eigvalsh(el)[0]) for el in p.elements)
+    return min(float(np.linalg.eigvalsh(el)[0]) for el in dense_elements(p))
 
 
 class TestLambdaMax:
@@ -69,19 +70,19 @@ class TestConclusivePovm:
         p = build_conclusive_povm(ch, basis, 0.4)
         # Columns j carry weight 1 - lam/(2 a_j^2): 0.75 for j=0, 0 for j=1.
         np.testing.assert_allclose(
-            p.elements[-1], np.diag([0.75, 0.0, 0.75, 0.0]), atol=1e-12
+            dense_elements(p)[-1], np.diag([0.75, 0.0, 0.75, 0.0]), atol=1e-12
         )
 
     def test_maximal_channel_full_weight_is_orthogonal_measurement(self):
         d = 3
         basis = build_weyl_basis(d)
         ch = make_channel(np.full(d, 1 / np.sqrt(d)))
-        p = build_conclusive_povm(ch, basis, 1.0)
-        assert np.max(np.abs(p.elements[-1])) <= 1e-12
+        elements = dense_elements(build_conclusive_povm(ch, basis, 1.0))
+        assert np.max(np.abs(elements[-1])) <= 1e-12
         kets = maximally_entangled_basis(basis)
         for a in range(d * d):
             want = np.outer(kets[a], kets[a].conj())
-            np.testing.assert_allclose(p.elements[a], want, atol=1e-12)
+            np.testing.assert_allclose(elements[a], want, atol=1e-12)
 
     def test_identification(self):
         basis = build_weyl_basis(3)
@@ -90,7 +91,7 @@ class TestConclusivePovm:
 
         states = basis_states(ch, basis)
         p = build_conclusive_povm(ch, basis, 0.3)
-        born = np.einsum("ai,nij,aj->na", states.conj(), p.elements[:9], states).real
+        born = np.einsum("ai,nij,aj->na", states.conj(), dense_elements(p)[:9], states).real
         off = born - np.diag(np.diag(born))
         assert np.max(np.abs(off)) / np.min(np.diag(born)) <= 1e-10
         np.testing.assert_allclose(np.diag(born), 0.3, atol=1e-12)
@@ -177,7 +178,7 @@ class TestRankOneStorage:
             (refine_inconclusive_product(base), conclusive + product),
             (refine_inconclusive_residual(base, basis), conclusive + residual),
         ):
-            assert np.max(np.abs(p.elements - np.array(want))) <= 1e-15
+            assert np.max(np.abs(dense_elements(p) - np.array(want))) <= 1e-15
 
     @pytest.mark.parametrize("d", range(2, 17))
     def test_refined_vectors_equal_the_concatenated_construction(self, d):
@@ -213,8 +214,8 @@ class TestRankOneStorage:
         refined = refine_inconclusive_residual(base, basis)
         assert refined.vectors.shape == (2 * d * d, d * d)
         assert refined.remainder is None
-        assert refined.elements is refined.elements
-        for arr in (base.vectors, base.remainder, refined.elements):
+        assert refined.vectors is refined.vectors
+        for arr in (base.vectors, base.remainder, refined.vectors):
             assert not arr.flags.writeable
         for arr in (base.kinds, base.labels, refined.kinds, refined.labels):
             assert not arr.flags.writeable
@@ -337,9 +338,10 @@ class TestProductRefinement:
         refined = refine_inconclusive_product(build_conclusive_povm(ch, basis, lam))
         # Appended j-major: (i=0,j=0), (1,0), (0,1), (1,1); weight 1 - lam/(2 a_j^2).
         expected_order = [(0, 0), (1, 0), (0, 1), (1, 1)]
+        elements = dense_elements(refined)
         for k, (i, j) in enumerate(expected_order):
             assert refined.kinds[4 + k] == PRODUCT and refined.labels[4 + k] == i + 2 * j
-            el = refined.elements[4 + k]
+            el = elements[4 + k]
             flat = i * 2 + j
             want = max(1.0 - lam / (2 * ch.probs[j]), 0.0)
             assert el[flat, flat].real == pytest.approx(want, abs=1e-12)
@@ -351,7 +353,7 @@ class TestProductRefinement:
         refined = refine_inconclusive_product(
             build_conclusive_povm(ch, basis, lambda_max(ch))
         )
-        zero = (refined.kinds == PRODUCT) & (np.max(np.abs(refined.elements), axis=(1, 2)) <= 1e-14)
+        zero = (refined.kinds == PRODUCT) & (np.max(np.abs(dense_elements(refined)), axis=(1, 2)) <= 1e-14)
         assert np.count_nonzero(zero) == 3
         assert np.all(refined.labels[zero] // 3 == np.argmin(ch.coeffs))
 
@@ -370,7 +372,7 @@ class TestResidualRefinement:
         refined = refine_inconclusive_residual(
             build_conclusive_povm(ch, basis, 1.0), basis
         )
-        assert np.max(np.abs(refined.elements[refined.kinds == RESIDUAL])) <= 1e-12
+        assert np.max(np.abs(dense_elements(refined)[refined.kinds == RESIDUAL])) <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_pieces_sum_to_remainder(self, d):
@@ -381,8 +383,8 @@ class TestResidualRefinement:
             lam = 0.5 * lambda_max(ch)
             base = build_conclusive_povm(ch, basis, lam)
             refined = refine_inconclusive_residual(base, basis)
-            pieces = refined.elements[d * d :].sum(axis=0)
-            assert np.max(np.abs(pieces - base.elements[-1])) <= 1e-10
+            pieces = dense_elements(refined)[d * d :].sum(axis=0)
+            assert np.max(np.abs(pieces - dense_elements(base)[-1])) <= 1e-10
             assert completeness_residual(refined) <= 1e-10
 
     def test_pieces_are_rank_one(self):
@@ -391,7 +393,7 @@ class TestResidualRefinement:
         refined = refine_inconclusive_residual(
             build_conclusive_povm(ch, basis, 0.2), basis
         )
-        for el in refined.elements[refined.kinds == RESIDUAL]:
+        for el in dense_elements(refined)[refined.kinds == RESIDUAL]:
             vals = np.linalg.eigvalsh(el)
             assert vals[-1] > 1e-8
             assert np.sum(vals > 1e-10) == 1
@@ -404,24 +406,24 @@ class TestThetaFamily:
         lam = 1.0 - 0.6
         theta = build_theta_povm(ThetaPovmFamily(0.6, 0.6, lam))
         conclusive = build_conclusive_povm(ch, basis, lam)
-        assert np.max(np.abs(theta.elements - conclusive.elements)) <= 1e-10
+        assert np.max(np.abs(dense_elements(theta) - dense_elements(conclusive))) <= 1e-10
         refined_t = refine_inconclusive_product(theta)
         refined_c = refine_inconclusive_product(conclusive)
-        assert np.max(np.abs(refined_t.elements - refined_c.elements)) <= 1e-10
+        assert np.max(np.abs(dense_elements(refined_t) - dense_elements(refined_c))) <= 1e-10
         assert np.array_equal(refined_t.kinds, refined_c.kinds)
         assert np.array_equal(refined_t.labels, refined_c.labels)
 
     def test_orthogonal_limit_is_scaled_bell_projectors(self):
         lam = 0.7
-        theta = build_theta_povm(ThetaPovmFamily(0.3, 0.0, lam))
+        elements = dense_elements(build_theta_povm(ThetaPovmFamily(0.3, 0.0, lam)))
         kets = maximally_entangled_basis(build_weyl_basis(2))
         for a in range(4):
             want = lam * np.outer(kets[a], kets[a].conj())
-            np.testing.assert_allclose(theta.elements[a], want, atol=1e-12)
+            np.testing.assert_allclose(elements[a], want, atol=1e-12)
 
     def test_remainder_eigenvalues_at_boundary(self):
         theta = build_theta_povm(ThetaPovmFamily(0.6, 0.5, 0.5))
-        vals = np.sort(np.linalg.eigvalsh(theta.elements[-1]))
+        vals = np.sort(np.linalg.eigvalsh(dense_elements(theta)[-1]))
         np.testing.assert_allclose(vals, [0.0, 0.0, 2 / 3, 2 / 3], atol=1e-12)
         assert min_eigenvalue(theta) >= -1e-10
 

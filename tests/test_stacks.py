@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import dense_elements
 from qteleport.channel import make_channel, qubit_channel_from_cos_theta
 from qteleport.dilation import dilate
 from qteleport.errors import DomainError, PositivityError, ShapeError
@@ -99,7 +100,7 @@ def test_members_hold_the_single_sets(d):
             single = build_conclusive_povm(ch, basis, lam)
             assert single.members is None and single.lam == lam
             assert stack.remainder[k].tobytes() == single.remainder.tobytes()
-            assert stack.elements[k].tobytes() == single.elements.tobytes()
+            assert dense_elements(stack)[k].tobytes() == dense_elements(single).tobytes()
             one = refine(single, basis)
             for table, single_table in ((refined.kinds, one.kinds), (refined.labels, one.labels)):
                 assert np.array_equal(table, single_table) and not table.flags.writeable
