@@ -148,6 +148,8 @@ def _check_channel_flags(args: argparse.Namespace) -> None:
         raise _usage_error("give at most one of --coeffs, --entropy, --cos-theta-c")
     if args.d is not None and args.d < 2:
         raise _usage_error(f"--d must be at least 2, got {args.d}")
+    if args.d is not None and args.d * args.d > sys.maxsize:
+        raise _usage_error(f"--d {args.d} is too large: the joint dimension d^2 must be at most {sys.maxsize}")
     if args.coeffs is not None:
         if args.d is not None and args.d != len(args.coeffs):
             raise _usage_error(f"--d {args.d} conflicts with {len(args.coeffs)} coefficients")

@@ -89,7 +89,7 @@ import numpy as np
 
 from .channel import SchmidtChannel
 from .errors import CapacityError, ConsistencyError, DecompositionError, DomainError, ShapeError
-from .linalg import Monomial
+from .linalg import Monomial, dagger
 from .povm import CONCLUSIVE, PRODUCT, PovmSet
 from .weyl import UnitaryBasis
 
@@ -217,7 +217,8 @@ def _outcomes(p: PovmSet, ch: SchmidtChannel, basis: UnitaryBasis, corrections: 
         if fixed is not None:
             raise DomainError("paper corrections need a monomial POVM, got a dense one")
         maps = channel_maps(p, ch)
-        _check_complete(np.einsum("...nji,...njk->...ik", maps.conj(), maps) - np.eye(p.d))
+        flat = maps.reshape(maps.shape[:-3] + (-1, p.d))
+        _check_complete(dagger(flat) @ flat - np.eye(p.d))
         sigma = np.linalg.svd(maps, compute_uv=False)
         return (sigma**2).sum(axis=-1), sigma.sum(axis=-1), sigma, sigma
     rows, b, sigma, gram = _maps(p, ch)

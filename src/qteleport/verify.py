@@ -6,13 +6,17 @@ section: the product and residual splits of the same remainder give
 different Haar-average fidelities in general (they coincide for d = 2 at
 the optimal weight), and both numbers are reported rather than reconciled.
 
-The POVM checks are dense but read the set as stored, the vectors W
+Every dense oracle is one matrix product.  With F the flattened (d^2, d^2)
+Weyl operators, the trace Gram is conj(F) F^T and completeness F^T conj(F)
+/ d; with the states S and duals D, modified completeness is S^T conj(D)
+and the joint-state expansion S^T (phi conj(U_a)); map completeness is
+B^† B over the maps stacked as (n d, d).  The POVM checks read the vectors W
 (element k is |w_k><w_k|) and the remainder diagonal R: completeness is
-``_outer_sum`` = W^T conj(W) plus diag(R) minus I; positivity is -min R,
-each |w><w| being positive; the identification ratio reads |W S^+|^2 for
-the states S, the remainder form R, and the residual split the pieces'
-``_outer_sum`` against diag(R).  The dilation's direct probabilities are
-|conj(W) s|^2, the entangled-basis completeness the kets' ``_outer_sum``.
+``_outer_sum`` = W^T conj(W) plus diag(R) minus I, the conclusive block's
+sum formed once per channel and reused for a refined block equal to it;
+positivity is -min R; the identification ratio reads |W S^+|^2, the
+remainder form R, the residual split the pieces' ``_outer_sum`` against
+diag(R).  The dilation's direct probabilities are |conj(W) s|^2.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .formulas import (
     relaxed_angle_fidelity,
 )
 from .dilation import dilate, dilated_channel_maps, outcome_probabilities
-from .linalg import haar_random_ket, haar_random_unitary, partial_trace, von_neumann_entropy
+from .linalg import dagger, haar_random_ket, haar_random_unitary, partial_trace, von_neumann_entropy
 from .povm import (
     CONCLUSIVE,
     ThetaPovmFamily,
@@ -87,15 +91,12 @@ def _channel_checks(d: int, basis: UnitaryBasis, rng: np.random.Generator) -> li
     states = basis_states(ch, basis)
     duals = dual_states(ch, basis).dense().reshape(d * d, d * d)
     cross = np.max(np.abs(duals.conj() @ states.T - np.eye(d * d)))
-    gamma_inv = duals.conj().reshape(d * d, d, d)
-    modified = np.einsum("aij,ak->kij", gamma_inv, states).reshape(d * d, d * d)
-    mod_res = np.max(np.abs(modified - np.eye(d * d)))
+    mod_res = np.max(np.abs(states.T @ duals.conj() - np.eye(d * d)))
     phis = np.array([haar_random_ket(d, rng) for _ in range(20)])
-    joint = np.einsum("si,j->sij", phis, ch.ket()).reshape(20, d**3)
-    # sum_a |state_a> (x) U_a^† |phi> / d, for every sample at once.
-    moved = np.einsum("akj,sk->saj", basis.ops.conj(), phis)
-    expansion = np.einsum("ai,saj->sij", states, moved).reshape(20, d**3) / d
-    worst = float(np.max(np.abs(joint - expansion)))
+    # |phi> (x) |channel> as sum_a |state_a> (x) U_a^† |phi> / d, for every sample at once.
+    moved = (phis @ basis.ops.conj()).swapaxes(0, 1)
+    expansion = (states.T @ moved).reshape(20, d**3) / d
+    worst = float(np.max(np.abs(np.kron(phis, ch.ket()) - expansion)))
     rho = np.outer(ch.ket(), ch.ket().conj())
     reduced = partial_trace(rho, 0, [d, d])
     want = float(-np.sum(ch.probs * np.log2(ch.probs)))
@@ -119,7 +120,8 @@ def _povm_checks(d: int, basis: UnitaryBasis, rng: np.random.Generator, n_channe
         lams = np.array([0.0, lmax / 2, lmax])
         p = build_conclusive_povm(ch, basis, lams)
         remainder = p.remainder[:, :, None] * eye
-        comp = max(comp, float(np.max(np.abs(_outer_sum(p.vectors) + remainder - eye))))
+        block_sum = _outer_sum(p.vectors)
+        comp = max(comp, float(np.max(np.abs(block_sum + remainder - eye))))
         psd = max(psd, -float(p.remainder.min()), 0.0)
         born = np.abs(p.vectors[:, : d * d] @ states.conj().T) ** 2
         diag = np.diagonal(born, axis1=1, axis2=2)
@@ -130,12 +132,14 @@ def _povm_checks(d: int, basis: UnitaryBasis, rng: np.random.Generator, n_channe
         rem_res = max(rem_res, float(np.max(np.abs(p.remainder - analytic))))
         res = refine_inconclusive_residual(p, basis)
         for refined in (refine_inconclusive_product(p), res):
-            comp = max(comp, float(np.max(np.abs(_outer_sum(refined.vectors) - eye))))
+            # p's block sum stands in for a conclusive block equal to p's; the residual's pieces, last, serve the split.
+            pieces = _outer_sum(refined.vectors[:, d * d :])
+            kept = np.array_equal(refined.vectors[:, : d * d], p.vectors)
+            comp = max(comp, float(np.max(np.abs(block_sum + pieces - eye))) if kept else np.inf)
             rep = report(refined, ch, basis, "auto")
             conclusive = rep.probabilities[:, refined.kinds == CONCLUSIVE]
             prob_res = max(prob_res, float(np.max(np.abs(conclusive - lams[:, None] / d**2))))
             inc_res = max(inc_res, float(np.max(np.abs(rep.inconclusive_probability - (1.0 - lams)))))
-        pieces = _outer_sum(res.vectors[:, d * d :])
         split_res = max(split_res, float(np.max(np.abs(pieces - remainder))))
     return [
         _check(f"povm d={d} completeness", comp, 1e-10),
@@ -149,7 +153,6 @@ def _povm_checks(d: int, basis: UnitaryBasis, rng: np.random.Generator, n_channe
 
 
 def _engine_checks(d: int, basis: UnitaryBasis, rng: np.random.Generator, n_channels: int) -> list[CheckResult]:
-    eye = np.eye(d)
     res_formula = prod_formula = map_comp = corr_opt = invariance = monotone = 0.0
     for _ in range(n_channels):
         ch = _random_channel(d, rng)
@@ -164,8 +167,8 @@ def _engine_checks(d: int, basis: UnitaryBasis, rng: np.random.Generator, n_chan
             res_formula = max(res_formula, abs(res - optimal_average_fidelity(d, ch.probs, lam)))
             prod_formula = max(prod_formula, abs(prod - product_strategy_fidelity(d, lam)))
         maps = channel_maps(residual, ch)
-        total = np.einsum("lnij,lnik->ljk", maps.conj(), maps)
-        map_comp = max(map_comp, float(np.max(np.abs(total - eye))))
+        flat = maps.reshape(len(lams), -1, d)
+        map_comp = max(map_comp, float(np.max(np.abs(dagger(flat) @ flat - np.eye(d)))))
         conclusive = residual.kinds == CONCLUSIVE
         nuclear = np.linalg.svd(maps[:, conclusive], compute_uv=False).sum(axis=-1)
         ops = basis.ops[residual.labels[conclusive]]

@@ -102,20 +102,14 @@ def conjugated_basis(basis: UnitaryBasis, left: np.ndarray, right: np.ndarray) -
     Both orthogonality relations are preserved, so the result is again an
     admissible measurement basis.
     """
-    ops = np.einsum("ij,ajk,lk->ail", left, basis.ops, right.conj())
-    return UnitaryBasis(dim=basis.dim, ops=ops)
+    return UnitaryBasis(dim=basis.dim, ops=left @ basis.ops @ right.conj().T)
 
 
 def orthogonality_residuals(basis: UnitaryBasis) -> tuple[float, float, float]:
-    """Max-abs residuals of (unitarity, pairwise trace, completeness)."""
+    """Max-abs residuals of (unitarity, pairwise trace, completeness), each one product of the operators."""
     d = basis.dim
-    eye = np.eye(d)
-    unit = max(
-        float(np.max(np.abs(dagger(u) @ u - eye))) for u in basis.ops
-    )
-    gram = np.einsum("aij,bij->ab", basis.ops.conj(), basis.ops)
-    trace_res = float(np.max(np.abs(gram - d * np.eye(d * d))))
-    comp = np.einsum("aij,akl->ijkl", basis.ops, basis.ops.conj()) / d
-    target = np.einsum("ik,jl->ijkl", eye, eye)
-    comp_res = float(np.max(np.abs(comp - target)))
+    flat = basis.ops.reshape(d * d, d * d)
+    unit = float(np.max(np.abs(dagger(basis.ops) @ basis.ops - np.eye(d))))
+    trace_res = float(np.max(np.abs(flat.conj() @ flat.T - d * np.eye(d * d))))
+    comp_res = float(np.max(np.abs(flat.T @ flat.conj() / d - np.eye(d * d))))
     return unit, trace_res, comp_res

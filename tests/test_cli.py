@@ -202,6 +202,21 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err == f"usage error: --d must be at least 2, got {argv[-1]}\n"
 
+    @pytest.mark.parametrize("command", ["teleport", "verify"])
+    @pytest.mark.parametrize("d", ["4611686018427387904", "100000000000000000000"])
+    def test_dimension_whose_square_is_no_index(self, capsys, monkeypatch, command, d):
+        # d^2 above sys.maxsize cannot index the joint space: refused before
+        # the echo and before anything is built, not a ValueError or TypeError.
+        built = mock.Mock(side_effect=AssertionError("built"))
+        monkeypatch.setattr(cli, "build_weyl_basis", built)
+        monkeypatch.setattr(cli, "run_battery", built)
+        with pytest.raises(SystemExit) as info:
+            main([command, "--d", d])
+        assert info.value.code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"usage error: --d {d} is too large")
+        built.assert_not_called()
+
     @pytest.mark.parametrize("second", ["same.txt", "./sub/../same.txt"])
     def test_out_and_transcript_on_one_file(self, capsys, tmp_path, monkeypatch, second):
         # The table would overwrite the transcript once the runs finish.

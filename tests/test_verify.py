@@ -46,12 +46,23 @@ def drop_one_piece(p):
     return rebuilt(p, values=values)
 
 
-DAMAGES = {
-    "completeness": ("build_conclusive_povm", scale_one_vector),
-    "positivity": ("build_conclusive_povm", negative_remainder_entry),
-    "identification ratio": ("build_conclusive_povm", mix_two_duals),
-    "residual split sums to remainder": ("refine_inconclusive_residual", drop_one_piece),
-}
+# (check, damaged builder, damage); a check may have several entries.  A
+# refined set whose conclusive block is damaged must fail completeness too,
+# though verify reuses the unrefined block's sum for an undamaged block.
+DAMAGES = [
+    pytest.param("completeness", "build_conclusive_povm", scale_one_vector, id="completeness"),
+    pytest.param(
+        "completeness", "refine_inconclusive_product", scale_one_vector, id="completeness-refined-conclusive-block"
+    ),
+    pytest.param("positivity", "build_conclusive_povm", negative_remainder_entry, id="positivity"),
+    pytest.param("identification ratio", "build_conclusive_povm", mix_two_duals, id="identification ratio"),
+    pytest.param(
+        "residual split sums to remainder",
+        "refine_inconclusive_residual",
+        drop_one_piece,
+        id="residual split sums to remainder",
+    ),
+]
 
 
 def checks_on_damaged_sets(monkeypatch, d, target, damage):
@@ -85,9 +96,8 @@ def checks_on_damaged_sets(monkeypatch, d, target, damage):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("check", DAMAGES)
-def test_a_damaged_set_fails_its_named_check(monkeypatch, d, check):
-    target, damage = DAMAGES[check]
+@pytest.mark.parametrize("check, target, damage", DAMAGES)
+def test_a_damaged_set_fails_its_named_check(monkeypatch, d, check, target, damage):
     results = checks_on_damaged_sets(monkeypatch, d, target, damage)
     assert not results[check].passed, results[check]
 

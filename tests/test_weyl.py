@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from qteleport import verify
 from qteleport.errors import DomainError, ShapeError
 from qteleport.linalg import haar_random_unitary
 from qteleport.weyl import (
+    UnitaryBasis,
     build_weyl_basis,
     conjugated_basis,
     maximally_entangled_basis,
@@ -59,12 +61,36 @@ def test_qutrit_completeness_entry_bruteforce():
     assert total == pytest.approx(3.0, abs=1e-10)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 16])
 def test_orthogonality_invariants(d):
     unit, trace_res, comp_res = orthogonality_residuals(build_weyl_basis(d))
     assert unit <= 1e-12
     assert trace_res <= 1e-10
     assert comp_res <= 1e-10
+
+
+def weyl_checks_passed(ops):
+    """Pass/fail of verify's three Weyl checks on the dense basis ``ops``, at the tolerances verify applies."""
+    d = ops.shape[-1]
+    results = verify._basis_checks(d, UnitaryBasis(d, ops))
+    return {r.name.removeprefix(f"weyl d={d} "): r.passed for r in results if r.name.startswith("weyl")}
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_a_scaled_operator_fails_unitarity(d):
+    ops = build_weyl_basis(d).ops.copy()
+    ops[1] *= 1.001
+    assert not weyl_checks_passed(ops)["unitarity"]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_a_repeated_operator_fails_trace_orthogonality_and_completeness(d):
+    ops = build_weyl_basis(d).ops.copy()
+    ops[1] = ops[0]
+    passed = weyl_checks_passed(ops)
+    assert passed["unitarity"]
+    assert not passed["pairwise trace orthogonality"]
+    assert not passed["completeness relation"]
 
 
 def test_flat_label_is_shift_then_clock_exponent():
