@@ -20,8 +20,8 @@ outcome phi = E c has density proportional to phi^† M phi: an eigen-index k
 drawn with weight m_k, then |c|^2 ~ Dirichlet(1, ..., 2 at k, ..., 1) with
 uniform phases.  The run fidelity is |c^† G c|^2 / sum_k m_k |c_k|^2, with
 G = E^† V B E.  ``simulate`` takes only corrections that make every G
-diagonal, so c^† G c = sum_k G_kk |c_k|^2: the phases never enter and a
-run costs O(d).
+diagonal, so c^† G c = sum_k G_kk |c_k|^2: the phases never enter, no run
+draws them, and a run costs O(d).
 
 The Monte Carlo works column-major: ``_sampling_tables`` writes every
 per-outcome number into the columns of one (rows, n_out) table, with no
@@ -277,13 +277,13 @@ def transcript_bits(n_outcomes: int) -> int:
 
 
 # Monte Carlo rounds run in blocks of max(1, _BLOCK_ENTRIES // s) runs, where
-# s = 7d + 3 is about what one run holds: its row of 2d + 3 uniforms, its
+# s = 6d + 3 is about what one run holds: its row of d + 3 uniforms, its
 # d + 1 exponentials and its gathered table column of at most 4d rows (see
 # ``_sampling_tables``).  That is about 512 KiB of per-run state.  Each
 # ``simulate`` call allocates its block buffers once, so no block re-faults
 # them; larger blocks save a few per-call overheads but cost peak memory.
 # The size bounds memory and transcript calls, nothing else: run r reads
-# row r of the stream's (runs, 2d + 3) uniforms, numpy fills them in C
+# row r of the stream's (runs, d + 3) uniforms, numpy fills them in C
 # order, each run's sums are added in a fixed order and the report adds
 # runs in order, so any size gives the same report.
 _BLOCK_ENTRIES = 1 << 16
@@ -299,13 +299,14 @@ _GUIDE_BUCKETS = 32
 MAX_RUNS = 2**53
 
 
-def _draw_outcomes(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Index per run: the number of cumulative weights (total excluded) <= u.
+def _draw_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Eigen-index per run: the number of its cumulative eigenweights (total excluded) <= u.
 
-    ``cum`` has one column per run, shape (m, n).  For u = r * total with
-    0 <= r < 1, u stays below the total, so no zero weight is ever drawn:
-    leading ones are <= u, trailing ones equal the total.  The count is an
-    integer, exact in any order of addition.
+    ``cum`` has one column per run, the gathered cumulative eigenweights of
+    its outcome, shape (d, n).  For u = r * total with 0 <= r < 1, u stays
+    below the total, so no zero eigenweight is ever drawn: leading ones are
+    <= u, trailing ones equal the total.  The count is an integer, exact in
+    any order of addition.  Outcomes are drawn by ``_guided_draw``.
     """
     return np.count_nonzero(u >= cum[:-1], axis=0)
 
@@ -386,11 +387,11 @@ def _block_buffers(d: int, runs: int) -> tuple[np.ndarray, ...]:
     They are the flat uniforms and exponentials, three per-run rows (the
     fidelities and two scratch rows) and the run offsets 0, ..., runs - 1.
     """
-    return np.empty(runs * (2 * d + 3)), np.empty(runs * (d + 1)), np.empty((3, runs)), np.arange(runs)
+    return np.empty(runs * (d + 3)), np.empty(runs * (d + 1)), np.empty((3, runs)), np.arange(runs)
 
 
 def _simulate_block(tables: tuple, rng: np.random.Generator, n: int, buffers: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Run n protocol rounds, one row of 2d + 3 uniforms each; returns (outcome, fidelity) arrays.
+    """Run n protocol rounds, one row of d + 3 uniforms each; returns (outcome, fidelity) arrays.
 
     Every block-sized array but the gathered columns and the outcomes is a
     C-contiguous view of ``buffers`` (see ``_block_buffers``), written with
@@ -402,19 +403,16 @@ def _simulate_block(tables: tuple, rng: np.random.Generator, n: int, buffers: tu
     d = len(table) // (parts + 1)
     flat_u, flat_x, rows, ramp = buffers
     fid, scaled, spare = rows[:, :n]
-    # Columns d + 3 onward are the d phases, drawn but never read: G is
-    # diagonal.  They stay so that every stream, transcript and pinned
-    # digest is unchanged.
-    u = flat_u[: n * (2 * d + 3)].reshape(n, 2 * d + 3)
+    u = flat_u[: n * (d + 3)].reshape(n, d + 3)
     rng.random(out=u)
     alpha = _guided_draw(cum_w, guide, np.multiply(u[:, 0], cum_w[-1], out=scaled), spare)
     cols = table.take(alpha, axis=1)
-    k = _draw_outcomes(cols[:d], np.multiply(u[:, 1], cols[d - 1], out=scaled))
+    k = _draw_index(cols[:d], np.multiply(u[:, 1], cols[d - 1], out=scaled))
     # Unnormalized Dirichlet(1, ..., 2 at k, ..., 1) from d + 1 exponentials
     # -log(1 - u), one row per index: |c|^2 = x / sum(x).  Row k of run r
     # is entry k * n + r of the flat x.
     x = flat_x[: n * (d + 1)].reshape(d + 1, n)
-    np.negative(u[:, 2 : d + 3].T, out=x)
+    np.negative(u[:, 2:].T, out=x)
     np.negative(np.log1p(x, out=x), out=x)
     k *= n
     k += ramp[:n]
@@ -485,13 +483,13 @@ def simulate(
     gram, _, sigma, g = _outcomes(p, ch, basis, corrections)
     tables = _sampling_tables(gram, sigma, g)
     n_out, d = p.n_outcomes, p.d
-    block = min(max(1, _BLOCK_ENTRIES // (7 * d + 3)), n_runs)
+    block = min(max(1, _BLOCK_ENTRIES // (6 * d + 3)), n_runs)
     buffers = _block_buffers(d, block)
     square, loss = buffers[2][1:]
     conclusive_flag = (p.kinds == CONCLUSIVE).astype(np.int64)
     # Per outcome: runs, then the sums of f, f^2, 1 - f and (1 - f)^2.
     sums = np.zeros((5, n_out))
-    # Runs read spawn(1)'s one child, not the master generator: every pinned transcript was drawn from it.
+    # A child stream: ``verify.run_battery`` draws channels from default_rng(seed) and passes that seed here.
     (stream,) = np.random.default_rng(rng).spawn(1)
     for start in range(0, n_runs, block):
         size = min(block, n_runs - start)

@@ -444,26 +444,26 @@ class TestFigure1:
 
 
 # sha256 prefixes of the JSONL transcripts of 5000 ``teleport`` runs at seed 31,
-# keyed by channel and strategy; the outcome draws, and so the transcripts,
-# do not depend on the correction mode.
+# keyed by channel and strategy, each run reading its row of d + 3 uniforms; the
+# outcome draws, and so the transcripts, do not depend on the correction mode.
 TRANSCRIPT_DIGESTS = {
-    ("0.6", "product"): "9e5b6d28e3f184d8",
-    ("0.6", "residual"): "9868abe0549d3544",
-    ("0.6,0.64,0.48", "product"): "93c1c6910278ba87",
-    ("0.6,0.64,0.48", "residual"): "2c3fbe883539dc73",
-    ("0.5,0.5,0.4,0.4,0.3,0.3", "product"): "1147772c5af71f28",
-    ("0.5,0.5,0.4,0.4,0.3,0.3", "residual"): "959443189eb147a3",
+    ("0.6", "product"): "44b184eab5c5545f",
+    ("0.6", "residual"): "f83080ed612be3d3",
+    ("0.6,0.64,0.48", "product"): "01948477c1e3f2d9",
+    ("0.6,0.64,0.48", "residual"): "efd0eff98703c843",
+    ("0.5,0.5,0.4,0.4,0.3,0.3", "product"): "39e54343268c6dd6",
+    ("0.5,0.5,0.4,0.4,0.3,0.3", "residual"): "7d9b4bd1536c1b1d",
 }
 
 # The same at 7919 runs, a prime count whose last block is ragged at every d:
 # the runs a block boundary splits still read their rows of the one stream.
 RAGGED_TRANSCRIPT_DIGESTS = {
-    ("0.6", "product"): "c669a5b3cc4d30c7",
-    ("0.6", "residual"): "0c44e5e544d18103",
-    ("0.6,0.64,0.48", "product"): "4f5598ee3de157e7",
-    ("0.6,0.64,0.48", "residual"): "523fd7ad937d36c4",
-    ("0.5,0.5,0.4,0.4,0.3,0.3", "product"): "19334878cd00ab4f",
-    ("0.5,0.5,0.4,0.4,0.3,0.3", "residual"): "abb7dc0c736a8ee3",
+    ("0.6", "product"): "4fe0c47843f5fbe9",
+    ("0.6", "residual"): "1e07ab3adfd47011",
+    ("0.6,0.64,0.48", "product"): "2fcd26325d20ec60",
+    ("0.6,0.64,0.48", "residual"): "955fc64502effebf",
+    ("0.5,0.5,0.4,0.4,0.3,0.3", "product"): "ad05fff7abc463f3",
+    ("0.5,0.5,0.4,0.4,0.3,0.3", "residual"): "629c34ca23dcca5a",
 }
 
 # The same at 16 and 32 dimensions (512 and 2,048 outcomes), keyed by d, lambda
@@ -471,16 +471,18 @@ RAGGED_TRANSCRIPT_DIGESTS = {
 # ``falling_coeffs``.  At lambda 0 every conclusive outcome has weight 0, and at
 # lambda max the product pieces of the smallest coefficient vanish: runs of
 # equal cumulative weights that the outcome draw must never pick.  Recorded
-# with the binary-search draw that the guided draw replaced.
+# from a build whose outcome draw was the plain binary search
+# ``np.searchsorted(cum_w[:-1], key, side="right")``, so they pin the guided
+# draw to it.
 LARGE_D_TRANSCRIPT_DIGESTS = {
-    (16, "max", "product"): "3d7c584fdec416a1",
-    (16, "max", "residual"): "df53bb497b93a3e9",
-    (16, "0", "product"): "965d3a0e987280b6",
-    (16, "0", "residual"): "0177582c1e9da7eb",
-    (32, "max", "product"): "7c1a1fd02cf490e6",
-    (32, "max", "residual"): "5835931582870ec7",
-    (32, "0", "product"): "ba90f7d4d5b75826",
-    (32, "0", "residual"): "72ab82cf96feeb44",
+    (16, "max", "product"): "6355b18876205d3b",
+    (16, "max", "residual"): "867d23964d8dd79c",
+    (16, "0", "product"): "f48a38d5648f512f",
+    (16, "0", "residual"): "411522b4aeb85c93",
+    (32, "max", "product"): "f63381a60fa95ec2",
+    (32, "max", "residual"): "08b2398e531a339c",
+    (32, "0", "product"): "45d37ea4b28a6f86",
+    (32, "0", "residual"): "5b5f9b6e7fb75dcc",
 }
 
 

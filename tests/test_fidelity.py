@@ -981,8 +981,8 @@ class TestSimulate:
         p = refined(ch, basis, 0.4, "product")
         blocks = []
         simulate(p, ch, basis, "paper", n_runs=10_000, rng=1, transcript=blocks.append)
-        # 2**16 entries over 7d + 3 = 17 per run: 3855 runs per block.
-        assert [len(b["run_index"]) for b in blocks] == [3855] * 2 + [2290]
+        # 2**16 entries over 6d + 3 = 15 per run: 4369 runs per block.
+        assert [len(b["run_index"]) for b in blocks] == [4369] * 2 + [1262]
         assert transcript_bits(p.n_outcomes) == 4  # ceil(log2(8)) + 1
         for b in blocks:
             assert set(b) == {"run_index", "outcome_alpha", "conclusive_flag", "bits_sent"}
@@ -1150,9 +1150,11 @@ def born_rule_estimates(maps, vs, n_runs, seed):
 def outcome_first_reference(maps, vs, rng, n):
     """n runs of the outcome-first kernel, replayed from the documented rows.
 
-    Run r reads row r of the stream's next (n, 2d + 3) uniforms: the outcome,
-    the eigen-index, d + 1 exponentials -log(1 - u) for the squared moduli
-    and d phases.  Each run rebuilds its input phi = E c and evaluates
+    Run r reads row r of the stream's next (n, d + 3) uniforms: the outcome,
+    the eigen-index and d + 1 exponentials -log(1 - u) for the squared
+    moduli.  The kernel draws no phases, since they never enter a run's
+    fidelity; the reference draws its d phases per run from a generator of
+    its own, seeded with 0, so that it checks that claim on every run.  Each run rebuilds its input phi = E c and evaluates
     |<phi|V B phi>|^2 / |B phi|^2 with einsum on the maps themselves.  E
     comes from a batched eigh of B^† B: where M has a degenerate eigenspace
     (conclusive elements have M proportional to I), another eigh call may
@@ -1160,10 +1162,10 @@ def outcome_first_reference(maps, vs, rng, n):
     Returns the outcomes, eigen-indices and run fidelities.
     """
     n_out, d, _ = maps.shape
-    rows = rng.random((n, 2 * d + 3))
+    rows = rng.random((n, d + 3))
     u_outcome, u_index = rows[:, 0], rows[:, 1]
-    expo = -np.log1p(-rows[:, 2 : d + 3])
-    phases = rows[:, d + 3 :]
+    expo = -np.log1p(-rows[:, 2:])
+    phases = np.random.default_rng(0).random((n, d))
     grams = np.einsum("oki,okj->oij", maps.conj(), maps)
     cum = np.cumsum(np.trace(grams, axis1=1, axis2=2).real)
     alpha = np.searchsorted(cum, u_outcome * cum[-1], side="right")
@@ -1478,13 +1480,13 @@ class TestBlockedKernel:
         # The extreme draws: r = 0 and the largest double below 1, fed to
         # the kernel as the outcome and eigen-index uniforms of two runs.
         r = np.array([0.0, np.nextafter(1.0, 0.0)])
-        rows = np.full((2, 2 * d + 3), 0.5)
+        rows = np.full((2, d + 3), 0.5)
         rows[:, 0] = rows[:, 1] = r
         alpha, fid = fidelity._simulate_block(tables, FixedRows(rows), 2, fidelity._block_buffers(d, 2))
         assert np.all(weights[alpha] > 0) and alpha[1] == 2 * d * d - 1 - dead.size
         assert np.all(np.isfinite(fid))
         for a in np.flatnonzero(weights):
-            k = fidelity._draw_outcomes(np.tile(cum_m[a][:, None], (1, 2)), r * cum_m[a, -1])
+            k = fidelity._draw_index(np.tile(cum_m[a][:, None], (1, 2)), r * cum_m[a, -1])
             assert np.all(m[a, k] > 0) and k[1] == d - 1
         # Whole runs: the kernel's eigen-indices are the reference's.
         n = 2_000
@@ -1687,10 +1689,10 @@ class TestBlockedKernel:
         probs = np.array([[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25]])
         cum = np.cumsum(probs, axis=1)
         # One column per run.
-        alpha = fidelity._draw_outcomes(cum.T, cum[:, -1])
+        alpha = fidelity._draw_index(cum.T, cum[:, -1])
         np.testing.assert_array_equal(alpha, [3, 3])
-        np.testing.assert_array_equal(fidelity._draw_outcomes(cum.T, np.zeros(2)), [0, 0])
-        np.testing.assert_array_equal(fidelity._draw_outcomes(cum.T, cum[:, 1]), [2, 2])
+        np.testing.assert_array_equal(fidelity._draw_index(cum.T, np.zeros(2)), [0, 0])
+        np.testing.assert_array_equal(fidelity._draw_index(cum.T, cum[:, 1]), [2, 2])
 
 
 def searched(cum_w, keys):
@@ -1809,7 +1811,7 @@ class TestGuidedOutcomeDraw:
         r = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], r, np.nextafter(r, 0.0), np.nextafter(r, 1.0)])
         r = r[(r >= 0.0) & (r < 1.0)]
         n = r.size
-        rows = np.full((n, 2 * d + 3), 0.5)
+        rows = np.full((n, d + 3), 0.5)
         rows[:, 0] = r
         alpha, fid = fidelity._simulate_block(tables, FixedRows(rows), n, fidelity._block_buffers(d, n))
         np.testing.assert_array_equal(alpha, searched(cum_w, r * cum_w[-1]))
