@@ -14,8 +14,9 @@ Subcommands, each taking only the flags it reads:
                   ``--corrections``, ``--runs``, ``--out``, ``--format`` and
                   ``--transcript``.
 
-Exit codes: 0 ok, 1 check failure, 2 usage/config error.  Numbers in CSV
-output carry 12 significant digits so regression diffs stay meaningful.
+Exit codes: 0 ok, 1 check failure, 2 usage/config error, each refusal one
+``usage error:`` line.  Numbers in CSV output carry 12 significant digits so
+regression diffs stay meaningful.  Transcript records are written here alone.
 A seed fixes every Monte Carlo result; no command reads the environment.
 """
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from .channel import SchmidtChannel, make_channel, qubit_channel_from_cos_theta
 from .errors import QTeleportError
-from .fidelity import MAX_RUNS, FidelityReport, report, simulate, transcript_bits
+from .fidelity import MAX_RUNS, FidelityReport, report, simulate
 from .formulas import channel_from_entropy, qubit_average_fidelity, relaxed_angle_fidelity
 from .povm import (
     CONCLUSIVE,
@@ -75,6 +76,13 @@ def _usage_error(message: str) -> SystemExit:
     return SystemExit(2)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose every refusal is one ``usage error:`` line; ``add_subparsers`` makes its subparsers so too."""
+
+    def error(self, message: str):
+        raise _usage_error(message)
+
+
 def _echo(*parts: str) -> None:
     """Print the settings the command reads as one stderr line."""
     print("# " + " ".join(parts), file=sys.stderr)
@@ -96,7 +104,7 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; parsing leaves it unchanged, so calls share it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qteleport",
         description="Conclusive teleportation of d-dimensional states via joint POVMs",
     )
@@ -316,20 +324,22 @@ def _teleport_columns(p: PovmSet, exact: FidelityReport, mc: FidelityReport | No
 
 
 def _transcript_sink(stream, p: PovmSet):
-    """Write each Monte Carlo block of ``p`` as JSONL bytes, one ``json.dumps(record)`` line per run.
+    """Write each block ``simulate`` hands over, (first run index, outcomes), as JSONL bytes, one line per run.
 
-    All fields are nonnegative ints, so each outcome's line is fixed but for
-    the run index.  Row a of a byte table holds ``{"run_index": ``, a field
-    of zero bytes as wide as the block's largest run index, then outcome
-    a's tail, zero-padded to the longest tail.  A block writes its run
-    indices as right-aligned ASCII digits (places above the leading digit
-    stay zero) into digit rows kept from block to block; then, a slice of
-    ``TRANSCRIPT_SLICE`` runs at a time, it takes their rows by outcome,
-    copies the digits into the field and drops every zero byte.  The flag
-    is 1 for kind ``CONCLUSIVE``, as ``simulate`` sets it.  ``stream`` is
-    binary, so each line ends in exactly one ``\n`` byte.
+    The one writer of a run's record, its classical message: each line is
+    ``json.dumps`` of ``run_index``, ``outcome_alpha``, ``conclusive_flag``
+    (1 for kind ``CONCLUSIVE``) and ``bits_sent`` (ceil(log2 n) label bits
+    for n outcomes, plus the flag), all nonnegative ints.  So each outcome's
+    line is fixed but for the run index.  Row a of a byte table holds
+    ``{"run_index": ``, a field of zero bytes as wide as the block's largest
+    run index, then outcome a's tail, zero-padded to the longest tail.  A
+    block writes its run indices as right-aligned ASCII digits (places above
+    the leading digit stay zero) into digit rows kept from block to block;
+    then, a slice of ``TRANSCRIPT_SLICE`` runs at a time, it takes their
+    rows by outcome, copies the digits into the field and drops every zero
+    byte.  ``stream`` is binary, so each line ends in exactly one ``\n`` byte.
     """
-    bits = transcript_bits(p.n_outcomes)
+    bits = (p.n_outcomes - 1).bit_length() + 1
     tails = [
         f', "outcome_alpha": {a}, "conclusive_flag": {int(kind == CONCLUSIVE)}, "bits_sent": {bits}}}\n'
         for a, kind in enumerate(p.kinds.tolist())
@@ -356,10 +366,10 @@ def _transcript_sink(stream, p: PovmSet):
             buffer = held[dtype] = np.empty(size, dtype)
         return buffer[:size]
 
-    def write(block: dict) -> None:
-        index, alpha = block["run_index"], block["outcome_alpha"]
-        table, places = rows(len(str(index.max())))
-        width, n = len(places), index.size
+    def write(start: int, alpha: np.ndarray) -> None:
+        index = np.arange(start, start + alpha.size)
+        table, places = rows(len(str(start + alpha.size - 1)))
+        width, n = len(places), alpha.size
         # One row of digits per place, units last, by repeated division by 10.
         quotient, next_quotient, rest = scratch(np.int64, 3 * n).reshape(3, n)
         np.copyto(quotient, index)

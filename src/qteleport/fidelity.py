@@ -71,6 +71,7 @@ vectors; ``paper`` on a dense POVM or a dense basis (a conjugated one) is
 refused (``DomainError``) before any map is read.  The Monte Carlo draws
 outcomes with the report's own gram as weights and refuses fixed
 corrections that leave some V_a B_a off the diagonal (``DomainError``).
+A transcript gets each block's first run index and drawn outcomes only.
 
 The exact report maps a POVM's member axis (L weights, see ``PovmSet``)
 through each step, elementwise or reducing one outcome's or one member's
@@ -90,7 +91,7 @@ import numpy as np
 from .channel import SchmidtChannel
 from .errors import CapacityError, ConsistencyError, DecompositionError, DomainError, ShapeError
 from .linalg import Monomial, dagger
-from .povm import CONCLUSIVE, PRODUCT, PovmSet
+from .povm import PRODUCT, PovmSet
 from .weyl import UnitaryBasis
 
 
@@ -271,11 +272,6 @@ def _build_report(p: PovmSet, corrections: str, probs: np.ndarray, terms: np.nda
     return FidelityReport(_frozen(p.lam), strategy, corrections, *map(_frozen, numbers), **mc)
 
 
-def transcript_bits(n_outcomes: int) -> int:
-    """Classical message cost per run: outcome label plus the conclusive flag bit."""
-    return math.ceil(math.log2(n_outcomes)) + 1
-
-
 # Monte Carlo rounds run in blocks of max(1, _BLOCK_ENTRIES // s) runs, where
 # s = 6d + 3 is about what one run holds: its row of d + 3 uniforms, its
 # d + 1 exponentials and its gathered table column of at most 4d rows (see
@@ -444,7 +440,7 @@ def simulate(
     corrections: str = "auto",
     n_runs: int = 10_000,
     rng: int | np.random.Generator | None = 0,
-    transcript: Callable[[dict], None] | None = None,
+    transcript: Callable[[int, np.ndarray], None] | None = None,
 ) -> FidelityReport:
     """Monte Carlo protocol simulation with standard errors.
 
@@ -457,9 +453,9 @@ def simulate(
     one child ``spawn(1)`` of ``np.random.default_rng(rng)``, in blocks that
     bound memory (see ``_BLOCK_ENTRIES``); only per-outcome sums, added in
     run order, outlive a block, so the block size changes no result.
-    ``transcript``, if given, is called once per block with the columns
-    ``run_index``, ``outcome_alpha`` and ``conclusive_flag`` (int arrays)
-    and the scalar ``bits_sent``.  With ``auto`` any refined POVM works,
+    ``transcript(start, alpha)``, if given, is called once per block, in run
+    order, with the block's first run index and the int outcomes its runs
+    drew, an array of the block's own.  With ``auto`` any refined POVM works,
     e.g. ``dilation.realized_povm`` for the run-by-run check of a Neumark
     extension.  ``paper`` needs a monomial POVM and basis whose corrections
     keep every V_a B_a diagonal, as every POVM the CLI builds does; any
@@ -486,7 +482,6 @@ def simulate(
     block = min(max(1, _BLOCK_ENTRIES // (6 * d + 3)), n_runs)
     buffers = _block_buffers(d, block)
     square, loss = buffers[2][1:]
-    conclusive_flag = (p.kinds == CONCLUSIVE).astype(np.int64)
     # Per outcome: runs, then the sums of f, f^2, 1 - f and (1 - f)^2.
     sums = np.zeros((5, n_out))
     # A child stream: ``verify.run_battery`` draws channels from default_rng(seed) and passes that seed here.
@@ -500,14 +495,7 @@ def simulate(
         np.add.at(sums[3], alpha, np.subtract(1.0, fid, out=loss[:size]))
         np.add.at(sums[4], alpha, np.multiply(loss[:size], loss[:size], out=square[:size]))
         if transcript is not None:
-            transcript(
-                {
-                    "run_index": np.arange(start, start + size),
-                    "outcome_alpha": alpha,
-                    "conclusive_flag": conclusive_flag[alpha],
-                    "bits_sent": transcript_bits(n_out),
-                }
-            )
+            transcript(start, alpha)
     probs, terms, squares, losses, loss_squares = sums / n_runs
     # Var(f) = Var(1 - f), and the moments of 1 - f do not cancel when the
     # run fidelities crowd near 1.

@@ -174,10 +174,63 @@ class TestUsageErrors:
             main(["bogus"])
         assert info.value.code == 2
 
-    def test_conflicting_channel_flags(self):
+    def test_conflicting_channel_flags(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_weyl_basis", mock.Mock(side_effect=AssertionError("built")))
         with pytest.raises(SystemExit) as info:
             main(["teleport", "--entropy", "0.5", "--cos-theta-c", "0.3"])
         assert info.value.code == 2
+        assert capsys.readouterr().err == "usage error: give at most one of --coeffs, --entropy, --cos-theta-c\n"
+
+    @pytest.mark.parametrize("command", ["teleport", "verify"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--d", "3", "--coeffs", "0.6,0.8"], "--d 3 conflicts with 2 coefficients"),
+            (["--d", "3", "--entropy", "0.5"], "--entropy/--cos-theta-c define a d=2 channel"),
+            (["--d", "3", "--cos-theta-c", "0.3"], "--entropy/--cos-theta-c define a d=2 channel"),
+            (["--coeffs", "0.6,0.8", "--entropy", "0.5"], "give at most one of --coeffs, --entropy, --cos-theta-c"),
+            (["--coeffs", "0.6,0.8", "--cos-theta-c", "0.3"], "give at most one of --coeffs, --entropy, --cos-theta-c"),
+        ],
+        ids=["d-vs-coeffs", "d-vs-entropy", "d-vs-cos-theta-c", "coeffs-and-entropy", "coeffs-and-cos-theta-c"],
+    )
+    def test_channel_flag_conflict_is_one_line_before_the_echo(self, capsys, monkeypatch, command, flags, message):
+        # Refused before the settings are echoed and before anything is built.
+        built = mock.Mock(side_effect=AssertionError("built"))
+        monkeypatch.setattr(cli, "build_weyl_basis", built)
+        monkeypatch.setattr(cli, "run_battery", built)
+        with pytest.raises(SystemExit) as info:
+            main([command, *flags])
+        assert info.value.code == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        built.assert_not_called()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["teleport", "--d", "abc"],
+            ["teleport", "--strategy", "foo"],
+            ["figure1", "--format", "xml"],
+            ["bogus"],
+            [],
+            ["teleport", "--runs", "5", "--bogus"],
+        ],
+        ids=["bad-int", "bad-choice", "bad-format", "unknown-command", "no-command", "unknown-flag"],
+    )
+    def test_argparse_refusal_is_one_usage_line(self, capsys, argv):
+        # argparse's own refusals print no usage block: one line, exit 2.
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["teleport", "--help"]])
+    def test_help_is_the_full_help(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: qteleport") and "options:" in out and err == ""
 
     def test_bad_lambda_token(self):
         with pytest.raises(SystemExit) as info:
@@ -556,25 +609,19 @@ class TestTeleport:
         argv += ["--corrections", "paper", "--runs", "10000", "--seed", "3"]
         code, _, _ = run(capsys, *argv, "--transcript", str(transcript))
         assert code == 0
-        # Same run in-process: the blocks spell out every record.
+        # Same run in-process: each block's first run index and outcomes, with
+        # the flag from the POVM's kinds and 3 label bits for 8 outcomes plus
+        # the flag, spell out every record.
         basis = build_weyl_basis(2)
         ch = qubit_channel_from_cos_theta(0.6)
         p = refine_inconclusive_product(build_conclusive_povm(ch, basis, lambda_max(ch)))
         blocks = []
-        simulate(p, ch, basis, "paper", n_runs=10_000, rng=3, transcript=blocks.append)
-        assert len(blocks) > 1
+        simulate(p, ch, basis, "paper", n_runs=10_000, rng=3, transcript=lambda *block: blocks.append(block))
+        assert len(blocks) > 1 and p.n_outcomes == 8
         want = "".join(
-            json.dumps(
-                {
-                    "run_index": int(i),
-                    "outcome_alpha": int(a),
-                    "conclusive_flag": int(c),
-                    "bits_sent": b["bits_sent"],
-                }
-            )
-            + "\n"
-            for b in blocks
-            for i, a, c in zip(b["run_index"], b["outcome_alpha"], b["conclusive_flag"])
+            json.dumps({"run_index": start + k, "outcome_alpha": a, "conclusive_flag": int(c), "bits_sent": 4}) + "\n"
+            for start, alpha in blocks
+            for k, (a, c) in enumerate(zip(alpha.tolist(), (p.kinds[alpha] == CONCLUSIVE).tolist()))
         )
         assert transcript.read_bytes() == want.encode()
 
@@ -657,37 +704,29 @@ class TestTeleport:
         ch = make_channel(np.sqrt(np.arange(1.0, d + 1) / np.sum(np.arange(1.0, d + 1))))
         p = refine_inconclusive_product(build_conclusive_povm(ch, basis, 0.5 * lambda_max(ch)))
         blocks = []
-        simulate(p, ch, basis, "paper", n_runs=20_000, rng=2, transcript=blocks.append)
-        bits = blocks[0]["bits_sent"]
+        simulate(p, ch, basis, "paper", n_runs=20_000, rng=2, transcript=lambda *block: blocks.append(block))
         if cuts is None:
-            pieces = [(b["run_index"], b["outcome_alpha"], b["conclusive_flag"]) for b in blocks]
+            pieces = blocks
         else:
-            keys = ("run_index", "outcome_alpha", "conclusive_flag")
-            columns = [np.concatenate([b[key] for b in blocks]) for key in keys]
-            pieces = list(zip(*(np.split(column, cuts) for column in columns)))
-        pieces = [(index + first_run, alpha, flag) for index, alpha, flag in pieces]
+            alphas = np.split(np.concatenate([alpha for _, alpha in blocks]), cuts)
+            pieces = list(zip([0, *cuts], alphas))
+        pieces = [(start + first_run, alpha) for start, alpha in pieces]
         stream, path = io.BytesIO(), tmp_path / "runs.jsonl"
         with open(path, "wb") as f:
             sinks = [cli._transcript_sink(stream, p), cli._transcript_sink(f, p)]
-            for index, alpha, flag in pieces:
+            for start, alpha in pieces:
                 for write in sinks:
-                    write({"run_index": index, "outcome_alpha": alpha, "conclusive_flag": flag, "bits_sent": bits})
+                    write(start, alpha)
+        # The message: ceil(log2(2 d^2)) label bits plus the conclusive flag.
+        bits = math.ceil(math.log2(2 * d * d)) + 1
         want = "".join(
-            json.dumps(
-                {
-                    "run_index": int(i),
-                    "outcome_alpha": int(a),
-                    "conclusive_flag": int(c),
-                    "bits_sent": bits,
-                }
-            )
-            + "\n"
-            for index, alpha, flag in pieces
-            for i, a, c in zip(index, alpha, flag)
+            json.dumps({"run_index": start + k, "outcome_alpha": a, "conclusive_flag": int(c), "bits_sent": bits}) + "\n"
+            for start, alpha in pieces
+            for k, (a, c) in enumerate(zip(alpha.tolist(), (p.kinds[alpha] == CONCLUSIVE).tolist()))
         )
-        assert len(set(np.concatenate([alpha for _, alpha, _ in pieces]).tolist())) == 2 * d * d
+        assert len(set(np.concatenate([alpha for _, alpha in pieces]).tolist())) == 2 * d * d
         if cuts is not None:
-            assert [len(index) for index, _, _ in pieces[:2]] == [1, 12]
+            assert [alpha.size for _, alpha in pieces[:2]] == [1, 12]
         assert stream.getvalue() == want.encode()
         assert path.read_bytes() == want.encode()
 

@@ -11,7 +11,7 @@ from oracles import dense_elements
 from qteleport.channel import make_channel, qubit_channel_from_cos_theta
 from qteleport.errors import CapacityError, ConsistencyError, DecompositionError, DomainError, ShapeError
 from qteleport import fidelity
-from qteleport.fidelity import FidelityReport, channel_maps, report, simulate, transcript_bits
+from qteleport.fidelity import FidelityReport, channel_maps, report, simulate
 from qteleport.dilation import dilate, realized_povm
 from qteleport.formulas import (
     best_orthogonal_fidelity,
@@ -34,6 +34,18 @@ from qteleport.povm import (
     refine_inconclusive_residual,
 )
 from qteleport.weyl import UnitaryBasis, build_weyl_basis, conjugated_basis
+
+
+def recorder():
+    """A transcript that keeps each call's (first run index, outcomes), and the list it keeps them in."""
+    blocks = []
+    return blocks, lambda start, alpha: blocks.append((start, alpha))
+
+
+def run_columns(blocks):
+    """The run indices and the outcomes of recorded blocks, each as one array."""
+    index = np.concatenate([np.arange(start, start + alpha.size) for start, alpha in blocks])
+    return index, np.concatenate([alpha for _, alpha in blocks])
 
 
 def random_channel(d, rng):
@@ -979,19 +991,14 @@ class TestSimulate:
         basis = build_weyl_basis(2)
         ch = qubit_channel_from_cos_theta(0.6)
         p = refined(ch, basis, 0.4, "product")
-        blocks = []
-        simulate(p, ch, basis, "paper", n_runs=10_000, rng=1, transcript=blocks.append)
-        # 2**16 entries over 6d + 3 = 15 per run: 4369 runs per block.
-        assert [len(b["run_index"]) for b in blocks] == [4369] * 2 + [1262]
-        assert transcript_bits(p.n_outcomes) == 4  # ceil(log2(8)) + 1
-        for b in blocks:
-            assert set(b) == {"run_index", "outcome_alpha", "conclusive_flag", "bits_sent"}
-            assert b["bits_sent"] == 4
-        cols = {k: np.concatenate([b[k] for b in blocks]) for k in blocks[0] if k != "bits_sent"}
-        assert all(c.dtype.kind == "i" for c in cols.values())
-        assert cols["run_index"].tolist() == list(range(10_000))
-        assert 0 <= cols["outcome_alpha"].min() and cols["outcome_alpha"].max() < 8
-        np.testing.assert_array_equal(cols["conclusive_flag"], cols["outcome_alpha"] < 4)
+        blocks, transcript = recorder()
+        simulate(p, ch, basis, "paper", n_runs=10_000, rng=1, transcript=transcript)
+        # 2**16 entries over 6d + 3 = 15 per run: 4369 runs per block, each
+        # call handing over the block's first run index and its outcomes.
+        assert [(start, alpha.size) for start, alpha in blocks] == [(0, 4369), (4369, 4369), (8738, 1262)]
+        assert all(type(start) is int and alpha.dtype.kind == "i" for start, alpha in blocks)
+        alpha = run_columns(blocks)[1]
+        assert 0 <= alpha.min() and alpha.max() < 8
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -1032,8 +1039,8 @@ class TestSimulate:
         p = refined(ch, basis, 0.4, "product")
         with pytest.raises(TypeError, match="n_workers"):
             simulate(p, ch, basis, "paper", n_runs=10, rng=0, n_workers=1)
-        blocks = []
-        assert simulate(p, ch, basis, "paper", 10, 0, blocks.append) == simulate(p, ch, basis, "paper", 10, 0)
+        blocks, transcript = recorder()
+        assert simulate(p, ch, basis, "paper", 10, 0, transcript) == simulate(p, ch, basis, "paper", 10, 0)
         assert len(blocks) == 1
 
     def test_run_count_above_the_ceiling_is_refused_before_any_generator(self, monkeypatch):
@@ -1053,20 +1060,19 @@ class TestSimulate:
         assert calls == []
 
     def test_kept_transcript_blocks_are_not_overwritten(self, monkeypatch):
-        # The blocks reuse the call's buffers, but the columns handed to the
+        # The blocks reuse the call's buffers, but the outcomes handed to the
         # transcript are each block's own: kept blocks read as one block does.
         basis = build_weyl_basis(2)
         ch = qubit_channel_from_cos_theta(0.6)
         p = refined(ch, basis, 0.4, "residual")
-        blocks, whole = [], []
-        simulate(p, ch, basis, "auto", n_runs=10_000, rng=3, transcript=blocks.append)
+        blocks, transcript = recorder()
+        simulate(p, ch, basis, "auto", n_runs=10_000, rng=3, transcript=transcript)
         monkeypatch.setattr(fidelity, "_BLOCK_ENTRIES", 1 << 30)
-        simulate(p, ch, basis, "auto", n_runs=10_000, rng=3, transcript=whole.append)
+        whole, transcript = recorder()
+        simulate(p, ch, basis, "auto", n_runs=10_000, rng=3, transcript=transcript)
         assert len(blocks) > len(whole) == 1
-        for key in ("run_index", "outcome_alpha", "conclusive_flag"):
-            np.testing.assert_array_equal(
-                np.concatenate([b[key] for b in blocks]), np.concatenate([b[key] for b in whole])
-            )
+        for got, want in zip(run_columns(blocks), run_columns(whole)):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("d", [2, 16])
     def test_peak_memory_does_not_grow_with_the_run_count(self, d):
@@ -1365,12 +1371,13 @@ class TestBlockedKernel:
         p, ch, basis, maps, vs = maps_and_corrections(d, "product", "auto", 5)
         monkeypatch.setattr(fidelity, "_BLOCK_ENTRIES", 1 << 10)
         n_runs = 487
-        blocks = []
-        rep = simulate(p, ch, basis, "auto", n_runs=n_runs, rng=8, transcript=blocks.append)
+        blocks, transcript = recorder()
+        rep = simulate(p, ch, basis, "auto", n_runs=n_runs, rng=8, transcript=transcript)
         (stream,) = np.random.default_rng(8).spawn(1)
         want_alpha, _, fid = outcome_first_reference(maps, vs, stream, n_runs)
         assert len(blocks) >= 6
-        alpha = np.concatenate([b["outcome_alpha"] for b in blocks])
+        index, alpha = run_columns(blocks)
+        assert index.tolist() == list(range(n_runs))
         np.testing.assert_array_equal(alpha, want_alpha)
         assert rep.f_total == pytest.approx(fid.mean(), abs=1e-12)
         terms = np.bincount(alpha, weights=fid, minlength=p.n_outcomes) / n_runs
@@ -1495,9 +1502,9 @@ class TestBlockedKernel:
         np.testing.assert_array_equal(alpha, want_alpha)
         assert np.max(np.abs(fid - want_fid)) <= 1e-12
         assert np.min(m[alpha, k]) > 1e-12 and not np.isin(alpha, dead).any()
-        blocks = []
-        mc = simulate(p, ch, basis, "auto", n_runs=20_000, rng=6, transcript=blocks.append)
-        assert not np.isin(np.concatenate([b["outcome_alpha"] for b in blocks]), dead).any()
+        blocks, transcript = recorder()
+        mc = simulate(p, ch, basis, "auto", n_runs=20_000, rng=6, transcript=transcript)
+        assert not np.isin(run_columns(blocks)[1], dead).any()
         assert np.isfinite(mc.fidelity_terms).all()
         assert abs(mc.f_total - report(p, ch, basis, "auto").f_total) <= 4 * mc.f_total_se
 
@@ -1530,14 +1537,13 @@ class TestBlockedKernel:
             if refused(strategy, corrections):
                 assert_simulate_refuses(p, ch, basis, corrections)
                 continue
-            blocks = []
-            rep = simulate(p, ch, basis, corrections, n_runs, 17, blocks.append)
-            keys = ("run_index", "outcome_alpha", "conclusive_flag")
-            cols = [np.concatenate([b[k] for b in blocks]) for k in keys]
-            results.append((len(blocks), rep, cols))
+            blocks, transcript = recorder()
+            rep = simulate(p, ch, basis, corrections, n_runs, 17, transcript)
+            results.append((len(blocks), rep, run_columns(blocks)))
         if refused(strategy, corrections):
             return
         assert results[0][0] == n_runs and results[-1][0] == 1
+        assert results[0][2][0].tolist() == list(range(n_runs))
         for _, rep, cols in results[1:]:
             assert rep == results[0][1]
             for got, want in zip(cols, results[0][2]):
